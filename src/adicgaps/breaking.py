@@ -24,16 +24,18 @@ Four generator families feed the search, cheapest evidence first:
   chain type to a dominated type and everything else to a dominating
   top-comb; the action is the construction's defining rule.
 
-Probed candidates are admitted only when the type action is *total*, *stable*
-(the canonical witness classifies identically at consecutive block counts)
-and *corroborated by a pooled sample of same-type sets* — evidence that the
-action is a well-defined function of the type, which is exactly what the
-range rule needs.  Order-layer requirements such as ``≺``-monotonicity are
-deliberately **not** imposed: the verdict quantifies over the range *set*
-``M``, not over order-preserving maps, and demanding monotonicity would empty
-the witness families this module exists to search.  (Block maps with unequal
-block lengths always reverse some length tie, yet their ranges are perfectly
-good sets ``M``.)
+The generators live in :mod:`adicgaps.search`, shared with the gap order;
+this module fixes their search order and admits probed candidates under the
+*range* policy: the type action is *total*, *stable* (the canonical witness
+classifies identically at consecutive block counts) and *corroborated by a
+pooled sample of same-type sets* — evidence that the action is a
+well-defined function of the type, which is exactly what the range rule
+needs.  Order-layer requirements such as ``≺``-monotonicity are deliberately
+**not** imposed: the verdict quantifies over the range *set* ``M``, not over
+order-preserving maps, and demanding monotonicity would empty the witness
+families this module exists to search.  (Block maps with unequal block
+lengths always reverse some length tie, yet their ranges are perfectly good
+sets ``M``.)
 
 Verdicts are one-sided: ``BROKEN_witnessed`` embeds a re-checkable witness,
 while ``NOT_BROKEN_bounded`` only reports that the budgeted search found
@@ -46,57 +48,40 @@ full combinatorial statement.
 from __future__ import annotations
 
 import itertools
-import random
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .combs import EFamily, enumerate_efamilies
-from .embeddings import (
-    DEFAULT_BUDGET,
-    OutOfDomain,
-    ProbeBudget,
-    SubstitutionEmbedding,
-    ValidationFailure,
-    apply,
-    domination_embedding,
-    embedding_from_json,
-    psi_map,
-    realize_efamily,
-    relabel_embedding,
-    type_action,
-)
+from .embeddings import psi_map
 from .gaps import (
     RECORD,
     GapSpec,
-    _words_upto,
     enumerate_candidates_record,
     critical_record_gap,
     max_partition_gap,
 )
 from .runtime import pmap
-from .tree import Node, ScaleLimit, empty_node, node
-from .types import (
-    TypeDescriptor,
-    classify_type,
-    dominates,
-    enumerate_types,
-    is_top_comb,
-    parse_type,
-    print_type,
-    relabel,
-    same_type_probes,
-    type_id,
+from .search import (
+    DEFAULT_BREAK_BUDGET,
+    RANGE,
+    Candidate,
+    SearchBudget,
+    admissible_action,
+    dominations,
+    efamilies,
+    revalidate,
+    subalphabets,
+    substitutions,
+    words_upto,
 )
+from .tree import ScaleLimit
+from .types import enumerate_types, parse_type, print_type
 
 __all__ = [
     "BROKEN_WITNESSED",
     "NOT_BROKEN_BOUNDED",
     "AUDIT_CAVEAT",
-    "BreakBudget",
     "DEFAULT_BREAK_BUDGET",
     "BreakQuery",
-    "BreakWitness",
     "BreakReport",
     "break_check",
     "revalidate_break",
@@ -128,38 +113,7 @@ AUDIT_CAVEAT = (
 
 
 # --------------------------------------------------------------------------
-# budgets and queries
-
-
-@dataclass(frozen=True)
-class BreakBudget:
-    """Limits for the witness search.
-
-    ``substitution_blocks`` caps block length; ``efamily_letters`` caps the
-    total letter count of an e-family's configuration words; ``probe`` bounds
-    every classification probe.  Subalphabet inclusions and domination
-    constructions are finite families and always enumerated in full.
-    """
-
-    substitution_blocks: int = 3
-    efamily_letters: int = 12
-    probe: ProbeBudget = replace(DEFAULT_BUDGET, domain_depth=40)
-
-    def __post_init__(self) -> None:
-        if self.substitution_blocks < 1:
-            raise ValueError("substitution_blocks must be at least 1")
-        if self.efamily_letters < 0:
-            raise ValueError("efamily_letters must be nonnegative")
-
-    def as_json(self) -> dict:
-        return {
-            "substitution_blocks": self.substitution_blocks,
-            "efamily_letters": self.efamily_letters,
-            "probe": self.probe.as_json(),
-        }
-
-
-DEFAULT_BREAK_BUDGET = BreakBudget()
+# queries
 
 
 @dataclass(frozen=True)
@@ -168,7 +122,7 @@ class BreakQuery:
 
     gap: GapSpec
     broken_sides: frozenset
-    budget: BreakBudget = DEFAULT_BREAK_BUDGET
+    budget: SearchBudget = DEFAULT_BREAK_BUDGET
 
     def __post_init__(self) -> None:
         if self.gap.layer != RECORD:
@@ -187,242 +141,43 @@ class BreakQuery:
 # --------------------------------------------------------------------------
 # candidate embeddings
 
-# Memo of probed actions, keyed by a structural description of the embedding
-# plus the probe budget.  Entries are None (rejected) or the sorted action.
-_ACTION_MEMO: dict = {}
-
-
-def _probe_key(probe: ProbeBudget) -> tuple:
-    return tuple(sorted(probe.as_json().items()))
-
-
-def _word_digits(word: Node) -> str:
-    return "".join(str(word.letter_at(i)) for i in range(word.length))
-
-
-@dataclass(frozen=True)
-class _Candidate:
-    """One generated embedding with its validated total type action."""
-
-    kind: str  # "subalphabet" | "substitution" | "efamily" | "domination"
-    label: str
-    domain_alphabet: int
-    action: tuple  # ((tau, sigma), ...) sorted by domain type id
-    payload: dict  # enough JSON to reconstruct the embedding
-
-    @property
-    def range_types(self) -> frozenset:
-        return frozenset(sigma for _, sigma in self.action)
-
-
-def _sorted_action(mapping: dict) -> tuple:
-    return tuple(sorted(mapping.items(), key=lambda pair: type_id(pair[0])))
-
-
-def _stable_total_action(
-    phi, domain_alphabet: int, probe: ProbeBudget
-) -> Optional[tuple]:
-    """A probed action admissible as range evidence, or ``None``.
-
-    Admissible means: every domain type classifies stably (no instability,
-    nothing skipped or unverified), and every pooled same-type sample maps to
-    a set classifying to the same image type.  Pool samples that fall outside
-    a tabulated domain prove nothing and are passed over.
-    """
-    report = type_action(phi, probe)
-    if report.unstable:
-        return None
-    mapping = dict(report.mapping)
-    if len(mapping) != len(enumerate_types(domain_alphabet)):
-        return None
-    for tau, samples in same_type_probes(domain_alphabet).items():
-        expected = mapping[tau]
-        for sample in samples:
-            try:
-                image = apply(phi, sample)
-            except (OutOfDomain, ScaleLimit):
-                continue
-            try:
-                sigma = classify_type(image)
-            except ValueError:
-                return None
-            if sigma != expected:
-                return None
-    return _sorted_action(mapping)
-
-
-def _memoized_action(key: tuple, build) -> Optional[tuple]:
-    if key not in _ACTION_MEMO:
-        _ACTION_MEMO[key] = build()
-    return _ACTION_MEMO[key]
-
-
-@lru_cache(maxsize=None)
-def _subalphabet_candidates(m_out: int) -> tuple:
-    """Increasing letter injections; exact rule-level actions."""
-    out = []
-    for m_in in range(1, m_out + 1):
-        for iota in itertools.combinations(range(m_out), m_in):
-            action = _sorted_action(
-                {tau: relabel(tau, iota, m_out) for tau in enumerate_types(m_in)}
-            )
-            out.append(
-                _Candidate(
-                    kind="subalphabet",
-                    label=f"iota={','.join(map(str, iota))}",
-                    domain_alphabet=m_in,
-                    action=action,
-                    payload={"kind": "subalphabet", "iota": list(iota), "alphabet_out": m_out},
-                )
-            )
-    return tuple(out)
-
 
 def _substitution_sort_key(blocks: tuple) -> tuple:
     return (
         max(b.length for b in blocks),
         sum(b.length for b in blocks),
-        tuple(_word_digits(b) for b in blocks),
+        tuple(b.letters for b in blocks),
     )
 
 
-def _iter_substitution_candidates(
-    m_out: int, budget: BreakBudget
-) -> Iterator[_Candidate]:
-    """Injective block maps, smallest domain alphabet and shortest blocks
-    first.  All-single-letter block tuples are skipped: their ranges are
-    subalphabet subtrees, already covered exactly by the inclusions."""
-    words = _words_upto(m_out, budget.substitution_blocks)
-    for m_in in range(1, m_out + 1):
+def candidate_pool(m_out: int, budget: SearchBudget) -> Iterator[Candidate]:
+    """All candidate witnesses in search order, each family over every
+    domain alphabet up to ``m_out``: subalphabet inclusions, then
+    substitutions by increasing block length, then e-driven realizations,
+    then domination constructions.
+
+    All-single-letter block tuples are skipped: their ranges are subalphabet
+    subtrees, already covered exactly by the inclusions.  The inclusions are
+    built in full before anything is yielded, so an alphabet beyond the
+    tabulated type catalogues raises ScaleLimit before any search."""
+    alphabets = range(1, m_out + 1)
+    yield from [cand for m_in in alphabets for cand in subalphabets(m_in, m_out)]
+    words = words_upto(m_out, budget.substitution_blocks)
+    for m_in in alphabets:
         tuples = [
             blocks
             for blocks in itertools.product(words, repeat=m_in)
             if not all(b.length == 1 for b in blocks)
         ]
         tuples.sort(key=_substitution_sort_key)
-        for blocks in tuples:
-            phi = SubstitutionEmbedding(empty_node(m_out), blocks)
-            if not phi.injective:
-                continue
-            digits = ",".join(_word_digits(b) for b in blocks)
-            key = ("substitution", m_out, digits, _probe_key(budget.probe))
-            action = _memoized_action(
-                key, lambda: _stable_total_action(phi, m_in, budget.probe)
-            )
-            if action is None:
-                continue
-            yield _Candidate(
-                kind="substitution",
-                label=f"blocks={digits}",
-                domain_alphabet=m_in,
-                action=action,
-                payload={"embedding": phi.to_json()},
-            )
-
-
-def _family_letters(fam: EFamily) -> int:
-    return fam.e_inf.length + sum(w.length for w in fam.e)
-
-
-def _iter_efamily_candidates(m_out: int, budget: BreakBudget) -> Iterator[_Candidate]:
-    for m_in in range(1, m_out + 1):
-        for fam in enumerate_efamilies(m_in, m_out):
-            if _family_letters(fam) > budget.efamily_letters:
-                continue
-            try:
-                phi = realize_efamily(
-                    fam, depth=budget.probe.domain_depth, budget=budget.probe
-                )
-            except (ValidationFailure, ScaleLimit):
-                continue
-            label = (
-                f"e_inf={_word_digits(fam.e_inf)};"
-                f"e={','.join(_word_digits(w) for w in fam.e)}"
-            )
-            key = ("efamily", m_out, label, _probe_key(budget.probe))
-            action = _memoized_action(
-                key, lambda: _stable_total_action(phi, m_in, budget.probe)
-            )
-            if action is None:
-                continue
-            yield _Candidate(
-                kind="efamily",
-                label=label,
-                domain_alphabet=m_in,
-                action=action,
-                payload={"embedding": phi.to_json()},
-            )
-
-
-def _iter_domination_candidates(m_out: int) -> Iterator[_Candidate]:
-    """Two-type actions from the domination construction (dyadic only):
-    the first chain type lands on the dominated type, everything else on the
-    dominating top-comb.  The action is the construction's defining rule; the
-    embedding itself is built (and self-validated) on demand."""
-    if m_out != 2:
-        return
-    catalogue = enumerate_types(2)
-    chain0 = catalogue[0]
-    for tau1 in catalogue:
-        if not is_top_comb(tau1):
-            continue
-        for tau0 in catalogue:
-            if not dominates(tau1, tau0):
-                continue
-            action = _sorted_action(
-                {tau: (tau0 if tau == chain0 else tau1) for tau in catalogue}
-            )
-            yield _Candidate(
-                kind="domination",
-                label=f"tau0={print_type(tau0)},tau1={print_type(tau1)}",
-                domain_alphabet=2,
-                action=action,
-                payload={
-                    "kind": "domination",
-                    "tau0": print_type(tau0),
-                    "tau1": print_type(tau1),
-                },
-            )
-
-
-def _iter_candidates(m_out: int, budget: BreakBudget) -> Iterator[_Candidate]:
-    """All candidate witnesses in search order: subalphabet inclusions, then
-    substitutions by increasing block length, then e-driven realizations,
-    then domination constructions."""
-    yield from _subalphabet_candidates(m_out)
-    yield from _iter_substitution_candidates(m_out, budget)
-    yield from _iter_efamily_candidates(m_out, budget)
-    yield from _iter_domination_candidates(m_out)
+        yield from substitutions(tuples, m_out, budget.probe, RANGE)
+    for m_in in alphabets:
+        yield from efamilies(m_in, m_out, budget, RANGE)
+    yield from dominations(2, m_out)
 
 
 # --------------------------------------------------------------------------
 # verdicts
-
-
-@dataclass(frozen=True)
-class BreakWitness:
-    """A validated witness embedding together with its type-action table."""
-
-    kind: str
-    label: str
-    domain_alphabet: int
-    action: tuple
-    payload: dict
-
-    @property
-    def range_types(self) -> frozenset:
-        return frozenset(sigma for _, sigma in self.action)
-
-    def as_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "label": self.label,
-            "domain_alphabet": self.domain_alphabet,
-            "action": {
-                print_type(tau): print_type(sigma) for tau, sigma in self.action
-            },
-            "embedding": self.payload,
-        }
 
 
 @dataclass(frozen=True)
@@ -432,9 +187,9 @@ class BreakReport:
     gap: GapSpec
     broken_sides: tuple
     verdict: str
-    witness: Optional[BreakWitness]
+    witness: Optional[Candidate]
     searched: int
-    budget: BreakBudget
+    budget: SearchBudget
 
     def __bool__(self) -> bool:
         return self.verdict == BROKEN_WITNESSED
@@ -468,21 +223,14 @@ def break_check(query: BreakQuery) -> BreakReport:
     """
     gap = query.gap
     searched = 0
-    for cand in _iter_candidates(gap.m, query.budget):
+    for cand in candidate_pool(gap.m, query.budget):
         searched += 1
         if _range_rule(gap, query.broken_sides, cand.range_types):
-            witness = BreakWitness(
-                kind=cand.kind,
-                label=cand.label,
-                domain_alphabet=cand.domain_alphabet,
-                action=cand.action,
-                payload=cand.payload,
-            )
             return BreakReport(
                 gap=gap,
                 broken_sides=tuple(sorted(query.broken_sides)),
                 verdict=BROKEN_WITNESSED,
-                witness=witness,
+                witness=cand,
                 searched=searched,
                 budget=query.budget,
             )
@@ -500,80 +248,21 @@ def break_check(query: BreakQuery) -> BreakReport:
 # witness revalidation
 
 
-def _injectivity_replay(phi, domain_alphabet: int, rng: random.Random) -> bool:
-    """Sampled injectivity check: distinct words map to distinct words."""
-    seen: dict = {}
-    for _ in range(60):
-        depth = rng.randint(1, 6)
-        letters = tuple(rng.randrange(domain_alphabet) for _ in range(depth))
-        word = node(domain_alphabet, letters)
-        try:
-            image = phi.map_node(word)
-        except (OutOfDomain, ScaleLimit):
-            continue
-        if word in seen:
-            continue
-        for other, other_image in seen.items():
-            if other_image == image:
-                return False
-        seen[word] = image
-    return True
-
-
-def _rederive_action(witness: BreakWitness, budget: BreakBudget) -> Optional[tuple]:
-    """Rebuild the witness embedding from its payload and recompute its
-    action by the same standard the search used.  Rule-level kinds recompute
-    the rule; probed kinds are re-probed (memo bypassed) and must also pass a
-    sampled injectivity replay."""
-    payload = witness.payload
-    if witness.kind == "subalphabet":
-        iota = tuple(payload["iota"])
-        m_out = payload["alphabet_out"]
-        return _sorted_action(
-            {
-                tau: relabel(tau, iota, m_out)
-                for tau in enumerate_types(witness.domain_alphabet)
-            }
-        )
-    if witness.kind == "domination":
-        catalogue = enumerate_types(2)
-        tau0 = parse_type(payload["tau0"], 2)
-        tau1 = parse_type(payload["tau1"], 2)
-        if not is_top_comb(tau1) or not dominates(tau1, tau0):
-            return None
-        try:
-            phi = domination_embedding(tau1, tau0)
-        except (ValidationFailure, ScaleLimit):
-            return None
-        report = type_action(phi, budget.probe)
-        rule = {tau: (tau0 if tau == catalogue[0] else tau1) for tau in catalogue}
-        for tau, sigma in report.mapping:
-            if rule[tau] != sigma:
-                return None
-        return _sorted_action(rule)
-    phi = embedding_from_json(payload["embedding"])
-    if not _injectivity_replay(phi, witness.domain_alphabet, random.Random(0)):
-        return None
-    return _stable_total_action(phi, witness.domain_alphabet, budget.probe)
-
-
 def revalidate_break(report: BreakReport) -> bool:
     """Recheck a BROKEN verdict from scratch.
 
-    The witness embedding is reconstructed from its JSON payload, its action
-    re-derived (probed kinds are re-probed and replay a sampled injectivity
-    check; the domination construction is rebuilt and its probed behaviour
-    compared against the defining rule), and the range rule re-applied: every
-    requested side must be met by some action image and every other side
-    avoided by all of them.
+    The witness embedding is rebuilt from its JSON payload and its action
+    re-derived under the range policy (rule-level kinds recompute the rule,
+    probed kinds are re-probed, and the domination construction is rebuilt
+    and its probed behaviour compared against the defining rule); then the
+    range rule is re-applied: every requested side must be met by some
+    action image and every other side avoided by all of them.
     """
     if report.verdict != BROKEN_WITNESSED or report.witness is None:
         return False
-    action = _rederive_action(report.witness, report.budget)
-    if action is None or action != report.witness.action:
+    if not revalidate(report.witness, report.budget.probe, RANGE):
         return False
-    range_types = frozenset(sigma for _, sigma in action)
-    return _range_rule(report.gap, frozenset(report.broken_sides), range_types)
+    return _range_rule(report.gap, frozenset(report.broken_sides), report.witness.range_types)
 
 
 # --------------------------------------------------------------------------
@@ -639,7 +328,7 @@ class PreservationReport:
 
 
 def preservation_lemma_check(
-    budget: BreakBudget = DEFAULT_BREAK_BUDGET,
+    budget: SearchBudget = DEFAULT_BREAK_BUDGET,
 ) -> PreservationReport:
     """Check, over all generated dyadic embeddings in budget, that an action
     fixing both chain types also fixes ``[l0 l1]``."""
@@ -649,7 +338,7 @@ def preservation_lemma_check(
     checked = 0
     premise_holders = []
     violations = []
-    for cand in _iter_candidates(2, budget):
+    for cand in candidate_pool(2, budget):
         if cand.domain_alphabet != 2:
             continue
         checked += 1
@@ -661,7 +350,7 @@ def preservation_lemma_check(
                 violations.append(tag)
 
     psi = psi_map(2)
-    psi_action = _stable_total_action(psi, 2, budget.probe)
+    psi_action = admissible_action(psi, budget.probe, RANGE)
     if psi_action is None:
         reduction_map = {"admissible": False}
     else:
@@ -724,7 +413,7 @@ class JigsawAudit:
 
 
 def jigsaw_audit(
-    gap: GapSpec, budget: BreakBudget = DEFAULT_BREAK_BUDGET
+    gap: GapSpec, budget: SearchBudget = DEFAULT_BREAK_BUDGET
 ) -> JigsawAudit:
     """Run :func:`break_check` for every nonempty subset of side indices.
 
@@ -789,7 +478,7 @@ class OptimalityReport:
 
 
 def jbreak_optimality_check(
-    budget: BreakBudget = DEFAULT_BREAK_BUDGET,
+    budget: SearchBudget = DEFAULT_BREAK_BUDGET,
 ) -> OptimalityReport:
     """Check that no generated embedding witnesses a partial break of the
     eight-type gap beyond the two chain sides."""
@@ -799,7 +488,7 @@ def jbreak_optimality_check(
     checked = 0
     qualifying = []
     counterexamples = []
-    for cand in _iter_candidates(2, budget):
+    for cand in candidate_pool(2, budget):
         checked += 1
         rng = cand.range_types
         if chain0 in rng and chain1 in rng:
@@ -856,7 +545,7 @@ class TwoBreakAudit:
         }
 
 
-def two_break_audit(budget: BreakBudget = DEFAULT_BREAK_BUDGET) -> TwoBreakAudit:
+def two_break_audit(budget: SearchBudget = DEFAULT_BREAK_BUDGET) -> TwoBreakAudit:
     """Sweep all enumerated two-sided record candidates plus the named
     three-sided desk gaps for a broken two-element side set."""
 

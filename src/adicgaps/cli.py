@@ -55,13 +55,11 @@ from .embeddings import (
     type_action,
 )
 from .gaps import (
-    DEFAULT_SEARCH_BUDGET,
     FIRST_MOVE,
     GapSpec,
     LE_WITNESSED,
     NOT_LE_REFUTED_EXACT,
     RECORD,
-    SearchBudget,
     critical_record_gap,
     domination_prune,
     enumerate_candidates_record,
@@ -79,6 +77,7 @@ from .runtime import (
     content_key,
     default_cache_dir,
 )
+from .search import DEFAULT_SEARCH_BUDGET, SearchBudget
 from .tree import (
     Node,
     NodeSet,
@@ -260,8 +259,9 @@ def check_strong_two(ctx: AuditContext) -> AuditEntry:
 # check 3: strong triadic classes (cached)
 
 
-def _strong_three_report_dict(ctx: AuditContext) -> dict:
-    candidates = enumerate_candidates_strong(3)
+def _strong_classes(n: int, cache: Optional[ResultCache]) -> dict:
+    """Minimal classes of the strong n-sided candidates, through the cache."""
+    candidates = enumerate_candidates_strong(n)
     key = content_key(
         {
             "computation": "minimal-classes",
@@ -270,18 +270,18 @@ def _strong_three_report_dict(ctx: AuditContext) -> dict:
             "candidates": [c.to_json() for c in candidates],
         }
     )
-    if ctx.cache is not None:
-        hit = ctx.cache.get(key)
+    if cache is not None:
+        hit = cache.get(key)
         if hit is not None:
             return hit
     report = minimal_classes(candidates).as_dict()
-    if ctx.cache is not None:
-        ctx.cache.put(key, report)
+    if cache is not None:
+        cache.put(key, report)
     return report
 
 
 def check_strong_three(ctx: AuditContext) -> AuditEntry:
-    report = _strong_three_report_dict(ctx)
+    report = _strong_classes(3, ctx.cache)
     expected = {
         "candidates": 4096,
         "classes": 31,
@@ -948,21 +948,7 @@ def cmd_gaps_enum_strong(args) -> int:
             "strong enumeration is desk-scale for --n 2 or 3 "
             f"(got {args.n})"
         )
-    cache = _resolve_cache(args)
-    candidates = enumerate_candidates_strong(args.n)
-    key = content_key(
-        {
-            "computation": "minimal-classes",
-            "layer": FIRST_MOVE,
-            "order": "exact-pullback",
-            "candidates": [c.to_json() for c in candidates],
-        }
-    )
-    report_dict = cache.get(key) if cache is not None else None
-    if report_dict is None:
-        report_dict = minimal_classes(candidates).as_dict()
-        if cache is not None:
-            cache.put(key, report_dict)
+    report_dict = _strong_classes(args.n, _resolve_cache(args))
     payload = {
         "n": args.n,
         "candidates": report_dict["candidates"],
@@ -995,11 +981,11 @@ def cmd_gaps_enum_strong(args) -> int:
 def cmd_gaps_order(args) -> int:
     left = _load_gap_file(args.left)
     right = _load_gap_file(args.right)
-    budget = SearchBudget(
-        substitution_blocks=args.substitution_blocks,
-        efamily_letters=args.efamily_letters,
-    )
     try:
+        budget = SearchBudget(
+            substitution_blocks=args.substitution_blocks,
+            efamily_letters=args.efamily_letters,
+        )
         result = order_le(left, right, budget)
     except ValueError as ex:
         raise UsageError(str(ex)) from ex
@@ -1028,7 +1014,10 @@ def cmd_breaking_check(args) -> int:
         query = BreakQuery(gap, broken)
     except ValueError as ex:
         raise UsageError(str(ex)) from ex
-    report = break_check(query)
+    try:
+        report = break_check(query)
+    except ScaleLimit as ex:
+        raise UsageError(str(ex)) from ex
     revalidated = revalidate_break(report) if report else None
     if args.json:
         payload = report.as_dict()

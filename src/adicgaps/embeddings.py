@@ -223,8 +223,8 @@ class TabulatedEmbedding:
     """An explicit injective map on words up to a domain depth.
 
     The table is filled on demand from a generator function, so astronomical
-    domains stay cheap: only probed words are materialized.  Serialization
-    carries the materialized pairs.
+    domains stay cheap: only probed words are materialized.  Witnesses
+    serialize the construction that produced the map, never the table.
     """
 
     def __init__(
@@ -232,16 +232,13 @@ class TabulatedEmbedding:
         domain_alphabet: int,
         codomain_alphabet: int,
         depth: int,
-        fn: Optional[Callable[[Node], Node]] = None,
-        pairs: Optional[Iterable[tuple[Node, Node]]] = None,
-        label: str = "tabulated",
+        fn: Callable[[Node], Node],
     ) -> None:
         self.domain_alphabet = domain_alphabet
         self.codomain_alphabet = codomain_alphabet
         self.depth = depth
-        self.label = label
         self._fn = fn
-        self._table: dict[Node, Node] = dict(pairs or ())
+        self._table: dict[Node, Node] = {}
 
     def map_node(self, s: Node) -> Node:
         if s.alphabet != self.domain_alphabet:
@@ -250,49 +247,12 @@ class TabulatedEmbedding:
             raise OutOfDomain(f"word of length {s.length} beyond depth {self.depth}")
         hit = self._table.get(s)
         if hit is None:
-            if self._fn is None:
-                raise OutOfDomain("word not present in the finite table")
             hit = self._fn(s)
             self._table[s] = hit
         return hit
 
-    def materialized_pairs(self) -> list[tuple[Node, Node]]:
-        from .tree import prec_sorted
-
-        return [(s, self._table[s]) for s in prec_sorted(self._table)]
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "tabulated",
-            "label": self.label,
-            "domain_alphabet": self.domain_alphabet,
-            "codomain_alphabet": self.codomain_alphabet,
-            "depth": self.depth,
-            "pairs": [
-                [_node_json(s), _node_json(t)] for s, t in self.materialized_pairs()
-            ],
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "TabulatedEmbedding":
-        n, m = data["domain_alphabet"], data["codomain_alphabet"]
-        pairs = [
-            (_node_from_json(n, a), _node_from_json(m, b)) for a, b in data["pairs"]
-        ]
-        return TabulatedEmbedding(
-            n, m, data["depth"], pairs=pairs, label=data.get("label", "tabulated")
-        )
-
 
 Embedding = SubstitutionEmbedding | TabulatedEmbedding
-
-
-def embedding_from_json(data: dict) -> Embedding:
-    if data.get("kind") == "substitution":
-        return SubstitutionEmbedding.from_json(data)
-    if data.get("kind") == "tabulated":
-        return TabulatedEmbedding.from_json(data)
-    raise ValueError(f"unknown embedding kind {data.get('kind')!r}")
 
 
 def apply(phi: Embedding, a: NodeSet) -> NodeSet:
@@ -539,7 +499,7 @@ def realize_efamily(
     def fn(s: Node) -> Node:
         return anchor(s).concat(fam.e_inf)
 
-    phi = TabulatedEmbedding(n, m, depth, fn=fn, label="efamily")
+    phi = TabulatedEmbedding(n, m, depth, fn=fn)
     if validate:
         expected = efamily_induced_map(fam)
         got = comb_action(phi, budget)
@@ -644,7 +604,7 @@ def domination_embedding(
         z = t.runs[-1][1] if t.runs and t.runs[-1][0] == 0 else 0
         return x.concat(u0.repeat(z + 1))
 
-    return TabulatedEmbedding(n, n, depth, fn=fn, label="domination")
+    return TabulatedEmbedding(n, n, depth, fn=fn)
 
 
 # ---------------------------------------------------------------------------

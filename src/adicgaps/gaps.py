@@ -10,10 +10,9 @@ alphabet permutations, and prunes record candidates through domination.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from .combs import (
     CombKind,
@@ -22,28 +21,26 @@ from .combs import (
     efamily_induced_map,
     enumerate_efamilies,
 )
-from .embeddings import (
-    DEFAULT_BUDGET,
-    ProbeBudget,
-    SubstitutionEmbedding,
-    ValidationFailure,
-    apply,
-    realize_efamily,
-    structural_replay,
-    type_action,
+from .search import (
+    DEFAULT_SEARCH_BUDGET,
+    ORDER,
+    Candidate,
+    SearchBudget,
+    dominations,
+    efamilies,
+    efamily_label,
+    revalidate,
+    subalphabets,
+    substitutions,
+    words_upto,
 )
-from .tree import Node, ScaleLimit, empty_node, format_node, random_node_set
+from .tree import ScaleLimit, format_node
 from .types import (
     TypeDescriptor,
-    classify_type,
-    dominates,
     enumerate_types,
-    is_top_comb,
     max_of,
     parse_type,
     print_type,
-    relabel,
-    same_type_probes,
     type_id,
 )
 
@@ -254,242 +251,66 @@ def enumerate_candidates_record(n: int) -> tuple[GapSpec, ...]:
 # the witnessed order
 
 
-@dataclass(frozen=True)
-class SearchBudget:
-    """Caps for the record-layer witness search."""
-
-    substitution_blocks: int = 3
-    efamily_letters: int = 12  # total letters across one family's branch words
-    include_dominations: bool = True
-    probe: ProbeBudget = DEFAULT_BUDGET
-
-    def as_json(self) -> dict:
-        return {
-            "substitution_blocks": self.substitution_blocks,
-            "efamily_letters": self.efamily_letters,
-            "include_dominations": self.include_dominations,
-            "probe": self.probe.as_json(),
-        }
-
-
-DEFAULT_SEARCH_BUDGET = SearchBudget()
-
-
-@dataclass(frozen=True)
-class TypeActionCandidate:
-    """One generated embedding action: a total map on the domain's types."""
-
-    kind: str  # relabel | substitution | efamily | domination
-    label: str
-    mapping: tuple[tuple[TypeDescriptor, TypeDescriptor], ...]
-    exact: bool  # rule-level action vs. stable probed action
-
-    def lookup(self) -> dict[TypeDescriptor, TypeDescriptor]:
-        return dict(self.mapping)
-
-    def as_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "label": self.label,
-            "exact": self.exact,
-            "mapping": {print_type(a): print_type(b) for a, b in self.mapping},
-        }
-
-
-def _sorted_mapping(mapping: dict) -> tuple:
-    return tuple(sorted(mapping.items(), key=lambda kv: type_id(kv[0])))
-
-
-def _words_upto(alphabet: int, length: int) -> list[Node]:
-    out = []
-    for k in range(1, length + 1):
-        for letters in itertools.product(range(alphabet), repeat=k):
-            node = empty_node(alphabet)
-            for letter in letters:
-                node = node.extend(letter)
-            out.append(node)
-    return out
-
-
-def _iter_relabel_actions(m_in: int, m_out: int) -> Iterator[TypeActionCandidate]:
-    for iota in itertools.combinations(range(m_out), m_in):
-        mapping = {tau: relabel(tau, iota, m_out) for tau in enumerate_types(m_in)}
-        yield TypeActionCandidate(
-            "relabel", f"iota={iota}", _sorted_mapping(mapping), exact=True
-        )
-
-
-def _total_stable_mapping(phi, m_in: int, probe: ProbeBudget) -> Optional[dict]:
-    """The probed type action, if total and stable; None otherwise."""
-    report = type_action(phi, probe)
-    if report.unstable or report.unverified or report.skipped:
-        return None
-    mapping = dict(report.mapping)
-    if len(mapping) != len(enumerate_types(m_in)):
-        return None
-    return mapping
-
-
-def _action_survives_probes(
-    phi, mapping: dict, probe: ProbeBudget, reembed_replay: bool
-) -> bool:
-    """Structural validation behind a probed order witness.
-
-    The replay rejects maps that break injectivity, the well order, or
-    first-move equivalence on sampled sets (a letter swap, say, reverses the
-    well order on same-length words, so its would-be action on types is not
-    well defined).  The pooled probes then re-derive the action on sets that
-    realize each type differently from the canonical witnesses.  Bounded
-    maps skip the re-embedding comparison: re-embedded samples can leave
-    their finite domain.
-    """
-    maxes = {tau: max_of(image) for tau, image in mapping.items()}
-    for tau in mapping:
-        for sigma in mapping:
-            if max_of(tau) <= max_of(sigma) and maxes[tau] > maxes[sigma]:
-                return False  # the action breaks maximum-letter monotonicity
-    rng = random.Random(0)
-    try:
-        if reembed_replay:
-            structural_replay(phi, rng, probe)
-        else:
-            samples = [
-                random_node_set(rng, phi.domain_alphabet, rng.randint(2, 5),
-                                max_len=probe.replay_depth)
-                for _ in range(probe.replay_samples)
-            ]
-            structural_replay(phi, rng, probe, sample_sets=samples)
-        for tau, probes in same_type_probes(phi.domain_alphabet).items():
-            expected = mapping[tau]
-            for a in probes:
-                if classify_type(apply(phi, a)) != expected:
-                    return False
-    except ValueError:  # replay violations, unclassifiable or escaping images
-        return False
-    return True
-
-
-def _iter_substitution_actions(
-    m_in: int, m_out: int, budget: SearchBudget
-) -> Iterator[TypeActionCandidate]:
-    words = _words_upto(m_out, budget.substitution_blocks)
-    for blocks in itertools.product(words, repeat=m_in):
-        phi = SubstitutionEmbedding(empty_node(m_out), tuple(blocks))
-        if not phi.injective:
-            continue
-        mapping = _total_stable_mapping(phi, m_in, budget.probe)
-        if mapping is None or not _action_survives_probes(
-            phi, mapping, budget.probe, reembed_replay=True
-        ):
-            continue
-        label = "blocks=" + ",".join(format_node(w) for w in blocks)
-        yield TypeActionCandidate("substitution", label, _sorted_mapping(mapping), exact=False)
-
-
-def _family_letters(fam: EFamily) -> int:
-    return fam.e_inf.length + sum(w.length for w in fam.e)
-
-
-def _iter_efamily_actions(
-    m_in: int, m_out: int, budget: SearchBudget
-) -> Iterator[TypeActionCandidate]:
-    for fam in enumerate_efamilies(m_in, m_out):
-        if _family_letters(fam) > budget.efamily_letters:
-            continue
-        try:
-            phi = realize_efamily(fam, budget=budget.probe)
-        except (ValidationFailure, ScaleLimit):
-            continue
-        mapping = _total_stable_mapping(phi, m_in, budget.probe)
-        if mapping is None or not _action_survives_probes(
-            phi, mapping, budget.probe, reembed_replay=False
-        ):
-            continue
-        label = "e_inf={},e={}".format(
-            format_node(fam.e_inf), ",".join(format_node(w) for w in fam.e)
-        )
-        yield TypeActionCandidate("efamily", label, _sorted_mapping(mapping), exact=False)
-
-
-def _iter_domination_actions(m_in: int, m_out: int) -> Iterator[TypeActionCandidate]:
-    """Total actions of the domination construction: the chain type goes to
-    tau0 and every other type to the dominating tau1.  The map is supplied
-    by the domination characterization; construction probes validate its
-    reachable part (see the embeddings layer)."""
-    if m_in != 2:
-        return
-    chain0 = _chain_type(2, 0)
-    universe = enumerate_types(2)
-    for tau1 in enumerate_types(m_out):
-        if not is_top_comb(tau1):
-            continue
-        for tau0 in enumerate_types(m_out):
-            if not dominates(tau1, tau0):
-                continue
-            mapping = {tau: (tau0 if tau == chain0 else tau1) for tau in universe}
-            label = f"tau0={print_type(tau0)},tau1={print_type(tau1)}"
-            yield TypeActionCandidate("domination", label, _sorted_mapping(mapping), exact=True)
-
-
 @lru_cache(maxsize=None)
 def generate_type_actions(
     m_in: int, m_out: int, budget: SearchBudget = DEFAULT_SEARCH_BUDGET
-) -> tuple[TypeActionCandidate, ...]:
+) -> tuple[Candidate, ...]:
     """All generated total type actions m_in -> m_out, deduplicated by map,
-    in deterministic generator order: relabels, substitutions, branch-word
-    family realizations, dominations.
+    in deterministic generator order: subalphabet inclusions, substitutions,
+    branch-word family realizations, dominations.
 
-    Relabels carry the rule-level action of an increasing letter injection
-    and domination maps the action its existence theorem states; the probed
-    kinds (substitutions, family realizations) are kept only when the action
-    is total, stable across witness sizes, and survives structural replay
-    plus the pooled same-type probes."""
-    out: list[TypeActionCandidate] = []
+    Inclusions carry the rule-level action of an increasing letter
+    injection and domination maps the action its existence theorem states;
+    the probed kinds (substitutions, family realizations) are admitted under
+    the order policy: total, stable across witness sizes, monotone in the
+    maximum letter, and surviving structural replay plus the pooled
+    same-type probes."""
+    words = words_upto(m_out, budget.substitution_blocks)
+    out: list[Candidate] = []
     seen: set[tuple] = set()
     chain = itertools.chain(
-        _iter_relabel_actions(m_in, m_out),
-        _iter_substitution_actions(m_in, m_out, budget),
-        _iter_efamily_actions(m_in, m_out, budget),
-        _iter_domination_actions(m_in, m_out) if budget.include_dominations else (),
+        subalphabets(m_in, m_out),
+        substitutions(itertools.product(words, repeat=m_in), m_out, budget.probe, ORDER),
+        efamilies(m_in, m_out, budget, ORDER),
+        dominations(m_in, m_out),
     )
-    for action in chain:
-        if action.mapping in seen:
+    for cand in chain:
+        if cand.action in seen:
             continue
-        seen.add(action.mapping)
-        out.append(action)
+        seen.add(cand.action)
+        out.append(cand)
     return tuple(out)
 
 
 @dataclass(frozen=True)
 class GapWitness:
-    """A validated order witness: the symbol map plus its provenance."""
+    """A first-move order witness: the comb map and the family inducing it.
+    Record-layer witnesses are search :class:`Candidate` objects."""
 
-    kind: str  # efamily | relabel | substitution | domination
+    kind: str  # always "efamily"
     label: str
-    comb_map: Optional[InducedCombMap] = None
-    efamily: Optional[EFamily] = None
-    type_map: Optional[tuple] = None
+    comb_map: InducedCombMap
+    efamily: EFamily
 
     def as_dict(self) -> dict:
-        out = {"kind": self.kind, "label": self.label}
-        if self.comb_map is not None:
-            out["comb_map"] = self.comb_map.to_json_obj()
-        if self.efamily is not None:
-            out["efamily"] = {
+        return {
+            "kind": self.kind,
+            "label": self.label,
+            "comb_map": self.comb_map.to_json_obj(),
+            "efamily": {
                 "e_inf": format_node(self.efamily.e_inf),
                 "e": [format_node(w) for w in self.efamily.e],
-            }
-        if self.type_map is not None:
-            out["type_map"] = {print_type(a): print_type(b) for a, b in self.type_map}
-        return out
+            },
+        }
 
 
 @dataclass(frozen=True)
 class OrderResult:
     verdict: str
-    witness: Optional[GapWitness]
+    witness: Optional[GapWitness | Candidate]
     searched: int
     budget_note: str
+    budget: SearchBudget = DEFAULT_SEARCH_BUDGET  # the record-layer search's
 
     def __bool__(self) -> bool:
         return self.verdict == LE_WITNESSED
@@ -539,46 +360,38 @@ def order_le(
         pairs = _realizable_with_families(g.m, h.m)
         for eps, fam in pairs:
             if _membership_iff(g, h, eps.apply):
-                witness = GapWitness(
-                    kind="efamily",
-                    label="e_inf={},e={}".format(
-                        format_node(fam.e_inf), ",".join(format_node(w) for w in fam.e)
-                    ),
-                    comb_map=eps,
-                    efamily=fam,
-                )
+                witness = GapWitness("efamily", efamily_label(fam), eps, fam)
                 return OrderResult(LE_WITNESSED, witness, len(pairs), "exact")
         return OrderResult(NOT_LE_REFUTED_EXACT, None, len(pairs), "exact")
     actions = generate_type_actions(g.m, h.m, budget)
     for action in actions:
-        lookup = action.lookup()
-        if _membership_iff(g, h, lookup.__getitem__):
-            witness = GapWitness(
-                kind=action.kind, label=action.label, type_map=action.mapping
-            )
-            return OrderResult(LE_WITNESSED, witness, len(actions), "bounded")
-    return OrderResult(UNKNOWN_BOUNDED, None, len(actions), "bounded")
+        if _membership_iff(g, h, action.lookup().__getitem__):
+            return OrderResult(LE_WITNESSED, action, len(actions), "bounded", budget)
+    return OrderResult(UNKNOWN_BOUNDED, None, len(actions), "bounded", budget)
 
 
 def revalidate_order(g: GapSpec, h: GapSpec, result: OrderResult) -> bool:
     """Independently re-check a witnessed verdict.
 
     The symbol map is recomputed from the witness provenance (never reused
-    from the stored table) and the membership rule is re-run against it.
+    from the stored table) and the membership rule is re-run against it:
+    first-move witnesses recompute the family's induced comb map, and
+    record-layer witnesses rebuild their embedding from its payload and
+    re-derive its action under the order policy.
     """
     if result.verdict != LE_WITNESSED or result.witness is None:
         return False
     w = result.witness
     if g.layer == FIRST_MOVE:
-        if w.efamily is None:
+        if not isinstance(w, GapWitness):
             return False
         eps = efamily_induced_map(w.efamily)
-        if w.comb_map is not None and eps.table != w.comb_map.table:
+        if eps.table != w.comb_map.table:
             return False
         return _membership_iff(g, h, eps.apply)
-    if w.type_map is None:
+    if not isinstance(w, Candidate) or not revalidate(w, result.budget.probe, ORDER):
         return False
-    lookup = dict(w.type_map)
+    lookup = w.lookup()
     if set(lookup) != set(enumerate_types(g.m)):
         return False
     return _membership_iff(g, h, lookup.__getitem__)

@@ -1,0 +1,371 @@
+"""Candidate embeddings: generation, admission, memo and revalidation.
+
+Both record-layer searches -- the witnessed gap order (:mod:`adicgaps.gaps`)
+and breaking (:mod:`adicgaps.breaking`) -- draw their witnesses from the
+generators here.  A candidate is an embedding described by a JSON payload,
+together with its total action on types.  There are four kinds:
+
+* ``subalphabet`` -- increasing letter injections; the action is the
+  relabelling rule;
+* ``substitution`` -- injective block maps; the action is probed;
+* ``efamily`` -- realizations of branch-word families within a letter
+  budget; the action is probed;
+* ``domination`` -- the dyadic two-type construction; the action is the
+  construction's defining rule.
+
+A probed action is admitted under a policy that the consumer sets:
+
+* ``RANGE`` (breaking): the action is total and stable, and pooled same-type
+  samples corroborate it.  A sample that leaves a tabulated domain proves
+  nothing about the range and is passed over.
+* ``ORDER`` (the gap order): the same, plus maximum-letter monotonicity and
+  a structural replay; a sample that leaves the domain rejects the
+  candidate.
+
+Each consumer keeps its own search order; the generators take the domain
+alphabet, and the substitution generator takes the block tuples in the
+order they are to be tried.  :func:`revalidate` rebuilds a candidate's
+embedding from its payload alone and recomputes its action under the
+consumer's policy; a witness stands only when the two actions agree.
+"""
+
+from __future__ import annotations
+
+import itertools
+import json
+import random
+from dataclasses import dataclass, replace
+from functools import lru_cache
+from typing import Iterable, Iterator, Optional
+
+from .combs import EFamily, enumerate_efamilies
+from .embeddings import (
+    DEFAULT_BUDGET,
+    Embedding,
+    OutOfDomain,
+    ProbeBudget,
+    SubstitutionEmbedding,
+    TabulatedEmbedding,
+    ValidationFailure,
+    apply,
+    domination_embedding,
+    realize_efamily,
+    structural_replay,
+    type_action,
+)
+from .tree import Node, ScaleLimit, empty_node, format_node, random_node_set
+from .types import (
+    classify_type,
+    dominates,
+    enumerate_types,
+    max_of,
+    parse_type,
+    print_type,
+    relabel,
+    same_type_probes,
+    type_id,
+)
+
+RANGE = "range"
+ORDER = "order"
+
+
+@dataclass(frozen=True)
+class SearchBudget:
+    """Limits for a witness search.
+
+    ``substitution_blocks`` caps block length; ``efamily_letters`` caps the
+    total letter count of an e-family's words; ``probe`` bounds every
+    classification probe.  Subalphabet inclusions and domination
+    constructions are finite families and always enumerated in full.
+    """
+
+    substitution_blocks: int = 3
+    efamily_letters: int = 12
+    probe: ProbeBudget = DEFAULT_BUDGET
+
+    def __post_init__(self) -> None:
+        if self.substitution_blocks < 1:
+            raise ValueError("substitution_blocks must be at least 1")
+        if self.efamily_letters < 0:
+            raise ValueError("efamily_letters must be nonnegative")
+
+    def as_json(self) -> dict:
+        return {
+            "substitution_blocks": self.substitution_blocks,
+            "efamily_letters": self.efamily_letters,
+            "probe": self.probe.as_json(),
+        }
+
+
+DEFAULT_SEARCH_BUDGET = SearchBudget()
+DEFAULT_BREAK_BUDGET = SearchBudget(probe=replace(DEFAULT_BUDGET, domain_depth=40))
+
+
+@dataclass(frozen=True)
+class Candidate:
+    """A generated embedding: its total type action and the JSON payload
+    that rebuilds it."""
+
+    kind: str  # "subalphabet" | "substitution" | "efamily" | "domination"
+    label: str
+    domain_alphabet: int
+    action: tuple  # ((tau, sigma), ...) sorted by domain type id
+    payload: dict
+
+    @property
+    def range_types(self) -> frozenset:
+        return frozenset(sigma for _, sigma in self.action)
+
+    def lookup(self) -> dict:
+        return dict(self.action)
+
+    def as_dict(self) -> dict:
+        return {
+            "kind": self.kind,
+            "label": self.label,
+            "domain_alphabet": self.domain_alphabet,
+            "action": {
+                print_type(tau): print_type(sigma) for tau, sigma in self.action
+            },
+            "embedding": self.payload,
+        }
+
+
+def _digits(word: Node) -> str:
+    return "".join(str(letter) * count for letter, count in word.runs)
+
+
+def efamily_label(fam: EFamily) -> str:
+    return f"e_inf={_digits(fam.e_inf)};e={','.join(_digits(w) for w in fam.e)}"
+
+
+def words_upto(alphabet: int, length: int) -> list[Node]:
+    """Every nonempty word of at most ``length`` letters, shortest first."""
+    out = []
+    for k in range(1, length + 1):
+        for letters in itertools.product(range(alphabet), repeat=k):
+            word = empty_node(alphabet)
+            for letter in letters:
+                word = word.extend(letter)
+            out.append(word)
+    return out
+
+
+def _sorted_action(mapping: dict) -> tuple:
+    return tuple(sorted(mapping.items(), key=lambda pair: type_id(pair[0])))
+
+
+# --------------------------------------------------------------------------
+# admissibility
+
+
+def _max_monotone(mapping: dict) -> bool:
+    return all(
+        max_of(mapping[tau]) <= max_of(mapping[sigma])
+        for tau in mapping
+        for sigma in mapping
+        if max_of(tau) <= max_of(sigma)
+    )
+
+
+def _survives_replay(phi: Embedding, probe: ProbeBudget) -> bool:
+    """Structural replay: injectivity, the well order and first-move
+    equivalence on sampled sets.  A letter swap, say, reverses the well
+    order on same-length words, so its would-be action on types is not well
+    defined.  Tabulated maps skip the re-embedding comparison: re-embedded
+    samples can leave their finite domain."""
+    rng = random.Random(0)
+    samples = None
+    if isinstance(phi, TabulatedEmbedding):
+        samples = [
+            random_node_set(rng, phi.domain_alphabet, rng.randint(2, 5),
+                            max_len=probe.replay_depth)
+            for _ in range(probe.replay_samples)
+        ]
+    try:
+        structural_replay(phi, rng, probe, sample_sets=samples)
+    except ValueError:
+        return False
+    return True
+
+
+def admissible_action(phi: Embedding, probe: ProbeBudget, policy: str) -> Optional[tuple]:
+    """The probed type action of ``phi`` when admissible under ``policy``,
+    else ``None``.
+
+    Both policies need every domain type to classify stably (nothing
+    unstable, unverified or skipped) and every pooled same-type sample to
+    map onto the same image type.  ``ORDER`` adds maximum-letter
+    monotonicity and the structural replay, and rejects a sample outside
+    the domain, which ``RANGE`` passes over.  Breaking quantifies over the
+    range *set* only, and demanding monotonicity there would empty the
+    witness families it searches.
+    """
+    if policy not in (RANGE, ORDER):
+        raise ValueError(f"unknown admissibility policy {policy!r}")
+    mapping = dict(type_action(phi, probe).mapping)
+    if len(mapping) != len(enumerate_types(phi.domain_alphabet)):
+        return None
+    if policy == ORDER and not (_max_monotone(mapping) and _survives_replay(phi, probe)):
+        return None
+    for tau, samples in same_type_probes(phi.domain_alphabet).items():
+        for sample in samples:
+            try:
+                image = apply(phi, sample)
+            except (OutOfDomain, ScaleLimit):
+                if policy == ORDER:
+                    return None
+                continue
+            try:
+                if classify_type(image) != mapping[tau]:
+                    return None
+            except ValueError:
+                return None
+    return _sorted_action(mapping)
+
+
+# --------------------------------------------------------------------------
+# payloads: rules, rebuilding and the memo
+
+
+def _rule_action(payload: dict) -> tuple:
+    """The defining action of a rule-level kind."""
+    if payload["kind"] == "subalphabet":
+        iota, m_out = tuple(payload["iota"]), payload["alphabet_out"]
+        return _sorted_action(
+            {tau: relabel(tau, iota, m_out) for tau in enumerate_types(len(iota))}
+        )
+    tau0, tau1 = parse_type(payload["tau0"], 2), parse_type(payload["tau1"], 2)
+    catalogue = enumerate_types(2)
+    return _sorted_action(
+        {tau: (tau0 if tau == catalogue[0] else tau1) for tau in catalogue}
+    )
+
+
+def _build(payload: dict, probe: ProbeBudget) -> Embedding:
+    """The embedding a payload describes; ValueError when it cannot be built."""
+    kind = payload["kind"]
+    if kind == "substitution":
+        phi = SubstitutionEmbedding.from_json(payload)
+        if not phi.injective:
+            raise ValidationFailure("blocks are not uniquely decodable")
+        return phi
+    if kind == "efamily":
+        fam = EFamily.of(payload["alphabet_out"], payload["e_inf"], payload["e"])
+        return realize_efamily(fam, depth=payload["depth"], budget=probe)
+    if kind == "domination":
+        return domination_embedding(
+            parse_type(payload["tau0"], 2),
+            parse_type(payload["tau1"], 2),
+            depth=probe.domain_depth,
+            run_limit=probe.run_limit,
+        )
+    raise ValueError(f"no embedding to build for kind {kind!r}")
+
+
+def _derive_action(payload: dict, probe: ProbeBudget, policy: str) -> Optional[tuple]:
+    """Recompute a candidate's action from its payload alone, or ``None``.
+
+    Subalphabet inclusions recompute the relabelling rule.  Probed kinds are
+    rebuilt and probed under ``policy``.  A domination payload must name a
+    dominating top-comb, and the rebuilt construction's probed values must
+    agree with the defining rule; a padding type with an upper row cannot
+    be built at all.
+    """
+    kind = payload["kind"]
+    if kind == "subalphabet":
+        return _rule_action(payload)
+    try:
+        phi = _build(payload, probe)
+    except ValueError:
+        return None
+    if kind != "domination":
+        return admissible_action(phi, probe, policy)
+    tau0, tau1 = parse_type(payload["tau0"], 2), parse_type(payload["tau1"], 2)
+    if not dominates(tau1, tau0):
+        return None
+    rule = _rule_action(payload)
+    expected = dict(rule)
+    if any(expected[tau] != sigma for tau, sigma in type_action(phi, probe).mapping):
+        return None
+    return rule
+
+
+@lru_cache(maxsize=None)
+def _memoized_action(payload_json: str, probe: ProbeBudget, policy: str) -> Optional[tuple]:
+    return _derive_action(json.loads(payload_json), probe, policy)
+
+
+def _probed(label: str, payload: dict, probe: ProbeBudget, policy: str) -> Iterator[Candidate]:
+    """The candidate, when its memoized probed action is admitted."""
+    action = _memoized_action(json.dumps(payload, sort_keys=True), probe, policy)
+    if action is not None:
+        yield Candidate(payload["kind"], label, action[0][0].alphabet, action, payload)
+
+
+def revalidate(candidate: Candidate, probe: ProbeBudget, policy: str) -> bool:
+    """Recheck a candidate from its payload alone: the action is recomputed
+    (never read from the memo) and must equal the stored one."""
+    payload = candidate.payload
+    return (
+        payload.get("kind") == candidate.kind
+        and _derive_action(payload, probe, policy) == candidate.action
+    )
+
+
+# --------------------------------------------------------------------------
+# generators
+
+
+def subalphabets(m_in: int, m_out: int) -> Iterator[Candidate]:
+    """Increasing letter injections, with their exact relabelling actions."""
+    for iota in itertools.combinations(range(m_out), m_in):
+        payload = {"kind": "subalphabet", "iota": list(iota), "alphabet_out": m_out}
+        label = f"iota={','.join(map(str, iota))}"
+        yield Candidate("subalphabet", label, m_in, _rule_action(payload), payload)
+
+
+def substitutions(
+    block_tuples: Iterable[tuple], m_out: int, probe: ProbeBudget, policy: str
+) -> Iterator[Candidate]:
+    """Injective block maps, tried in the order given."""
+    for blocks in block_tuples:
+        phi = SubstitutionEmbedding(empty_node(m_out), tuple(blocks))
+        if phi.injective:
+            label = "blocks=" + ",".join(_digits(b) for b in blocks)
+            yield from _probed(label, phi.to_json(), probe, policy)
+
+
+def efamilies(
+    m_in: int, m_out: int, budget: SearchBudget, policy: str
+) -> Iterator[Candidate]:
+    """Realizations of the branch-word families within the letter budget."""
+    for fam in enumerate_efamilies(m_in, m_out):
+        if fam.e_inf.length + sum(w.length for w in fam.e) > budget.efamily_letters:
+            continue
+        payload = {
+            "kind": "efamily",
+            "alphabet_out": m_out,
+            "e_inf": format_node(fam.e_inf),
+            "e": [format_node(w) for w in fam.e],
+            "depth": budget.probe.domain_depth,
+        }
+        yield from _probed(efamily_label(fam), payload, budget.probe, policy)
+
+
+def dominations(m_in: int, m_out: int) -> Iterator[Candidate]:
+    """Two-type actions of the dyadic domination construction: the first
+    chain type lands on the dominated type, everything else on the
+    dominating top-comb.  The action is the construction's defining rule;
+    the embedding itself is built only on revalidation."""
+    if (m_in, m_out) != (2, 2):
+        return
+    catalogue = enumerate_types(2)
+    for tau1 in catalogue:
+        for tau0 in catalogue:
+            if not dominates(tau1, tau0):  # tau1 must be a top-comb
+                continue
+            payload = {"kind": "domination", "tau0": print_type(tau0), "tau1": print_type(tau1)}
+            label = f"tau0={payload['tau0']},tau1={payload['tau1']}"
+            yield Candidate("domination", label, 2, _rule_action(payload), payload)

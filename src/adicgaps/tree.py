@@ -419,9 +419,6 @@ class NodeSet:
                 return tuple(items)
             cur |= new
 
-    def restrict_below(self, stem: Node) -> "NodeSet":
-        return NodeSet(self.alphabet, frozenset(n for n in self.nodes if stem.is_prefix_of(n)))
-
 
 def node_set(alphabet: int, items: Iterable[Node | str]) -> NodeSet:
     return NodeSet.of(alphabet, items)

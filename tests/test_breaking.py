@@ -16,7 +16,6 @@ from adicgaps.breaking import (
     BROKEN_WITNESSED,
     DEFAULT_BREAK_BUDGET,
     NOT_BROKEN_BOUNDED,
-    BreakBudget,
     BreakQuery,
     break_check,
     eight_type_gap,
@@ -38,6 +37,7 @@ from adicgaps.gaps import (
     max_partition_gap,
 )
 from adicgaps.runtime import canonical_json
+from adicgaps.search import SearchBudget
 from adicgaps.tree import ScaleLimit
 from adicgaps.types import enumerate_types, parse_type, print_type
 
@@ -46,6 +46,10 @@ DELTA = record_three_gap()
 
 def query(gap, sides, budget=DEFAULT_BREAK_BUDGET):
     return BreakQuery(gap, frozenset(sides), budget)
+
+
+def record_gap(*sides):
+    return GapSpec.from_json({"layer": RECORD, "n": len(sides), "m": 2, "sides": list(sides)})
 
 
 class TestBreakQuery:
@@ -63,9 +67,9 @@ class TestBreakQuery:
 
     def test_budget_validation(self):
         with pytest.raises(ValueError):
-            BreakBudget(substitution_blocks=0)
+            SearchBudget(substitution_blocks=0)
         with pytest.raises(ValueError):
-            BreakBudget(efamily_letters=-1)
+            SearchBudget(efamily_letters=-1)
 
     def test_budget_json_echo(self):
         data = DEFAULT_BREAK_BUDGET.as_json()
@@ -162,6 +166,24 @@ class TestRevalidation:
             budget=report.budget,
         )
         assert not revalidate_break(tampered)
+
+    def test_efamily_witness_revalidates_after_a_full_sweep(self):
+        # a full sweep fills the per-candidate memo; an e-family witness
+        # served from it must still rebuild from its payload alone
+        sweep = record_gap(
+            ["[u1 l0 l1]"],
+            ["[l1]", "[l0 l1]", "[u0 l1]", "[u1 l0]", "[l0 u1 l1]"],
+            ["[l0]", "[u0 u1 l1]"],
+        )
+        assert break_check(query(sweep, {0})).verdict == NOT_BROKEN_BOUNDED
+        gap = record_gap(
+            ["[l0 l1]", "[u1 l0]", "[u0 u1 l1]"],
+            ["[u0 l1]"],
+            ["[l0]", "[l1]", "[l0 u1 l1]", "[u1 l0 l1]"],
+        )
+        report = break_check(query(gap, {1}))
+        assert (report.witness.kind, report.witness.label) == ("efamily", "e_inf=0;e=10")
+        assert revalidate_break(report)
 
     def test_every_broken_verdict_in_the_audit_revalidates(self):
         audit = jigsaw_audit(DELTA)

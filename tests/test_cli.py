@@ -29,6 +29,12 @@ def gap_file(tmp_path):
     return write
 
 
+def record_file(tmp_path, sides):
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps({"layer": "record", "n": len(sides), "m": 2, "sides": sides}))
+    return str(path)
+
+
 class TestTypesEnum:
     def test_dyadic_listing(self, capsys):
         assert main(["types", "enum", "--n", "2"]) == EXIT_OK
@@ -145,6 +151,16 @@ class TestGapsOrder:
         )
         assert "cannot read" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag,value", [("--substitution-blocks", "0"), ("--efamily-letters", "-1")]
+    )
+    def test_invalid_budget_exits_2(self, capsys, gap_file, flag, value):
+        gap = gap_file("three.json", record_three_gap())
+        argv = ["gaps", "order", "--left", gap, "--right", gap, flag, value]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_layer_mismatch_exits_2(self, capsys, gap_file):
         left = gap_file("left.json", REFERENCE_STRONG_TABLE["4*"])
         right = gap_file("right.json", record_three_gap())
@@ -181,6 +197,39 @@ class TestBreakingCheck:
         assert payload["witness"]["label"] == "blocks=00,010"
         assert payload["broken_sides"] == [0, 2]
         assert payload["revalidated"] is True
+
+    def test_domination_witness_revalidates(self, capsys, tmp_path):
+        others = ["[l1]", "[l0 l1]", "[u1 l0]", "[l0 u1 l1]", "[u0 u1 l1]", "[u1 l0 l1]"]
+        gap = record_file(tmp_path, [["[l0]"], ["[u0 l1]"], others])
+        argv = ["breaking", "check", "--gap", gap, "--set", "0,1", "--json"]
+        assert main(argv) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["witness"]["kind"] == "domination"
+        assert payload["revalidated"] is True
+
+    def test_unbuildable_domination_witness_is_not_revalidated(self, capsys, tmp_path):
+        # the dominated type [u1 l0 l1] has an upper row: the construction
+        # cannot build the witness, so it reads as not revalidated
+        sides = [
+            ["[u1 l0 l1]"],
+            ["[l1]", "[l0 l1]", "[u0 l1]", "[u1 l0]", "[l0 u1 l1]"],
+            ["[l0]", "[u0 u1 l1]"],
+        ]
+        gap = record_file(tmp_path, sides)
+        argv = ["breaking", "check", "--gap", gap, "--set", "0,1", "--json"]
+        assert main(argv) == EXIT_OK
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert payload["witness"]["label"] == "tau0=[u1 l0 l1],tau1=[u1 l0]"
+        assert payload["revalidated"] is False
+        assert "Traceback" not in captured.err
+
+    def test_out_of_scale_gap_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "m5.json"
+        path.write_text(json.dumps({"layer": "record", "n": 2, "m": 5, "sides": [["[l0]"], ["[l1]"]]}))
+        assert main(["breaking", "check", "--gap", str(path), "--set", "0"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_side_out_of_range_exits_2(self, capsys, gap_file):
         gap = gap_file("c3.json", critical_record_gap(3))

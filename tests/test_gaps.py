@@ -2,6 +2,7 @@
 
 import itertools
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -317,13 +318,26 @@ class TestOrderRecord:
         for name, g in RECORD_ROWS.items():
             res = order_le(g, g)
             assert res.verdict == LE_WITNESSED, name
-            assert res.witness.kind == "relabel"
+            assert res.witness.kind == "subalphabet"
             assert revalidate_order(g, g, res)
 
     def test_rows_pairwise_unrelated_within_budget(self):
         for (a, ga), (b, gb) in itertools.permutations(RECORD_ROWS.items(), 2):
             res = order_le(ga, gb)
             assert res.verdict == UNKNOWN_BOUNDED, (a, b, res.witness)
+
+    def test_tampered_witness_fails(self):
+        g = record2([CHAIN0], [CHAIN1])
+        res = order_le(g, g)
+        two_record, moved = parse_type("[l0 l1]", 2), parse_type("[u0 l1]", 2)
+        action = tuple(
+            (tau, moved if tau == two_record else sigma) for tau, sigma in res.witness.action
+        )
+        # the tampered map still satisfies the membership rule, but it is not
+        # the action its payload rebuilds to
+        tampered = replace(res, witness=replace(res.witness, action=action))
+        assert revalidate_order(g, g, res)
+        assert not revalidate_order(g, g, tampered)
 
     def test_record_never_refutes(self):
         for ga, gb in itertools.permutations(RECORD_ROWS.values(), 2):
@@ -335,12 +349,12 @@ class TestTypeActionGenerators:
         acts = generate_type_actions(2, 2)
         kinds = {
             kind: sum(1 for a in acts if a.kind == kind)
-            for kind in ("relabel", "substitution", "efamily", "domination")
+            for kind in ("subalphabet", "substitution", "efamily", "domination")
         }
-        # frozen counts for the default budget; the relabel is the identity,
+        # frozen counts for the default budget; the inclusion is the identity,
         # the one substitution carries the interleaving map, dominations
         # pair each of the four teeth-type targets with what it dominates
-        assert kinds == {"relabel": 1, "substitution": 1, "efamily": 8, "domination": 25}
+        assert kinds == {"subalphabet": 1, "substitution": 1, "efamily": 8, "domination": 25}
 
     def test_actions_are_total_and_distinct(self):
         acts = generate_type_actions(2, 2)
@@ -348,8 +362,8 @@ class TestTypeActionGenerators:
         seen = set()
         for act in acts:
             assert set(act.lookup()) == universe
-            assert act.mapping not in seen
-            seen.add(act.mapping)
+            assert act.action not in seen
+            seen.add(act.action)
 
     def test_letter_swap_rejected(self):
         # swapping the alphabet reverses the well order on same-length
