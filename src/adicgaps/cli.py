@@ -59,7 +59,6 @@ from .gaps import (
     GapSpec,
     LE_WITNESSED,
     NOT_LE_REFUTED_EXACT,
-    RECORD,
     critical_record_gap,
     domination_prune,
     enumerate_candidates_record,

@@ -18,21 +18,20 @@ take.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Optional
 
 from .tree import (
     Node,
     NodeSet,
     ScaleLimit,
+    StructureTable,
     empty_node,
-    first_move,
-    first_move_equivalent,
+    first_move_table,
     meet,
     node_from_runs,
     parse_node,
-    prec_sorted,
 )
 
 
@@ -79,18 +78,32 @@ def comb_witness(kind: CombKind, count: int, alphabet: int) -> NodeSet:
     return NodeSet(alphabet, frozenset(elems))
 
 
+@lru_cache(maxsize=None)
+def _comb_tables(alphabet: int, count: int) -> dict[StructureTable, CombKind]:
+    """First-move structure table of each kind's ``count``-element witness.
+
+    Equal tables mean first-move equivalent sets (a table starts with the
+    closure length), so one lookup replaces a search over all kinds; kinds
+    are entered in (i, j) order and the first one keeps a shared table.
+    """
+    table: dict[StructureTable, CombKind] = {}
+    for i in range(alphabet):
+        for j in range(alphabet):
+            kind = CombKind(i, j)
+            table.setdefault(first_move_table(comb_witness(kind, count, alphabet)), kind)
+    return table
+
+
 def classify_comb(a: NodeSet) -> CombKind:
     """The unique kind whose witness matches ``a`` after discarding the
     last element in the well order (a truncation artifact, not structure)."""
     if len(a) < 3:
         raise ValueError(f"need at least 3 elements to classify, got {len(a)}")
     trimmed = NodeSet(a.alphabet, frozenset(a.sorted_nodes[:-1]))
-    for i in range(a.alphabet):
-        for j in range(a.alphabet):
-            kind = CombKind(i, j)
-            if first_move_equivalent(trimmed, comb_witness(kind, len(trimmed), a.alphabet)):
-                return kind
-    raise NotHomogeneous(f"not homogeneous: {a}")
+    kind = _comb_tables(a.alphabet, len(trimmed)).get(first_move_table(trimmed))
+    if kind is None:
+        raise NotHomogeneous(f"not homogeneous: {a}")
+    return kind
 
 
 # ---------------------------------------------------------------------------

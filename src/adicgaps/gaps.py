@@ -10,7 +10,7 @@ alphabet permutations, and prunes record candidates through domination.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Optional
 
@@ -404,7 +404,9 @@ def revalidate_order(g: GapSpec, h: GapSpec, result: OrderResult) -> bool:
 @dataclass(frozen=True)
 class MinimalClassesReport:
     candidates: tuple[GapSpec, ...]
-    le: tuple[tuple[bool, ...], ...]  # le[i][j] means candidate i <= candidate j
+    # bool matrix, le[i][j] means candidate i <= candidate j; an array has no
+    # single truth value, so == compares the fields the matrix determines
+    le: "numpy.ndarray" = field(compare=False)
     minimal: tuple[int, ...]
     classes: tuple[tuple[int, ...], ...]
     quotient_counts: dict
@@ -493,8 +495,10 @@ def minimal_classes(
     all pairs; a record-layer UNKNOWN on a needed pair aborts with an error
     naming the blocked comparison, because minimality must not be guessed.
     """
+    import numpy as np
+
     if not candidates:
-        return MinimalClassesReport((), (), (), (), {}, "exact")
+        return MinimalClassesReport((), np.zeros((0, 0), dtype=bool), (), (), {}, "exact")
     layer = candidates[0].layer
     n = candidates[0].n
     if any(c.layer != layer or c.n != n for c in candidates):
@@ -503,39 +507,31 @@ def minimal_classes(
     if layer == FIRST_MOVE and order is order_le:
         le = _le_matrix_strong(tuple(candidates), n)
         mode = "exact"
-        le_rows = [tuple(bool(x) for x in row) for row in le]
     else:
         mode = "exact" if layer == FIRST_MOVE else "witnessed"
         k_count = len(candidates)
-        le_rows = [[False] * k_count for _ in range(k_count)]
+        le = np.zeros((k_count, k_count), dtype=bool)
         for i, g in enumerate(candidates):
             for j, h in enumerate(candidates):
                 res = order(g, h)
                 if res.verdict == LE_WITNESSED:
-                    le_rows[i][j] = True
+                    le[i, j] = True
                 elif res.verdict == UNKNOWN_BOUNDED:
                     raise ValueError(
                         f"minimality blocked by unknown comparison {g} vs {h}"
                     )
-        le_rows = [tuple(row) for row in le_rows]
 
-    k_count = len(candidates)
-    minimal = [
-        i
-        for i in range(k_count)
-        if all(not le_rows[j][i] or le_rows[i][j] for j in range(k_count))
-    ]
-    assigned: dict[int, int] = {}
+    # i is minimal when no j lies strictly below it: no column entry le[j, i]
+    # without its transpose le[i, j]
+    minimal = np.flatnonzero(~(le & ~le.T).any(axis=0)).tolist()
     classes: list[list[int]] = []
     for i in minimal:
-        for cls_idx, cls in enumerate(classes):
+        for cls in classes:
             j = cls[0]
-            if le_rows[i][j] and le_rows[j][i]:
+            if le[i, j] and le[j, i]:
                 cls.append(i)
-                assigned[i] = cls_idx
                 break
         else:
-            assigned[i] = len(classes)
             classes.append([i])
 
     quotient_counts: dict[str, int] = {}
@@ -573,7 +569,7 @@ def minimal_classes(
 
     return MinimalClassesReport(
         tuple(candidates),
-        tuple(le_rows),
+        le,
         tuple(minimal),
         tuple(tuple(cls) for cls in classes),
         quotient_counts,

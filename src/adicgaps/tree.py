@@ -402,22 +402,21 @@ class NodeSet:
 
     @cached_property
     def record_closure_nodes(self) -> tuple[Node, ...]:
-        cur = set(self.nodes)
-        while True:
-            items = prec_sorted(cur)
-            new: set[Node] = set()
-            for i in range(len(items)):
-                for j in range(i + 1, len(items)):
-                    m = meet(items[i], items[j])
-                    if m not in cur:
-                        new.add(m)
-                    if items[i].strictly_below(items[j]):
-                        for nd in record_history(items[i], items[j]).nodes[1:-1]:
-                            if nd not in cur:
-                                new.add(nd)
-            if not new:
-                return tuple(items)
-            cur |= new
+        # One pass closes: the meet closure M plus the interior record nodes
+        # of the climbs between comparable pairs of M.  A new node r, met on
+        # the climb t -> s of M, is a prefix of s.  A climb from r is a
+        # suffix of the climb from t toward the same end (r sets a running
+        # maximum, so the later maxima agree), and a climb ending at r is a
+        # prefix of one ending at s; either way its records are present.
+        # The meet of r with a present node x below s' in M is the shortest
+        # of r, x and meet(s, s'), all present.
+        items = self.meet_closure_nodes
+        out = set(items)
+        for i, lo in enumerate(items):
+            for hi in items[i + 1 :]:
+                if lo.strictly_below(hi):
+                    out.update(record_history(lo, hi).nodes[1:-1])
+        return tuple(prec_sorted(out))
 
 
 def node_set(alphabet: int, items: Iterable[Node | str]) -> NodeSet:

@@ -2,6 +2,9 @@
 the audit command's plumbing (partial runs, cache flags, determinism)."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -356,3 +359,13 @@ class TestAuditCommand:
         assert set(report["toolchain"]) == {"python", "platform"}
         assert set(report["budgets"]) == {"order", "breaking", "probe"}
         assert report["generated_at"].endswith("+00:00")
+
+
+def test_importing_the_package_leaves_numpy_unloaded():
+    # numpy serves only the strong-layer order matrix; it is imported there
+    code = (
+        "import sys, adicgaps, adicgaps.cli; "
+        "sys.exit('numpy' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -1,14 +1,18 @@
 import itertools
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adicgaps import tree
 from adicgaps.combs import (
     CombKind,
     EFamily,
     InducedCombMap,
     NotHomogeneous,
+    _comb_tables,
     classify_comb,
     comb_witness,
     efamily_induced_map,
@@ -22,6 +26,8 @@ from adicgaps.tree import (
     node,
     node_set,
     parse_node,
+    random_node_set,
+    reembed,
 )
 
 WORKED = EFamily.of(2, "0", ["11", "01"])
@@ -49,13 +55,27 @@ def test_witness_with_huge_count():
     assert longest == 2 * (2**20 - 1) + 1
 
 
+def reference_classify_comb(a):
+    """The n**2 search: the first kind, in (i, j) order, whose witness is
+    first-move equivalent to ``a`` minus its last element."""
+    if len(a) < 3:
+        raise ValueError(f"need at least 3 elements to classify, got {len(a)}")
+    trimmed = NodeSet(a.alphabet, frozenset(a.sorted_nodes[:-1]))
+    for i in range(a.alphabet):
+        for j in range(a.alphabet):
+            kind = CombKind(i, j)
+            if first_move_equivalent(trimmed, comb_witness(kind, len(trimmed), a.alphabet)):
+                return kind
+    raise NotHomogeneous(f"not homogeneous: {a}")
+
+
 def test_classify_witness_roundtrip():
-    for alphabet in (2, 3):
+    for alphabet in range(1, 5):
         for i in range(alphabet):
             for j in range(alphabet):
-                for count in range(3, 7):
+                for count in range(3, 8):
                     w = comb_witness(CombKind(i, j), count, alphabet)
-                    assert classify_comb(w) == CombKind(i, j)
+                    assert classify_comb(w) == reference_classify_comb(w) == CombKind(i, j)
 
 
 def test_classify_subset_stability():
@@ -226,3 +246,84 @@ def test_compose_arity_mismatch():
     g = InducedCombMap.identity(3)
     with pytest.raises(ValueError):
         g.compose(f)
+
+
+# ---------------------------------------------------------------------------
+# comb classification vs the pairwise reference search
+
+
+def outcome(classify, a):
+    try:
+        return classify(a)
+    except NotHomogeneous:
+        return "not homogeneous"
+
+
+def perturbed_comb(rng):
+    """A comb witness, re-embedded and then possibly disturbed: one element
+    extended, replaced, or joined by a random word."""
+    alphabet = rng.randint(1, 3)
+    kind = CombKind(rng.randrange(alphabet), rng.randrange(alphabet))
+    w = reembed(comb_witness(kind, rng.randint(3, 6), alphabet), rng, pad_max=2)
+    nodes = list(w.sorted_nodes)
+    action = rng.randrange(4)
+    k = rng.randrange(len(nodes))
+    word = node(alphabet, [rng.randrange(alphabet) for _ in range(rng.randint(0, 6))])
+    if action == 1:
+        nodes[k] = nodes[k].extend(rng.randrange(alphabet))
+    elif action == 2:
+        nodes[k] = word
+    elif action == 3:
+        nodes.append(word)
+    return NodeSet(alphabet, frozenset(nodes))
+
+
+def test_classify_matches_search_on_seeded_corpus():
+    rng = random.Random(20141013)
+    classified = rejected = 0
+    for k in range(1500):
+        if k % 2:
+            a = perturbed_comb(rng)
+        else:
+            alphabet = rng.randint(2, 3)
+            a = random_node_set(rng, alphabet, rng.randint(3, 6), max_len=5)
+        if len(a) < 3:
+            continue
+        got = outcome(classify_comb, a)
+        assert got == outcome(reference_classify_comb, a), format_node_set(a)
+        if got == "not homogeneous":
+            rejected += 1
+        else:
+            classified += 1
+    # both outcomes are exercised in bulk
+    assert classified > 300 and rejected > 300
+
+
+def test_classify_builds_one_structure_table(monkeypatch):
+    w = comb_witness(CombKind(0, 1), 5, 2)
+    classify_comb(w)  # the kind tables for this size are now cached
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("first_move_equivalent", "_structure_table"):
+        monkeypatch.setattr(tree, name, counted(name, getattr(tree, name)))
+    fresh = reembed(w, random.Random(0))
+    assert classify_comb(fresh) == CombKind(0, 1)
+    assert calls == Counter({"_structure_table": 1})
+
+
+def test_comb_tables_built_once_per_size():
+    _comb_tables.cache_clear()
+    for count in (3, 4, 5):
+        for kind in (CombKind(0, 1), CombKind(1, 0), CombKind(1, 1)):
+            classify_comb(comb_witness(kind, count, 2))
+    # a witness of `count` elements is looked up among tables for count - 1
+    assert _comb_tables.cache_info().misses == 3
+    assert set(_comb_tables(2, 4).values()) == {
+        CombKind(i, j) for i in range(2) for j in range(2)
+    }

@@ -4,6 +4,7 @@ import itertools
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -223,6 +224,28 @@ class TestOrderFirstMove:
         assert InducedCombMap.identity(2).table in tables
 
 
+def reference_minimal_classes(le):
+    """Minimal indices and their mutual-order classes, by the pairwise
+    Python loops over one row and one column of ``le`` at a time."""
+    le = np.asarray(le, dtype=bool)
+    k_count = len(le)
+    minimal = []
+    for i in range(k_count):
+        below, above = le[:, i].tolist(), le[i].tolist()
+        if all(not below[j] or above[j] for j in range(k_count)):
+            minimal.append(i)
+    classes = []
+    for i in minimal:
+        for cls in classes:
+            j = cls[0]
+            if le[i][j] and le[j][i]:
+                cls.append(i)
+                break
+        else:
+            classes.append([i])
+    return tuple(minimal), tuple(tuple(cls) for cls in classes)
+
+
 class TestMinimalClasses:
     def test_dyadic_table_recovered(self):
         report = minimal_classes(enumerate_candidates_strong(2))
@@ -297,6 +320,16 @@ class TestMinimalClasses:
         assert report.quotient_counts["alphabet"] == 9
         assert report.quotient_counts["sides_only"] == 31
 
+    def test_reports_compare_by_value(self):
+        cands = enumerate_candidates_strong(2)
+        assert minimal_classes(cands) == minimal_classes(cands)
+        assert minimal_classes(cands) != minimal_classes(cands[:-1])
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_minimal_and_classes_match_pairwise_loops(self, n):
+        report = minimal_classes(enumerate_candidates_strong(n))
+        assert (report.minimal, report.classes) == reference_minimal_classes(report.le)
+
     def test_record_layer_refuses_unknown(self):
         with pytest.raises(ValueError, match="blocked"):
             minimal_classes((RECORD_ROWS["2"], RECORD_ROWS["2*"]))
@@ -307,6 +340,7 @@ class TestMinimalClasses:
         report = minimal_classes((g, dup))
         assert report.mode == "witnessed"
         assert report.classes == ((0, 1),)
+        assert (report.minimal, report.classes) == reference_minimal_classes(report.le)
 
     def test_empty_input(self):
         report = minimal_classes(())

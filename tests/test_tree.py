@@ -31,6 +31,7 @@ from adicgaps.tree import (
     replay_witness,
     weight,
 )
+from adicgaps.types import enumerate_types, type_witness
 
 
 def letters_strategy(alphabet, max_len=6):
@@ -253,6 +254,49 @@ def test_record_closure_is_closed(alphabet, size, seed):
     assert set(record_closure(clo).nodes) == set(clo.nodes)
     assert set(clo.nodes) >= set(a.nodes)
     assert set(clo.nodes) >= set(meet_closure(a).nodes)
+
+
+def fixpoint_record_closure(nodes):
+    """Add pairwise meets and interior record nodes until nothing changes."""
+    cur = set(nodes)
+    while True:
+        items = prec_sorted(cur)
+        new = set()
+        for i in range(len(items)):
+            for j in range(i + 1, len(items)):
+                new.add(meet(items[i], items[j]))
+                if items[i].strictly_below(items[j]):
+                    new.update(record_history(items[i], items[j]).nodes[1:-1])
+        if new <= cur:
+            return tuple(items)
+        cur |= new
+
+
+def test_record_closure_matches_fixpoint_on_type_witnesses():
+    checked = 0
+    for alphabet in (1, 2, 3):
+        for tau in enumerate_types(alphabet):
+            for blocks in (2, 3, 4):
+                w = type_witness(tau, blocks)
+                assert w.record_closure_nodes == fixpoint_record_closure(w.nodes), (tau, blocks)
+                checked += 1
+    assert checked == 3 * (1 + 8 + 61)
+
+
+def test_record_closure_matches_fixpoint_on_seeded_corpus():
+    rng = random.Random(1406)
+    for _ in range(3000):
+        alphabet = rng.randint(2, 4)
+        a = random_node_set(rng, alphabet, rng.randint(1, 6), max_len=rng.randint(2, 7))
+        assert a.record_closure_nodes == fixpoint_record_closure(a.nodes), format_node_set(a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 4), st.integers(1, 7), st.integers(0, 10_000))
+def test_record_closure_matches_fixpoint(alphabet, size, seed):
+    rng = random.Random(seed)
+    a = random_node_set(rng, alphabet, size, max_len=8)
+    assert a.record_closure_nodes == fixpoint_record_closure(a.nodes)
 
 
 # ---------------------------------------------------------------------------
