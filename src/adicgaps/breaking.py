@@ -71,9 +71,8 @@ from .search import (
     revalidate,
     subalphabets,
     substitutions,
-    words_upto,
 )
-from .tree import ScaleLimit
+from .tree import ScaleLimit, words_upto
 from .types import enumerate_types, parse_type, print_type
 
 __all__ = [
@@ -170,7 +169,7 @@ def candidate_pool(m_out: int, budget: SearchBudget) -> Iterator[Candidate]:
             if not all(b.length == 1 for b in blocks)
         ]
         tuples.sort(key=_substitution_sort_key)
-        yield from substitutions(tuples, m_out, budget.probe, RANGE)
+        yield from substitutions(tuples, m_out, budget, RANGE)
     for m_in in alphabets:
         yield from efamilies(m_in, m_out, budget, RANGE)
     yield from dominations(2, m_out)
@@ -260,7 +259,7 @@ def revalidate_break(report: BreakReport) -> bool:
     """
     if report.verdict != BROKEN_WITNESSED or report.witness is None:
         return False
-    if not revalidate(report.witness, report.budget.probe, RANGE):
+    if not revalidate(report.witness, report.budget, RANGE):
         return False
     return _range_rule(report.gap, frozenset(report.broken_sides), report.witness.range_types)
 
@@ -350,7 +349,7 @@ def preservation_lemma_check(
                 violations.append(tag)
 
     psi = psi_map(2)
-    psi_action = admissible_action(psi, budget.probe, RANGE)
+    psi_action = admissible_action(psi, RANGE)
     if psi_action is None:
         reduction_map = {"admissible": False}
     else:

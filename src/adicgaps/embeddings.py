@@ -14,8 +14,9 @@ lengths from the same kind of schedule).
 Actions on comb kinds and types are never derived symbolically: a canonical
 witness is mapped through the embedding and the image is classified, at two
 sizes, and a disagreement is reported as instability rather than guessed
-away.  Probe budgets bound witness sizes, domain depth, and the run count of
-materialized teeth; skipped probes are reported, not silently dropped.
+away.  Module constants bound witness sizes, the default domain depth, the
+replay sample and the run count of materialized teeth; :func:`probe_json`
+reports them.  Skipped probes are reported, not silently dropped.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from .types import (
     TypeDescriptor,
     classify_type,
     enumerate_types,
+    max_of,
     print_type,
     type_witness,
     witness_spec,
@@ -68,29 +70,24 @@ class OutOfDomain(ValueError):
     """A node beyond the embedding's domain capability."""
 
 
-@dataclass(frozen=True)
-class ProbeBudget:
-    """Knobs bounding every probing operation; recorded in reports."""
-
-    comb_blocks: int = 4
-    type_blocks: int = 4
-    domain_depth: int = 64
-    replay_samples: int = 20
-    replay_depth: int = 6
-    run_limit: int = 20_000  # largest materialized tooth, in RLE runs
-
-    def as_json(self) -> dict:
-        return {
-            "comb_blocks": self.comb_blocks,
-            "type_blocks": self.type_blocks,
-            "domain_depth": self.domain_depth,
-            "replay_samples": self.replay_samples,
-            "replay_depth": self.replay_depth,
-            "run_limit": self.run_limit,
-        }
+COMB_BLOCKS = 4  # comb witnesses are probed at this many blocks and one more
+TYPE_BLOCKS = 4  # likewise for type witnesses
+DOMAIN_DEPTH = 64  # default depth of a tabulated domain
+REPLAY_SAMPLES = 20
+REPLAY_DEPTH = 6  # longest word of a random replay sample
+RUN_LIMIT = 20_000  # largest materialized tooth, in RLE runs
 
 
-DEFAULT_BUDGET = ProbeBudget()
+def probe_json(domain_depth: int) -> dict:
+    """The probe bounds, for reports; only the domain depth varies."""
+    return {
+        "comb_blocks": COMB_BLOCKS,
+        "type_blocks": TYPE_BLOCKS,
+        "domain_depth": domain_depth,
+        "replay_samples": REPLAY_SAMPLES,
+        "replay_depth": REPLAY_DEPTH,
+        "run_limit": RUN_LIMIT,
+    }
 
 
 def _node_json(nd: Node) -> list:
@@ -274,7 +271,7 @@ def _classify_comb_image(phi: Embedding, kind: CombKind, count: int) -> CombKind
 
 
 def comb_action_partial(
-    phi: Embedding, budget: ProbeBudget = DEFAULT_BUDGET
+    phi: Embedding,
 ) -> tuple[dict[tuple[int, int], Optional[tuple[int, int]]], dict[tuple[int, int], str]]:
     """Map each comb kind's witness through phi and classify the image, at
     two sizes.  Kinds whose images do not classify, or classify differently
@@ -289,8 +286,8 @@ def comb_action_partial(
         for j in range(n):
             kind = CombKind(i, j)
             try:
-                first = _classify_comb_image(phi, kind, budget.comb_blocks)
-                second = _classify_comb_image(phi, kind, budget.comb_blocks + 1)
+                first = _classify_comb_image(phi, kind, COMB_BLOCKS)
+                second = _classify_comb_image(phi, kind, COMB_BLOCKS + 1)
             except (NotHomogeneous, ScaleLimit, OutOfDomain) as ex:
                 table[(i, j)] = None
                 reasons[(i, j)] = f"{type(ex).__name__}: {ex}"
@@ -298,17 +295,17 @@ def comb_action_partial(
             if first != second:
                 table[(i, j)] = None
                 reasons[(i, j)] = (
-                    f"unstable: {first} at {budget.comb_blocks} blocks, "
-                    f"{second} at {budget.comb_blocks + 1}"
+                    f"unstable: {first} at {COMB_BLOCKS} blocks, "
+                    f"{second} at {COMB_BLOCKS + 1}"
                 )
             else:
                 table[(i, j)] = (first.spine, first.teeth)
     return table, reasons
 
 
-def comb_action(phi: Embedding, budget: ProbeBudget = DEFAULT_BUDGET) -> InducedCombMap:
+def comb_action(phi: Embedding) -> InducedCombMap:
     """Total comb action; raises if any kind is unstable or unclassifiable."""
-    table, reasons = comb_action_partial(phi, budget)
+    table, reasons = comb_action_partial(phi)
     for key, reason in reasons.items():
         if reason.startswith("unstable"):
             raise UnstableAction(f"{key[0]}>{key[1]} {reason}")
@@ -326,7 +323,6 @@ class TypeActionReport:
     unstable: tuple[tuple[TypeDescriptor, str], ...]
     unverified: tuple[tuple[TypeDescriptor, TypeDescriptor], ...]  # no second probe fit
     skipped: tuple[TypeDescriptor, ...]
-    budget: ProbeBudget
 
     def as_dict(self) -> dict[TypeDescriptor, TypeDescriptor]:
         return dict(self.mapping)
@@ -336,15 +332,6 @@ class TypeActionReport:
         out = dict(self.mapping)
         out.update(dict(self.unverified))
         return out
-
-    def as_json(self) -> dict:
-        return {
-            "mapping": {print_type(a): print_type(b) for a, b in self.mapping},
-            "unstable": {print_type(t): why for t, why in self.unstable},
-            "unverified": {print_type(a): print_type(b) for a, b in self.unverified},
-            "skipped": [print_type(t) for t in self.skipped],
-            "budget": self.budget.as_json(),
-        }
 
 
 def _classify_type_image(phi: Embedding, tau: TypeDescriptor, blocks: int) -> TypeDescriptor:
@@ -361,11 +348,11 @@ def budget_depth(phi: Embedding) -> int:
     return phi.depth if isinstance(phi, TabulatedEmbedding) else 10**6
 
 
-def type_action(phi: Embedding, budget: ProbeBudget = DEFAULT_BUDGET) -> TypeActionReport:
+def type_action(phi: Embedding) -> TypeActionReport:
     mapping, unstable, unverified, skipped = [], [], [], []
     for tau in enumerate_types(phi.domain_alphabet):
         try:
-            first = _classify_type_image(phi, tau, budget.type_blocks)
+            first = _classify_type_image(phi, tau, TYPE_BLOCKS)
         except (ScaleLimit, OutOfDomain):
             skipped.append(tau)
             continue
@@ -373,7 +360,7 @@ def type_action(phi: Embedding, budget: ProbeBudget = DEFAULT_BUDGET) -> TypeAct
             unstable.append((tau, f"image not classifiable: {ex}"))
             continue
         try:
-            second = _classify_type_image(phi, tau, budget.type_blocks + 1)
+            second = _classify_type_image(phi, tau, TYPE_BLOCKS + 1)
         except (ScaleLimit, OutOfDomain):
             unverified.append((tau, first))
             continue
@@ -382,14 +369,12 @@ def type_action(phi: Embedding, budget: ProbeBudget = DEFAULT_BUDGET) -> TypeAct
             continue
         if first != second:
             unstable.append(
-                (tau, f"{print_type(first)} at {budget.type_blocks} blocks, "
-                      f"{print_type(second)} at {budget.type_blocks + 1}")
+                (tau, f"{print_type(first)} at {TYPE_BLOCKS} blocks, "
+                      f"{print_type(second)} at {TYPE_BLOCKS + 1}")
             )
         else:
             mapping.append((tau, first))
-    return TypeActionReport(
-        tuple(mapping), tuple(unstable), tuple(unverified), tuple(skipped), budget
-    )
+    return TypeActionReport(tuple(mapping), tuple(unstable), tuple(unverified), tuple(skipped))
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +391,6 @@ class ReplayReport:
 def structural_replay(
     phi: Embedding,
     rng: random.Random,
-    budget: ProbeBudget = DEFAULT_BUDGET,
     sample_sets: Optional[Iterable[NodeSet]] = None,
 ) -> ReplayReport:
     """Replay the structural conditions on sampled sets: injectivity, order
@@ -428,8 +412,8 @@ def structural_replay(
     n = phi.domain_alphabet
     if sample_sets is None:
         samples = [
-            random_node_set(rng, n, rng.randint(2, 5), max_len=budget.replay_depth)
-            for _ in range(budget.replay_samples)
+            random_node_set(rng, n, rng.randint(2, 5), max_len=REPLAY_DEPTH)
+            for _ in range(REPLAY_SAMPLES)
         ]
     else:
         samples = list(sample_sets)
@@ -458,13 +442,10 @@ def structural_replay(
 # anchored realization of an e-family
 
 
-def realize_efamily(
-    fam: EFamily,
-    depth: int = DEFAULT_BUDGET.domain_depth,
-    validate: bool = True,
-    budget: ProbeBudget = DEFAULT_BUDGET,
-) -> TabulatedEmbedding:
-    """The tree map a branch-word family encodes.
+def realize_efamily(fam: EFamily, depth: int = DOMAIN_DEPTH) -> TabulatedEmbedding:
+    """The tree map a branch-word family encodes, validated: its probed comb
+    action must equal the family's induced map, or ValidationFailure names
+    the first kind where they differ.
 
     Each edge s -> s+i appends e(i) and then a 0-pad; each word's image is
     its anchor followed by e(inf).  Pad lengths follow the schedule
@@ -500,16 +481,15 @@ def realize_efamily(
         return anchor(s).concat(fam.e_inf)
 
     phi = TabulatedEmbedding(n, m, depth, fn=fn)
-    if validate:
-        expected = efamily_induced_map(fam)
-        got = comb_action(phi, budget)
-        if got != expected:
-            for (key, want), (_, have) in zip(expected.table, got.table):
-                if want != have:
-                    raise ValidationFailure(
-                        f"comb action mismatch at {key[0]}>{key[1]}: "
-                        f"rule says {want[0]}>{want[1]}, oracle says {have[0]}>{have[1]}"
-                    )
+    expected = efamily_induced_map(fam)
+    got = comb_action(phi)
+    if got != expected:
+        for (key, want), (_, have) in zip(expected.table, got.table):
+            if want != have:
+                raise ValidationFailure(
+                    f"comb action mismatch at {key[0]}>{key[1]}: "
+                    f"rule says {want[0]}>{want[1]}, oracle says {have[0]}>{have[1]}"
+                )
     return phi
 
 
@@ -551,8 +531,7 @@ def _stem_index(stem: Node) -> int:
 def domination_embedding(
     tau0: TypeDescriptor,
     tau1: TypeDescriptor,
-    depth: int = DEFAULT_BUDGET.domain_depth,
-    run_limit: int = DEFAULT_BUDGET.run_limit,
+    depth: int = DOMAIN_DEPTH,
 ) -> TabulatedEmbedding:
     """Route every word through a tooth of tau1's witness family.
 
@@ -581,7 +560,7 @@ def domination_embedding(
     the mixed-output behavior is observed.
 
     Teeth for deep stems need index-many repetitions of u1; a tooth whose
-    run count would exceed ``run_limit`` raises ScaleLimit, which probing
+    run count would exceed ``RUN_LIMIT`` raises ScaleLimit, which probing
     reports as a skip.
     """
     if tau0.alphabet != tau1.alphabet:
@@ -595,8 +574,8 @@ def domination_embedding(
     step = (v1.length + (depth + 1) * u0.length) // u1.length + 2
 
     def tooth(index: int) -> Node:
-        if index * step * len(u1.runs) + len(v1.runs) > run_limit:
-            raise ScaleLimit(f"tooth {index} exceeds {run_limit} runs")
+        if index * step * len(u1.runs) + len(v1.runs) > RUN_LIMIT:
+            raise ScaleLimit(f"tooth {index} exceeds {RUN_LIMIT} runs")
         return u1.repeat(index * step).concat(v1)
 
     def fn(t: Node) -> Node:
@@ -611,34 +590,12 @@ def domination_embedding(
 # max-monotonicity
 
 
-@dataclass(frozen=True)
-class MaxMonotonicityReport:
-    violations: tuple[str, ...]
-    checked_pairs: int
-    action: TypeActionReport
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def max_monotonicity_check(
-    phi: Embedding, budget: ProbeBudget = DEFAULT_BUDGET
-) -> MaxMonotonicityReport:
-    """Over stable probed pairs: max(tau) <= max(sigma) must push through."""
-    from .types import max_of
-
-    action = type_action(phi, budget)
-    table = action.as_dict()
-    items = list(table.items())
-    violations = []
-    checked = 0
-    for tau, out_tau in items:
-        for sigma, out_sigma in items:
-            checked += 1
-            if max_of(tau) <= max_of(sigma) and max_of(out_tau) > max_of(out_sigma):
-                violations.append(
-                    f"max({print_type(tau)})<=max({print_type(sigma)}) but "
-                    f"max({print_type(out_tau)})>max({print_type(out_sigma)})"
-                )
-    return MaxMonotonicityReport(tuple(violations), checked, action)
+def max_monotone(mapping: dict[TypeDescriptor, TypeDescriptor]) -> bool:
+    """Whether a type action pushes max(tau) <= max(sigma) through to the
+    images, over every pair of the mapping's domain types."""
+    return all(
+        max_of(mapping[tau]) <= max_of(mapping[sigma])
+        for tau in mapping
+        for sigma in mapping
+        if max_of(tau) <= max_of(sigma)
+    )

@@ -3,7 +3,7 @@
 A gap specification assigns comb kinds (first-move layer) or record types
 (record layer) to sides.  This module decides the witnessed order between
 two specifications, enumerates the candidate lists with their pinned
-diagonals, extracts minimal equivalence classes with optional quotients by
+diagonals, extracts minimal equivalence classes with their quotients by
 alphabet permutations, and prunes record candidates through domination.
 """
 
@@ -32,9 +32,8 @@ from .search import (
     revalidate,
     subalphabets,
     substitutions,
-    words_upto,
 )
-from .tree import ScaleLimit, format_node
+from .tree import ScaleLimit, format_node, words_upto
 from .types import (
     TypeDescriptor,
     enumerate_types,
@@ -270,7 +269,7 @@ def generate_type_actions(
     seen: set[tuple] = set()
     chain = itertools.chain(
         subalphabets(m_in, m_out),
-        substitutions(itertools.product(words, repeat=m_in), m_out, budget.probe, ORDER),
+        substitutions(itertools.product(words, repeat=m_in), m_out, budget, ORDER),
         efamilies(m_in, m_out, budget, ORDER),
         dominations(m_in, m_out),
     )
@@ -389,7 +388,7 @@ def revalidate_order(g: GapSpec, h: GapSpec, result: OrderResult) -> bool:
         if eps.table != w.comb_map.table:
             return False
         return _membership_iff(g, h, eps.apply)
-    if not isinstance(w, Candidate) or not revalidate(w, result.budget.probe, ORDER):
+    if not isinstance(w, Candidate) or not revalidate(w, result.budget, ORDER):
         return False
     lookup = w.lookup()
     if set(lookup) != set(enumerate_types(g.m)):
@@ -483,17 +482,13 @@ def _permuted_candidate(g: GapSpec, pi: tuple[int, ...], convention: str) -> Opt
     return candidate if candidate.is_strong_candidate else None
 
 
-def minimal_classes(
-    candidates: tuple[GapSpec, ...],
-    order: Callable[[GapSpec, GapSpec], OrderResult] = order_le,
-    quotients: tuple[str, ...] = ("alphabet", "sides_only"),
-) -> MinimalClassesReport:
+def minimal_classes(candidates: tuple[GapSpec, ...]) -> MinimalClassesReport:
     """Minimal candidates grouped by mutual order, with permutation quotients.
 
-    The strong layer is decided exactly via the pullback matrix when the
-    default order is in use.  Any other setup walks the order callable over
-    all pairs; a record-layer UNKNOWN on a needed pair aborts with an error
-    naming the blocked comparison, because minimality must not be guessed.
+    The strong layer is decided exactly via the pullback matrix.  The record
+    layer walks :func:`order_le` over all pairs; an UNKNOWN on a needed pair
+    aborts with an error naming the blocked comparison, because minimality
+    must not be guessed.
     """
     import numpy as np
 
@@ -504,16 +499,16 @@ def minimal_classes(
     if any(c.layer != layer or c.n != n for c in candidates):
         raise ValueError("candidates must share layer and arity")
 
-    if layer == FIRST_MOVE and order is order_le:
+    if layer == FIRST_MOVE:
         le = _le_matrix_strong(tuple(candidates), n)
         mode = "exact"
     else:
-        mode = "exact" if layer == FIRST_MOVE else "witnessed"
+        mode = "witnessed"
         k_count = len(candidates)
         le = np.zeros((k_count, k_count), dtype=bool)
         for i, g in enumerate(candidates):
             for j, h in enumerate(candidates):
-                res = order(g, h)
+                res = order_le(g, h)
                 if res.verdict == LE_WITNESSED:
                     le[i, j] = True
                 elif res.verdict == UNKNOWN_BOUNDED:
@@ -534,38 +529,26 @@ def minimal_classes(
         else:
             classes.append([i])
 
+    # two classes share an orbit when a permutation maps one exactly onto
+    # the other; permutations form a group, so each class's set of exact
+    # images is its whole orbit and serves as the orbit's key
     quotient_counts: dict[str, int] = {}
     if layer == FIRST_MOVE:
         index_of = {c: k for k, c in enumerate(candidates)}
-        for convention in quotients:
-            reps = [frozenset(cls) for cls in classes]
-            merged = {k: k for k in range(len(reps))}
-
-            def find(k: int) -> int:
-                while merged[k] != k:
-                    merged[k] = merged[merged[k]]
-                    k = merged[k]
-                return k
-
-            for pi in itertools.permutations(range(n)):
-                for a, cls in enumerate(reps):
-                    image = set()
-                    ok = True
-                    for idx in cls:
-                        permuted = _permuted_candidate(candidates[idx], pi, convention)
-                        if permuted is None or permuted not in index_of:
-                            ok = False
-                            break
-                        image.add(index_of[permuted])
-                    if not ok:
-                        continue
-                    for b, other in enumerate(reps):
-                        if frozenset(image) == other:
-                            ra, rb = find(a), find(b)
-                            if ra != rb:
-                                merged[ra] = rb
-                            break
-            quotient_counts[convention] = len({find(k) for k in range(len(reps))})
+        class_at = {frozenset(cls): a for a, cls in enumerate(classes)}
+        for convention in ("alphabet", "sides_only"):
+            orbits = set()
+            for cls in classes:
+                orbit = set()
+                for pi in itertools.permutations(range(n)):
+                    image = frozenset(
+                        index_of.get(_permuted_candidate(candidates[idx], pi, convention))
+                        for idx in cls
+                    )
+                    if image in class_at:
+                        orbit.add(class_at[image])
+                orbits.add(frozenset(orbit))
+            quotient_counts[convention] = len(orbits)
 
     return MinimalClassesReport(
         tuple(candidates),

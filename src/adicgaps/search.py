@@ -34,21 +34,24 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 
 from .combs import EFamily, enumerate_efamilies
 from .embeddings import (
-    DEFAULT_BUDGET,
+    DOMAIN_DEPTH,
+    REPLAY_DEPTH,
+    REPLAY_SAMPLES,
     Embedding,
     OutOfDomain,
-    ProbeBudget,
     SubstitutionEmbedding,
     TabulatedEmbedding,
     ValidationFailure,
     apply,
     domination_embedding,
+    max_monotone,
+    probe_json,
     realize_efamily,
     structural_replay,
     type_action,
@@ -58,7 +61,6 @@ from .types import (
     classify_type,
     dominates,
     enumerate_types,
-    max_of,
     parse_type,
     print_type,
     relabel,
@@ -75,14 +77,16 @@ class SearchBudget:
     """Limits for a witness search.
 
     ``substitution_blocks`` caps block length; ``efamily_letters`` caps the
-    total letter count of an e-family's words; ``probe`` bounds every
-    classification probe.  Subalphabet inclusions and domination
+    total letter count of an e-family's words; ``domain_depth`` is the depth
+    of every tabulated domain the search builds (e-family realizations and
+    domination constructions).  The other probe bounds are the constants of
+    :mod:`adicgaps.embeddings`.  Subalphabet inclusions and domination
     constructions are finite families and always enumerated in full.
     """
 
     substitution_blocks: int = 3
     efamily_letters: int = 12
-    probe: ProbeBudget = DEFAULT_BUDGET
+    domain_depth: int = DOMAIN_DEPTH
 
     def __post_init__(self) -> None:
         if self.substitution_blocks < 1:
@@ -94,12 +98,12 @@ class SearchBudget:
         return {
             "substitution_blocks": self.substitution_blocks,
             "efamily_letters": self.efamily_letters,
-            "probe": self.probe.as_json(),
+            "probe": probe_json(self.domain_depth),
         }
 
 
 DEFAULT_SEARCH_BUDGET = SearchBudget()
-DEFAULT_BREAK_BUDGET = SearchBudget(probe=replace(DEFAULT_BUDGET, domain_depth=40))
+DEFAULT_BREAK_BUDGET = SearchBudget(domain_depth=40)
 
 
 @dataclass(frozen=True)
@@ -140,18 +144,6 @@ def efamily_label(fam: EFamily) -> str:
     return f"e_inf={_digits(fam.e_inf)};e={','.join(_digits(w) for w in fam.e)}"
 
 
-def words_upto(alphabet: int, length: int) -> list[Node]:
-    """Every nonempty word of at most ``length`` letters, shortest first."""
-    out = []
-    for k in range(1, length + 1):
-        for letters in itertools.product(range(alphabet), repeat=k):
-            word = empty_node(alphabet)
-            for letter in letters:
-                word = word.extend(letter)
-            out.append(word)
-    return out
-
-
 def _sorted_action(mapping: dict) -> tuple:
     return tuple(sorted(mapping.items(), key=lambda pair: type_id(pair[0])))
 
@@ -160,16 +152,7 @@ def _sorted_action(mapping: dict) -> tuple:
 # admissibility
 
 
-def _max_monotone(mapping: dict) -> bool:
-    return all(
-        max_of(mapping[tau]) <= max_of(mapping[sigma])
-        for tau in mapping
-        for sigma in mapping
-        if max_of(tau) <= max_of(sigma)
-    )
-
-
-def _survives_replay(phi: Embedding, probe: ProbeBudget) -> bool:
+def _survives_replay(phi: Embedding) -> bool:
     """Structural replay: injectivity, the well order and first-move
     equivalence on sampled sets.  A letter swap, say, reverses the well
     order on same-length words, so its would-be action on types is not well
@@ -180,17 +163,17 @@ def _survives_replay(phi: Embedding, probe: ProbeBudget) -> bool:
     if isinstance(phi, TabulatedEmbedding):
         samples = [
             random_node_set(rng, phi.domain_alphabet, rng.randint(2, 5),
-                            max_len=probe.replay_depth)
-            for _ in range(probe.replay_samples)
+                            max_len=REPLAY_DEPTH)
+            for _ in range(REPLAY_SAMPLES)
         ]
     try:
-        structural_replay(phi, rng, probe, sample_sets=samples)
+        structural_replay(phi, rng, sample_sets=samples)
     except ValueError:
         return False
     return True
 
 
-def admissible_action(phi: Embedding, probe: ProbeBudget, policy: str) -> Optional[tuple]:
+def admissible_action(phi: Embedding, policy: str) -> Optional[tuple]:
     """The probed type action of ``phi`` when admissible under ``policy``,
     else ``None``.
 
@@ -204,10 +187,10 @@ def admissible_action(phi: Embedding, probe: ProbeBudget, policy: str) -> Option
     """
     if policy not in (RANGE, ORDER):
         raise ValueError(f"unknown admissibility policy {policy!r}")
-    mapping = dict(type_action(phi, probe).mapping)
+    mapping = dict(type_action(phi).mapping)
     if len(mapping) != len(enumerate_types(phi.domain_alphabet)):
         return None
-    if policy == ORDER and not (_max_monotone(mapping) and _survives_replay(phi, probe)):
+    if policy == ORDER and not (max_monotone(mapping) and _survives_replay(phi)):
         return None
     for tau, samples in same_type_probes(phi.domain_alphabet).items():
         for sample in samples:
@@ -243,7 +226,7 @@ def _rule_action(payload: dict) -> tuple:
     )
 
 
-def _build(payload: dict, probe: ProbeBudget) -> Embedding:
+def _build(payload: dict, domain_depth: int) -> Embedding:
     """The embedding a payload describes; ValueError when it cannot be built."""
     kind = payload["kind"]
     if kind == "substitution":
@@ -253,18 +236,15 @@ def _build(payload: dict, probe: ProbeBudget) -> Embedding:
         return phi
     if kind == "efamily":
         fam = EFamily.of(payload["alphabet_out"], payload["e_inf"], payload["e"])
-        return realize_efamily(fam, depth=payload["depth"], budget=probe)
+        return realize_efamily(fam, depth=payload["depth"])
     if kind == "domination":
         return domination_embedding(
-            parse_type(payload["tau0"], 2),
-            parse_type(payload["tau1"], 2),
-            depth=probe.domain_depth,
-            run_limit=probe.run_limit,
+            parse_type(payload["tau0"], 2), parse_type(payload["tau1"], 2), domain_depth
         )
     raise ValueError(f"no embedding to build for kind {kind!r}")
 
 
-def _derive_action(payload: dict, probe: ProbeBudget, policy: str) -> Optional[tuple]:
+def _derive_action(payload: dict, domain_depth: int, policy: str) -> Optional[tuple]:
     """Recompute a candidate's action from its payload alone, or ``None``.
 
     Subalphabet inclusions recompute the relabelling rule.  Probed kinds are
@@ -277,40 +257,40 @@ def _derive_action(payload: dict, probe: ProbeBudget, policy: str) -> Optional[t
     if kind == "subalphabet":
         return _rule_action(payload)
     try:
-        phi = _build(payload, probe)
+        phi = _build(payload, domain_depth)
     except ValueError:
         return None
     if kind != "domination":
-        return admissible_action(phi, probe, policy)
+        return admissible_action(phi, policy)
     tau0, tau1 = parse_type(payload["tau0"], 2), parse_type(payload["tau1"], 2)
     if not dominates(tau1, tau0):
         return None
     rule = _rule_action(payload)
     expected = dict(rule)
-    if any(expected[tau] != sigma for tau, sigma in type_action(phi, probe).mapping):
+    if any(expected[tau] != sigma for tau, sigma in type_action(phi).mapping):
         return None
     return rule
 
 
 @lru_cache(maxsize=None)
-def _memoized_action(payload_json: str, probe: ProbeBudget, policy: str) -> Optional[tuple]:
-    return _derive_action(json.loads(payload_json), probe, policy)
+def _memoized_action(payload_json: str, domain_depth: int, policy: str) -> Optional[tuple]:
+    return _derive_action(json.loads(payload_json), domain_depth, policy)
 
 
-def _probed(label: str, payload: dict, probe: ProbeBudget, policy: str) -> Iterator[Candidate]:
+def _probed(label: str, payload: dict, domain_depth: int, policy: str) -> Iterator[Candidate]:
     """The candidate, when its memoized probed action is admitted."""
-    action = _memoized_action(json.dumps(payload, sort_keys=True), probe, policy)
+    action = _memoized_action(json.dumps(payload, sort_keys=True), domain_depth, policy)
     if action is not None:
         yield Candidate(payload["kind"], label, action[0][0].alphabet, action, payload)
 
 
-def revalidate(candidate: Candidate, probe: ProbeBudget, policy: str) -> bool:
+def revalidate(candidate: Candidate, budget: SearchBudget, policy: str) -> bool:
     """Recheck a candidate from its payload alone: the action is recomputed
     (never read from the memo) and must equal the stored one."""
     payload = candidate.payload
     return (
         payload.get("kind") == candidate.kind
-        and _derive_action(payload, probe, policy) == candidate.action
+        and _derive_action(payload, budget.domain_depth, policy) == candidate.action
     )
 
 
@@ -327,14 +307,14 @@ def subalphabets(m_in: int, m_out: int) -> Iterator[Candidate]:
 
 
 def substitutions(
-    block_tuples: Iterable[tuple], m_out: int, probe: ProbeBudget, policy: str
+    block_tuples: Iterable[tuple], m_out: int, budget: SearchBudget, policy: str
 ) -> Iterator[Candidate]:
     """Injective block maps, tried in the order given."""
     for blocks in block_tuples:
         phi = SubstitutionEmbedding(empty_node(m_out), tuple(blocks))
         if phi.injective:
             label = "blocks=" + ",".join(_digits(b) for b in blocks)
-            yield from _probed(label, phi.to_json(), probe, policy)
+            yield from _probed(label, phi.to_json(), budget.domain_depth, policy)
 
 
 def efamilies(
@@ -349,9 +329,9 @@ def efamilies(
             "alphabet_out": m_out,
             "e_inf": format_node(fam.e_inf),
             "e": [format_node(w) for w in fam.e],
-            "depth": budget.probe.domain_depth,
+            "depth": budget.domain_depth,
         }
-        yield from _probed(efamily_label(fam), payload, budget.probe, policy)
+        yield from _probed(efamily_label(fam), payload, budget.domain_depth, policy)
 
 
 def dominations(m_in: int, m_out: int) -> Iterator[Candidate]:

@@ -24,6 +24,7 @@ Provided on top of the raw words:
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -223,6 +224,18 @@ def node_from_runs(alphabet: int, runs: Iterable[Run]) -> Node:
 
 def empty_node(alphabet: int) -> Node:
     return node(alphabet, ())
+
+
+def words_upto(alphabet: int, length: int) -> list[Node]:
+    """Every nonempty word of at most ``length`` letters, shortest first."""
+    out = []
+    for k in range(1, length + 1):
+        for letters in itertools.product(range(alphabet), repeat=k):
+            word = empty_node(alphabet)
+            for letter in letters:
+                word = word.extend(letter)
+            out.append(word)
+    return out
 
 
 def parse_node(alphabet: int, text: str) -> Node:

@@ -28,6 +28,7 @@ from .tree import (
     empty_node,
     node_from_runs,
     record_table,
+    words_upto,
 )
 from .combs import NotHomogeneous
 
@@ -285,47 +286,38 @@ def classify_type(a: NodeSet) -> TypeDescriptor:
     return matches[0]
 
 
+_PROBE_SET_SIZE = 3
+_PROBES_PER_TYPE = 6
+
+
 @lru_cache(maxsize=None)
-def same_type_probes(
-    alphabet: int,
-    word_length: int | None = None,
-    set_size: int = 3,
-    per_type: int = 6,
-) -> dict[TypeDescriptor, tuple[NodeSet, ...]]:
+def same_type_probes(alphabet: int) -> dict[TypeDescriptor, tuple[NodeSet, ...]]:
     """Deterministic pool of classified sets, bucketed by type.
 
-    Enumerates every ``set_size``-element set of words up to ``word_length``
-    letters in a fixed order and keeps the first ``per_type`` sets the
+    Enumerates every 3-element set of words up to 4 letters (3 letters over
+    alphabets above 2) in a fixed order and keeps the first 6 sets the
     classifier recognizes for each type.  Embedding actions are probed
     against these pools: a map whose action is well defined must send every
     pooled set of one type to sets of a single image type, so differently
     realized inputs of the same type expose maps that only look consistent
     on canonical witnesses.  Treat the result as read-only; it is cached.
     """
-    if word_length is None:
-        word_length = 4 if alphabet <= 2 else 3
-    words: list[Node] = []
-    for length in range(1, word_length + 1):
-        for letters in itertools.product(range(alphabet), repeat=length):
-            word = empty_node(alphabet)
-            for letter in letters:
-                word = word.extend(letter)
-            words.append(word)
+    words = words_upto(alphabet, 4 if alphabet <= 2 else 3)
     pool: dict[TypeDescriptor, list[NodeSet]] = {tau: [] for tau in enumerate_types(alphabet)}
     needed = len(pool)
     full = 0
-    for combo in itertools.combinations(words, set_size):
+    for combo in itertools.combinations(words, _PROBE_SET_SIZE):
         candidate = NodeSet(alphabet, frozenset(combo))
-        if len(candidate) != set_size:
+        if len(candidate) != _PROBE_SET_SIZE:
             continue
         try:
             tau = classify_type(candidate)
         except ValueError:
             continue
         bucket = pool[tau]
-        if len(bucket) < per_type:
+        if len(bucket) < _PROBES_PER_TYPE:
             bucket.append(candidate)
-            if len(bucket) == per_type:
+            if len(bucket) == _PROBES_PER_TYPE:
                 full += 1
                 if full == needed:
                     break

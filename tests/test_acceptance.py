@@ -171,5 +171,8 @@ class TestAcceptance:
         assert report["summary"]["pass"] == 9
         assert report["summary"]["discrepancy_known"] == 2
         assert report["partial"] is False
+        assert report["content_hash"] == (
+            "799aa1e1257343f766d39ddb45dd4ac7050e07d56de4871b2c2ad3b3f8e97a73"
+        )
         # the loosest stated budget across all criteria is thirty minutes
         assert elapsed < 1800

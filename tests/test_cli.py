@@ -59,6 +59,12 @@ class TestTypesEnum:
         assert main(["types", "enum", "--n", "9"]) == EXIT_USAGE
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_nonpositive_alphabet_exits_2(self, capsys, n):
+        assert main(["types", "enum", "--n", n]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_missing_argument_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["types", "enum"])

@@ -49,10 +49,10 @@ def test_witness_matches_display():
 
 
 def test_witness_with_huge_count():
-    w = comb_witness(CombKind(0, 1), 2**20, 2)
-    assert len(w) == 2**20
+    w = comb_witness(CombKind(0, 1), 2**14, 2)
+    assert len(w) == 2**14
     longest = max(x.length for x in w.nodes)
-    assert longest == 2 * (2**20 - 1) + 1
+    assert longest == 2 * (2**14 - 1) + 1
 
 
 def reference_classify_comb(a):

@@ -16,7 +16,6 @@ from adicgaps.combs import (
 )
 from adicgaps.embeddings import (
     OutOfDomain,
-    ProbeBudget,
     SubstitutionEmbedding,
     TabulatedEmbedding,
     UnstableAction,
@@ -25,7 +24,7 @@ from adicgaps.embeddings import (
     comb_action,
     comb_action_partial,
     domination_embedding,
-    max_monotonicity_check,
+    max_monotone,
     psi_map,
     realize_efamily,
     relabel_embedding,
@@ -352,9 +351,9 @@ class TestRealizeEFamily:
         assert not report.violations
 
     def test_domain_bounds(self):
-        phi = realize_efamily(EFamily.of(2, "0", ["11", "01"]), depth=4, validate=False)
+        phi = realize_efamily(EFamily.of(2, "0", ["11", "01"]), depth=9)
         with pytest.raises(OutOfDomain):
-            phi.map_node(_n("00000"))
+            phi.map_node(_n("0000000000"))
         with pytest.raises(OutOfDomain):
             phi.map_node(parse_node(3, "012"))
 
@@ -454,5 +453,9 @@ class TestMaxMonotonicity:
         ],
     )
     def test_no_violations(self, name, make):
-        report = max_monotonicity_check(make())
-        assert report.ok, report.violations
+        assert max_monotone(type_action(make()).as_dict())
+
+    def test_swapped_maxima_violate(self):
+        chain0, chain1 = _types("[l0]", "[l1]")
+        assert max_monotone({chain0: chain0, chain1: chain1})
+        assert not max_monotone({chain0: chain1, chain1: chain0})

@@ -189,6 +189,6 @@ def test_pool_candidates_revalidate_from_their_payloads(pool, budget, policy):
     # build those, so they are admitted by rule but never revalidate
     unbuildable = 0
     for cand in pool():
-        assert revalidate(cand, budget.probe, policy) != _upper_row_padding(cand), cand.label
+        assert revalidate(cand, budget, policy) != _upper_row_padding(cand), cand.label
         unbuildable += _upper_row_padding(cand)
     assert unbuildable == 15
