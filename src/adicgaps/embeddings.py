@@ -535,29 +535,33 @@ def domination_embedding(
 ) -> TabulatedEmbedding:
     """Route every word through a tooth of tau1's witness family.
 
-    phi(t) = u1**(N * step) + v1 + u0**(z + 1), where N is the index of t's
-    stem (t minus its trailing 0-run) among all stems in the well order and
-    z is the length of that trailing 0-run.  Words differing only in
-    trailing 0s share a tooth, so 0-chains climb a single tooth by u0-blocks
-    and land in tau0's class; sets with distinct stems spread over distinct
-    teeth and inherit tau1's record pattern.
+    phi(t) = u1**(N * step) + v1 + u0**z + v0, where N is the index of t's
+    stem (t minus its trailing 0-run) among all stems in the well order, z is
+    the length of that trailing 0-run, and u0, v0 are the repeated and
+    closing blocks of tau0's witness.  Words differing only in trailing 0s
+    share a tooth, so a 0-chain climbs a single tooth by u0-blocks and each
+    image closes with v0: the images of a 0-chain are a shifted copy of
+    tau0's own witness {v0, u0+v0, u0+u0+v0, ...} and land in tau0's class,
+    whatever its upper row.  For a pure lower-row tau0 the closing block is
+    u0 itself, so the map is u1**(N * step) + v1 + u0**(z + 1).  Sets with
+    distinct stems spread over distinct teeth and inherit tau1's record
+    pattern.
 
-    The spacing ``step`` is sized so each tooth's whole pad range fits
-    strictly before the next tooth's branch point.  That keeps every image
-    of a canonical witness interleaved with the spine exactly the way the
-    target type's own witness is, which is what the positional table
-    comparison needs; images are injective outright because image lengths
-    determine the stem window and the pad count.  Length order is preserved
-    on every set whose stem order agrees with its word order -- canonical
-    witnesses and chains all do.  It cannot be preserved everywhere: 01
-    comes before 10 in the well order, but their stems 01 and 1 compare the
-    other way, and any stem-routed map inherits that flip.
+    The spacing ``step`` is sized so each tooth's whole pad range, closing
+    block included, fits strictly before the next tooth's branch point.
+    That keeps every image of a canonical witness interleaved with the spine
+    exactly the way the target type's own witness is, which is what the
+    positional table comparison needs; images are injective outright
+    because image lengths determine the stem window and the pad count.
+    Length order is preserved on every set whose stem order agrees with its
+    word order -- canonical witnesses and chains all do.  It cannot be
+    preserved everywhere: 01 comes before 10 in the well order, but their
+    stems 01 and 1 compare the other way, and any stem-routed map inherits
+    that flip.
 
-    tau0 must be a pure lower-row type (its witness block is the pad block;
-    an upper row would need teeth of its own).  tau1 is arbitrary: the
-    interesting cases are dominating top-combs, but the construction itself
-    does not require domination, and running it with a non-top-comb is how
-    the mixed-output behavior is observed.
+    tau1 is arbitrary: the interesting cases are dominating top-combs, but
+    the construction itself does not require domination, and running it
+    with a non-top-comb is how the mixed-output behavior is observed.
 
     Teeth for deep stems need index-many repetitions of u1; a tooth whose
     run count would exceed ``RUN_LIMIT`` raises ScaleLimit, which probing
@@ -565,13 +569,11 @@ def domination_embedding(
     """
     if tau0.alphabet != tau1.alphabet:
         raise ValueError("types must share an alphabet")
-    if tau0.tau1:
-        raise ValueError("the padding type must be pure lower-row")
     n = tau0.alphabet
     spec0, spec1 = witness_spec(tau0), witness_spec(tau1)
-    u0 = spec0.u
+    u0, v0 = spec0.u, spec0.v
     u1, v1 = spec1.u, spec1.v
-    step = (v1.length + (depth + 1) * u0.length) // u1.length + 2
+    step = (v1.length + depth * u0.length + v0.length) // u1.length + 2
 
     def tooth(index: int) -> Node:
         if index * step * len(u1.runs) + len(v1.runs) > RUN_LIMIT:
@@ -581,7 +583,7 @@ def domination_embedding(
     def fn(t: Node) -> Node:
         x = tooth(_stem_index(_stem(t)))
         z = t.runs[-1][1] if t.runs and t.runs[-1][0] == 0 else 0
-        return x.concat(u0.repeat(z + 1))
+        return x.concat(u0.repeat(z)).concat(v0)
 
     return TabulatedEmbedding(n, n, depth, fn=fn)
 

@@ -150,6 +150,8 @@ class GapSpec:
 
     @staticmethod
     def from_json(obj: dict) -> "GapSpec":
+        if not isinstance(obj, dict):
+            raise ValueError("a gap file must hold a JSON object")
         layer = obj["layer"]
         m = int(obj["m"])
         if layer == FIRST_MOVE:
@@ -158,8 +160,12 @@ class GapSpec:
             parse = lambda text: parse_type(text, m)  # noqa: E731
         else:
             raise ValueError(f"unknown layer {layer!r}")
-        sides = tuple(frozenset(parse(text) for text in side) for side in obj["sides"])
-        return GapSpec(layer, int(obj["n"]), m, sides)
+        sides = tuple(list(side) for side in obj["sides"])
+        if not all(isinstance(text, str) for side in sides for text in side):
+            raise ValueError("a gap side must list symbols as strings")
+        return GapSpec(
+            layer, int(obj["n"]), m, tuple(frozenset(map(parse, side)) for side in sides)
+        )
 
     def __str__(self) -> str:
         body = " | ".join(

@@ -250,8 +250,7 @@ def _derive_action(payload: dict, domain_depth: int, policy: str) -> Optional[tu
     Subalphabet inclusions recompute the relabelling rule.  Probed kinds are
     rebuilt and probed under ``policy``.  A domination payload must name a
     dominating top-comb, and the rebuilt construction's probed values must
-    agree with the defining rule; a padding type with an upper row cannot
-    be built at all.
+    agree with the defining rule.
     """
     kind = payload["kind"]
     if kind == "subalphabet":

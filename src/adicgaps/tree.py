@@ -7,11 +7,17 @@ letters on a doubly-exponential schedule, so run counts routinely exceed
 anything a flat tuple could hold; every operation here works on runs and never
 materialises letters unless explicitly asked.
 
+The runs of a ``Node`` are always normal: no zero counts, no two adjacent
+runs with the same letter.  Joining two normal words can only merge the two
+runs at the seam, so ``concat``, ``extend`` and ``repeat`` touch the seam
+alone, and slicing (``prefix``, ``suffix_from``) keeps runs normal as it
+cuts.  Full normalisation is for untrusted input (``node_from_runs``).
+
 Provided on top of the raw words:
 
 * the prefix (extension) order and longest-common-prefix meets,
 * the level-then-value well order ``prec`` (shorter words first, lexicographic
-  within a level),
+  within a level), with an RLE sort key for lexicographic order,
 * record histories: the nodes where the running maximum letter increases
   while climbing from a node to an extension of it,
 * meet- and record-closures of finite node sets,
@@ -19,12 +25,19 @@ Provided on top of the raw words:
   together with their witness bijections,
 * a re-embedding helper that rebuilds a node set with fresh padding while
   preserving its structure, used for randomised property tests.
+
+A meet-closed set is a tree: each element's longest proper prefix in the set
+is its parent.  The closures are built and compared as such trees.  The meet
+closure adds only the meets of lexicographic neighbours, the record closure
+adds the record nodes of each climb from a parent to its child, and a
+structure table reads every pairwise meet and first move off the parent
+links.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -60,6 +73,13 @@ def _normalize_runs(runs: Iterable[Run]) -> tuple[Run, ...]:
         else:
             out.append([letter, count])
     return tuple((l, c) for l, c in out)
+
+
+def _join(a: tuple[Run, ...], b: tuple[Run, ...]) -> tuple[Run, ...]:
+    """Normal runs of the word a + b, for normal a and b."""
+    if a and b and a[-1][0] == b[0][0]:
+        return a[:-1] + ((b[0][0], a[-1][1] + b[0][1]),) + b[1:]
+    return a + b
 
 
 @dataclass(frozen=True)
@@ -121,14 +141,12 @@ class Node:
         if start < 0 or start > self.length:
             raise ValueError(f"suffix start {start} out of range")
         skip = start
-        out: list[Run] = []
-        for letter, count in self.runs:
-            if skip >= count:
-                skip -= count
-                continue
-            out.append((letter, count - skip))
-            skip = 0
-        return Node(self.alphabet, _normalize_runs(out), self.length - start)
+        for k, (letter, count) in enumerate(self.runs):
+            if skip < count:
+                runs = ((letter, count - skip),) + self.runs[k + 1 :]
+                return Node(self.alphabet, runs, self.length - start)
+            skip -= count
+        return Node(self.alphabet, (), 0)
 
     def suffix_after(self, t: "Node") -> "Node":
         """The word r with t + r == self; requires t to be a prefix."""
@@ -139,20 +157,16 @@ class Node:
 
     def concat(self, other: "Node") -> "Node":
         _check_alphabet(self, other)
-        return Node(
-            self.alphabet,
-            _normalize_runs(self.runs + other.runs),
-            self.length + other.length,
-        )
+        return Node(self.alphabet, _join(self.runs, other.runs), self.length + other.length)
 
     def extend(self, letter: int, count: int = 1) -> "Node":
         if not 0 <= letter < self.alphabet:
             raise ValueError(f"letter {letter} outside alphabet {self.alphabet}")
-        return Node(
-            self.alphabet,
-            _normalize_runs(self.runs + ((letter, count),)),
-            self.length + count,
-        )
+        if count < 0:
+            raise ValueError(f"negative run count {count}")
+        if count == 0:
+            return self
+        return Node(self.alphabet, _join(self.runs, ((letter, count),)), self.length + count)
 
     def repeat(self, times: int) -> "Node":
         """The word self + self + ... (``times`` copies)."""
@@ -160,16 +174,20 @@ class Node:
             raise ValueError(times)
         if times == 0 or self.length == 0:
             return Node(self.alphabet, (), 0)
-        if len(self.runs) == 1:
-            letter, count = self.runs[0]
+        runs = self.runs
+        if len(runs) == 1:
+            letter, count = runs[0]
             return Node(self.alphabet, ((letter, count * times),), self.length * times)
-        if times * len(self.runs) > 4_000_000:
-            raise ScaleLimit(f"repeat would create {times * len(self.runs)} runs")
-        return Node(
-            self.alphabet,
-            _normalize_runs(self.runs * times),
-            self.length * times,
-        )
+        if times * len(runs) > 4_000_000:
+            raise ScaleLimit(f"repeat would create {times * len(runs)} runs")
+        if runs[0][0] == runs[-1][0]:
+            # copies meet at a seam of one letter: first run, then
+            # (middle + merged seam) per further copy, then the tail
+            seam = ((runs[0][0], runs[-1][1] + runs[0][1]),)
+            runs = runs[:1] + (runs[1:-1] + seam) * (times - 1) + runs[1:]
+        else:
+            runs = runs * times
+        return Node(self.alphabet, runs, self.length * times)
 
     def is_prefix_of(self, other: "Node") -> bool:
         _check_alphabet(self, other)
@@ -302,9 +320,35 @@ def prec_compare(s: Node, t: Node) -> int:
     return 0
 
 
+def lex_key(s: Node) -> tuple:
+    """A sort key for lexicographic order (a prefix before its extensions).
+
+    Two words that agree up to a run of letter l first differ at the end of
+    the shorter of their two l-runs, where that word goes on with its next
+    letter (or ends).  A run whose next letter is lower (or that ends the
+    word) therefore sorts before every l-run that goes on higher, shorter
+    ones first among the former and longer ones first among the latter: the
+    key holds ``2l, count`` for the former and ``2l + 1, -count`` for the
+    latter, run by run.
+    """
+    key: list[int] = []
+    after = -1
+    for letter, count in reversed(s.runs):
+        key += (-count, 2 * letter + 1) if after > letter else (count, 2 * letter)
+        after = letter
+    key.reverse()
+    return tuple(key)
+
+
+_length = operator.attrgetter("length")
+
+
 def prec_sorted(nodes: Iterable[Node]) -> list[Node]:
-    # No sort key exists for RLE words of unbounded length; compare directly.
-    return sorted(nodes, key=functools.cmp_to_key(prec_compare))
+    """Sorted by the well order: by length, lexicographic within a length."""
+    out = sorted(nodes, key=_length)
+    if len(set(map(_length, out))) < len(out):
+        out.sort(key=lambda s: (s.length, lex_key(s)))
+    return out
 
 
 def weight(s: Node) -> int:
@@ -405,12 +449,11 @@ class NodeSet:
 
     @cached_property
     def meet_closure_nodes(self) -> tuple[Node, ...]:
-        # In a tree semilattice one pass of pairwise meets already closes.
-        items = list(self.nodes)
+        # In lexicographic order the meet of two words is the shortest meet
+        # of the neighbours between them, so neighbours' meets already close.
+        items = sorted(self.nodes, key=lex_key)
         out = set(items)
-        for i in range(len(items)):
-            for j in range(i + 1, len(items)):
-                out.add(meet(items[i], items[j]))
+        out.update(meet(a, b) for a, b in zip(items, items[1:]))
         return tuple(prec_sorted(out))
 
     @cached_property
@@ -423,12 +466,37 @@ class NodeSet:
         # prefix of one ending at s; either way its records are present.
         # The meet of r with a present node x below s' in M is the shortest
         # of r, x and meet(s, s'), all present.
+        #
+        # The comparable pairs are the ancestor/descendant pairs of M's tree,
+        # and the climbs along its edges already give every record: for
+        # t < p < s with p the parent of s, a record of t -> s before p is
+        # one of t -> p (the letters agree up to p), and a record after p is
+        # one of p -> s (its letter beats every letter since t, hence every
+        # letter since p).  Records of a climb sit at run starts of the
+        # upper node: scan its runs from the one holding the parent's end up
+        # to the first run of the top letter, after which none can follow.
         items = self.meet_closure_nodes
+        parent, _ = _parent_links(items)
+        top = self.alphabet - 1
         out = set(items)
-        for i, lo in enumerate(items):
-            for hi in items[i + 1 :]:
-                if lo.strictly_below(hi):
-                    out.update(record_history(lo, hi).nodes[1:-1])
+        for j, hi in enumerate(items):
+            if parent[j] < 0:
+                continue
+            runs = hi.runs
+            lo_length = items[parent[j]].length
+            k, end = 0, runs[0][1]  # end: the position just past run k
+            while end <= lo_length:
+                k += 1
+                end += runs[k][1]
+            best = runs[k][0]
+            for k in range(k + 1, len(runs)):
+                if best == top:
+                    break
+                letter, count = runs[k]
+                if letter > best:
+                    best = letter
+                    out.add(Node(hi.alphabet, runs[:k], end))
+                end += count
         return tuple(prec_sorted(out))
 
 
@@ -471,16 +539,50 @@ def record_closure(a: NodeSet) -> NodeSet:
 StructureTable = tuple[int, tuple[tuple[int, int, int], ...], tuple[bool, ...]]
 
 
+def _parent_links(closure: tuple[Node, ...]) -> tuple[list[int], list[int]]:
+    """Each node's parent (its longest proper prefix in the prec-sorted
+    ``closure``, as an index, -1 for none) and the letter on the edge down
+    from the parent.  Shorter words sort first, so the parent is the last
+    earlier word that is a proper prefix."""
+    parent = [-1] * len(closure)
+    letter = [-1] * len(closure)
+    for k, nd in enumerate(closure):
+        for p in range(k - 1, -1, -1):
+            above = closure[p]
+            if above.length < nd.length and above.is_prefix_of(nd):
+                parent[k] = p
+                letter[k] = nd.letter_at(above.length)
+                break
+    return parent, letter
+
+
 def _structure_table(closure: tuple[Node, ...], members: frozenset[Node]) -> StructureTable:
-    index = {nd: k for k, nd in enumerate(closure)}
+    """The table of a prec-sorted meet-closed tuple, read off its tree.
+
+    For the pair (i, j), i before j, the meet is the lowest common ancestor
+    and the first moves away from it are the edge letters of the children of
+    the meet on the two paths (-1 when the meet is i itself).  Parents sort
+    before their children, so one pass over i per j finds every i's lowest
+    ancestor on j's root path.
+    """
+    parent, letter = _parent_links(closure)
     rows: list[tuple[int, int, int]] = []
     for j in range(len(closure)):
+        toward_j = {}  # ancestor of j -> edge letter of its child toward j
+        x = j
+        while parent[x] >= 0:
+            toward_j[parent[x]] = letter[x]
+            x = parent[x]
+        lca = [0] * j
+        away = [-1] * j  # edge letter of the lca's child toward i
         for i in range(j):
-            m = meet(closure[i], closure[j])
-            mi = index[m]
-            u = -1 if m.length == closure[i].length else closure[i].letter_at(m.length)
-            v = closure[j].letter_at(m.length)
-            rows.append((mi, u, v))
+            if i in toward_j:
+                lca[i] = i
+            else:
+                p = parent[i]
+                lca[i] = lca[p]
+                away[i] = letter[i] if lca[p] == p else away[p]
+            rows.append((lca[i], away[i], toward_j[lca[i]]))
     flags = tuple(nd in members for nd in closure)
     return (len(closure), tuple(rows), flags)
 
@@ -579,29 +681,24 @@ def reembed(a: NodeSet, rng: random.Random, record: bool = False, pad_max: int =
     running-maximum record, so record structure survives as well.
     """
     closure = a.record_closure_nodes if record else a.meet_closure_nodes
-    images: dict[Node, Node] = {}
+    parent, letter = _parent_links(closure)
+    images: list[Node] = []
     prev_len = -1
-    for j, nd in enumerate(closure):
-        parent: Optional[Node] = None
-        for cand in reversed(closure[:j]):
-            if cand.strictly_below(nd):
-                parent = cand
-                break
-        if parent is None:
+    for j in range(len(closure)):
+        if parent[j] < 0:
             base = empty_node(a.alphabet)
             grow = rng.randint(0, pad_max)
             img = base
             for _ in range(grow):
                 img = img.extend(0 if record else rng.randrange(a.alphabet))
         else:
-            pimg = images[parent]
-            img = pimg.extend(first_move(parent, nd))
+            img = images[parent[j]].extend(letter[j])
         target = max(prev_len + 1, img.length) + rng.randint(0, pad_max)
         while img.length < target:
             img = img.extend(0 if record else rng.randrange(a.alphabet))
-        images[nd] = img
+        images.append(img)
         prev_len = img.length
-    return NodeSet(a.alphabet, frozenset(images[x] for x in a.nodes))
+    return NodeSet(a.alphabet, frozenset(img for nd, img in zip(closure, images) if nd in a.nodes))
 
 
 def random_node_set(

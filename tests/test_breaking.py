@@ -6,6 +6,8 @@ witness identities are exact expectations, not regressions of convenience.
 """
 
 import itertools
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -184,6 +186,33 @@ class TestRevalidation:
         report = break_check(query(gap, {1}))
         assert (report.witness.kind, report.witness.label) == ("efamily", "e_inf=0;e=10")
         assert revalidate_break(report)
+
+    def test_seeded_three_sided_partitions_revalidate(self):
+        # 200 of the 5,796 three-sided partitions of the eight dyadic types,
+        # each with one two-element side set: every BROKEN verdict
+        # revalidates, domination witnesses whose padding type has an upper
+        # row included
+        catalogue = enumerate_types(2)
+        rng = random.Random(1406)
+        partitions = set()
+        while len(partitions) < 200:
+            labels = tuple(rng.randrange(3) for _ in catalogue)
+            if len(set(labels)) == 3:
+                partitions.add(labels)
+        witnesses = Counter()
+        for labels in sorted(partitions):
+            gap = record_gap(*(
+                [print_type(tau) for tau, side in zip(catalogue, labels) if side == k]
+                for k in range(3)
+            ))
+            report = break_check(query(gap, rng.choice([{0, 1}, {0, 2}, {1, 2}])))
+            if report.verdict == BROKEN_WITNESSED:
+                assert revalidate_break(report), report.witness.label
+                kind = report.witness.kind
+                if kind == "domination" and "u" in report.witness.payload["tau0"]:
+                    kind = "upper-row domination"
+                witnesses[kind] += 1
+        assert witnesses["upper-row domination"] > 0, witnesses
 
     def test_every_broken_verdict_in_the_audit_revalidates(self):
         audit = jigsaw_audit(DELTA)

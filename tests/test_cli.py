@@ -152,6 +152,31 @@ class TestGapsOrder:
         )
         assert "not valid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "content,message",
+        [
+            ([1, 2], "a gap file must hold a JSON object"),
+            ("gap", "a gap file must hold a JSON object"),
+            (
+                {"layer": "record", "n": 2, "m": 2, "sides": [[1], ["[l1]"]]},
+                "a gap side must list symbols as strings",
+            ),
+            (
+                {"layer": "first_move", "n": 2, "m": 2, "sides": [[1], ["1>1"]]},
+                "a gap side must list symbols as strings",
+            ),
+        ],
+        ids=["list", "string", "record-number", "first-move-number"],
+    )
+    def test_ill_typed_file_exits_2(self, capsys, tmp_path, gap_file, content, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(content))
+        right = gap_file("right.json", GAP_STILDE)
+        assert main(["gaps", "order", "--left", str(bad), "--right", right]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert message in err
+
     def test_missing_file_exits_2(self, capsys, gap_file):
         right = gap_file("right.json", GAP_STILDE)
         assert (
@@ -216,9 +241,9 @@ class TestBreakingCheck:
         assert payload["witness"]["kind"] == "domination"
         assert payload["revalidated"] is True
 
-    def test_unbuildable_domination_witness_is_not_revalidated(self, capsys, tmp_path):
-        # the dominated type [u1 l0 l1] has an upper row: the construction
-        # cannot build the witness, so it reads as not revalidated
+    def test_upper_row_domination_witness_is_revalidated(self, capsys, tmp_path):
+        # the dominated type [u1 l0 l1] has an upper row: its 0-chains close
+        # with the upper-row block, so the witness rebuilds and revalidates
         sides = [
             ["[u1 l0 l1]"],
             ["[l1]", "[l0 l1]", "[u0 l1]", "[u1 l0]", "[l0 u1 l1]"],
@@ -230,7 +255,7 @@ class TestBreakingCheck:
         captured = capsys.readouterr()
         payload = json.loads(captured.out)
         assert payload["witness"]["label"] == "tau0=[u1 l0 l1],tau1=[u1 l0]"
-        assert payload["revalidated"] is False
+        assert payload["revalidated"] is True
         assert "Traceback" not in captured.err
 
     def test_out_of_scale_gap_exits_2(self, capsys, tmp_path):

@@ -427,9 +427,7 @@ class TestDomination:
                 phi.map_node(s)
 
     def test_preconditions(self):
-        tau0, tau1 = _types("[l0]", "[l0 u1 l1]")
-        with pytest.raises(ValueError):
-            domination_embedding(tau1, tau1)  # padding type must be pure lower
+        tau1 = parse_type("[l0 u1 l1]", 2)
         with pytest.raises(ValueError):
             domination_embedding(parse_type("[l0]", 3), tau1)
 

@@ -12,9 +12,18 @@ order witness.  Both searches share one vocabulary of kinds and labels.
 import pytest
 
 from adicgaps.breaking import DEFAULT_BREAK_BUDGET, candidate_pool
+from adicgaps.embeddings import type_action
 from adicgaps.gaps import generate_type_actions
-from adicgaps.search import DEFAULT_SEARCH_BUDGET, ORDER, RANGE, revalidate
-from adicgaps.types import type_id
+from adicgaps.search import (
+    DEFAULT_SEARCH_BUDGET,
+    ORDER,
+    RANGE,
+    _build,
+    _rule_action,
+    dominations,
+    revalidate,
+)
+from adicgaps.types import enumerate_types, type_id
 
 BREAK_POOL_2 = (
     ("subalphabet", "iota=0", (0,)),
@@ -171,10 +180,6 @@ def test_order_pool_1_2_pinned():
     assert _entries(generate_type_actions(1, 2)) == ORDER_POOL_1_2
 
 
-def _upper_row_padding(cand):
-    return cand.kind == "domination" and "u" in cand.payload["tau0"]
-
-
 @pytest.mark.parametrize(
     "pool,budget,policy",
     [
@@ -184,11 +189,21 @@ def _upper_row_padding(cand):
     ids=["breaking", "order"],
 )
 def test_pool_candidates_revalidate_from_their_payloads(pool, budget, policy):
-    # every candidate rebuilds from its payload alone, except the domination
-    # actions whose padding type has an upper row: the construction cannot
-    # build those, so they are admitted by rule but never revalidate
-    unbuildable = 0
+    # every candidate rebuilds from its payload alone, domination actions
+    # with an upper-row padding type included
     for cand in pool():
-        assert revalidate(cand, budget, policy) != _upper_row_padding(cand), cand.label
-        unbuildable += _upper_row_padding(cand)
-    assert unbuildable == 15
+        assert revalidate(cand, budget, policy), cand.label
+
+
+def test_every_domination_construction_probes_to_its_rule():
+    # all 25 dyadic dominations, upper-row padding types included: the built
+    # map's probed values agree with the defining rule, and the chain type
+    # is always probed, landing on the padding type
+    candidates = list(dominations(2, 2))
+    assert len(candidates) == 25
+    chain = enumerate_types(2)[0]
+    for cand in candidates:
+        probed = type_action(_build(cand.payload, DEFAULT_SEARCH_BUDGET.domain_depth)).probed()
+        rule = dict(_rule_action(cand.payload))
+        assert chain in probed, cand.label
+        assert {tau: rule[tau] for tau in probed} == probed, cand.label

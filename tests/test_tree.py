@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -5,8 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import adicgaps.tree as tree_module
+from adicgaps.embeddings import RUN_LIMIT, apply, domination_embedding
 from adicgaps.tree import (
     AlphabetMismatch,
+    Node,
     NotBelow,
     ScaleLimit,
     empty_node,
@@ -14,6 +18,7 @@ from adicgaps.tree import (
     first_move_equivalent,
     format_node,
     format_node_set,
+    lex_key,
     meet,
     meet_closure,
     node,
@@ -31,7 +36,7 @@ from adicgaps.tree import (
     replay_witness,
     weight,
 )
-from adicgaps.types import enumerate_types, type_witness
+from adicgaps.types import enumerate_types, parse_type, type_witness
 
 
 def letters_strategy(alphabet, max_len=6):
@@ -404,3 +409,233 @@ def test_node_set_literals():
     a = parse_node_set(2, "{1, 001, e}")
     assert format_node_set(a) == "{e,1,001}"
     assert parse_node_set(2, "{}") == node_set(2, [])
+
+
+# ---------------------------------------------------------------------------
+# the tree kernel against the pairwise kernel it replaced
+#
+# The references below are the earlier implementations: every join and cut
+# renormalises all runs, the meet closure takes every pairwise meet, the
+# record closure tests every pair for comparability and builds its record
+# history, and the structure table builds one meet per pair.
+
+
+def reference_normalize(runs):
+    out = []
+    for letter, count in runs:
+        if count < 0:
+            raise ValueError(f"negative run count {count}")
+        if count == 0:
+            continue
+        if out and out[-1][0] == letter:
+            out[-1][1] += count
+        else:
+            out.append([letter, count])
+    return tuple((l, c) for l, c in out)
+
+
+def reference_concat(a, b):
+    return Node(a.alphabet, reference_normalize(a.runs + b.runs), a.length + b.length)
+
+
+def reference_extend(a, letter, count):
+    return Node(a.alphabet, reference_normalize(a.runs + ((letter, count),)), a.length + count)
+
+
+def reference_repeat(a, times):
+    if times == 0 or a.length == 0:
+        return Node(a.alphabet, (), 0)
+    return Node(a.alphabet, reference_normalize(a.runs * times), a.length * times)
+
+
+def reference_suffix_from(a, start):
+    skip, out = start, []
+    for letter, count in a.runs:
+        if skip >= count:
+            skip -= count
+            continue
+        out.append((letter, count - skip))
+        skip = 0
+    return Node(a.alphabet, reference_normalize(out), a.length - start)
+
+
+def reference_meet_closure(a):
+    items = list(a.nodes)
+    out = set(items)
+    for i in range(len(items)):
+        for j in range(i + 1, len(items)):
+            out.add(meet(items[i], items[j]))
+    return tuple(prec_sorted(out))
+
+
+def reference_record_closure(a):
+    items = reference_meet_closure(a)
+    out = set(items)
+    for i, lo in enumerate(items):
+        for hi in items[i + 1 :]:
+            if lo.strictly_below(hi):
+                out.update(record_history(lo, hi).nodes[1:-1])
+    return tuple(prec_sorted(out))
+
+
+def reference_structure_table(closure, members):
+    index = {nd: k for k, nd in enumerate(closure)}
+    rows = []
+    for j in range(len(closure)):
+        for i in range(j):
+            m = meet(closure[i], closure[j])
+            u = -1 if m.length == closure[i].length else closure[i].letter_at(m.length)
+            rows.append((index[m], u, closure[j].letter_at(m.length)))
+    return (len(closure), tuple(rows), tuple(nd in members for nd in closure))
+
+
+def assert_kernel_matches(a):
+    meet_closure_nodes = reference_meet_closure(a)
+    record_closure_nodes = reference_record_closure(a)
+    assert a.meet_closure_nodes == meet_closure_nodes, format_node_set(a)
+    assert a.record_closure_nodes == record_closure_nodes, format_node_set(a)
+    for closure in (meet_closure_nodes, record_closure_nodes):
+        assert tree_module._structure_table(closure, a.nodes) == reference_structure_table(
+            closure, a.nodes
+        ), format_node_set(a)
+
+
+def assert_joins_match(a, b):
+    assert a.concat(b) == reference_concat(a, b)
+    assert a.repeat(3) == reference_repeat(a, 3)
+    for letter in range(a.alphabet):
+        assert a.extend(letter, 2) == reference_extend(a, letter, 2)
+    for start in {0, a.length // 2, a.length}:
+        assert a.suffix_from(start) == reference_suffix_from(a, start)
+
+
+def test_kernel_matches_reference_on_seeded_corpus():
+    rng = random.Random(2024)
+    for _ in range(3000):
+        alphabet = rng.randint(2, 3)
+        a = random_node_set(rng, alphabet, rng.randint(1, 8), max_len=rng.randint(3, 7))
+        assert_kernel_matches(a)
+        items = a.sorted_nodes
+        assert_joins_match(items[0], items[-1])
+
+
+def test_kernel_matches_reference_on_type_witnesses():
+    checked = 0
+    for alphabet in (1, 2, 3):
+        for tau in enumerate_types(alphabet):
+            for blocks in (2, 3, 4):
+                w = type_witness(tau, blocks)
+                assert_kernel_matches(w)
+                items = w.sorted_nodes
+                assert_joins_match(items[-1], items[0])
+                checked += 1
+    assert checked == 3 * (1 + 8 + 61)
+
+
+def domination_teeth():
+    """Images of chains and witnesses under a domination map: thousands of
+    runs, sharing long prefixes."""
+    phi = domination_embedding(parse_type("[u0 u1 l1]", 2), parse_type("[l0 u1 l1]", 2))
+    sets = [
+        apply(phi, node_set(2, ["1", "01", "10", "100", "0001", "000001", "1000001"])),
+        apply(phi, node_set(2, ["000001", "0000010", "00000100", "0000001"])),
+        apply(phi, type_witness(parse_type("[l1]", 2), 4)),
+    ]
+    return sets
+
+
+def test_kernel_matches_reference_on_domination_teeth():
+    sets = domination_teeth()
+    longest = max(len(x.runs) for a in sets for x in a.nodes)
+    assert 2_000 < longest <= RUN_LIMIT
+    for a in sets:
+        assert_kernel_matches(a)
+        items = a.sorted_nodes
+        for x, y in zip(items, items[1:]):
+            assert_joins_match(x, y)
+            assert_joins_match(y, x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(2, 3).flatmap(
+        lambda n: st.lists(letters_strategy(n, max_len=7), min_size=1, max_size=7).map(
+            lambda words: node_set(n, [node(n, w) for w in words])
+        )
+    )
+)
+def test_kernel_matches_reference(a):
+    assert_kernel_matches(a)
+
+
+@given(st.integers(2, 4).flatmap(lambda n: pair_strategy(n)), st.integers(0, 4))
+def test_joins_match_reference(pair, times):
+    a, b = pair
+    assert a.concat(b) == reference_concat(a, b)
+    assert a.repeat(times) == reference_repeat(a, times)
+    assert a.extend(b.alphabet - 1, times) == reference_extend(a, b.alphabet - 1, times)
+    start = min(times, a.length)
+    assert a.suffix_from(start) == reference_suffix_from(a, start)
+
+
+@given(st.integers(2, 4).flatmap(lambda n: pair_strategy(n)))
+def test_lex_key_is_lexicographic(pair):
+    s, t = pair
+    assert (lex_key(s) < lex_key(t)) == (s.letters < t.letters)
+    assert (lex_key(s) == lex_key(t)) == (s == t)
+
+
+def reference_lex_compare(s, t):
+    m = meet(s, t)
+    if m.length == s.length or m.length == t.length:
+        return (s.length > t.length) - (s.length < t.length)
+    return -1 if s.letter_at(m.length) < t.letter_at(m.length) else 1
+
+
+def test_lex_key_on_domination_teeth():
+    # the teeth and every prefix of them that ends a run: long shared
+    # prefixes, and run pairs that differ in count only
+    teeth = {x for a in domination_teeth() for x in a.nodes}
+    words = teeth | {x.prefix(x.length - x.runs[-1][1] // 2) for x in teeth}
+    words |= {x.prefix(x.length - sum(c for _, c in x.runs[-k:])) for x in teeth for k in (1, 2, 3)}
+    expected = sorted(words, key=functools.cmp_to_key(reference_lex_compare))
+    assert sorted(words, key=lex_key) == expected
+
+
+def test_negative_counts_raise():
+    a = parse_node(2, "01")
+    with pytest.raises(ValueError):
+        a.extend(1, -1)
+    with pytest.raises(ValueError):
+        a.repeat(-1)
+    with pytest.raises(ValueError):
+        node_from_runs(2, [(0, 2), (1, -1)])
+    assert a.extend(1, 0) == a
+
+
+def test_kernel_builds_no_meets_and_renormalises_nothing(monkeypatch):
+    calls = {"meet": 0, "_normalize_runs": 0}
+
+    def counted(name):
+        original = getattr(tree_module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(tree_module, name, wrapper)
+
+    sets = [type_witness(tau, 4) for tau in enumerate_types(2)]
+    sets += [random_node_set(random.Random(seed), 3, 6) for seed in range(20)]
+    closures = [(c, a.nodes) for a in sets for c in (a.meet_closure_nodes, a.record_closure_nodes)]
+    counted("meet")
+    counted("_normalize_runs")
+    for closure, members in closures:
+        tree_module._structure_table(closure, members)
+    assert calls["meet"] == 0
+    for a in sets:
+        items = a.sorted_nodes
+        for x, y in zip(items, items[1:]):
+            x.concat(y).extend(0, 2).extend(1).repeat(3).suffix_from(y.length // 2)
+            y.repeat(2).suffix_from(1)
+    assert calls["_normalize_runs"] == 0
