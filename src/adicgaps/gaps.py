@@ -209,12 +209,13 @@ def max_partition_gap(n: int) -> GapSpec:
 _STRONG_LIMIT = 3
 
 
+@lru_cache(maxsize=None)
 def enumerate_candidates_strong(n: int) -> tuple[GapSpec, ...]:
     """Every side assignment pinning the i-chain kind to side i.
 
     Candidate index equals the base-(n+1) number read off the off-diagonal
     assignment digits (side index, or n for unassigned), most significant
-    digit first; the fast order-matrix path relies on this correspondence.
+    digit first; the pullback order matrix relies on this correspondence.
     """
     if n < 1:
         raise ValueError("arity must be positive")
@@ -329,17 +330,58 @@ class OrderResult:
         }
 
 
+_FIRST_MOVE_FROM_FOUR_LIMIT = 2
+
+
 @lru_cache(maxsize=None)
 def _realizable_with_families(
     m_in: int, m_out: int
 ) -> tuple[tuple[InducedCombMap, EFamily], ...]:
-    """Each distinct realizable comb map with the first family inducing it."""
+    """Each distinct realizable comb map with the first family inducing it.
+
+    From input alphabet 4 only output alphabets up to 2 are enumerated: at
+    (4, 3) the family shapes already number 244,080."""
+    if m_in >= 4 and m_out > _FIRST_MOVE_FROM_FOUR_LIMIT:
+        raise ScaleLimit(
+            f"first-move order from alphabet {m_in} supported into output alphabets "
+            f"up to {_FIRST_MOVE_FROM_FOUR_LIMIT}, got {m_out}"
+        )
     by_map: dict[tuple, tuple[InducedCombMap, EFamily]] = {}
     for fam in enumerate_efamilies(m_in, m_out):
         eps = efamily_induced_map(fam)
         if eps.table not in by_map:
             by_map[eps.table] = (eps, fam)
     return tuple(by_map[key] for key in sorted(by_map))
+
+
+@lru_cache(maxsize=None)
+def _comb_image_table(m_in: int, m_out: int):
+    """Read-only int array: ``image[e, c]`` is the slot of the comb kind that
+    map ``e`` of :func:`_realizable_with_families` sends the input kind in
+    slot ``c`` to.  Kind i>j sits in slot ``i * m + j`` over alphabet m, the
+    sorted order of a map's table."""
+    import numpy as np
+
+    pairs = _realizable_with_families(m_in, m_out)
+    image = np.array(
+        [[u * m_out + v for _, (u, v) in eps.table] for eps, _fam in pairs], dtype=np.int64
+    ).reshape(len(pairs), m_in * m_in)
+    image.flags.writeable = False
+    return image
+
+
+def _side_table(specs: tuple[GapSpec, ...], m: int):
+    """``rows[k, c]``: the side of first-move spec k holding the comb kind in
+    slot c, or the arity n where no side holds it, so that two unassigned
+    kinds compare equal as :meth:`GapSpec.side_of`'s ``None`` does."""
+    import numpy as np
+
+    rows = np.full((len(specs), m * m), specs[0].n, dtype=np.int64)
+    for k, g in enumerate(specs):
+        for i, side in enumerate(g.sides):
+            for kind in side:
+                rows[k, kind.spine * m + kind.teeth] = i
+    return rows
 
 
 def _membership_iff(g: GapSpec, h: GapSpec, image_of: Callable) -> bool:
@@ -352,21 +394,33 @@ def order_le(
 ) -> OrderResult:
     """Decide g <= h by searching symbol-map witnesses.
 
-    First-move layer: exhaust every realizable comb map (exact: a verdict of
-    not-below means no branch-word family witnesses the relation).  Record
-    layer: exhaust the generated embedding actions within budget; failure to
-    find a witness is only a bounded outcome, never a refutation.
+    First-move layer: exact over every realizable comb map, so a verdict of
+    not-below means no branch-word family witnesses the relation.  Each map
+    is one row of the image table; with g and h written as side-per-slot
+    rows, map e witnesses g <= h exactly when ``h_row[image[e]] == g_row``
+    in every slot, and the witness is the first such map.  From input
+    alphabet 4 into an output alphabet of 3 or more the maps are not
+    enumerated and :class:`ScaleLimit` is raised.
+
+    Record layer: exhaust the generated embedding actions within budget;
+    failure to find a witness is only a bounded outcome, never a refutation.
+    This path does not import numpy.
     """
     if g.layer != h.layer:
         raise ValueError(f"layer mismatch: {g.layer} vs {h.layer}")
     if g.n != h.n:
         raise ValueError(f"arity mismatch: {g.n} vs {h.n}")
     if g.layer == FIRST_MOVE:
+        import numpy as np
+
         pairs = _realizable_with_families(g.m, h.m)
-        for eps, fam in pairs:
-            if _membership_iff(g, h, eps.apply):
-                witness = GapWitness("efamily", efamily_label(fam), eps, fam)
-                return OrderResult(LE_WITNESSED, witness, len(pairs), "exact")
+        image = _comb_image_table(g.m, h.m)
+        g_row, h_row = _side_table((g,), g.m)[0], _side_table((h,), h.m)[0]
+        hits = np.flatnonzero((h_row[image] == g_row).all(axis=1))
+        if hits.size:
+            eps, fam = pairs[hits[0]]
+            witness = GapWitness("efamily", efamily_label(fam), eps, fam)
+            return OrderResult(LE_WITNESSED, witness, len(pairs), "exact")
         return OrderResult(NOT_LE_REFUTED_EXACT, None, len(pairs), "exact")
     actions = generate_type_actions(g.m, h.m, budget)
     for action in actions:
@@ -431,44 +485,75 @@ class MinimalClassesReport:
         }
 
 
+def _pullback_maps(n: int):
+    """Indices of the realizable n -> n comb maps that pull back onto at
+    least one strong candidate (the argument is in :func:`_le_matrix_strong`)."""
+    import numpy as np
+
+    own_chain = np.arange(n) * (n + 1)
+    chain_images = _comb_image_table(n, n)[:, own_chain]
+    to_other_chain = np.isin(chain_images, own_chain) & (chain_images != own_chain)
+    keep = ~to_other_chain.any(axis=1)
+    for a, b in itertools.combinations(range(n), 2):
+        keep &= chain_images[:, a] != chain_images[:, b]
+    return np.flatnonzero(keep)
+
+
 def _le_matrix_strong(candidates: tuple[GapSpec, ...], n: int):
-    """Exact order matrix through witness pullbacks.
+    """Exact order matrix of the strong candidates through witness pullbacks.
 
     For a fixed symbol map eps, the only specification below h via eps is
-    the pullback assigning c to the side of eps(c); candidates are indexed
-    by their assignment digits, so each (eps, h) contributes one edge by
-    table lookup.  The realizable maps contain the identity and are closed
-    under composition, so the edge set is already reflexive and transitive.
+    the pullback g assigning each kind c to the side of eps(c).  It is a
+    candidate exactly when it pins every chain kind i>i to side i, that is
+    when h holds eps(i>i) on side i.  Candidates are indexed by their
+    assignment digits, so each such (eps, h) contributes the one edge
+    ``le[key(g), h]``, written through a flat index.  The realizable maps
+    contain the identity and are closed under composition, so the edge set
+    is already reflexive and transitive.
+
+    Most maps pull back onto no candidate and are skipped.  Every candidate
+    holds j>j on side j, so a map sending i>i to j>j with j != i has no h;
+    and a map sending i>i and j>j (i != j) to one kind would need that kind
+    on two sides.  In a kept map each chain goes to its own chain kind,
+    which every candidate satisfies, or to its own off-diagonal kind, which
+    asks for digit i at that kind's position; the candidates with those
+    digits are exactly the h the map pulls back onto, and there is at least
+    one, since an off-diagonal digit may take any value.  So the skipped
+    maps and the rows left out add no edge.
     """
     import numpy as np
 
-    combs = sorted(itertools.product(range(n), repeat=2))
-    slot = {c: k for k, c in enumerate(combs)}
-    off_slots = [k for k, (i, j) in enumerate(combs) if i != j]
-    diag_slots = [slot[(i, i)] for i in range(n)]
-    diag_vals = np.arange(n)
-
     k_count = len(candidates)
-    full = np.empty((k_count, len(combs)), dtype=np.int64)
-    for idx, g in enumerate(candidates):
-        for k, (i, j) in enumerate(combs):
-            side = g.side_of(CombKind(i, j))
-            full[idx, k] = n if side is None else side
+    full = _side_table(candidates, n)
+    diag_slots = np.arange(n) * (n + 1)
+    off_slots = np.setdiff1d(np.arange(n * n), diag_slots)
     powers = (n + 1) ** np.arange(len(off_slots) - 1, -1, -1)
-    keys = full[:, off_slots] @ powers
-    if not np.array_equal(keys, np.arange(k_count)):
+    digits = full[:, off_slots]
+    pinned = (full[:, diag_slots] == np.arange(n)).all()
+    if not pinned or not np.array_equal(digits @ powers, np.arange(k_count)):
         raise AssertionError("candidate order must match assignment keys")
 
-    le = np.zeros((k_count, k_count), dtype=bool)
-    hs = np.arange(k_count)
-    for eps, _fam in _realizable_with_families(n, n):
-        perm = [slot[(eps.apply(CombKind(i, j)).spine, eps.apply(CombKind(i, j)).teeth)]
-                for (i, j) in combs]
-        pulled = full[:, perm]
-        valid = (pulled[:, diag_slots] == diag_vals).all(axis=1)
-        g_keys = pulled[:, off_slots][valid] @ powers
-        le[g_keys, hs[valid]] = True
-    return le
+    image = _comb_image_table(n, n)
+    position = np.full(n * n, -1)
+    position[off_slots] = np.arange(len(off_slots))
+    rows_for = {}
+    edges = []
+    for e in _pullback_maps(n):
+        demands = tuple(
+            (position[s], i) for i, s in enumerate(image[e, diag_slots].tolist())
+            if position[s] >= 0
+        )
+        rows = rows_for.get(demands)
+        if rows is None:
+            match = np.ones(k_count, dtype=bool)
+            for p, i in demands:
+                match &= digits[:, p] == i
+            rows = rows_for[demands] = np.flatnonzero(match)
+        g_keys = full[rows[:, None], image[e, off_slots]] @ powers
+        edges.append(g_keys * k_count + rows)
+    le = np.zeros(k_count * k_count, dtype=bool)
+    le[np.concatenate(edges)] = True
+    return le.reshape(k_count, k_count)
 
 
 def _permuted_candidate(g: GapSpec, pi: tuple[int, ...], convention: str) -> Optional[GapSpec]:
@@ -491,10 +576,13 @@ def _permuted_candidate(g: GapSpec, pi: tuple[int, ...], convention: str) -> Opt
 def minimal_classes(candidates: tuple[GapSpec, ...]) -> MinimalClassesReport:
     """Minimal candidates grouped by mutual order, with permutation quotients.
 
-    The strong layer is decided exactly via the pullback matrix.  The record
-    layer walks :func:`order_le` over all pairs; an UNKNOWN on a needed pair
-    aborts with an error naming the blocked comparison, because minimality
-    must not be guessed.
+    The strong layer is decided exactly by the pullback matrix of
+    :func:`_le_matrix_strong`.  The record layer walks :func:`order_le` over
+    all pairs; an UNKNOWN on a needed pair aborts with an error naming the
+    blocked comparison, because minimality must not be guessed.  Either way
+    ``le`` is a dense bool matrix; minimality is read off its edge list (a
+    candidate is minimal when each edge into it comes back), and classes
+    group the minimal candidates by mutual order.
     """
     import numpy as np
 
@@ -522,9 +610,12 @@ def minimal_classes(candidates: tuple[GapSpec, ...]) -> MinimalClassesReport:
                         f"minimality blocked by unknown comparison {g} vs {h}"
                     )
 
-    # i is minimal when no j lies strictly below it: no column entry le[j, i]
-    # without its transpose le[i, j]
-    minimal = np.flatnonzero(~(le & ~le.T).any(axis=0)).tolist()
+    # i is minimal when no j lies strictly below it: every edge j -> i of the
+    # edge list comes back as le[i, j]
+    below, above = np.nonzero(le)
+    not_minimal = np.zeros(len(le), dtype=bool)
+    not_minimal[above[~le[above, below]]] = True
+    minimal = np.flatnonzero(~not_minimal).tolist()
     classes: list[list[int]] = []
     for i in minimal:
         for cls in classes:

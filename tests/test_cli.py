@@ -392,11 +392,48 @@ class TestAuditCommand:
         assert report["generated_at"].endswith("+00:00")
 
 
-def test_importing_the_package_leaves_numpy_unloaded():
-    # numpy serves only the strong-layer order matrix; it is imported there
+def _run_cli(argv, **kwargs):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.run(
+        [sys.executable, "-m", "adicgaps.cli", *argv],
+        env=env, capture_output=True, text=True, **kwargs,
+    )
+
+
+def test_importing_the_package_leaves_numpy_unloaded(tmp_path):
+    # numpy serves only the strong layer (the order matrix and first-move
+    # order); importing the package, record order and breaking checks leave
+    # it unloaded
+    one = tmp_path / "one.json"
+    one.write_text(json.dumps({"layer": "record", "n": 1, "m": 1, "sides": [["[l0]"]]}))
+    two = record_file(tmp_path, [["[l0]"], ["[l1]"]])
     code = (
         "import sys, adicgaps, adicgaps.cli; "
+        "from adicgaps.cli import main; "
+        f"assert main(['gaps', 'order', '--left', {str(one)!r}, '--right', {str(one)!r}]) == 0; "
+        f"assert main(['breaking', 'check', '--gap', {two!r}, '--set', '0']) == 0; "
         "sys.exit('numpy' in sys.modules)"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_first_move_order_from_alphabet_four_exits_2(tmp_path):
+    def chain_file(m):
+        path = tmp_path / f"chain{m}.json"
+        path.write_text(json.dumps({"layer": "first_move", "n": 1, "m": m, "sides": [["0>0"]]}))
+        return str(path)
+
+    refused = _run_cli(
+        ["gaps", "order", "--left", chain_file(4), "--right", chain_file(3)], timeout=60
+    )
+    assert refused.returncode == EXIT_USAGE
+    assert refused.stdout == ""
+    lines = refused.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "alphabet 4" in lines[0]
+
+    answered = _run_cli(
+        ["gaps", "order", "--left", chain_file(4), "--right", chain_file(2), "--json"], timeout=60
+    )
+    assert answered.returncode == EXIT_OK
+    assert json.loads(answered.stdout)["verdict"] == "LE_witnessed"

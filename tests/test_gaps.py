@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +23,13 @@ from adicgaps.gaps import (
     RECORD,
     UNKNOWN_BOUNDED,
     GapSpec,
+    GapWitness,
+    OrderResult,
+    _comb_image_table,
+    _le_matrix_strong,
+    _membership_iff,
+    _pullback_maps,
+    _realizable_with_families,
     critical_record_gap,
     critical_strong_gap,
     domination_prune,
@@ -33,6 +41,7 @@ from adicgaps.gaps import (
     order_le,
     revalidate_order,
 )
+from adicgaps.search import efamily_label
 from adicgaps.tree import ScaleLimit
 from adicgaps.types import enumerate_types, max_of, parse_type, print_type
 
@@ -345,6 +354,150 @@ class TestMinimalClasses:
     def test_empty_input(self):
         report = minimal_classes(())
         assert report.classes == ()
+
+
+def reference_le_matrix_strong(candidates, n):
+    """The per-map pullback loop the matrix kernel replaced: every realizable
+    map over all candidate rows, cells filled by ``side_of``.  Also returns,
+    per map, whether it adds at least one edge."""
+    combs = sorted(itertools.product(range(n), repeat=2))
+    slot = {c: k for k, c in enumerate(combs)}
+    off_slots = [k for k, (i, j) in enumerate(combs) if i != j]
+    diag_slots = [slot[(i, i)] for i in range(n)]
+    diag_vals = np.arange(n)
+
+    k_count = len(candidates)
+    full = np.empty((k_count, len(combs)), dtype=np.int64)
+    for idx, g in enumerate(candidates):
+        for k, (i, j) in enumerate(combs):
+            side = g.side_of(CombKind(i, j))
+            full[idx, k] = n if side is None else side
+    powers = (n + 1) ** np.arange(len(off_slots) - 1, -1, -1)
+    assert np.array_equal(full[:, off_slots] @ powers, np.arange(k_count))
+
+    le = np.zeros((k_count, k_count), dtype=bool)
+    hs = np.arange(k_count)
+    adds_edge = []
+    for eps, _fam in _realizable_with_families(n, n):
+        perm = [slot[(eps.apply(CombKind(i, j)).spine, eps.apply(CombKind(i, j)).teeth)]
+                for (i, j) in combs]
+        pulled = full[:, perm]
+        valid = (pulled[:, diag_slots] == diag_vals).all(axis=1)
+        g_keys = pulled[:, off_slots][valid] @ powers
+        le[g_keys, hs[valid]] = True
+        adds_edge.append(bool(valid.any()))
+    return le, adds_edge
+
+
+def reference_order_le(g, h):
+    """The first-move scan the image-table comparison replaced: the
+    membership rule map by map, in pool order, until one holds."""
+    pairs = _realizable_with_families(g.m, h.m)
+    for eps, fam in pairs:
+        if _membership_iff(g, h, eps.apply):
+            witness = GapWitness("efamily", efamily_label(fam), eps, fam)
+            return OrderResult(LE_WITNESSED, witness, len(pairs), "exact")
+    return OrderResult(NOT_LE_REFUTED_EXACT, None, len(pairs), "exact")
+
+
+def random_first_move_gap(rng, n, m):
+    """Each kind of alphabet m on one of n sides or on none, every side used."""
+    kinds = [CombKind(i, j) for i in range(m) for j in range(m)]
+    while True:
+        sides = [set() for _ in range(n)]
+        for kind in kinds:
+            d = rng.randrange(n + 1)
+            if d < n:
+                sides[d].add(kind)
+        if all(sides):
+            return GapSpec(FIRST_MOVE, n, m, tuple(frozenset(s) for s in sides))
+
+
+@pytest.fixture(scope="module")
+def triadic():
+    cands = enumerate_candidates_strong(3)
+    return cands, _le_matrix_strong(cands, 3)
+
+
+class TestStrongKernels:
+    """The array kernels of the strong layer against the loops they replaced."""
+
+    def test_dyadic_matrix_matches_reference(self):
+        cands = enumerate_candidates_strong(2)
+        assert np.array_equal(_le_matrix_strong(cands, 2), reference_le_matrix_strong(cands, 2)[0])
+
+    def test_triadic_matrix_and_visited_maps_match_reference(self, triadic):
+        cands, le = triadic
+        expected, adds_edge = reference_le_matrix_strong(cands, 3)
+        assert np.array_equal(le, expected)
+        # the pullback visits exactly the maps that add an edge
+        assert len(adds_edge) == len(_comb_image_table(3, 3)) == 4290
+        assert _pullback_maps(3).tolist() == np.flatnonzero(adds_edge).tolist()
+        assert len(_pullback_maps(3)) == 919
+
+    def test_matrix_refuses_candidates_out_of_key_order(self):
+        cands = enumerate_candidates_strong(2)
+        with pytest.raises(AssertionError, match="assignment keys"):
+            _le_matrix_strong(cands[::-1], 2)
+
+    def test_dyadic_order_matches_reference_on_all_pairs(self):
+        cands = enumerate_candidates_strong(2)
+        for g, h in itertools.product(cands, repeat=2):
+            assert order_le(g, h).as_dict() == reference_order_le(g, h).as_dict()
+
+    @pytest.mark.parametrize("m_in,m_out", [(1, 2), (2, 3), (3, 2)])
+    def test_mixed_alphabet_order_matches_reference(self, m_in, m_out):
+        rng = random.Random(m_in * 10 + m_out)
+        maps = [eps for eps, _fam in _realizable_with_families(m_in, m_out)]
+        verdicts = set()
+        for k in range(16):
+            n = 1 if k % 2 or m_in == 1 else 2
+            h = random_first_move_gap(rng, n, m_out)
+            g = random_first_move_gap(rng, n, m_in)
+            # every other g is the pullback of h through a random map, when
+            # that pullback uses every side
+            eps = rng.choice(maps)
+            sides = [set() for _ in range(n)]
+            for c in g.symbol_universe():
+                side = h.side_of(eps.apply(c))
+                if side is not None:
+                    sides[side].add(c)
+            if k % 4 < 2 and all(sides):
+                g = GapSpec(FIRST_MOVE, n, m_in, tuple(frozenset(s) for s in sides))
+            res = order_le(g, h)
+            assert res.as_dict() == reference_order_le(g, h).as_dict()
+            verdicts.add(res.verdict)
+        assert LE_WITNESSED in verdicts
+
+    def test_triadic_order_matches_reference_on_seeded_sample(self, triadic):
+        cands, le = triadic
+        rng = random.Random(3)
+        edges = np.argwhere(le)
+        pairs = [tuple(edges[k]) for k in rng.sample(range(len(edges)), 6)]
+        pairs += [tuple(rng.sample(range(len(cands)), 2)) for _ in range(4)]
+        for i, j in pairs:
+            g, h = cands[i], cands[j]
+            assert order_le(g, h).as_dict() == reference_order_le(g, h).as_dict()
+
+    def test_triadic_order_agrees_with_matrix(self, triadic):
+        cands, le = triadic
+        rng = random.Random(5)
+        edges = np.argwhere(le)
+        pairs = [tuple(edges[k]) for k in rng.sample(range(len(edges)), 150)]
+        pairs += [tuple(rng.sample(range(len(cands)), 2)) for _ in range(150)]
+        for i, j in pairs:
+            assert (order_le(cands[i], cands[j]).verdict == LE_WITNESSED) == le[i, j]
+
+    def test_order_from_alphabet_four_is_guarded(self):
+        def chain_gap(m):
+            return GapSpec(FIRST_MOVE, 1, m, (frozenset({CombKind(0, 0)}),))
+
+        for m_out in (3, 4):
+            with pytest.raises(ScaleLimit, match="alphabet 4"):
+                order_le(chain_gap(4), chain_gap(m_out))
+
+    def test_strong_enumeration_is_cached(self):
+        assert enumerate_candidates_strong(3) is enumerate_candidates_strong(3)
 
 
 class TestOrderRecord:
