@@ -41,7 +41,14 @@ from .breaking import (
     record_three_gap,
     revalidate_break,
 )
-from .combs import CombKind, EFamily, efamily_induced_map, enumerate_efamilies
+from .combs import (
+    CombKind,
+    EFamily,
+    concretize,
+    efamily_induced_map,
+    efamily_shapes,
+    enumerate_efamilies,
+)
 from .embeddings import (
     DOMAIN_DEPTH,
     ValidationFailure,
@@ -354,9 +361,9 @@ def check_rule_oracle(ctx: AuditContext) -> AuditEntry:
         for n, m in ((1, 1), (1, 2), (2, 1), (2, 2))
         for fam in enumerate_efamilies(n, m)
     ]
+    # sampling shapes picks the same indices as sampling their families would
     rng = random.Random(ctx.seed)
-    triadic = list(enumerate_efamilies(3, 3))
-    sampled = rng.sample(triadic, 500)
+    sampled = [concretize(shape, 3) for shape in rng.sample(list(efamily_shapes(3, 3)), 500)]
     failures = []
     for fam in itertools.chain(exhaustive, sampled):
         try:

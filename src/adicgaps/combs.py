@@ -10,9 +10,9 @@ e(inf) shorter than the equally long and pairwise distinct e(i), determines a
 block substitution on words and hence a map of comb kinds: each kind (i,j)
 goes to the kind of the image of one of its witnesses.  That induced map is
 computed here directly from first moves at meets, with a degenerate rule for
-e(inf) lying below e(i), and the full finite catalogue of induced maps for
-given n, m is enumerated by walking all branching shapes such a family can
-take.
+e(inf) lying below e(i).  The finite catalogue of induced maps for given n, m
+is enumerated by walking every branching shape such a family can take and
+reading each shape's map off it, without building words.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 from .tree import (
     Node,
@@ -183,6 +183,11 @@ class InducedCombMap:
         return InducedCombMap(n, m, table)
 
     @staticmethod
+    def from_row(n: int, m: int, row: tuple[int, ...]) -> "InducedCombMap":
+        """The map of a flat image row, as :func:`shape_induced_row` writes it."""
+        return InducedCombMap.from_function(n, m, lambda i, j: divmod(row[i * n + j], m))
+
+    @staticmethod
     def identity(n: int) -> "InducedCombMap":
         return InducedCombMap.from_function(n, n, lambda i, j: (i, j))
 
@@ -208,14 +213,6 @@ class InducedCombMap:
 
     def to_json_obj(self) -> dict[str, str]:
         return {f"{i}>{j}": f"{u}>{v}" for (i, j), (u, v) in self.table}
-
-    @staticmethod
-    def from_json_obj(n: int, m: int, obj: dict[str, str]) -> "InducedCombMap":
-        table = {}
-        for key, val in obj.items():
-            k, v = CombKind.parse(key), CombKind.parse(val)
-            table[(k.spine, k.teeth)] = (v.spine, v.teeth)
-        return InducedCombMap.from_function(n, m, lambda i, j: table[(i, j)])
 
 
 def efamily_induced_map(fam: EFamily) -> InducedCombMap:
@@ -246,8 +243,8 @@ def efamily_induced_map(fam: EFamily) -> InducedCombMap:
 # Only the branching shape of {e(inf), e(0..n-1)} matters for the induced map:
 # the meet tree of the branch words, the first letters on its edges, and where
 # e(inf) sits relative to it.  The shapes are enumerated abstractly and each
-# one is concretized to an actual family; the family's induced map is then
-# computed by the one rule above, so enumeration and rule cannot drift apart.
+# shape's map is read off it directly; that rule restates the family rule
+# above, and the tests compare the two on every shape at small alphabets.
 
 _SCALE_LIMIT = 4
 
@@ -284,19 +281,14 @@ def _all_partitions(items: tuple) -> Iterator[tuple[tuple, ...]]:
             )
 
 
-def _set_partitions(items: tuple) -> Iterator[tuple[tuple, ...]]:
-    """All partitions into at least 2 blocks."""
-    for part in _all_partitions(items):
-        if len(part) >= 2:
-            yield part
-
-
 def _hierarchies(labels: tuple) -> Iterator[object]:
     """Rooted meet trees with the given leaves; internal nodes branch."""
     if len(labels) == 1:
         yield _Leaf(labels[0])
         return
-    for blocks in _set_partitions(labels):
+    for blocks in _all_partitions(labels):
+        if len(blocks) < 2:  # a meet tree node branches
+            continue
         for subtrees in itertools.product(*(_hierarchies(b) for b in blocks)):
             yield ("node", subtrees)
 
@@ -350,50 +342,80 @@ def _place_within(tree: object, m: int) -> Iterator[object]:
             yield rebuilt(deeper)
 
 
-def _concretize(tree: object, m: int) -> EFamily:
+def concretize(shape: object, m: int) -> EFamily:
+    """The family a shape describes: each word spells the edge letters on its
+    path from the root, and the branch words are padded with letter 0 to one
+    common length, one letter past the deepest leaf."""
     words: dict[object, Node] = {}
-    inf_word: list[Optional[Node]] = [None]
 
     def walk(node: object, prefix: Node) -> None:
         if isinstance(node, _Leaf):
-            if node.label == "inf":
-                inf_word[0] = prefix
-            else:
-                words[node.label] = prefix
-            return
-        if isinstance(node, _PathStop):
-            inf_word[0] = prefix
+            words[node.label] = prefix
+        elif isinstance(node, _PathStop):
+            words["inf"] = prefix
             walk(node.child, prefix.extend(node.cont_letter))
-            return
-        assert isinstance(node, _Branch)
-        if node.inf_here:
-            inf_word[0] = prefix
-        for letter, sub in node.children:
-            walk(sub, prefix.extend(letter))
+        else:
+            if node.inf_here:
+                words["inf"] = prefix
+            for letter, sub in node.children:
+                walk(sub, prefix.extend(letter))
 
-    walk(tree, empty_node(m))
-    assert inf_word[0] is not None
+    walk(shape, empty_node(m))
+    e_inf = words.pop("inf")
     depth = max(w.length for w in words.values()) + 1
-    branch = tuple(
-        words[i].extend(0, depth - words[i].length) if words[i].length < depth else words[i]
-        for i in sorted(words)
-    )
-    return EFamily(m, inf_word[0], branch)
+    branch = tuple(words[i].extend(0, depth - words[i].length) for i in sorted(words))
+    return EFamily(m, e_inf, branch)
 
 
-def enumerate_efamilies(n: int, m: int) -> Iterator[EFamily]:
-    """One concrete family per branching shape (shapes may repeat maps)."""
+def efamily_shapes(n: int, m: int) -> Iterator[object]:
+    """Every lettered branching shape of an arity-n family over alphabet m,
+    in one fixed order (shapes may repeat maps)."""
     if n < 1 or m < 1:
         raise ValueError("arities must be positive")
     if n > _SCALE_LIMIT or m > _SCALE_LIMIT:
         raise ScaleLimit(f"enumeration supported up to arity {_SCALE_LIMIT}")
     for shape in _hierarchies(tuple(range(n))):
         for lettered in _assign_letters(shape, m):
-            for placed in _placements(lettered, m):
-                yield _concretize(placed, m)
+            yield from _placements(lettered, m)
 
 
-def enumerate_realizable_maps(n: int, m: int) -> tuple[InducedCombMap, ...]:
-    """All induced comb maps over every family shape, canonically sorted."""
-    seen = {efamily_induced_map(fam) for fam in enumerate_efamilies(n, m)}
-    return tuple(sorted(seen, key=lambda f: f.table))
+def enumerate_efamilies(n: int, m: int) -> Iterator[EFamily]:
+    """One concrete family per branching shape (shapes may repeat maps)."""
+    for shape in efamily_shapes(n, m):
+        yield concretize(shape, m)
+
+
+def shape_induced_row(shape: object, n: int, m: int) -> tuple[int, ...]:
+    """The comb map ``concretize(shape, m)`` induces, read off the shape:
+    entry ``i * n + j`` is ``u * m + v`` for the image u>v of kind i>j, so
+    rows sort as the maps' tables do.
+
+    Children hang off distinct letters, so two words part where their paths
+    do.  No leaf has children or e(inf) at or below it, so the family rule
+    reads edge letters only, never the padding letter 0: i>j (i != j) goes
+    to the letters toward i and j below the leaves' lowest common ancestor;
+    i>i to the next letter toward i, doubled, when e(inf) sits on the path
+    to leaf i, else to the letters toward i and e(inf) where those paths part.
+    """
+    row: list = [None] * (n * n)
+
+    def walk(node: object) -> list:  # the labels below node, "inf" included
+        if isinstance(node, _Leaf):
+            return [node.label]
+        if isinstance(node, _PathStop):  # one child, e(inf) at the node
+            groups, inf_here = [(node.cont_letter, walk(node.child))], True
+        else:
+            groups = [(letter, walk(sub)) for letter, sub in node.children]
+            inf_here = node.inf_here
+        for (x, xs), (y, ys) in itertools.permutations(groups, 2):
+            for i, j in itertools.product(xs, ys):
+                if i != "inf":
+                    row[i * (n + 1) if j == "inf" else i * n + j] = x * m + y
+        if inf_here:
+            for x, xs in groups:
+                for i in xs:
+                    row[i * (n + 1)] = x * (m + 1)
+        return [i for _, xs in groups for i in xs] + ["inf"] * inf_here
+
+    walk(shape)
+    return tuple(row)

@@ -18,8 +18,10 @@ from .combs import (
     CombKind,
     EFamily,
     InducedCombMap,
+    concretize,
     efamily_induced_map,
-    enumerate_efamilies,
+    efamily_shapes,
+    shape_induced_row,
 )
 from .search import (
     DEFAULT_SEARCH_BUDGET,
@@ -334,10 +336,11 @@ _FIRST_MOVE_FROM_FOUR_LIMIT = 2
 
 
 @lru_cache(maxsize=None)
-def _realizable_with_families(
-    m_in: int, m_out: int
-) -> tuple[tuple[InducedCombMap, EFamily], ...]:
-    """Each distinct realizable comb map with the first family inducing it.
+def _realizable_maps(m_in: int, m_out: int) -> tuple[tuple[tuple[int, ...], ...], tuple]:
+    """Each distinct realizable comb map as a flat image row
+    (:func:`shape_induced_row`), sorted, and the first family shape in
+    enumeration order that induces it.  Only the witness a query returns is
+    ever concretized into words.
 
     From input alphabet 4 only output alphabets up to 2 are enumerated: at
     (4, 3) the family shapes already number 244,080."""
@@ -346,26 +349,23 @@ def _realizable_with_families(
             f"first-move order from alphabet {m_in} supported into output alphabets "
             f"up to {_FIRST_MOVE_FROM_FOUR_LIMIT}, got {m_out}"
         )
-    by_map: dict[tuple, tuple[InducedCombMap, EFamily]] = {}
-    for fam in enumerate_efamilies(m_in, m_out):
-        eps = efamily_induced_map(fam)
-        if eps.table not in by_map:
-            by_map[eps.table] = (eps, fam)
-    return tuple(by_map[key] for key in sorted(by_map))
+    first: dict[tuple[int, ...], object] = {}
+    for shape in efamily_shapes(m_in, m_out):
+        first.setdefault(shape_induced_row(shape, m_in, m_out), shape)
+    rows = tuple(sorted(first))
+    return rows, tuple(first[row] for row in rows)
 
 
 @lru_cache(maxsize=None)
 def _comb_image_table(m_in: int, m_out: int):
     """Read-only int array: ``image[e, c]`` is the slot of the comb kind that
-    map ``e`` of :func:`_realizable_with_families` sends the input kind in
-    slot ``c`` to.  Kind i>j sits in slot ``i * m + j`` over alphabet m, the
-    sorted order of a map's table."""
+    map ``e`` of :func:`_realizable_maps` sends the input kind in slot ``c``
+    to.  Kind i>j sits in slot ``i * m + j`` over alphabet m, the sorted
+    order of a map's table."""
     import numpy as np
 
-    pairs = _realizable_with_families(m_in, m_out)
-    image = np.array(
-        [[u * m_out + v for _, (u, v) in eps.table] for eps, _fam in pairs], dtype=np.int64
-    ).reshape(len(pairs), m_in * m_in)
+    rows, _shapes = _realizable_maps(m_in, m_out)
+    image = np.array(rows, dtype=np.int64).reshape(len(rows), m_in * m_in)
     image.flags.writeable = False
     return image
 
@@ -413,15 +413,16 @@ def order_le(
     if g.layer == FIRST_MOVE:
         import numpy as np
 
-        pairs = _realizable_with_families(g.m, h.m)
+        rows, shapes = _realizable_maps(g.m, h.m)
         image = _comb_image_table(g.m, h.m)
         g_row, h_row = _side_table((g,), g.m)[0], _side_table((h,), h.m)[0]
         hits = np.flatnonzero((h_row[image] == g_row).all(axis=1))
         if hits.size:
-            eps, fam = pairs[hits[0]]
+            eps = InducedCombMap.from_row(g.m, h.m, rows[hits[0]])
+            fam = concretize(shapes[hits[0]], h.m)
             witness = GapWitness("efamily", efamily_label(fam), eps, fam)
-            return OrderResult(LE_WITNESSED, witness, len(pairs), "exact")
-        return OrderResult(NOT_LE_REFUTED_EXACT, None, len(pairs), "exact")
+            return OrderResult(LE_WITNESSED, witness, len(rows), "exact")
+        return OrderResult(NOT_LE_REFUTED_EXACT, None, len(rows), "exact")
     actions = generate_type_actions(g.m, h.m, budget)
     for action in actions:
         if _membership_iff(g, h, action.lookup().__getitem__):

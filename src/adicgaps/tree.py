@@ -635,38 +635,6 @@ def record_equivalent(a: NodeSet, b: NodeSet) -> EquivalenceResult:
     return _equivalent(a, b, "record_closure_nodes")
 
 
-def replay_witness(a: NodeSet, b: NodeSet, result: EquivalenceResult, record: bool) -> bool:
-    """Independently re-check a witness bijection: meets, order, first moves,
-    and that it maps the one underlying set onto the other."""
-    if not result.equivalent or result.mapping is None:
-        return False
-    f = dict(result.mapping)
-    ca = [p for p, _ in result.mapping]
-    closure = set(a.record_closure_nodes if record else a.meet_closure_nodes)
-    if set(ca) != closure:
-        return False
-    if {f[x] for x in a.nodes} != set(b.nodes):
-        return False
-    for i, x in enumerate(ca):
-        for y in ca[:i]:
-            if f[meet(x, y)] != meet(f[x], f[y]):
-                return False
-            if prec_compare(x, y) != prec_compare(f[x], f[y]):
-                return False
-            lo, hi = (x, y) if x.strictly_below(y) else (y, x)
-            if lo.strictly_below(hi):
-                if first_move(lo, hi) != first_move(f[lo], f[hi]):
-                    return False
-                if record:
-                    ha = record_history(lo, hi)
-                    hb = record_history(f[lo], f[hi])
-                    if ha.records != hb.records:
-                        return False
-                    if tuple(f[nd] for nd in ha.nodes) != hb.nodes:
-                        return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Structure-preserving re-embedding (test support)
 

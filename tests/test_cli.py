@@ -418,14 +418,17 @@ def test_importing_the_package_leaves_numpy_unloaded(tmp_path):
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
-def test_first_move_order_from_alphabet_four_exits_2(tmp_path):
-    def chain_file(m):
-        path = tmp_path / f"chain{m}.json"
-        path.write_text(json.dumps({"layer": "first_move", "n": 1, "m": m, "sides": [["0>0"]]}))
-        return str(path)
+def chain_file(tmp_path, m):
+    """A one-sided first-move gap over alphabet m holding the 0-chain."""
+    path = tmp_path / f"chain{m}.json"
+    path.write_text(json.dumps({"layer": "first_move", "n": 1, "m": m, "sides": [["0>0"]]}))
+    return str(path)
 
+
+def test_first_move_order_from_alphabet_four_exits_2(tmp_path):
     refused = _run_cli(
-        ["gaps", "order", "--left", chain_file(4), "--right", chain_file(3)], timeout=60
+        ["gaps", "order", "--left", chain_file(tmp_path, 4), "--right", chain_file(tmp_path, 3)],
+        timeout=60,
     )
     assert refused.returncode == EXIT_USAGE
     assert refused.stdout == ""
@@ -433,7 +436,21 @@ def test_first_move_order_from_alphabet_four_exits_2(tmp_path):
     assert len(lines) == 1 and lines[0].startswith("error:") and "alphabet 4" in lines[0]
 
     answered = _run_cli(
-        ["gaps", "order", "--left", chain_file(4), "--right", chain_file(2), "--json"], timeout=60
+        ["gaps", "order", "--left", chain_file(tmp_path, 4), "--right", chain_file(tmp_path, 2),
+         "--json"],
+        timeout=60,
     )
     assert answered.returncode == EXIT_OK
     assert json.loads(answered.stdout)["verdict"] == "LE_witnessed"
+
+
+def test_first_move_order_from_alphabet_three_into_four_answers(tmp_path):
+    # the (3, 4) map pool is read off 38,736 family shapes
+    answered = _run_cli(
+        ["gaps", "order", "--left", chain_file(tmp_path, 3), "--right", chain_file(tmp_path, 4),
+         "--json"],
+        timeout=120,
+    )
+    assert answered.returncode == EXIT_OK
+    report = json.loads(answered.stdout)
+    assert report["verdict"] == "LE_witnessed" and report["revalidated"]

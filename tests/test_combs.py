@@ -17,8 +17,8 @@ from adicgaps.combs import (
     comb_witness,
     efamily_induced_map,
     enumerate_efamilies,
-    enumerate_realizable_maps,
 )
+from adicgaps.gaps import _realizable_maps
 from adicgaps.tree import (
     NodeSet,
     first_move_equivalent,
@@ -184,8 +184,14 @@ def test_enumeration_shape_count_small():
     assert sum(1 for _ in enumerate_efamilies(2, 2)) == 26
 
 
+def realizable_maps(n, m):
+    """The first-move map pool, as maps, in pool order."""
+    rows, _shapes = _realizable_maps(n, m)
+    return tuple(InducedCombMap.from_row(n, m, row) for row in rows)
+
+
 def test_realizable_maps_at_2_2():
-    maps = enumerate_realizable_maps(2, 2)
+    maps = realizable_maps(2, 2)
     assert len(maps) == 20  # frozen from this enumeration, cross-checked below
     assert InducedCombMap.identity(2) in set(maps)
     assert efamily_induced_map(WORKED) in set(maps)
@@ -203,7 +209,7 @@ def test_realizable_maps_match_word_bruteforce_at_2_2():
             for length in range(inf_len + 1, 4):
                 for e0, e1 in itertools.permutations(words[length], 2):
                     seen.add(efamily_induced_map(EFamily(2, e_inf, (e0, e1))))
-    assert seen == set(enumerate_realizable_maps(2, 2))
+    assert seen == set(realizable_maps(2, 2))
 
 
 def test_off_diagonal_images_are_conjugate():
@@ -216,7 +222,7 @@ def test_off_diagonal_images_are_conjugate():
 
 
 def test_composition_closure_at_2():
-    maps = set(enumerate_realizable_maps(2, 2))
+    maps = set(realizable_maps(2, 2))
     for f in maps:
         for g in maps:
             assert g.compose(f) in maps
@@ -224,12 +230,12 @@ def test_composition_closure_at_2():
 
 def test_identity_is_always_realizable():
     for n in (1, 2, 3):
-        assert InducedCombMap.identity(n) in set(enumerate_realizable_maps(n, n))
+        assert InducedCombMap.identity(n) in set(realizable_maps(n, n))
 
 
 def test_arity_one_maps():
     # a single branch word: e(inf) on its path gives chains, beside it combs
-    maps = set(enumerate_realizable_maps(1, 2))
+    maps = set(realizable_maps(1, 2))
     tables = {m.table[0][1] for m in maps}
     assert tables == {(0, 0), (1, 1), (0, 1), (1, 0)}
 
@@ -238,7 +244,8 @@ def test_map_json_roundtrip():
     eps = efamily_induced_map(WORKED)
     obj = eps.to_json_obj()
     assert obj["0>0"] == "1>0"
-    assert InducedCombMap.from_json_obj(2, 2, obj) == eps
+    parsed = {key: tuple(map(int, val.split(">"))) for key, val in obj.items()}
+    assert InducedCombMap.from_function(2, 2, lambda i, j: parsed[f"{i}>{j}"]) == eps
 
 
 def test_compose_arity_mismatch():

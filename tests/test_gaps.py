@@ -4,17 +4,23 @@ import itertools
 import json
 import random
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import adicgaps.combs as combs_module
+import adicgaps.gaps as gaps_module
 from adicgaps.combs import (
     CombKind,
     EFamily,
     InducedCombMap,
+    concretize,
     efamily_induced_map,
-    enumerate_realizable_maps,
+    efamily_shapes,
+    enumerate_efamilies,
+    shape_induced_row,
 )
 from adicgaps.gaps import (
     FIRST_MOVE,
@@ -29,7 +35,7 @@ from adicgaps.gaps import (
     _le_matrix_strong,
     _membership_iff,
     _pullback_maps,
-    _realizable_with_families,
+    _realizable_maps,
     critical_record_gap,
     critical_strong_gap,
     domination_prune,
@@ -225,7 +231,7 @@ class TestOrderFirstMove:
             order_le(GAP_2, critical_strong_gap(3))
 
     def test_map_pool_closed_under_composition(self):
-        maps = enumerate_realizable_maps(2, 2)
+        maps = [eps for eps, _fam in reference_realizable_with_families(2, 2)]
         assert len(maps) == 20  # frozen count, also pinned in the comb tests
         tables = {eps.table for eps in maps}
         for outer, inner in itertools.product(maps, repeat=2):
@@ -356,6 +362,25 @@ class TestMinimalClasses:
         assert report.classes == ()
 
 
+@lru_cache(maxsize=None)
+def reference_realizable_with_families(m_in, m_out):
+    """The map pool the shape rule replaced: every family shape concretized
+    into words and induced by the family rule, each distinct map kept with
+    its first family, sorted by table."""
+    by_map = {}
+    for fam in enumerate_efamilies(m_in, m_out):
+        eps = efamily_induced_map(fam)
+        if eps.table not in by_map:
+            by_map[eps.table] = (eps, fam)
+    return tuple(by_map[key] for key in sorted(by_map))
+
+
+def flat_row(eps):
+    """A map's table as a flat image row: entry c is ``u * m + v`` for the
+    kind u>v that the input kind in slot c goes to."""
+    return tuple(u * eps.m + v for _, (u, v) in eps.table)
+
+
 def reference_le_matrix_strong(candidates, n):
     """The per-map pullback loop the matrix kernel replaced: every realizable
     map over all candidate rows, cells filled by ``side_of``.  Also returns,
@@ -378,7 +403,7 @@ def reference_le_matrix_strong(candidates, n):
     le = np.zeros((k_count, k_count), dtype=bool)
     hs = np.arange(k_count)
     adds_edge = []
-    for eps, _fam in _realizable_with_families(n, n):
+    for eps, _fam in reference_realizable_with_families(n, n):
         perm = [slot[(eps.apply(CombKind(i, j)).spine, eps.apply(CombKind(i, j)).teeth)]
                 for (i, j) in combs]
         pulled = full[:, perm]
@@ -392,7 +417,7 @@ def reference_le_matrix_strong(candidates, n):
 def reference_order_le(g, h):
     """The first-move scan the image-table comparison replaced: the
     membership rule map by map, in pool order, until one holds."""
-    pairs = _realizable_with_families(g.m, h.m)
+    pairs = reference_realizable_with_families(g.m, h.m)
     for eps, fam in pairs:
         if _membership_iff(g, h, eps.apply):
             witness = GapWitness("efamily", efamily_label(fam), eps, fam)
@@ -448,7 +473,7 @@ class TestStrongKernels:
     @pytest.mark.parametrize("m_in,m_out", [(1, 2), (2, 3), (3, 2)])
     def test_mixed_alphabet_order_matches_reference(self, m_in, m_out):
         rng = random.Random(m_in * 10 + m_out)
-        maps = [eps for eps, _fam in _realizable_with_families(m_in, m_out)]
+        maps = [eps for eps, _fam in reference_realizable_with_families(m_in, m_out)]
         verdicts = set()
         for k in range(16):
             n = 1 if k % 2 or m_in == 1 else 2
@@ -498,6 +523,60 @@ class TestStrongKernels:
 
     def test_strong_enumeration_is_cached(self):
         assert enumerate_candidates_strong(3) is enumerate_candidates_strong(3)
+
+
+POOL_SCALES = list(itertools.product((1, 2, 3), repeat=2)) + [(4, 2), (2, 4)]
+
+
+class TestRealizablePool:
+    """The first-move map pool read off family shapes, against the family
+    rule on concrete words."""
+
+    def test_shape_rule_matches_family_rule_on_every_shape(self):
+        shapes = mismatches = 0
+        for m_in, m_out in POOL_SCALES:
+            for shape in efamily_shapes(m_in, m_out):
+                shapes += 1
+                family_row = flat_row(efamily_induced_map(concretize(shape, m_out)))
+                mismatches += shape_induced_row(shape, m_in, m_out) != family_row
+        assert (shapes, mismatches) == (10_324, 0)
+
+    @pytest.mark.parametrize("m_in,m_out", POOL_SCALES)
+    def test_pool_matches_reference_pair_by_pair(self, m_in, m_out):
+        rows, shapes = _realizable_maps(m_in, m_out)
+        reference = reference_realizable_with_families(m_in, m_out)
+        assert len(rows) == len(shapes) == len(reference)
+        for row, shape, (eps, fam) in zip(rows, shapes, reference):
+            assert row == flat_row(eps)
+            assert concretize(shape, m_out) == fam
+        table = _comb_image_table(m_in, m_out)
+        assert table.tolist() == [list(flat_row(eps)) for eps, _fam in reference]
+
+    def test_only_the_witness_is_concretized(self, monkeypatch):
+        calls = {"efamily_induced_map": 0, "concretize": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for name in calls:
+            wrapper = counted(name, getattr(combs_module, name))
+            monkeypatch.setattr(combs_module, name, wrapper)
+            monkeypatch.setattr(gaps_module, name, wrapper)
+        _realizable_maps.cache_clear()
+        _comb_image_table.cache_clear()
+        cands = enumerate_candidates_strong(3)
+        _comb_image_table(3, 3)
+        assert order_le(cands[0], cands[1]).verdict == NOT_LE_REFUTED_EXACT
+        assert calls == {"efamily_induced_map": 0, "concretize": 0}
+        res = order_le(cands[5], cands[5])
+        assert res.verdict == LE_WITNESSED
+        assert calls == {"efamily_induced_map": 0, "concretize": 1}
+        assert revalidate_order(cands[5], cands[5], res)
+        assert calls == {"efamily_induced_map": 1, "concretize": 1}
 
 
 class TestOrderRecord:
