@@ -65,9 +65,10 @@ from .search import (
     RANGE,
     Candidate,
     SearchBudget,
-    admissible_action,
+    admit,
     dominations,
     efamilies,
+    probe,
     revalidate,
     subalphabets,
     substitutions,
@@ -169,7 +170,7 @@ def candidate_pool(m_out: int, budget: SearchBudget) -> Iterator[Candidate]:
             if not all(b.length == 1 for b in blocks)
         ]
         tuples.sort(key=_substitution_sort_key)
-        yield from substitutions(tuples, m_out, budget, RANGE)
+        yield from substitutions(tuples, m_out, RANGE)
     for m_in in alphabets:
         yield from efamilies(m_in, m_out, budget, RANGE)
     yield from dominations(2, m_out)
@@ -349,7 +350,7 @@ def preservation_lemma_check(
                 violations.append(tag)
 
     psi = psi_map(2)
-    psi_action = admissible_action(psi, RANGE)
+    psi_action = admit(probe(psi), RANGE, lambda: psi)
     if psi_action is None:
         reduction_map = {"admissible": False}
     else:

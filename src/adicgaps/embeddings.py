@@ -381,6 +381,17 @@ def type_action(phi: Embedding) -> TypeActionReport:
 # structural replay
 
 
+@dataclass(frozen=True, slots=True)
+class ReplaySample:
+    """One replay sample with everything that does not depend on the map:
+    its words in the well order, which is the domain-side order of every
+    pair, and a re-embedding first-move equivalent to it (``None`` when
+    none is compared)."""
+
+    nodes: tuple[Node, ...]
+    reembedded: Optional[NodeSet]
+
+
 @dataclass(frozen=True)
 class ReplayReport:
     samples: int
@@ -388,51 +399,53 @@ class ReplayReport:
     violations: tuple[str, ...]
 
 
-def structural_replay(
-    phi: Embedding,
-    rng: random.Random,
-    sample_sets: Optional[Iterable[NodeSet]] = None,
-) -> ReplayReport:
-    """Replay the structural conditions on sampled sets: injectivity, order
-    monotonicity, and preservation of first-move equivalence.
+def replay_fixture(
+    sample_sets: Iterable[NodeSet], rng: Optional[random.Random]
+) -> tuple[ReplaySample, ...]:
+    """The map-independent half of a structural replay.
+
+    With ``rng``, each sample in turn gets one re-embedding drawn from it,
+    kept only when it is first-move equivalent to its sample.  Without one,
+    nothing is re-embedded: stem-routed and tabulated maps are replayed on
+    their samples alone, since re-embedded samples can leave a finite
+    domain.
+    """
+    fixture = []
+    for a in sample_sets:
+        b = reembed(a, rng) if rng is not None else None
+        if b is not None and not first_move_equivalent(a, b):
+            b = None
+        fixture.append(ReplaySample(a.sorted_nodes, b))
+    return tuple(fixture)
+
+
+def structural_replay(phi: Embedding, fixture: tuple[ReplaySample, ...]) -> ReplayReport:
+    """Replay the structural conditions on a fixture's samples: injectivity,
+    order monotonicity, and preservation of first-move equivalence.
 
     Images of meets are not compared with meets of images: that pointwise law
     fails even for correct constructions (anchors extend past the image of
     the shorter word).  What the equivalence layer actually needs is exactly
-    what is replayed here.
-
-    ``sample_sets`` overrides the random samples; stem-routed maps preserve
-    length order only on sets whose stems follow the word order, so they are
-    replayed on witness-shaped samples rather than arbitrary ones.
+    what is replayed here.  Stem-routed maps preserve length order only on
+    sets whose stems follow the word order, so they are replayed on
+    witness-shaped samples rather than arbitrary ones.
     """
-    from .tree import random_node_set
-
     violations = []
     checked = 0
-    n = phi.domain_alphabet
-    if sample_sets is None:
-        samples = [
-            random_node_set(rng, n, rng.randint(2, 5), max_len=REPLAY_DEPTH)
-            for _ in range(REPLAY_SAMPLES)
-        ]
-    else:
-        samples = list(sample_sets)
-    for k, a in enumerate(samples):
-        images = {s: phi.map_node(s) for s in a.sorted_nodes}
-        items = list(images)
-        for i, s in enumerate(items):
-            for t in items[:i]:
+    for k, sample in enumerate(fixture):
+        images = {s: phi.map_node(s) for s in sample.nodes}
+        for i, s in enumerate(sample.nodes):
+            for t in sample.nodes[:i]:  # t comes before s
                 checked += 1
                 if images[s] == images[t]:
                     violations.append(f"collision: {s!r} and {t!r}")
-                if prec_compare(s, t) != prec_compare(images[s], images[t]):
+                if prec_compare(images[s], images[t]) != 1:
                     violations.append(f"order flip: {s!r} vs {t!r}")
-        if sample_sets is None:
-            b = reembed(a, rng)
-            if first_move_equivalent(a, b):
-                if not first_move_equivalent(apply(phi, a), apply(phi, b)):
-                    violations.append(f"equivalence lost on sample {k}")
-    report = ReplayReport(len(samples), checked, tuple(violations))
+        if sample.reembedded is not None:
+            image = NodeSet(phi.codomain_alphabet, frozenset(images.values()))
+            if not first_move_equivalent(image, apply(phi, sample.reembedded)):
+                violations.append(f"equivalence lost on sample {k}")
+    report = ReplayReport(len(fixture), checked, tuple(violations))
     if violations:
         raise ValidationFailure("; ".join(violations[:3]))
     return report

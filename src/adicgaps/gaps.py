@@ -278,7 +278,7 @@ def generate_type_actions(
     seen: set[tuple] = set()
     chain = itertools.chain(
         subalphabets(m_in, m_out),
-        substitutions(itertools.product(words, repeat=m_in), m_out, budget, ORDER),
+        substitutions(itertools.product(words, repeat=m_in), m_out, ORDER),
         efamilies(m_in, m_out, budget, ORDER),
         dominations(m_in, m_out),
     )

@@ -13,20 +13,28 @@ together with its total action on types.  There are four kinds:
 * ``domination`` -- the dyadic two-type construction; the action is the
   construction's defining rule.
 
-A probed action is admitted under a policy that the consumer sets:
+Each probed embedding is probed once per process: its payload JSON keys a
+memo of one policy-free :class:`ProbeRecord` -- the type action when it is
+total, and whether a pooled same-type sample left the domain or disagreed
+with it.  The memo keeps records, never embeddings.  Both policies read
+the same record:
 
 * ``RANGE`` (breaking): the action is total and stable, and pooled same-type
   samples corroborate it.  A sample that leaves a tabulated domain proves
   nothing about the range and is passed over.
 * ``ORDER`` (the gap order): the same, plus maximum-letter monotonicity and
   a structural replay; a sample that leaves the domain rejects the
-  candidate.
+  candidate.  Only the replay needs the embedding, which is rebuilt from
+  the payload for it.  The replay's samples and re-embeddings are drawn
+  once per domain alphabet (and kind of map), so each candidate only maps
+  them and compares the images.
 
 Each consumer keeps its own search order; the generators take the domain
 alphabet, and the substitution generator takes the block tuples in the
 order they are to be tried.  :func:`revalidate` rebuilds a candidate's
-embedding from its payload alone and recomputes its action under the
-consumer's policy; a witness stands only when the two actions agree.
+embedding from its payload alone and probes it afresh under the
+consumer's policy, never reading the memo; a witness stands only when the
+two actions agree.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ import json
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .combs import EFamily, enumerate_efamilies
 from .embeddings import (
@@ -53,6 +61,7 @@ from .embeddings import (
     max_monotone,
     probe_json,
     realize_efamily,
+    replay_fixture,
     structural_replay,
     type_action,
 )
@@ -149,63 +158,99 @@ def _sorted_action(mapping: dict) -> tuple:
 
 
 # --------------------------------------------------------------------------
-# admissibility
+# probing and admission
+
+
+@dataclass(frozen=True, slots=True)
+class ProbeRecord:
+    """What probing one embedding shows, whatever the policy.
+
+    ``action`` is the sorted type action when every domain type classifies
+    stably (nothing unstable, unverified or skipped) and no pooled same-type
+    sample disagrees with it, else ``None``.  The two flags are read off
+    those samples: one left the domain, or one mapped onto another image
+    type (or onto no type).  The scan stops at the first disagreement,
+    which both policies reject, so a contradicted action is not kept.
+    """
+
+    action: Optional[tuple]
+    left_domain: bool = False
+    disagreed: bool = False
+
+
+def probe(phi: Embedding) -> ProbeRecord:
+    """Probe ``phi`` once: its type action and the pooled same-type samples."""
+    mapping = dict(type_action(phi).mapping)
+    if len(mapping) != len(enumerate_types(phi.domain_alphabet)):
+        return ProbeRecord(None)
+    left_domain = False
+    for tau, samples in same_type_probes(phi.domain_alphabet).items():
+        for sample in samples:
+            try:
+                image = apply(phi, sample)
+            except (OutOfDomain, ScaleLimit):
+                left_domain = True
+                continue
+            try:
+                agrees = classify_type(image) == mapping[tau]
+            except ValueError:
+                agrees = False
+            if not agrees:
+                return ProbeRecord(None, left_domain, disagreed=True)
+    return ProbeRecord(_sorted_action(mapping), left_domain)
+
+
+@lru_cache(maxsize=None)
+def _replay_fixture(alphabet: int, tabulated: bool) -> tuple:
+    """The replay samples of every candidate over ``alphabet``, drawn once.
+
+    Tabulated maps are replayed on the random samples alone: re-embedded
+    samples can leave their finite domain.
+    """
+    rng = random.Random(0)
+    samples = [
+        random_node_set(rng, alphabet, rng.randint(2, 5), max_len=REPLAY_DEPTH)
+        for _ in range(REPLAY_SAMPLES)
+    ]
+    return replay_fixture(samples, None if tabulated else rng)
 
 
 def _survives_replay(phi: Embedding) -> bool:
     """Structural replay: injectivity, the well order and first-move
     equivalence on sampled sets.  A letter swap, say, reverses the well
     order on same-length words, so its would-be action on types is not well
-    defined.  Tabulated maps skip the re-embedding comparison: re-embedded
-    samples can leave their finite domain."""
-    rng = random.Random(0)
-    samples = None
-    if isinstance(phi, TabulatedEmbedding):
-        samples = [
-            random_node_set(rng, phi.domain_alphabet, rng.randint(2, 5),
-                            max_len=REPLAY_DEPTH)
-            for _ in range(REPLAY_SAMPLES)
-        ]
+    defined."""
+    fixture = _replay_fixture(phi.domain_alphabet, isinstance(phi, TabulatedEmbedding))
     try:
-        structural_replay(phi, rng, sample_sets=samples)
+        structural_replay(phi, fixture)
     except ValueError:
         return False
     return True
 
 
-def admissible_action(phi: Embedding, policy: str) -> Optional[tuple]:
-    """The probed type action of ``phi`` when admissible under ``policy``,
-    else ``None``.
+def admit(
+    record: ProbeRecord, policy: str, embedding: Callable[[], Embedding]
+) -> Optional[tuple]:
+    """The probed type action when admissible under ``policy``, else ``None``.
 
-    Both policies need every domain type to classify stably (nothing
-    unstable, unverified or skipped) and every pooled same-type sample to
-    map onto the same image type.  ``ORDER`` adds maximum-letter
-    monotonicity and the structural replay, and rejects a sample outside
-    the domain, which ``RANGE`` passes over.  Breaking quantifies over the
-    range *set* only, and demanding monotonicity there would empty the
-    witness families it searches.
+    Both policies need a total action that every pooled same-type sample
+    corroborates, which is what a recorded action is.  ``ORDER`` adds maximum-letter monotonicity and the
+    structural replay, and rejects a sample outside the domain, which
+    ``RANGE`` passes over.  Breaking quantifies over the range *set* only,
+    and demanding monotonicity there would empty the witness families it
+    searches.  ``embedding()`` is called only for the replay.
     """
     if policy not in (RANGE, ORDER):
         raise ValueError(f"unknown admissibility policy {policy!r}")
-    mapping = dict(type_action(phi).mapping)
-    if len(mapping) != len(enumerate_types(phi.domain_alphabet)):
+    if record.action is None:
         return None
-    if policy == ORDER and not (max_monotone(mapping) and _survives_replay(phi)):
+    if policy == ORDER and (
+        record.left_domain
+        or not max_monotone(dict(record.action))
+        or not _survives_replay(embedding())
+    ):
         return None
-    for tau, samples in same_type_probes(phi.domain_alphabet).items():
-        for sample in samples:
-            try:
-                image = apply(phi, sample)
-            except (OutOfDomain, ScaleLimit):
-                if policy == ORDER:
-                    return None
-                continue
-            try:
-                if classify_type(image) != mapping[tau]:
-                    return None
-            except ValueError:
-                return None
-    return _sorted_action(mapping)
+    return record.action
 
 
 # --------------------------------------------------------------------------
@@ -219,15 +264,20 @@ def _rule_action(payload: dict) -> tuple:
         return _sorted_action(
             {tau: relabel(tau, iota, m_out) for tau in enumerate_types(len(iota))}
         )
-    tau0, tau1 = parse_type(payload["tau0"], 2), parse_type(payload["tau1"], 2)
+    tau0, tau1 = _domination_types(payload)
     catalogue = enumerate_types(2)
     return _sorted_action(
         {tau: (tau0 if tau == catalogue[0] else tau1) for tau in catalogue}
     )
 
 
-def _build(payload: dict, domain_depth: int) -> Embedding:
-    """The embedding a payload describes; ValueError when it cannot be built."""
+def _domination_types(payload: dict) -> tuple:
+    return parse_type(payload["tau0"], 2), parse_type(payload["tau1"], 2)
+
+
+def _build(payload: dict) -> Embedding:
+    """The embedding a probed kind's payload describes; ValueError when it
+    cannot be built.  The payload carries everything the build reads."""
     kind = payload["kind"]
     if kind == "substitution":
         phi = SubstitutionEmbedding.from_json(payload)
@@ -237,33 +287,31 @@ def _build(payload: dict, domain_depth: int) -> Embedding:
     if kind == "efamily":
         fam = EFamily.of(payload["alphabet_out"], payload["e_inf"], payload["e"])
         return realize_efamily(fam, depth=payload["depth"])
-    if kind == "domination":
-        return domination_embedding(
-            parse_type(payload["tau0"], 2), parse_type(payload["tau1"], 2), domain_depth
-        )
-    raise ValueError(f"no embedding to build for kind {kind!r}")
+    raise ValueError(f"no probed embedding to build for kind {kind!r}")
 
 
 def _derive_action(payload: dict, domain_depth: int, policy: str) -> Optional[tuple]:
     """Recompute a candidate's action from its payload alone, or ``None``.
 
     Subalphabet inclusions recompute the relabelling rule.  Probed kinds are
-    rebuilt and probed under ``policy``.  A domination payload must name a
-    dominating top-comb, and the rebuilt construction's probed values must
-    agree with the defining rule.
+    rebuilt, probed and admitted under ``policy``.  A domination payload must
+    name a dominating top-comb, and the construction, built at
+    ``domain_depth``, must have probed values that agree with the defining
+    rule.
     """
     kind = payload["kind"]
     if kind == "subalphabet":
         return _rule_action(payload)
-    try:
-        phi = _build(payload, domain_depth)
-    except ValueError:
-        return None
     if kind != "domination":
-        return admissible_action(phi, policy)
-    tau0, tau1 = parse_type(payload["tau0"], 2), parse_type(payload["tau1"], 2)
+        try:
+            phi = _build(payload)
+        except ValueError:
+            return None
+        return admit(probe(phi), policy, lambda: phi)
+    tau0, tau1 = _domination_types(payload)
     if not dominates(tau1, tau0):
         return None
+    phi = domination_embedding(tau0, tau1, domain_depth)
     rule = _rule_action(payload)
     expected = dict(rule)
     if any(expected[tau] != sigma for tau, sigma in type_action(phi).mapping):
@@ -272,13 +320,20 @@ def _derive_action(payload: dict, domain_depth: int, policy: str) -> Optional[tu
 
 
 @lru_cache(maxsize=None)
-def _memoized_action(payload_json: str, domain_depth: int, policy: str) -> Optional[tuple]:
-    return _derive_action(json.loads(payload_json), domain_depth, policy)
+def _memoized_record(payload_json: str) -> ProbeRecord:
+    """One probe per payload per process, read by both policies.  Only the
+    record is kept; the embedding is dropped once probed."""
+    try:
+        phi = _build(json.loads(payload_json))
+    except ValueError:
+        return ProbeRecord(None)
+    return probe(phi)
 
 
-def _probed(label: str, payload: dict, domain_depth: int, policy: str) -> Iterator[Candidate]:
-    """The candidate, when its memoized probed action is admitted."""
-    action = _memoized_action(json.dumps(payload, sort_keys=True), domain_depth, policy)
+def _probed(label: str, payload: dict, policy: str) -> Iterator[Candidate]:
+    """The candidate, when its memoized probe record is admitted."""
+    record = _memoized_record(json.dumps(payload, sort_keys=True))
+    action = admit(record, policy, lambda: _build(payload))
     if action is not None:
         yield Candidate(payload["kind"], label, action[0][0].alphabet, action, payload)
 
@@ -306,14 +361,14 @@ def subalphabets(m_in: int, m_out: int) -> Iterator[Candidate]:
 
 
 def substitutions(
-    block_tuples: Iterable[tuple], m_out: int, budget: SearchBudget, policy: str
+    block_tuples: Iterable[tuple], m_out: int, policy: str
 ) -> Iterator[Candidate]:
     """Injective block maps, tried in the order given."""
     for blocks in block_tuples:
         phi = SubstitutionEmbedding(empty_node(m_out), tuple(blocks))
         if phi.injective:
             label = "blocks=" + ",".join(_digits(b) for b in blocks)
-            yield from _probed(label, phi.to_json(), budget.domain_depth, policy)
+            yield from _probed(label, phi.to_json(), policy)
 
 
 def efamilies(
@@ -330,7 +385,7 @@ def efamilies(
             "e": [format_node(w) for w in fam.e],
             "depth": budget.domain_depth,
         }
-        yield from _probed(efamily_label(fam), payload, budget.domain_depth, policy)
+        yield from _probed(efamily_label(fam), payload, policy)
 
 
 def dominations(m_in: int, m_out: int) -> Iterator[Candidate]:

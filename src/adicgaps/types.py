@@ -175,10 +175,6 @@ def type_id(tau: TypeDescriptor) -> int:
     return enumerate_types(tau.alphabet).index(tau)
 
 
-def type_by_id(alphabet: int, ident: int) -> TypeDescriptor:
-    return enumerate_types(alphabet)[ident]
-
-
 def catalogue_json(n: int) -> list[dict]:
     return [
         {"id": k, "text": print_type(tau), "max": max_of(tau), "top_comb": is_top_comb(tau)}
@@ -301,6 +297,11 @@ def same_type_probes(alphabet: int) -> dict[TypeDescriptor, tuple[NodeSet, ...]]
     pooled set of one type to sets of a single image type, so differently
     realized inputs of the same type expose maps that only look consistent
     on canonical witnesses.  Treat the result as read-only; it is cached.
+
+    Not every type gets a sample: over alphabet 2 no 3-element set of these
+    words classifies as ``[u1 l0]`` or ``[u1 l0 l1]``, so those two buckets
+    stay empty, their types get no same-type corroboration, and the scan
+    never stops early but classifies all 4,060 sets.
     """
     words = words_upto(alphabet, 4 if alphabet <= 2 else 3)
     pool: dict[TypeDescriptor, list[NodeSet]] = {tau: [] for tau in enumerate_types(alphabet)}

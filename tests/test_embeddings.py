@@ -28,6 +28,7 @@ from adicgaps.embeddings import (
     psi_map,
     realize_efamily,
     relabel_embedding,
+    replay_fixture,
     structural_replay,
     type_action,
 )
@@ -57,6 +58,14 @@ from adicgaps.types import (
 
 def _n(text, alphabet=2):
     return parse_node(alphabet, text)
+
+
+def _random_replay_fixture(rng, alphabet):
+    """Twenty random samples and their re-embeddings, all drawn from ``rng``."""
+    samples = [
+        random_node_set(rng, alphabet, rng.randint(2, 5), max_len=6) for _ in range(20)
+    ]
+    return replay_fixture(samples, rng)
 
 
 def _types(*texts, alphabet=2):
@@ -345,9 +354,9 @@ class TestRealizeEFamily:
 
     def test_structural_replay(self):
         phi = realize_efamily(EFamily.of(2, "0", ["11", "01"]))
-        report = structural_replay(phi, random.Random(5))
+        report = structural_replay(phi, _random_replay_fixture(random.Random(5), 2))
         assert not report.violations
-        report = structural_replay(psi_map(2), random.Random(6))
+        report = structural_replay(psi_map(2), _random_replay_fixture(random.Random(6), 2))
         assert not report.violations
 
     def test_domain_bounds(self):
@@ -415,7 +424,7 @@ class TestDomination:
             type_witness(parse_type(t, 2), 4)
             for t in ("[l0]", "[l1]", "[u1 l0]", "[u0 l1]")
         ]
-        report = structural_replay(phi, random.Random(3), sample_sets=samples)
+        report = structural_replay(phi, replay_fixture(samples, None))
         assert not report.violations
 
     def test_deep_teeth_are_guarded(self):

@@ -9,21 +9,61 @@ the audit's ``optimality_checked``; the order pools fix every record-layer
 order witness.  Both searches share one vocabulary of kinds and labels.
 """
 
+import gc
+import itertools
+import json
+import random
+import weakref
+from collections import Counter
+from functools import lru_cache
+
 import pytest
 
+from adicgaps import embeddings, search
 from adicgaps.breaking import DEFAULT_BREAK_BUDGET, candidate_pool
-from adicgaps.embeddings import type_action
+from adicgaps.embeddings import (
+    REPLAY_DEPTH,
+    REPLAY_SAMPLES,
+    OutOfDomain,
+    ReplayReport,
+    SubstitutionEmbedding,
+    TabulatedEmbedding,
+    ValidationFailure,
+    apply,
+    domination_embedding,
+    max_monotone,
+    psi_map,
+    replay_fixture,
+    structural_replay,
+    type_action,
+)
 from adicgaps.gaps import generate_type_actions
 from adicgaps.search import (
     DEFAULT_SEARCH_BUDGET,
     ORDER,
     RANGE,
     _build,
+    _domination_types,
     _rule_action,
+    admit,
     dominations,
+    efamilies,
+    probe,
     revalidate,
+    substitutions,
 )
-from adicgaps.types import enumerate_types, type_id
+from adicgaps.tree import (
+    ScaleLimit,
+    empty_node,
+    first_move_equivalent,
+    node_from_runs,
+    parse_node_set,
+    prec_compare,
+    random_node_set,
+    reembed,
+    words_upto,
+)
+from adicgaps.types import classify_type, enumerate_types, same_type_probes, type_id
 
 BREAK_POOL_2 = (
     ("subalphabet", "iota=0", (0,)),
@@ -203,7 +243,244 @@ def test_every_domination_construction_probes_to_its_rule():
     assert len(candidates) == 25
     chain = enumerate_types(2)[0]
     for cand in candidates:
-        probed = type_action(_build(cand.payload, DEFAULT_SEARCH_BUDGET.domain_depth)).probed()
+        phi = domination_embedding(
+            *_domination_types(cand.payload), DEFAULT_SEARCH_BUDGET.domain_depth
+        )
+        probed = type_action(phi).probed()
         rule = dict(_rule_action(cand.payload))
         assert chain in probed, cand.label
         assert {tau: rule[tau] for tau in probed} == probed, cand.label
+
+
+# --------------------------------------------------------------------------
+# the probe record against the per-policy admission it replaced
+
+
+def reference_structural_replay(phi, rng, sample_sets=None):
+    """The replay loop that draws its samples and re-embeddings for every
+    map: the oracle of the cached fixture."""
+    violations = []
+    checked = 0
+    n = phi.domain_alphabet
+    if sample_sets is None:
+        samples = [
+            random_node_set(rng, n, rng.randint(2, 5), max_len=REPLAY_DEPTH)
+            for _ in range(REPLAY_SAMPLES)
+        ]
+    else:
+        samples = list(sample_sets)
+    for k, a in enumerate(samples):
+        images = {s: phi.map_node(s) for s in a.sorted_nodes}
+        items = list(images)
+        for i, s in enumerate(items):
+            for t in items[:i]:
+                checked += 1
+                if images[s] == images[t]:
+                    violations.append(f"collision: {s!r} and {t!r}")
+                if prec_compare(s, t) != prec_compare(images[s], images[t]):
+                    violations.append(f"order flip: {s!r} vs {t!r}")
+        if sample_sets is None:
+            b = reembed(a, rng)
+            if first_move_equivalent(a, b):
+                if not first_move_equivalent(apply(phi, a), apply(phi, b)):
+                    violations.append(f"equivalence lost on sample {k}")
+    report = ReplayReport(len(samples), checked, tuple(violations))
+    if violations:
+        raise ValidationFailure("; ".join(violations[:3]))
+    return report
+
+
+def reference_replay(phi):
+    """The search's replay with every sample drawn afresh for the map:
+    tabulated maps on the random samples alone, substitutions with
+    re-embeddings."""
+    rng = random.Random(0)
+    samples = None
+    if isinstance(phi, TabulatedEmbedding):
+        samples = [
+            random_node_set(rng, phi.domain_alphabet, rng.randint(2, 5), max_len=REPLAY_DEPTH)
+            for _ in range(REPLAY_SAMPLES)
+        ]
+    return reference_structural_replay(phi, rng, sample_sets=samples)
+
+
+def reference_admissible_action(phi, policy):
+    """Per-policy admission, probing ``phi`` afresh for each policy."""
+    mapping = dict(type_action(phi).mapping)
+    if len(mapping) != len(enumerate_types(phi.domain_alphabet)):
+        return None
+    if policy == ORDER:
+        if not max_monotone(mapping):
+            return None
+        try:
+            reference_replay(phi)
+        except ValueError:
+            return None
+    for tau, samples in same_type_probes(phi.domain_alphabet).items():
+        for sample in samples:
+            try:
+                image = apply(phi, sample)
+            except (OutOfDomain, ScaleLimit):
+                if policy == ORDER:
+                    return None
+                continue
+            try:
+                if classify_type(image) != mapping[tau]:
+                    return None
+            except ValueError:
+                return None
+    return tuple(sorted(mapping.items(), key=lambda pair: type_id(pair[0])))
+
+
+def _outcome(replay, *args):
+    """A replay's report, or the message it failed with."""
+    try:
+        return replay(*args)
+    except ValidationFailure as ex:
+        return str(ex)
+
+
+def _probed_payloads(pools):
+    """Every probed payload the pools generate, in generation order."""
+    seen = {}
+    original = search._memoized_record
+
+    def spy(payload_json):
+        seen.setdefault(payload_json, None)
+        return original(payload_json)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_memoized_record", spy)
+        for pool in pools:
+            list(pool())
+    return [json.loads(text) for text in seen]
+
+
+@lru_cache(maxsize=None)
+def _admission_payloads():
+    return _probed_payloads([
+        lambda: candidate_pool(2, DEFAULT_BREAK_BUDGET),
+        lambda: generate_type_actions.__wrapped__(2, 2),
+        lambda: generate_type_actions.__wrapped__(1, 2),
+        lambda: generate_type_actions.__wrapped__(2, 1),
+    ])
+
+
+def test_probed_payloads_cover_both_probed_kinds():
+    kinds = Counter(payload["kind"] for payload in _admission_payloads())
+    assert set(kinds) == {"substitution", "efamily"}
+    assert kinds["substitution"] > 100 and kinds["efamily"] > 10
+
+
+def test_record_admission_equals_per_policy_admission():
+    admitted = Counter()
+    for payload in _admission_payloads():
+        try:
+            phi = _build(payload)
+        except ValueError:
+            continue
+        record = probe(phi)
+        # the search reads the memoized record of the same payload
+        assert search._memoized_record(json.dumps(payload, sort_keys=True)) == record
+        for policy in (RANGE, ORDER):
+            expected = reference_admissible_action(phi, policy)
+            assert admit(record, policy, lambda: phi) == expected, (policy, payload)
+            admitted[policy] += expected is not None
+    assert admitted[RANGE] > admitted[ORDER] > 20
+
+
+def _replay_maps():
+    """Every injective substitution at (1, 2) and (2, 2), and the e-family
+    realizations the order pools generate."""
+    words = words_upto(2, DEFAULT_SEARCH_BUDGET.substitution_blocks)
+    for m_in in (1, 2):
+        for blocks in itertools.product(words, repeat=m_in):
+            phi = SubstitutionEmbedding(empty_node(2), tuple(blocks))
+            if phi.injective:
+                yield phi
+    for m_in in (1, 2):
+        for cand in efamilies(m_in, 2, DEFAULT_SEARCH_BUDGET, ORDER):
+            yield _build(cand.payload)
+
+
+def test_cached_fixture_replay_equals_per_map_replay():
+    failed = passed = 0
+    for phi in _replay_maps():
+        fixture = search._replay_fixture(phi.domain_alphabet, isinstance(phi, TabulatedEmbedding))
+        expected = _outcome(reference_replay, phi)
+        assert _outcome(structural_replay, phi, fixture) == expected, phi
+        assert search._survives_replay(phi) == isinstance(expected, ReplayReport)
+        failed += isinstance(expected, str)
+        passed += isinstance(expected, ReplayReport)
+    assert failed > 10 and passed > 10
+
+
+def test_fixture_drops_a_reembedding_that_is_not_equivalent(monkeypatch):
+    # a re-embedding that lost the sample's structure is compared with nothing
+    sample = parse_node_set(2, "{0,10,11}")
+    chain = parse_node_set(2, "{0,00,000}")
+    monkeypatch.setattr(embeddings, "reembed", lambda a, rng: chain)
+    (kept,) = replay_fixture([sample], random.Random(0))
+    assert kept.reembedded is None
+    monkeypatch.setattr(embeddings, "reembed", lambda a, rng: sample)
+    (kept,) = replay_fixture([sample], random.Random(0))
+    assert kept.reembedded == sample
+
+
+# --------------------------------------------------------------------------
+# one probe per payload
+
+
+def _counting(monkeypatch, module, name, calls=None):
+    """Count the calls of ``module.name`` into ``calls`` (a new Counter by
+    default), which is returned."""
+    calls = Counter() if calls is None else calls
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_both_policies_read_one_probe(monkeypatch):
+    search._memoized_record.cache_clear()
+    calls = _counting(monkeypatch, search, "type_action")
+    blocks = [(node_from_runs(2, [(0, 1), (1, 1)]), node_from_runs(2, [(1, 1), (0, 1)]))]
+    (broken,) = substitutions(blocks, 2, RANGE)
+    (ordered,) = substitutions(blocks, 2, ORDER)
+    assert broken.action == ordered.action
+    assert calls["type_action"] == 1
+    # revalidation recomputes from the payload and never reads the memo
+    assert revalidate(ordered, DEFAULT_SEARCH_BUDGET, ORDER)
+    assert calls["type_action"] == 2
+
+
+def test_replay_samples_are_drawn_once_per_alphabet(monkeypatch):
+    search._replay_fixture(2, False)
+    calls = _counting(monkeypatch, embeddings, "reembed")
+    _counting(monkeypatch, search, "random_node_set", calls)
+    assert search._survives_replay(psi_map(2))
+    assert not calls
+
+
+def test_memo_keeps_no_embedding(monkeypatch):
+    search._memoized_record.cache_clear()
+    built = []
+    original = search._build
+
+    def tracked(payload):
+        phi = original(payload)
+        built.append(weakref.ref(phi))
+        return phi
+
+    monkeypatch.setattr(search, "_build", tracked)
+    blocks = [(node_from_runs(2, [(0, 1), (1, 1)]), node_from_runs(2, [(1, 1), (0, 1)]))]
+    for policy in (RANGE, ORDER):
+        assert list(substitutions(blocks, 2, policy))
+        assert list(efamilies(1, 2, DEFAULT_SEARCH_BUDGET, policy))
+    assert len(built) > 2
+    gc.collect()
+    assert all(ref() is None for ref in built)

@@ -25,7 +25,7 @@ from adicgaps.types import (
     parse_type,
     print_type,
     relabel,
-    type_by_id,
+    same_type_probes,
     type_id,
     type_witness,
     witness_spec,
@@ -77,6 +77,10 @@ def test_parse_rejects_invalid():
         parse_type("l0 l1")
     with pytest.raises(ValueError):
         parse_type("[x0]")
+
+
+def type_by_id(alphabet: int, ident: int) -> TypeDescriptor:
+    return enumerate_types(alphabet)[ident]
 
 
 def test_ids_are_list_positions():
@@ -220,6 +224,16 @@ def test_trimming_fallback_still_works():
     stray = max(w.sorted_nodes, key=lambda x: x.length).extend(0, 7)
     damaged = NodeSet(2, (w.nodes - {max(w.sorted_nodes, key=lambda x: x.length)}) | {stray})
     assert classify_type(damaged) == tau
+
+
+def test_same_type_probe_buckets_pinned():
+    # [u1 l0] and [u1 l0 l1] get no sample over alphabet 2, so their images
+    # are never corroborated by a second realization; filling them would
+    # move admission verdicts, so the pool is pinned as it stands
+    pool = same_type_probes(2)
+    assert [len(pool[tau]) for tau in enumerate_types(2)] == [6, 6, 6, 6, 0, 6, 6, 0]
+    for tau, samples in pool.items():
+        assert all(len(a) == 3 and classify_type(a) == tau for a in samples)
 
 
 # ---------------------------------------------------------------------------
