@@ -51,52 +51,21 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .embeddings import psi_map
-from .gaps import (
-    RECORD,
-    GapSpec,
-    enumerate_candidates_record,
-    critical_record_gap,
-    max_partition_gap,
-)
+from .gaps import RECORD, GapSpec
 from .runtime import pmap
 from .search import (
     DEFAULT_BREAK_BUDGET,
     RANGE,
     Candidate,
     SearchBudget,
-    admit,
     dominations,
     efamilies,
-    probe,
     revalidate,
     subalphabets,
     substitutions,
 )
-from .tree import ScaleLimit, words_upto
+from .tree import words_upto
 from .types import enumerate_types, parse_type, print_type
-
-__all__ = [
-    "BROKEN_WITNESSED",
-    "NOT_BROKEN_BOUNDED",
-    "AUDIT_CAVEAT",
-    "DEFAULT_BREAK_BUDGET",
-    "BreakQuery",
-    "BreakReport",
-    "break_check",
-    "revalidate_break",
-    "record_three_gap",
-    "eight_type_gap",
-    "PreservationReport",
-    "preservation_lemma_check",
-    "JigsawAudit",
-    "jigsaw_audit",
-    "j_function",
-    "OptimalityReport",
-    "jbreak_optimality_check",
-    "TwoBreakAudit",
-    "two_break_audit",
-]
 
 BROKEN_WITNESSED = "BROKEN_witnessed"
 NOT_BROKEN_BOUNDED = "NOT_BROKEN_bounded"
@@ -295,81 +264,6 @@ def eight_type_gap() -> GapSpec:
 
 
 # --------------------------------------------------------------------------
-# preservation lemma
-
-
-@dataclass(frozen=True)
-class PreservationReport:
-    """Exhaustive probe of chain-preservation forcing two-record preservation.
-
-    Over every generated dyadic candidate: whenever the action fixes both
-    chain types, it must also fix the two-record type ``[l0 l1]``.
-    ``reduction_map`` records the behaviour of the canonical interleaving
-    reduction, whose action moves ``[l0]`` to ``[l0 l1]`` — the standard
-    example of an embedding failing the premise."""
-
-    checked: int
-    premise_holders: tuple
-    violations: tuple
-    reduction_map: dict
-
-    @property
-    def holds(self) -> bool:
-        return not self.violations
-
-    def as_dict(self) -> dict:
-        return {
-            "checked": self.checked,
-            "premise_holders": list(self.premise_holders),
-            "violations": list(self.violations),
-            "reduction_map": dict(self.reduction_map),
-            "holds": self.holds,
-        }
-
-
-def preservation_lemma_check(
-    budget: SearchBudget = DEFAULT_BREAK_BUDGET,
-) -> PreservationReport:
-    """Check, over all generated dyadic embeddings in budget, that an action
-    fixing both chain types also fixes ``[l0 l1]``."""
-    catalogue = enumerate_types(2)
-    chain0, chain1 = catalogue[0], catalogue[1]
-    two_record = parse_type("[l0 l1]", 2)
-    checked = 0
-    premise_holders = []
-    violations = []
-    for cand in candidate_pool(2, budget):
-        if cand.domain_alphabet != 2:
-            continue
-        checked += 1
-        mapping = dict(cand.action)
-        if mapping[chain0] == chain0 and mapping[chain1] == chain1:
-            tag = f"{cand.kind}:{cand.label}"
-            premise_holders.append(tag)
-            if mapping[two_record] != two_record:
-                violations.append(tag)
-
-    psi = psi_map(2)
-    psi_action = admit(probe(psi), RANGE, lambda: psi)
-    if psi_action is None:
-        reduction_map = {"admissible": False}
-    else:
-        mapping = dict(psi_action)
-        reduction_map = {
-            "admissible": True,
-            "premise_holds": mapping[chain0] == chain0 and mapping[chain1] == chain1,
-            "chain0_image": print_type(mapping[chain0]),
-            "conclusion_holds": mapping[two_record] == two_record,
-        }
-    return PreservationReport(
-        checked=checked,
-        premise_holders=tuple(premise_holders),
-        violations=tuple(violations),
-        reduction_map=reduction_map,
-    )
-
-
-# --------------------------------------------------------------------------
 # jigsaw audit
 
 
@@ -399,18 +293,6 @@ class JigsawAudit:
             ],
         }
 
-    def to_csv(self) -> str:
-        lines = ["B,verdict,witness_kind,witness_label,searched"]
-        for b, report in self.entries:
-            witness = report.witness
-            kind = witness.kind if witness else ""
-            label = witness.label if witness else ""
-            side_set = ";".join(map(str, b))
-            lines.append(
-                f'"{side_set}",{report.verdict},{kind},"{label}",{report.searched}'
-            )
-        return "\n".join(lines) + "\n"
-
 
 def jigsaw_audit(
     gap: GapSpec, budget: SearchBudget = DEFAULT_BREAK_BUDGET
@@ -436,14 +318,7 @@ def jigsaw_audit(
 
 
 # --------------------------------------------------------------------------
-# J function and optimality
-
-
-def j_function(m: int) -> int:
-    """Number of record types over the alphabet ``m`` (desk scale: m ≤ 4)."""
-    if not 1 <= m <= 4:
-        raise ScaleLimit(f"j_function is tabulated for alphabets 1..4, got {m}")
-    return len(enumerate_types(m))
+# J-optimality
 
 
 @dataclass(frozen=True)
@@ -465,16 +340,6 @@ class OptimalityReport:
     @property
     def holds(self) -> bool:
         return not self.counterexamples
-
-    def as_dict(self) -> dict:
-        return {
-            "gap": self.gap.to_json(),
-            "checked": self.checked,
-            "qualifying": list(self.qualifying),
-            "counterexamples": list(self.counterexamples),
-            "note": self.note,
-            "holds": self.holds,
-        }
 
 
 def jbreak_optimality_check(
@@ -506,72 +371,5 @@ def jbreak_optimality_check(
         checked=checked,
         qualifying=tuple(qualifying),
         counterexamples=tuple(counterexamples),
-        note=AUDIT_CAVEAT,
-    )
-
-
-# --------------------------------------------------------------------------
-# two-element breaking sweep
-
-
-@dataclass(frozen=True)
-class TwoBreakAudit:
-    """Every desk gap should break at some two-element side set.
-
-    ``failures`` lists enumerated dyadic two-sided candidates with no broken
-    two-element set (a nonempty list is a red flag).  ``named`` carries the
-    three-sided desk instances by name with their broken two-element sets;
-    three-sided record gaps have no desk-scale enumeration, so the named
-    instances stand in for them."""
-
-    checked: int
-    failures: tuple
-    named: tuple  # ((name, ((i, j), ...)), ...)
-    note: str
-
-    @property
-    def holds(self) -> bool:
-        return not self.failures and all(found for _, found in self.named)
-
-    def as_dict(self) -> dict:
-        return {
-            "checked": self.checked,
-            "failures": [gap.to_json() for gap in self.failures],
-            "named": {
-                name: [list(b) for b in found] for name, found in self.named
-            },
-            "note": self.note,
-            "holds": self.holds,
-        }
-
-
-def two_break_audit(budget: SearchBudget = DEFAULT_BREAK_BUDGET) -> TwoBreakAudit:
-    """Sweep all enumerated two-sided record candidates plus the named
-    three-sided desk gaps for a broken two-element side set."""
-
-    def pair_broken(gap: GapSpec) -> tuple:
-        found = []
-        for pair in itertools.combinations(range(gap.n), 2):
-            if break_check(BreakQuery(gap, frozenset(pair), budget)):
-                found.append(pair)
-        return tuple(found)
-
-    candidates = enumerate_candidates_record(2)
-    results = pmap(lambda gap: bool(pair_broken(gap)), candidates)
-    failures = tuple(
-        gap for gap, ok in zip(candidates, results) if not ok
-    )
-    named = tuple(
-        (name, pair_broken(gap))
-        for name, gap in (
-            ("critical_record_gap(3)", critical_record_gap(3)),
-            ("record_three_gap", record_three_gap()),
-            ("max_partition_gap(3)", max_partition_gap(3)),
-        )
-    )
-    return TwoBreakAudit(
-        checked=len(candidates),
-        failures=failures,
-        named=named,
         note=AUDIT_CAVEAT,
     )

@@ -12,7 +12,8 @@ with the result cache hot, cold, or disabled — produce byte-identical
 content after the ``generated_at`` field is excluded.
 
 Exit codes: 0 on success, 1 when the audit contains a ``FAIL`` entry, and 2
-for usage errors (out-of-range scales, malformed input files).
+for usage errors (out-of-range scales, malformed input files, unusable cache
+or report paths, an empty ``--only`` and a malformed ``$ADICGAPS_WORKERS``).
 """
 
 from __future__ import annotations
@@ -83,6 +84,7 @@ from .runtime import (
     canonical_json,
     content_key,
     default_cache_dir,
+    worker_count,
 )
 from .search import DEFAULT_SEARCH_BUDGET, SearchBudget
 from .tree import (
@@ -892,11 +894,23 @@ def audit_exit_code(report: dict) -> int:
 # command handlers
 
 
+def _require_writable_dir(path, what: str) -> None:
+    if not os.path.isdir(path):
+        raise UsageError(f"{what} {path} does not exist or is not a directory")
+    if not os.access(path, os.W_OK | os.X_OK):
+        raise UsageError(f"{what} {path} is not writable")
+
+
 def _resolve_cache(args) -> Optional[ResultCache]:
     if getattr(args, "no_cache", False):
         return None
-    cache_dir = getattr(args, "cache_dir", None) or default_cache_dir()
-    return ResultCache(cache_dir)
+    cache = ResultCache(getattr(args, "cache_dir", None) or default_cache_dir())
+    try:
+        cache.root.mkdir(parents=True, exist_ok=True)
+    except OSError as ex:
+        raise UsageError(f"cannot create cache directory {cache.root}: {ex.strerror or ex}") from ex
+    _require_writable_dir(cache.root, "cache directory")
+    return cache
 
 
 def _load_gap_file(path: str) -> GapSpec:
@@ -1033,12 +1047,20 @@ def cmd_breaking_check(args) -> int:
 
 
 def cmd_audit_paper_tables(args) -> int:
+    only = None
+    if args.only is not None:
+        only = {name.strip() for name in args.only.split(",") if name.strip()}
+        if not only:
+            raise UsageError("--only must name at least one check")
+    try:
+        worker_count()
+    except ValueError as ex:
+        raise UsageError(str(ex)) from ex
+    out_path = args.json_out or "adicgaps-audit.json"
+    if os.path.isdir(out_path):
+        raise UsageError(f"report path {out_path} is a directory")
+    _require_writable_dir(os.path.dirname(out_path) or ".", "report directory")
     cache = _resolve_cache(args)
-    only = (
-        {name.strip() for name in args.only.split(",") if name.strip()}
-        if args.only
-        else None
-    )
     report = run_audit(
         seed=args.seed,
         cache=cache,
@@ -1050,7 +1072,6 @@ def cmd_audit_paper_tables(args) -> int:
         f"audit: {summary['pass']} pass, {summary['fail']} fail, "
         f"{summary['discrepancy_known']} known discrepancies"
     )
-    out_path = args.json_out or "adicgaps-audit.json"
     with open(out_path, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")

@@ -132,13 +132,6 @@ class GapSpec:
             CombKind(i, i) in self.sides[i] for i in range(self.n)
         )
 
-    @property
-    def is_record_candidate(self) -> bool:
-        if self.layer != RECORD:
-            return False
-        chains = [_chain_type(self.m, i) for i in range(min(self.n, self.m))]
-        return self.n <= self.m and all(chains[i] in self.sides[i] for i in range(self.n))
-
     def to_json(self) -> dict:
         return {
             "layer": self.layer,
@@ -179,13 +172,6 @@ class GapSpec:
 
 def _chain_type(alphabet: int, letter: int) -> TypeDescriptor:
     return parse_type(f"[l{letter}]", alphabet)
-
-
-def critical_strong_gap(n: int) -> GapSpec:
-    """Diagonal comb gap: side i holds exactly the i-chain kind."""
-    return GapSpec(
-        FIRST_MOVE, n, n, tuple(frozenset({CombKind(i, i)}) for i in range(n))
-    )
 
 
 def critical_record_gap(n: int) -> GapSpec:

@@ -18,8 +18,6 @@ Provided on top of the raw words:
 * the prefix (extension) order and longest-common-prefix meets,
 * the level-then-value well order ``prec`` (shorter words first, lexicographic
   within a level), with an RLE sort key for lexicographic order,
-* record histories: the nodes where the running maximum letter increases
-  while climbing from a node to an extension of it,
 * meet- and record-closures of finite node sets,
 * two structural equivalence deciders (first-move and record equivalence)
   together with their witness bijections,
@@ -366,57 +364,6 @@ def weight(s: Node) -> int:
     return total
 
 
-def first_move(t: Node, s: Node) -> int:
-    """The letter i with t+i below s; requires t strictly below s."""
-    if not t.strictly_below(s):
-        raise NotBelow(f"{t!r} is not strictly below {s!r}")
-    return s.letter_at(t.length)
-
-
-@dataclass(frozen=True)
-class RecordHistory:
-    """Climb decomposition t = nodes[0] < ... < nodes[-1] = s.
-
-    ``records[k]`` is the letter emitted at ``nodes[k]``: the strictly
-    increasing sequence of new maximum letters met while climbing.
-    """
-
-    nodes: tuple[Node, ...]
-    records: tuple[int, ...]
-
-    def check(self) -> None:
-        assert len(self.nodes) == len(self.records) + 1
-        assert all(self.records[k] < self.records[k + 1] for k in range(len(self.records) - 1))
-        s = self.nodes[-1]
-        for k, rec in enumerate(self.records):
-            t = self.nodes[k]
-            assert t.strictly_below(s) and first_move(t, s) == rec
-            seg = self.nodes[k + 1].suffix_after(t)
-            assert max(l for l, _ in seg.runs) == rec
-
-
-def record_history(t: Node, s: Node) -> RecordHistory:
-    """Running-maximum records of the climb from t to s.
-
-    Maxima restart at t: only letters of the suffix s minus t are scanned.
-    """
-    if not t.strictly_below(s):
-        raise NotBelow(f"{t!r} is not strictly below {s!r}")
-    w = s.suffix_after(t)
-    nodes: list[Node] = []
-    records: list[int] = []
-    best = -1
-    pos = 0
-    for letter, count in w.runs:
-        if letter > best:
-            nodes.append(s.prefix(t.length + pos))
-            records.append(letter)
-            best = letter
-        pos += count
-    nodes.append(s)
-    return RecordHistory(tuple(nodes), tuple(records))
-
-
 @dataclass(frozen=True)
 class NodeSet:
     """A finite set of nodes over one alphabet, with cached closures."""
@@ -498,25 +445,6 @@ class NodeSet:
                     out.add(Node(hi.alphabet, runs[:k], end))
                 end += count
         return tuple(prec_sorted(out))
-
-
-def node_set(alphabet: int, items: Iterable[Node | str]) -> NodeSet:
-    return NodeSet.of(alphabet, items)
-
-
-def parse_node_set(alphabet: int, text: str) -> NodeSet:
-    """Parse a literal like "{1,001,e}"."""
-    text = text.strip()
-    if not (text.startswith("{") and text.endswith("}")):
-        raise ValueError(f"bad node set literal {text!r}")
-    inner = text[1:-1].strip()
-    if not inner:
-        return NodeSet(alphabet, frozenset())
-    return NodeSet.of(alphabet, [part.strip() for part in inner.split(",")])
-
-
-def format_node_set(ns: NodeSet) -> str:
-    return "{" + ",".join(format_node(n) for n in ns.sorted_nodes) + "}"
 
 
 def meet_closure(a: NodeSet) -> NodeSet:

@@ -1,4 +1,5 @@
-"""Breaking-layer tests: witness search, revalidation, audits, J function.
+"""Breaking-layer tests: witness search, revalidation, audits, two-element
+breaking and the preservation lemma.
 
 Expected values were produced by probing oracles in a scratch harness before
 this suite was written, then frozen here; search order is deterministic, so
@@ -20,28 +21,27 @@ from adicgaps.breaking import (
     NOT_BROKEN_BOUNDED,
     BreakQuery,
     break_check,
+    candidate_pool,
     eight_type_gap,
-    j_function,
     jbreak_optimality_check,
     jigsaw_audit,
-    preservation_lemma_check,
     record_three_gap,
     revalidate_break,
-    two_break_audit,
 )
+from adicgaps.embeddings import psi_map
 from adicgaps.gaps import (
-    FIRST_MOVE,
     RECORD,
     GapSpec,
     critical_record_gap,
-    critical_strong_gap,
     enumerate_candidates_record,
     max_partition_gap,
 )
 from adicgaps.runtime import canonical_json
-from adicgaps.search import SearchBudget
+from adicgaps.search import RANGE, SearchBudget, admit, probe
 from adicgaps.tree import ScaleLimit
-from adicgaps.types import enumerate_types, parse_type, print_type
+from adicgaps.types import enumerate_types, j_count, parse_type, print_type
+
+from helpers import critical_strong_gap
 
 DELTA = record_three_gap()
 
@@ -248,15 +248,6 @@ class TestJigsawAudit:
         assert audit.fully_broken
         assert all(r.witness.kind == "subalphabet" for _, r in audit.entries)
 
-    def test_csv_table(self):
-        text = jigsaw_audit(DELTA).to_csv()
-        lines = text.strip().splitlines()
-        assert lines[0] == "B,verdict,witness_kind,witness_label,searched"
-        assert len(lines) == 8
-        assert '"0;1",NOT_BROKEN_bounded,,"",86' in lines
-        assert any(line.startswith('"0;2",BROKEN_witnessed,substitution')
-                   for line in lines)
-
     def test_audit_json_carries_note_and_reports(self):
         data = jigsaw_audit(DELTA).as_dict()
         assert data["note"] == AUDIT_CAVEAT
@@ -266,39 +257,52 @@ class TestJigsawAudit:
 
 
 class TestPreservationLemma:
+    """Over every generated dyadic embedding with a two-letter domain, an
+    action fixing both chain types also fixes ``[l0 l1]``."""
+
     def test_no_violations_and_known_premise_holders(self):
-        report = preservation_lemma_check()
-        assert report.holds
-        assert report.violations == ()
-        assert report.checked == 68
-        assert len(report.premise_holders) == 11
-        assert "subalphabet:iota=0,1" in report.premise_holders
-        assert "substitution:blocks=00,10" in report.premise_holders
+        chain0, chain1 = enumerate_types(2)[:2]
+        two_record = parse_type("[l0 l1]", 2)
+        checked = 0
+        premise_holders = []
+        for cand in candidate_pool(2, DEFAULT_BREAK_BUDGET):
+            if cand.domain_alphabet != 2:
+                continue
+            checked += 1
+            mapping = dict(cand.action)
+            if mapping[chain0] == chain0 and mapping[chain1] == chain1:
+                premise_holders.append(f"{cand.kind}:{cand.label}")
+                assert mapping[two_record] == two_record, premise_holders[-1]
+        assert checked == 68
+        assert len(premise_holders) == 11
+        assert "subalphabet:iota=0,1" in premise_holders
+        assert "substitution:blocks=00,10" in premise_holders
 
     def test_reduction_map_fails_the_premise(self):
-        report = preservation_lemma_check()
-        assert report.reduction_map["admissible"]
-        assert report.reduction_map["premise_holds"] is False
-        assert report.reduction_map["chain0_image"] == "[l0 l1]"
-
-    def test_json_shape(self):
-        data = preservation_lemma_check().as_dict()
-        assert data["holds"] is True
-        assert data["violations"] == []
+        # the canonical interleaving reduction moves [l0] to [l0 l1]
+        psi = psi_map(2)
+        action = admit(probe(psi), RANGE, lambda: psi)
+        assert action is not None
+        mapping = {print_type(a): print_type(b) for a, b in action}
+        assert mapping["[l0]"] == "[l0 l1]"
 
 
 class TestJFunction:
+    """J(m), the number of record types over the alphabet m, is the side
+    count of the all-types gap whose breaking the optimality check bounds."""
+
     def test_counts(self):
-        assert j_function(1) == 1
-        assert j_function(2) == 8
-        assert j_function(3) == 61
-        assert j_function(4) == 480
+        assert j_count(1) == 1
+        assert j_count(2) == 8
+        assert j_count(3) == 61
+        assert j_count(4) == 480
+        assert eight_type_gap().n == j_count(2)
 
     def test_scale_guard(self):
         with pytest.raises(ScaleLimit):
-            j_function(5)
-        with pytest.raises(ScaleLimit):
-            j_function(0)
+            j_count(5)
+        with pytest.raises(ValueError):
+            j_count(0)
 
 
 class TestOptimality:
@@ -321,24 +325,27 @@ class TestOptimality:
         assert jbreak_optimality_check().note == AUDIT_CAVEAT
 
 
+def broken_pairs(gap):
+    return tuple(
+        pair
+        for pair in itertools.combinations(range(gap.n), 2)
+        if break_check(query(gap, pair))
+    )
+
+
 class TestTwoBreakAudit:
+    """Every desk gap breaks at some two-element side set."""
+
     def test_every_candidate_breaks_at_a_pair(self):
-        audit = two_break_audit()
-        assert audit.checked == 1458
-        assert audit.failures == ()
-        assert audit.holds
+        # all two-sided dyadic record candidates, each at its one pair {0,1}
+        candidates = enumerate_candidates_record(2)
+        assert len(candidates) == 1458
+        assert [gap for gap in candidates if not broken_pairs(gap)] == []
 
     def test_named_desk_instances(self):
-        named = dict(two_break_audit().named)
-        assert named["critical_record_gap(3)"] == ((0, 1), (0, 2), (1, 2))
-        assert named["record_three_gap"] == ((0, 2), (1, 2))
-        assert named["max_partition_gap(3)"] == ((0, 1), (0, 2), (1, 2))
-
-    def test_json_shape(self):
-        data = two_break_audit().as_dict()
-        assert data["holds"] is True
-        assert data["failures"] == []
-        assert data["named"]["record_three_gap"] == [[0, 2], [1, 2]]
+        assert broken_pairs(critical_record_gap(3)) == ((0, 1), (0, 2), (1, 2))
+        assert broken_pairs(DELTA) == ((0, 2), (1, 2))
+        assert broken_pairs(max_partition_gap(3)) == ((0, 1), (0, 2), (1, 2))
 
 
 class TestProperties:

@@ -38,6 +38,16 @@ def record_file(tmp_path, sides):
     return str(path)
 
 
+def assert_one_error_line(capsys, mention):
+    """Exit-2 contract: nothing on stdout, one ``error:`` line naming
+    ``mention`` on stderr, and no traceback."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
+    assert mention in lines[0]
+
+
 class TestTypesEnum:
     def test_dyadic_listing(self, capsys):
         assert main(["types", "enum", "--n", "2"]) == EXIT_OK
@@ -109,6 +119,34 @@ class TestEnumStrong:
         assert main(argv) == EXIT_OK
         warm = capsys.readouterr().out
         assert warm == cold
+
+
+    def test_cache_dir_is_created_when_missing(self, capsys, tmp_path):
+        cache_dir = tmp_path / "fresh" / "cache"
+        argv = ["gaps", "enum-strong", "--n", "2", "--json", "--cache-dir", str(cache_dir)]
+        assert main(argv) == EXIT_OK
+        assert list(cache_dir.rglob("*.json"))
+
+    @pytest.mark.parametrize("where", ["file", "below-file"])
+    def test_cache_dir_that_is_a_file_exits_2(self, capsys, tmp_path, where):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        cache_dir = blocker if where == "file" else blocker / "cache"
+        argv = ["gaps", "enum-strong", "--n", "2", "--cache-dir", str(cache_dir)]
+        assert main(argv) == EXIT_USAGE
+        assert_one_error_line(capsys, str(cache_dir))
+
+    def test_unwritable_cache_dir_exits_2(self, capsys, tmp_path, monkeypatch):
+        # a superuser may write anywhere, so the permission answer is stubbed
+        locked = tmp_path / "locked"
+        locked.mkdir()
+        real_access = os.access
+        monkeypatch.setattr(
+            os, "access", lambda path, mode: str(path) != str(locked) and real_access(path, mode)
+        )
+        argv = ["gaps", "enum-strong", "--n", "2", "--cache-dir", str(locked)]
+        assert main(argv) == EXIT_USAGE
+        assert_one_error_line(capsys, str(locked))
 
 
 class TestGapsOrder:
@@ -366,6 +404,32 @@ class TestAuditCommand:
         err = capsys.readouterr().err
         assert "unknown audit check" in err
         assert "type-catalogue" in err
+
+    @pytest.mark.parametrize("only", [",", " ", ""])
+    def test_empty_selection_exits_2(self, capsys, tmp_path, only):
+        out = tmp_path / "report.json"
+        argv = ["audit", "paper-tables", "--only", only, "--json-out", str(out), "--no-cache"]
+        assert main(argv) == EXIT_USAGE
+        assert_one_error_line(capsys, "--only")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["abc", "0"])
+    def test_malformed_worker_count_exits_2_before_any_check(
+        self, capsys, tmp_path, monkeypatch, workers
+    ):
+        monkeypatch.setenv("ADICGAPS_WORKERS", workers)
+        out = tmp_path / "report.json"
+        argv = ["audit", "paper-tables", "--json-out", str(out), "--no-cache"]
+        assert main(argv) == EXIT_USAGE
+        assert_one_error_line(capsys, "ADICGAPS_WORKERS")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["missing-dir", "is-dir"])
+    def test_unusable_report_path_exits_2_before_any_check(self, capsys, tmp_path, where):
+        out = tmp_path / "missing_dir" / "x.json" if where == "missing-dir" else tmp_path
+        argv = ["audit", "paper-tables", "--json-out", str(out), "--no-cache"]
+        assert main(argv) == EXIT_USAGE
+        assert_one_error_line(capsys, str(out.parent if where == "missing-dir" else out))
 
     def test_report_metadata(self, capsys, tmp_path):
         out = tmp_path / "report.json"

@@ -22,13 +22,13 @@ from adicgaps.gaps import _realizable_maps
 from adicgaps.tree import (
     NodeSet,
     first_move_equivalent,
-    format_node_set,
     node,
-    node_set,
     parse_node,
     random_node_set,
     reembed,
 )
+
+from helpers import format_node_set
 
 WORKED = EFamily.of(2, "0", ["11", "01"])
 
@@ -87,9 +87,9 @@ def test_classify_subset_stability():
 
 def test_classify_rejects_mixtures():
     with pytest.raises(NotHomogeneous):
-        classify_comb(node_set(2, ["0", "1", "00", "11"]))
+        classify_comb(NodeSet.of(2, ["0", "1", "00", "11"]))
     with pytest.raises(ValueError):
-        classify_comb(node_set(2, ["0", "1"]))
+        classify_comb(NodeSet.of(2, ["0", "1"]))
 
 
 def test_distinct_kinds_are_inequivalent():

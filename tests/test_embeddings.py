@@ -41,7 +41,6 @@ from adicgaps.tree import (
     format_node,
     node,
     parse_node,
-    parse_node_set,
     random_node_set,
     record_equivalent,
     reembed,
@@ -54,6 +53,8 @@ from adicgaps.types import (
     relabel,
     type_witness,
 )
+
+from helpers import parse_node_set
 
 
 def _n(text, alphabet=2):

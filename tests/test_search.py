@@ -57,13 +57,14 @@ from adicgaps.tree import (
     empty_node,
     first_move_equivalent,
     node_from_runs,
-    parse_node_set,
     prec_compare,
     random_node_set,
     reembed,
     words_upto,
 )
 from adicgaps.types import classify_type, enumerate_types, same_type_probes, type_id
+
+from helpers import parse_node_set
 
 BREAK_POOL_2 = (
     ("subalphabet", "iota=0", (0,)),

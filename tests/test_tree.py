@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -16,28 +17,25 @@ from adicgaps.tree import (
     NotBelow,
     ScaleLimit,
     empty_node,
-    first_move,
     first_move_equivalent,
     format_node,
-    format_node_set,
     lex_key,
     meet,
     meet_closure,
     node,
     node_from_runs,
-    node_set,
     parse_node,
-    parse_node_set,
     prec_compare,
     prec_sorted,
     random_node_set,
     record_closure,
     record_equivalent,
-    record_history,
     reembed,
     weight,
 )
 from adicgaps.types import enumerate_types, parse_type, type_witness
+
+from helpers import format_node_set, parse_node_set
 
 
 def letters_strategy(alphabet, max_len=6):
@@ -172,7 +170,58 @@ def test_meet_is_longest_common_prefix(pair):
 
 
 # ---------------------------------------------------------------------------
-# record histories
+# record histories: the oracle of the record closure and of replay_witness
+
+
+def first_move(t: Node, s: Node) -> int:
+    """The letter i with t+i below s; requires t strictly below s."""
+    if not t.strictly_below(s):
+        raise NotBelow(f"{t!r} is not strictly below {s!r}")
+    return s.letter_at(t.length)
+
+
+@dataclass(frozen=True)
+class RecordHistory:
+    """Climb decomposition t = nodes[0] < ... < nodes[-1] = s.
+
+    ``records[k]`` is the letter emitted at ``nodes[k]``: the strictly
+    increasing sequence of new maximum letters met while climbing.
+    """
+
+    nodes: tuple[Node, ...]
+    records: tuple[int, ...]
+
+    def check(self) -> None:
+        assert len(self.nodes) == len(self.records) + 1
+        assert all(self.records[k] < self.records[k + 1] for k in range(len(self.records) - 1))
+        s = self.nodes[-1]
+        for k, rec in enumerate(self.records):
+            t = self.nodes[k]
+            assert t.strictly_below(s) and first_move(t, s) == rec
+            seg = self.nodes[k + 1].suffix_after(t)
+            assert max(l for l, _ in seg.runs) == rec
+
+
+def record_history(t: Node, s: Node) -> RecordHistory:
+    """Running-maximum records of the climb from t to s.
+
+    Maxima restart at t: only letters of the suffix s minus t are scanned.
+    """
+    if not t.strictly_below(s):
+        raise NotBelow(f"{t!r} is not strictly below {s!r}")
+    w = s.suffix_after(t)
+    nodes: list[Node] = []
+    records: list[int] = []
+    best = -1
+    pos = 0
+    for letter, count in w.runs:
+        if letter > best:
+            nodes.append(s.prefix(t.length + pos))
+            records.append(letter)
+            best = letter
+        pos += count
+    nodes.append(s)
+    return RecordHistory(tuple(nodes), tuple(records))
 
 
 def test_record_history_worked_examples():
@@ -240,7 +289,7 @@ def test_meet_closure_matches_fixpoint(alphabet, size, seed):
 
 
 def test_record_closure_worked_example():
-    a = node_set(3, ["e", "1020"])
+    a = NodeSet.of(3, ["e", "1020"])
     assert [format_node(x) for x in a.record_closure_nodes] == ["e", "10", "1020"]
 
 
@@ -376,22 +425,22 @@ def oracle_equivalent(a, b, record):
 
 def test_equivalence_worked_examples():
     # padding along a chain changes nothing
-    assert first_move_equivalent(node_set(2, ["1", "001"]), node_set(2, ["1", "00001"]))
+    assert first_move_equivalent(NodeSet.of(2, ["1", "001"]), NodeSet.of(2, ["1", "00001"]))
     # a first move is part of the structure
-    assert not first_move_equivalent(node_set(2, ["0", "00"]), node_set(2, ["0", "010"]))
+    assert not first_move_equivalent(NodeSet.of(2, ["0", "00"]), NodeSet.of(2, ["0", "010"]))
     # same first move, different record pattern: only the finer relation sees it
-    a, b = node_set(3, ["e", "10"]), node_set(3, ["e", "12"])
+    a, b = NodeSet.of(3, ["e", "10"]), NodeSet.of(3, ["e", "12"])
     assert first_move_equivalent(a, b)
     assert not record_equivalent(a, b)
     # record positions are immaterial, the record letters are not
-    assert record_equivalent(node_set(3, ["e", "102"]), node_set(3, ["e", "12"]))
-    assert not record_equivalent(node_set(3, ["e", "102"]), node_set(3, ["e", "101"]))
+    assert record_equivalent(NodeSet.of(3, ["e", "102"]), NodeSet.of(3, ["e", "12"]))
+    assert not record_equivalent(NodeSet.of(3, ["e", "102"]), NodeSet.of(3, ["e", "101"]))
 
 
 def test_equivalence_requires_matching_membership():
     # equal record closures, different underlying sets
-    a = node_set(2, ["e", "0", "01"])
-    b = node_set(2, ["e", "01"])  # record closure also {e, 0, 01}
+    a = NodeSet.of(2, ["e", "0", "01"])
+    b = NodeSet.of(2, ["e", "01"])  # record closure also {e, 0, 01}
     assert set(a.record_closure_nodes) == set(b.record_closure_nodes)
     assert not record_equivalent(a, b)
 
@@ -441,7 +490,7 @@ def test_equivalence_relation_laws(alphabet, size, record, seed):
 def test_node_set_literals():
     a = parse_node_set(2, "{1, 001, e}")
     assert format_node_set(a) == "{e,1,001}"
-    assert parse_node_set(2, "{}") == node_set(2, [])
+    assert parse_node_set(2, "{}") == NodeSet.of(2, [])
 
 
 # ---------------------------------------------------------------------------
@@ -570,8 +619,8 @@ def domination_teeth():
     runs, sharing long prefixes."""
     phi = domination_embedding(parse_type("[u0 u1 l1]", 2), parse_type("[l0 u1 l1]", 2))
     sets = [
-        apply(phi, node_set(2, ["1", "01", "10", "100", "0001", "000001", "1000001"])),
-        apply(phi, node_set(2, ["000001", "0000010", "00000100", "0000001"])),
+        apply(phi, NodeSet.of(2, ["1", "01", "10", "100", "0001", "000001", "1000001"])),
+        apply(phi, NodeSet.of(2, ["000001", "0000010", "00000100", "0000001"])),
         apply(phi, type_witness(parse_type("[l1]", 2), 4)),
     ]
     return sets
@@ -593,7 +642,7 @@ def test_kernel_matches_reference_on_domination_teeth():
 @given(
     st.integers(2, 3).flatmap(
         lambda n: st.lists(letters_strategy(n, max_len=7), min_size=1, max_size=7).map(
-            lambda words: node_set(n, [node(n, w) for w in words])
+            lambda words: NodeSet.of(n, [node(n, w) for w in words])
         )
     )
 )

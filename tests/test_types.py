@@ -7,9 +7,7 @@ from adicgaps.tree import (
     NodeSet,
     ScaleLimit,
     empty_node,
-    format_node_set,
     node_from_runs,
-    node_set,
     record_equivalent,
 )
 from adicgaps.types import (
@@ -31,6 +29,8 @@ from adicgaps.types import (
     witness_spec,
 )
 
+from helpers import format_node_set
+
 DYADIC = [
     "[l0]",
     "[l1]",
@@ -47,6 +47,7 @@ def test_counts():
     assert j_count(1) == 1
     assert j_count(2) == 8
     assert j_count(3) == 61
+    assert j_count(4) == 480
 
 
 def test_dyadic_catalogue_is_exactly_the_eight():
@@ -183,8 +184,8 @@ def test_classify_witness_roundtrip_all_types():
 
 
 def test_classify_constant_chain():
-    assert print_type(classify_type(node_set(2, ["1", "11", "111"]))) == "[l1]"
-    assert print_type(classify_type(node_set(3, ["2", "22", "222", "2222"]))) == "[l2]"
+    assert print_type(classify_type(NodeSet.of(2, ["1", "11", "111"]))) == "[l1]"
+    assert print_type(classify_type(NodeSet.of(3, ["2", "22", "222", "2222"]))) == "[l2]"
 
 
 def test_comb_witness_record_class_frozen():
@@ -204,15 +205,15 @@ def test_classify_subset_stability():
 
 def test_classify_rejects_small_and_mixed():
     with pytest.raises(ValueError):
-        classify_type(node_set(2, ["0", "1"]))
+        classify_type(NodeSet.of(2, ["0", "1"]))
     with pytest.raises(NotHomogeneous):
-        classify_type(node_set(2, ["0", "1", "00", "11", "0101"]))
+        classify_type(NodeSet.of(2, ["0", "1", "00", "11", "0101"]))
 
 
 def test_classify_ambiguous_truncation():
     # {1, 0001} is a 2-block witness of both [u1 l0] and [u1 l0 l1]; with a
     # pattern-breaking last element the classifier must refuse, not guess
-    a = node_set(2, ["1", "0001", "11111"])
+    a = NodeSet.of(2, ["1", "0001", "11111"])
     with pytest.raises(AmbiguousTruncation):
         classify_type(a)
 
