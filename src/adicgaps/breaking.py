@@ -276,10 +276,6 @@ class JigsawAudit:
     entries: tuple  # ((side indices...), BreakReport) ordered by (len, tuple)
 
     @property
-    def broken_sets(self) -> tuple:
-        return tuple(b for b, report in self.entries if report)
-
-    @property
     def fully_broken(self) -> bool:
         return all(report for _, report in self.entries)
 
@@ -299,8 +295,8 @@ def jigsaw_audit(
 ) -> JigsawAudit:
     """Run :func:`break_check` for every nonempty subset of side indices.
 
-    Queries are independent and evaluated in parallel; the assembled table is
-    ordered by subset size then lexicographically, so output is deterministic.
+    Queries run one after another on the calling thread, in subset order:
+    by size, then lexicographically.
     """
     subsets = [
         combo
@@ -336,10 +332,6 @@ class OptimalityReport:
     qualifying: tuple
     counterexamples: tuple
     note: str
-
-    @property
-    def holds(self) -> bool:
-        return not self.counterexamples
 
 
 def jbreak_optimality_check(

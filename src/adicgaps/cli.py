@@ -7,13 +7,14 @@ report: one entry per acceptance check with an expected/computed pair and a
 ``PASS``/``FAIL`` status, plus two ``DISCREPANCY_KNOWN`` entries for the two
 places where the published text is internally inconsistent and this package
 follows the stated rules instead of the printed values.  The report JSON is
-deterministic apart from its timestamp: reruns — with any worker count, and
-with the result cache hot, cold, or disabled — produce byte-identical
-content after the ``generated_at`` field is excluded.
+deterministic apart from its timestamp: reruns — with the result cache hot,
+cold, or disabled — produce byte-identical content after the
+``generated_at`` field is excluded.  Every command runs on one thread.
 
 Exit codes: 0 on success, 1 when the audit contains a ``FAIL`` entry, and 2
 for usage errors (out-of-range scales, malformed input files, unusable cache
-or report paths, an empty ``--only`` and a malformed ``$ADICGAPS_WORKERS``).
+or report paths, an empty ``--only``) and for a standard output closed before
+the command finished writing to it.
 """
 
 from __future__ import annotations
@@ -79,12 +80,10 @@ from .gaps import (
 )
 from .runtime import (
     SCHEMA_VERSION,
-    WORKERS_ENV,
     ResultCache,
     canonical_json,
     content_key,
     default_cache_dir,
-    worker_count,
 )
 from .search import DEFAULT_SEARCH_BUDGET, SearchBudget
 from .tree import (
@@ -679,24 +678,16 @@ def _revalidation_sweep() -> dict:
     return {"verdicts": checked, "failures": failures}
 
 
-def _determinism_probe() -> dict:
+def _determinism_probe() -> bool:
+    """Whether two runs of the same jigsaw table and strong classes agree
+    byte for byte."""
+
     def snapshot() -> bytes:
         partition = jigsaw_audit(max_partition_gap(3)).as_dict()
         classes = minimal_classes(enumerate_candidates_strong(2)).as_dict()
         return canonical_json({"partition": partition, "classes": classes}).encode()
 
-    saved = os.environ.get(WORKERS_ENV)
-    try:
-        os.environ[WORKERS_ENV] = "1"
-        serial = snapshot()
-        os.environ[WORKERS_ENV] = "4"
-        parallel = snapshot()
-    finally:
-        if saved is None:
-            os.environ.pop(WORKERS_ENV, None)
-        else:
-            os.environ[WORKERS_ENV] = saved
-    return {"bytes": len(serial), "identical": serial == parallel}
+    return snapshot() == snapshot()
 
 
 def _cache_spot_check() -> dict:
@@ -725,13 +716,14 @@ def check_properties(ctx: AuditContext) -> AuditEntry:
         "law_failures": laws["failures"][:5],
         "revalidated_verdicts": revalidation["verdicts"],
         "revalidation_failures": revalidation["failures"],
-        "parallel_rerun_identical": determinism["identical"],
+        # named for the retired thread pool; kept because content_hash covers it
+        "parallel_rerun_identical": determinism,
         "cache_roundtrip_equal": cache["roundtrip_equal"],
     }
     ok = (
         not laws["failures"]
         and not revalidation["failures"]
-        and determinism["identical"]
+        and determinism
         and cache["roundtrip_equal"]
         and laws["sets"] == 300
     )
@@ -841,7 +833,7 @@ def run_audit(
     """Run the audit checks and assemble the report dictionary.
 
     The report is deterministic apart from ``generated_at``: entries depend
-    only on the seed, never on worker count or cache state."""
+    only on the seed, never on cache state."""
     ctx = AuditContext(seed=seed, cache=cache)
     names = [name for name, _ in AUDIT_CHECKS]
     if only is not None:
@@ -1052,10 +1044,6 @@ def cmd_audit_paper_tables(args) -> int:
         only = {name.strip() for name in args.only.split(",") if name.strip()}
         if not only:
             raise UsageError("--only must name at least one check")
-    try:
-        worker_count()
-    except ValueError as ex:
-        raise UsageError(str(ex)) from ex
     out_path = args.json_out or "adicgaps-audit.json"
     if os.path.isdir(out_path):
         raise UsageError(f"report path {out_path} is a directory")
@@ -1192,9 +1180,19 @@ def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except UsageError as ex:
         print(f"error: {ex}", file=sys.stderr)
+        return EXIT_USAGE
+    except BrokenPipeError:
+        # the reader closed standard output (``| head``); send what is still
+        # buffered to the null device so the flush at exit stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: standard output was closed before all output was written", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -148,15 +148,6 @@ class EFamily:
 
         return EFamily(alphabet_out, conv(e_inf), tuple(conv(w) for w in e))
 
-    def word_image(self, s: Node) -> Node:
-        """Blockwise substitution: each letter i becomes e(i), then e(inf)."""
-        if s.alphabet != self.n:
-            raise ValueError(f"word over {s.alphabet} fed to a family of arity {self.n}")
-        out = empty_node(self.alphabet_out)
-        for letter, count in s.runs:
-            out = out.concat(self.e[letter].repeat(count))
-        return out.concat(self.e_inf)
-
 
 @dataclass(frozen=True)
 class InducedCombMap:
@@ -198,14 +189,6 @@ class InducedCombMap:
     def apply(self, kind: CombKind) -> CombKind:
         u, v = self._lookup[(kind.spine, kind.teeth)]
         return CombKind(u, v)
-
-    def compose(self, inner: "InducedCombMap") -> "InducedCombMap":
-        """self after inner: domain arity of ``inner``, outputs of ``self``."""
-        if inner.m != self.n:
-            raise ValueError(f"cannot compose {self.n}x{self.m} after {inner.n}x{inner.m}")
-        return InducedCombMap.from_function(
-            inner.n, self.m, lambda i, j: self._lookup[inner._lookup[(i, j)]]
-        )
 
     def __str__(self) -> str:
         body = ", ".join(f"{i}>{j}: {u}>{v}" for (i, j), (u, v) in self.table)

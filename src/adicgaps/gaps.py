@@ -114,10 +114,6 @@ class GapSpec:
                 return i
         return None
 
-    @property
-    def symbols(self) -> frozenset:
-        return frozenset().union(*self.sides)
-
     def symbol_universe(self) -> tuple:
         """Every symbol of the layer over this alphabet, canonically ordered."""
         if self.layer == FIRST_MOVE:

@@ -1,9 +1,8 @@
-"""Shared runtime helpers: deterministic parallel map, canonical JSON, and a
-small content-addressed result cache.
+"""Shared runtime helpers: an in-order map, canonical JSON, and a small
+content-addressed result cache.
 
-Everything here is policy-free plumbing.  ``pmap`` evaluates independent work
-items on a thread pool but always returns results in input order, so callers
-stay deterministic regardless of scheduling.  ``canonical_json`` renders JSON
+Everything here is policy-free plumbing, and all of it runs on the calling
+thread.  ``pmap`` is a plain in-order map.  ``canonical_json`` renders JSON
 with sorted keys and fixed separators, which makes reports byte-stable and
 lets ``content_key`` derive cache keys by hashing.  ``ResultCache`` stores one
 JSON document per key under a schema-version directory; bumping the version
@@ -18,9 +17,8 @@ import hashlib
 import json
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence, TypeVar
+from typing import Any, Callable, Iterable, TypeVar
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
@@ -29,41 +27,18 @@ _R = TypeVar("_R")
 #: under other versions are ignored (recomputed), never migrated.
 SCHEMA_VERSION = 1
 
-#: Environment variable overriding the worker count used by :func:`pmap`.
-WORKERS_ENV = "ADICGAPS_WORKERS"
-
 #: Environment variable overriding the default cache directory.
 CACHE_DIR_ENV = "ADICGAPS_CACHE_DIR"
 
 
-def worker_count() -> int:
-    """Number of workers ``pmap`` uses: ``$ADICGAPS_WORKERS`` or CPU count."""
-    raw = os.environ.get(WORKERS_ENV, "")
-    if raw.strip():
-        try:
-            n = int(raw)
-        except ValueError:
-            raise ValueError(f"{WORKERS_ENV} must be an integer, got {raw!r}")
-        if n < 1:
-            raise ValueError(f"{WORKERS_ENV} must be positive, got {n}")
-        return n
-    return os.cpu_count() or 1
-
-
 def pmap(fn: Callable[[_T], _R], items: Iterable[_T]) -> list[_R]:
-    """Map ``fn`` over ``items`` on a thread pool, preserving input order.
+    """``[fn(x) for x in items]``, on the calling thread and in input order.
 
-    With one worker (or one item) the map runs inline, which keeps stack
-    traces readable and avoids pool overhead for trivial workloads.  The
-    worker count comes from :func:`worker_count`; results are collected in
-    input order, so output is independent of scheduling.
+    Kept as a named function only because the benchmark tracer
+    (``bench/tracer.py``) looks up ``runtime.pmap`` to time the audit's
+    jigsaw queries; retire it together with that lookup.
     """
-    work: Sequence[_T] = list(items)
-    workers = min(worker_count(), len(work)) if work else 1
-    if workers <= 1:
-        return [fn(item) for item in work]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, work))
+    return [fn(item) for item in items]
 
 
 def canonical_json(obj: Any) -> str:

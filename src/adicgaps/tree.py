@@ -10,8 +10,7 @@ materialises letters unless explicitly asked.
 The runs of a ``Node`` are always normal: no zero counts, no two adjacent
 runs with the same letter.  Joining two normal words can only merge the two
 runs at the seam, so ``concat``, ``extend`` and ``repeat`` touch the seam
-alone, and slicing (``prefix``, ``suffix_from``) keeps runs normal as it
-cuts.  Full normalisation is for untrusted input (``node_from_runs``).
+alone, and slicing (``prefix``) keeps runs normal as it cuts.  Full normalisation is for untrusted input (``node_from_runs``).
 
 Provided on top of the raw words:
 
@@ -49,10 +48,6 @@ _MATERIALIZE_LIMIT = 1_000_000
 
 class AlphabetMismatch(ValueError):
     """Operands live over different alphabets."""
-
-
-class NotBelow(ValueError):
-    """An operation required one node to be a strict extension of another."""
 
 
 class ScaleLimit(ValueError):
@@ -134,25 +129,6 @@ class Node:
             left -= take
         return Node(self.alphabet, tuple(out), length)
 
-    def suffix_from(self, start: int) -> "Node":
-        """The word consisting of positions ``start..`` of this node."""
-        if start < 0 or start > self.length:
-            raise ValueError(f"suffix start {start} out of range")
-        skip = start
-        for k, (letter, count) in enumerate(self.runs):
-            if skip < count:
-                runs = ((letter, count - skip),) + self.runs[k + 1 :]
-                return Node(self.alphabet, runs, self.length - start)
-            skip -= count
-        return Node(self.alphabet, (), 0)
-
-    def suffix_after(self, t: "Node") -> "Node":
-        """The word r with t + r == self; requires t to be a prefix."""
-        _check_alphabet(self, t)
-        if not t.is_prefix_of(self):
-            raise NotBelow(f"{t!r} is not a prefix of {self!r}")
-        return self.suffix_from(t.length)
-
     def concat(self, other: "Node") -> "Node":
         _check_alphabet(self, other)
         return Node(self.alphabet, _join(self.runs, other.runs), self.length + other.length)
@@ -201,9 +177,6 @@ class Node:
         letter, count = self.runs[k - 1]
         oletter, ocount = other.runs[k - 1]
         return letter == oletter and count <= ocount
-
-    def strictly_below(self, other: "Node") -> bool:
-        return self.length < other.length and self.is_prefix_of(other)
 
 
 def _check_alphabet(a: Node, b: Node) -> None:

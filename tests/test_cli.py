@@ -21,6 +21,8 @@ from adicgaps.cli import (
 from adicgaps.gaps import critical_record_gap
 from adicgaps.breaking import record_three_gap
 
+from helpers import RETIRED_POOL_VARIABLE
+
 
 @pytest.fixture
 def gap_file(tmp_path):
@@ -413,16 +415,14 @@ class TestAuditCommand:
         assert_one_error_line(capsys, "--only")
         assert not out.exists()
 
-    @pytest.mark.parametrize("workers", ["abc", "0"])
-    def test_malformed_worker_count_exits_2_before_any_check(
-        self, capsys, tmp_path, monkeypatch, workers
-    ):
-        monkeypatch.setenv("ADICGAPS_WORKERS", workers)
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_retired_pool_variable_is_ignored(self, capsys, tmp_path, monkeypatch, value):
+        monkeypatch.setenv(RETIRED_POOL_VARIABLE, value)
         out = tmp_path / "report.json"
-        argv = ["audit", "paper-tables", "--json-out", str(out), "--no-cache"]
-        assert main(argv) == EXIT_USAGE
-        assert_one_error_line(capsys, "ADICGAPS_WORKERS")
-        assert not out.exists()
+        argv = ["audit", "paper-tables", "--only", "type-catalogue"]
+        assert main(argv + ["--json-out", str(out), "--no-cache"]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert json.loads(out.read_text())["summary"]["pass"] == 1
 
     @pytest.mark.parametrize("where", ["missing-dir", "is-dir"])
     def test_unusable_report_path_exits_2_before_any_check(self, capsys, tmp_path, where):
@@ -462,6 +462,34 @@ def _run_cli(argv, **kwargs):
         [sys.executable, "-m", "adicgaps.cli", *argv],
         env=env, capture_output=True, text=True, **kwargs,
     )
+
+
+def test_output_closed_early_exits_2_with_one_error_line():
+    # the reader takes one line and closes; a one-page pipe cannot hold the
+    # rest of the 480-type listing, so a later write always meets the closed end
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        pytest.skip("pipe capacity cannot be set on this platform")
+    read_end, write_end = os.pipe()
+    fcntl.fcntl(read_end, fcntl.F_SETPIPE_SZ, 4096)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "adicgaps.cli", "types", "enum", "--n", "4"],
+        stdout=write_end, stderr=subprocess.PIPE, env=env, text=True,
+    )
+    os.close(write_end)
+    first = b""
+    while not first.endswith(b"\n"):
+        chunk = os.read(read_end, 1)
+        if not chunk:
+            break
+        first += chunk
+    os.close(read_end)
+    _, err = proc.communicate(timeout=60)
+    assert first == b"record types over the 4-letter alphabet: 480\n"
+    assert proc.returncode == EXIT_USAGE
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
 
 
 def test_importing_the_package_leaves_numpy_unloaded(tmp_path):

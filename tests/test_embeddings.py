@@ -7,7 +7,6 @@ import random
 import pytest
 
 from adicgaps.combs import (
-    CombKind,
     EFamily,
     InducedCombMap,
     NotHomogeneous,
@@ -18,7 +17,6 @@ from adicgaps.embeddings import (
     OutOfDomain,
     SubstitutionEmbedding,
     TabulatedEmbedding,
-    UnstableAction,
     ValidationFailure,
     apply,
     comb_action,

@@ -50,7 +50,7 @@ from adicgaps.search import efamily_label
 from adicgaps.tree import ScaleLimit
 from adicgaps.types import enumerate_types, max_of, parse_type, print_type
 
-from helpers import critical_strong_gap
+from helpers import compose, critical_strong_gap
 
 
 def strong2(s0, s1):
@@ -234,7 +234,7 @@ class TestOrderFirstMove:
         assert len(maps) == 20  # frozen count, also pinned in the comb tests
         tables = {eps.table for eps in maps}
         for outer, inner in itertools.product(maps, repeat=2):
-            assert outer.compose(inner).table in tables
+            assert compose(outer, inner).table in tables
         assert InducedCombMap.identity(2).table in tables
 
 
@@ -658,7 +658,7 @@ class TestDominationPrune:
         report = domination_prune(enumerate_candidates_record(2))
         removed = {parse_type(t, 2) for t in report.removed_types}
         for g in report.pruned:
-            assert not (g.symbols & removed)
+            assert not frozenset().union(*g.sides) & removed
 
     def test_widest_row_restriction_retained(self):
         report = domination_prune(enumerate_candidates_record(2))
@@ -668,7 +668,8 @@ class TestDominationPrune:
     def test_disputed_type_retained_and_flagged(self):
         report = domination_prune(enumerate_candidates_record(2))
         assert "[l0 u1 l1]" in report.audit_note
-        assert any(parse_type("[l0 u1 l1]", 2) in g.symbols for g in report.pruned)
+        disputed = parse_type("[l0 u1 l1]", 2)
+        assert any(disputed in side for g in report.pruned for side in g.sides)
 
     def test_idempotent(self):
         once = domination_prune(enumerate_candidates_record(2))

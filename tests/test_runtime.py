@@ -1,4 +1,4 @@
-"""Runtime helper tests: ordered parallel map, canonical JSON, result cache."""
+"""Runtime helper tests: in-order map, canonical JSON, result cache."""
 
 import json
 
@@ -7,13 +7,11 @@ import pytest
 from adicgaps.runtime import (
     CACHE_DIR_ENV,
     SCHEMA_VERSION,
-    WORKERS_ENV,
     ResultCache,
     canonical_json,
     content_key,
     default_cache_dir,
     pmap,
-    worker_count,
 )
 
 
@@ -31,19 +29,6 @@ class TestPmap:
 
         with pytest.raises(RuntimeError, match="item 0"):
             pmap(boom, [0, 1, 2])
-
-    def test_worker_env_override(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "1")
-        assert worker_count() == 1
-        assert pmap(lambda x: x + 1, [1, 2, 3]) == [2, 3, 4]
-
-    def test_worker_env_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "many")
-        with pytest.raises(ValueError, match="integer"):
-            worker_count()
-        monkeypatch.setenv(WORKERS_ENV, "0")
-        with pytest.raises(ValueError, match="positive"):
-            worker_count()
 
 
 class TestCanonicalJson:

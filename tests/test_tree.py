@@ -14,7 +14,6 @@ from adicgaps.tree import (
     EquivalenceResult,
     Node,
     NodeSet,
-    NotBelow,
     ScaleLimit,
     empty_node,
     first_move_equivalent,
@@ -35,7 +34,14 @@ from adicgaps.tree import (
 )
 from adicgaps.types import enumerate_types, parse_type, type_witness
 
-from helpers import format_node_set, parse_node_set
+from helpers import (
+    NotBelow,
+    format_node_set,
+    parse_node_set,
+    strictly_below,
+    suffix_after,
+    suffix_from,
+)
 
 
 def letters_strategy(alphabet, max_len=6):
@@ -75,10 +81,10 @@ def test_letter_access_and_slicing():
     a = parse_node(4, "0123012")
     assert [a.letter_at(i) for i in range(7)] == [0, 1, 2, 3, 0, 1, 2]
     assert a.prefix(3) == parse_node(4, "012")
-    assert a.suffix_from(3) == parse_node(4, "3012")
-    assert a.suffix_after(parse_node(4, "01")) == parse_node(4, "23012")
+    assert suffix_from(a, 3) == parse_node(4, "3012")
+    assert suffix_after(a, parse_node(4, "01")) == parse_node(4, "23012")
     with pytest.raises(NotBelow):
-        a.suffix_after(parse_node(4, "1"))
+        suffix_after(a, parse_node(4, "1"))
     with pytest.raises(IndexError):
         a.letter_at(7)
 
@@ -99,8 +105,8 @@ def test_prefix_relation():
     assert parse_node(2, "00").is_prefix_of(a)
     assert not parse_node(2, "01").is_prefix_of(a)
     assert a.is_prefix_of(a)
-    assert not a.strictly_below(a)
-    assert parse_node(2, "0").strictly_below(a)
+    assert not strictly_below(a, a)
+    assert strictly_below(parse_node(2, "0"), a)
 
 
 def test_big_counts_stay_cheap():
@@ -175,7 +181,7 @@ def test_meet_is_longest_common_prefix(pair):
 
 def first_move(t: Node, s: Node) -> int:
     """The letter i with t+i below s; requires t strictly below s."""
-    if not t.strictly_below(s):
+    if not strictly_below(t, s):
         raise NotBelow(f"{t!r} is not strictly below {s!r}")
     return s.letter_at(t.length)
 
@@ -197,8 +203,8 @@ class RecordHistory:
         s = self.nodes[-1]
         for k, rec in enumerate(self.records):
             t = self.nodes[k]
-            assert t.strictly_below(s) and first_move(t, s) == rec
-            seg = self.nodes[k + 1].suffix_after(t)
+            assert strictly_below(t, s) and first_move(t, s) == rec
+            seg = suffix_after(self.nodes[k + 1], t)
             assert max(l for l, _ in seg.runs) == rec
 
 
@@ -207,9 +213,9 @@ def record_history(t: Node, s: Node) -> RecordHistory:
 
     Maxima restart at t: only letters of the suffix s minus t are scanned.
     """
-    if not t.strictly_below(s):
+    if not strictly_below(t, s):
         raise NotBelow(f"{t!r} is not strictly below {s!r}")
-    w = s.suffix_after(t)
+    w = suffix_after(s, t)
     nodes: list[Node] = []
     records: list[int] = []
     best = -1
@@ -254,7 +260,7 @@ def test_record_history_on_giant_runs():
 @given(st.integers(2, 4).flatmap(lambda n: pair_strategy(n)))
 def test_record_history_invariants(pair):
     t, s = pair
-    if not t.strictly_below(s):
+    if not strictly_below(t, s):
         s = t.concat(s).extend(0)
     h = record_history(t, s)
     h.check()
@@ -303,7 +309,7 @@ def test_record_closure_is_closed(alphabet, size, seed):
     for x in items:
         for y in items:
             assert meet(x, y) in clo
-            if x.strictly_below(y):
+            if strictly_below(x, y):
                 for nd in record_history(x, y).nodes:
                     assert nd in clo
     assert set(record_closure(clo).nodes) == set(clo.nodes)
@@ -320,7 +326,7 @@ def fixpoint_record_closure(nodes):
         for i in range(len(items)):
             for j in range(i + 1, len(items)):
                 new.add(meet(items[i], items[j]))
-                if items[i].strictly_below(items[j]):
+                if strictly_below(items[i], items[j]):
                     new.update(record_history(items[i], items[j]).nodes[1:-1])
         if new <= cur:
             return tuple(items)
@@ -376,8 +382,8 @@ def replay_witness(a: NodeSet, b: NodeSet, result: EquivalenceResult, record: bo
                 return False
             if prec_compare(x, y) != prec_compare(f[x], f[y]):
                 return False
-            lo, hi = (x, y) if x.strictly_below(y) else (y, x)
-            if lo.strictly_below(hi):
+            lo, hi = (x, y) if strictly_below(x, y) else (y, x)
+            if strictly_below(lo, hi):
                 if first_move(lo, hi) != first_move(f[lo], f[hi]):
                     return False
                 if record:
@@ -407,7 +413,7 @@ def oracle_equivalent(a, b, record):
                     ok = False
                 elif prec_compare(x, y) != prec_compare(f[x], f[y]):
                     ok = False
-                elif x.strictly_below(y):
+                elif strictly_below(x, y):
                     if first_move(x, y) != first_move(f[x], f[y]):
                         ok = False
                     elif record and record_history(x, y).records != record_history(
@@ -555,7 +561,7 @@ def reference_record_closure(a):
     out = set(items)
     for i, lo in enumerate(items):
         for hi in items[i + 1 :]:
-            if lo.strictly_below(hi):
+            if strictly_below(lo, hi):
                 out.update(record_history(lo, hi).nodes[1:-1])
     return tuple(prec_sorted(out))
 
@@ -588,7 +594,7 @@ def assert_joins_match(a, b):
     for letter in range(a.alphabet):
         assert a.extend(letter, 2) == reference_extend(a, letter, 2)
     for start in {0, a.length // 2, a.length}:
-        assert a.suffix_from(start) == reference_suffix_from(a, start)
+        assert suffix_from(a, start) == reference_suffix_from(a, start)
 
 
 def test_kernel_matches_reference_on_seeded_corpus():
@@ -657,7 +663,7 @@ def test_joins_match_reference(pair, times):
     assert a.repeat(times) == reference_repeat(a, times)
     assert a.extend(b.alphabet - 1, times) == reference_extend(a, b.alphabet - 1, times)
     start = min(times, a.length)
-    assert a.suffix_from(start) == reference_suffix_from(a, start)
+    assert suffix_from(a, start) == reference_suffix_from(a, start)
 
 
 @given(st.integers(2, 4).flatmap(lambda n: pair_strategy(n)))
@@ -718,6 +724,6 @@ def test_kernel_builds_no_meets_and_renormalises_nothing(monkeypatch):
     for a in sets:
         items = a.sorted_nodes
         for x, y in zip(items, items[1:]):
-            x.concat(y).extend(0, 2).extend(1).repeat(3).suffix_from(y.length // 2)
-            y.repeat(2).suffix_from(1)
+            suffix_from(x.concat(y).extend(0, 2).extend(1).repeat(3), y.length // 2)
+            suffix_from(y.repeat(2), 1)
     assert calls["_normalize_runs"] == 0

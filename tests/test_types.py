@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 
 from adicgaps.combs import CombKind, NotHomogeneous, comb_witness
