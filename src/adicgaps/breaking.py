@@ -39,10 +39,10 @@ sets ``M``.)
 
 Verdicts are one-sided: ``BROKEN_witnessed`` embeds a re-checkable witness,
 while ``NOT_BROKEN_bounded`` only reports that the budgeted search found
-nothing — non-breaking facts are not mechanized here.  Every audit carries
-the same caveat: only restrictions along the full side set and only ranges of
-generated embeddings are examined, so a clean sweep under-approximates the
-full combinatorial statement.
+nothing — non-breaking facts are not mechanized here.  Only restrictions
+along the full side set and only ranges of generated embeddings are
+examined, so a clean sweep under-approximates the full combinatorial
+statement.
 """
 
 from __future__ import annotations
@@ -69,16 +69,6 @@ from .types import enumerate_types, parse_type, print_type
 
 BROKEN_WITNESSED = "BROKEN_witnessed"
 NOT_BROKEN_BOUNDED = "NOT_BROKEN_bounded"
-
-#: Printed at the head of every audit: the search examines only restrictions
-#: along the full side set, and only candidate sets M that arise as ranges of
-#: the generated embeddings, so clean results under-approximate the full
-#: combinatorial property.
-AUDIT_CAVEAT = (
-    "under-approximation: only the full side set is audited and only ranges "
-    "of generated embeddings are searched; BROKEN verdicts are witnessed, "
-    "NOT_BROKEN verdicts are bounded refutations only"
-)
 
 
 # --------------------------------------------------------------------------
@@ -252,17 +242,6 @@ def record_three_gap() -> GapSpec:
     )
 
 
-def eight_type_gap() -> GapSpec:
-    """The dyadic gap with one singleton side per type, in catalogue order."""
-    catalogue = enumerate_types(2)
-    return GapSpec(
-        layer=RECORD,
-        n=len(catalogue),
-        m=2,
-        sides=tuple(frozenset({tau}) for tau in catalogue),
-    )
-
-
 # --------------------------------------------------------------------------
 # jigsaw audit
 
@@ -272,7 +251,6 @@ class JigsawAudit:
     """Break verdicts for every nonempty subset of sides of one gap."""
 
     gap: GapSpec
-    note: str
     entries: tuple  # ((side indices...), BreakReport) ordered by (len, tuple)
 
     @property
@@ -282,7 +260,6 @@ class JigsawAudit:
     def as_dict(self) -> dict:
         return {
             "gap": self.gap.to_json(),
-            "note": self.note,
             "entries": [
                 {"broken_sides": list(b), "report": report.as_dict()}
                 for b, report in self.entries
@@ -306,11 +283,7 @@ def jigsaw_audit(
     reports = pmap(
         lambda b: break_check(BreakQuery(gap, frozenset(b), budget)), subsets
     )
-    return JigsawAudit(
-        gap=gap,
-        note=AUDIT_CAVEAT,
-        entries=tuple(zip(subsets, reports)),
-    )
+    return JigsawAudit(gap=gap, entries=tuple(zip(subsets, reports)))
 
 
 # --------------------------------------------------------------------------
@@ -321,17 +294,16 @@ def jigsaw_audit(
 class OptimalityReport:
     """Evidence that the all-types gap needs every side to break.
 
+    The all-types gap is the dyadic gap with one singleton side per type.
     Over every generated dyadic embedding whose action range contains both
     chain types, the range must be the full eight-type catalogue — otherwise
     some proper superset of {0, 1} would break the eight-sided gap, beating
     the J bound.  ``qualifying`` lists the embeddings meeting the premise;
     ``counterexamples`` is expected to stay empty."""
 
-    gap: GapSpec
     checked: int
     qualifying: tuple
     counterexamples: tuple
-    note: str
 
 
 def jbreak_optimality_check(
@@ -339,7 +311,6 @@ def jbreak_optimality_check(
 ) -> OptimalityReport:
     """Check that no generated embedding witnesses a partial break of the
     eight-type gap beyond the two chain sides."""
-    gap = eight_type_gap()
     catalogue = enumerate_types(2)
     chain0, chain1 = catalogue[0], catalogue[1]
     checked = 0
@@ -359,9 +330,7 @@ def jbreak_optimality_check(
                     {"embedding": tag, "range_size": len(rng), "missing": missing}
                 )
     return OptimalityReport(
-        gap=gap,
         checked=checked,
         qualifying=tuple(qualifying),
         counterexamples=tuple(counterexamples),
-        note=AUDIT_CAVEAT,
     )

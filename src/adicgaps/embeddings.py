@@ -270,49 +270,30 @@ def _classify_comb_image(phi: Embedding, kind: CombKind, count: int) -> CombKind
     return classify_comb(image)
 
 
-def comb_action_partial(
-    phi: Embedding,
-) -> tuple[dict[tuple[int, int], Optional[tuple[int, int]]], dict[tuple[int, int], str]]:
-    """Map each comb kind's witness through phi and classify the image, at
-    two sizes.  Kinds whose images do not classify, or classify differently
-    at the two sizes, get None plus a reason.  Chain images always classify;
-    comb images need not (a block longer than twice the spine block pushes
-    teeth past the next branch point, and no comb witness looks like that).
-    """
-    n = phi.domain_alphabet
-    table: dict[tuple[int, int], Optional[tuple[int, int]]] = {}
-    reasons: dict[tuple[int, int], str] = {}
-    for i in range(n):
-        for j in range(n):
-            kind = CombKind(i, j)
-            try:
-                first = _classify_comb_image(phi, kind, COMB_BLOCKS)
-                second = _classify_comb_image(phi, kind, COMB_BLOCKS + 1)
-            except (NotHomogeneous, ScaleLimit, OutOfDomain) as ex:
-                table[(i, j)] = None
-                reasons[(i, j)] = f"{type(ex).__name__}: {ex}"
-                continue
-            if first != second:
-                table[(i, j)] = None
-                reasons[(i, j)] = (
-                    f"unstable: {first} at {COMB_BLOCKS} blocks, "
-                    f"{second} at {COMB_BLOCKS + 1}"
-                )
-            else:
-                table[(i, j)] = (first.spine, first.teeth)
-    return table, reasons
-
-
 def comb_action(phi: Embedding) -> InducedCombMap:
-    """Total comb action; raises if any kind is unstable or unclassifiable."""
-    table, reasons = comb_action_partial(phi)
-    for key, reason in reasons.items():
-        if reason.startswith("unstable"):
-            raise UnstableAction(f"{key[0]}>{key[1]} {reason}")
-        raise NotHomogeneous(f"image of {key[0]}>{key[1]} witness: {reason}")
-    return InducedCombMap.from_function(
-        phi.domain_alphabet, phi.codomain_alphabet, lambda i, j: table[(i, j)]
-    )
+    """Map each comb kind's witness through phi and classify the image, at
+    two sizes; raise at the first kind whose images do not classify
+    (NotHomogeneous) or classify differently at the two sizes
+    (UnstableAction).  Chain images always classify; comb images need not (a
+    block longer than twice the spine block pushes teeth past the next
+    branch point, and no comb witness looks like that).
+    """
+
+    def image(i: int, j: int) -> tuple[int, int]:
+        kind = CombKind(i, j)
+        try:
+            first = _classify_comb_image(phi, kind, COMB_BLOCKS)
+            second = _classify_comb_image(phi, kind, COMB_BLOCKS + 1)
+        except (NotHomogeneous, ScaleLimit, OutOfDomain) as ex:
+            raise NotHomogeneous(f"image of {i}>{j} witness: {type(ex).__name__}: {ex}") from ex
+        if first != second:
+            raise UnstableAction(
+                f"{i}>{j} unstable: {first} at {COMB_BLOCKS} blocks, "
+                f"{second} at {COMB_BLOCKS + 1}"
+            )
+        return first.spine, first.teeth
+
+    return InducedCombMap.from_function(phi.domain_alphabet, phi.codomain_alphabet, image)
 
 
 @dataclass(frozen=True)
@@ -522,23 +503,18 @@ def _stem_index(stem: Node) -> int:
     """Position of the stem in the well-ordered list of all stems.
 
     Stems are words not ending in 0 (plus the empty word); for length p >= 1
-    there are (n-1) * n**(p-1) of them, ordered by length then value.
+    there are (n-1) * n**(p-1) of them, ordered by length, then by the head
+    (the stem without its last letter) read as a base-n numeral, which is
+    ``weight(head) // n``, then by the last letter, 1 to n-1.
     """
     if stem.is_empty:
         return 0
     n = stem.alphabet
     p = stem.length
     before = 1 + sum((n - 1) * n ** (q - 1) for q in range(1, p))
-    head = stem.prefix(p - 1)
-    value = 0
-    pos = 0
-    for letter, count in head.runs:
-        if letter:
-            lo = p - 2 - pos - count + 1
-            value += letter * ((n ** (lo + count) - n**lo) // (n - 1) if n > 1 else count)
-        pos += count
+    head_value = weight(stem.prefix(p - 1)) // n
     last = stem.letter_at(p - 1)
-    return before + value * (n - 1) + (last - 1)
+    return before + head_value * (n - 1) + (last - 1)
 
 
 def domination_embedding(

@@ -3,8 +3,9 @@
 A gap specification assigns comb kinds (first-move layer) or record types
 (record layer) to sides.  This module decides the witnessed order between
 two specifications, enumerates the candidate lists with their pinned
-diagonals, extracts minimal equivalence classes with their quotients by
-alphabet permutations, and prunes record candidates through domination.
+diagonals, extracts the minimal equivalence classes of the strong (first-move)
+candidates with their quotients by alphabet permutations, and prunes record
+candidates through domination.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .search import (
 )
 from .tree import ScaleLimit, format_node, words_upto
 from .types import (
+    TYPE_ALPHABET_LIMIT,
     TypeDescriptor,
     enumerate_types,
     max_of,
@@ -85,6 +87,11 @@ class GapSpec:
             raise ValueError(f"{len(self.sides)} sides for arity {self.n}")
         if self.m < 1:
             raise ValueError("alphabet must be positive")
+        if self.layer == RECORD and self.m > TYPE_ALPHABET_LIMIT:
+            raise ScaleLimit(
+                f"record gaps are supported over alphabets up to {TYPE_ALPHABET_LIMIT}, "
+                f"got {self.m}"
+            )
         seen = set()
         for side in self.sides:
             if not side:
@@ -143,8 +150,9 @@ class GapSpec:
     def from_json(obj: dict) -> "GapSpec":
         if not isinstance(obj, dict):
             raise ValueError("a gap file must hold a JSON object")
-        layer = obj["layer"]
-        m = int(obj["m"])
+        layer, n, m = obj["layer"], obj["n"], obj["m"]
+        if type(n) is not int or type(m) is not int:  # bool is an int subtype
+            raise ValueError("a gap file's n and m must be integers")
         if layer == FIRST_MOVE:
             parse = CombKind.parse
         elif layer == RECORD:
@@ -154,9 +162,7 @@ class GapSpec:
         sides = tuple(list(side) for side in obj["sides"])
         if not all(isinstance(text, str) for side in sides for text in side):
             raise ValueError("a gap side must list symbols as strings")
-        return GapSpec(
-            layer, int(obj["n"]), m, tuple(frozenset(map(parse, side)) for side in sides)
-        )
+        return GapSpec(layer, n, m, tuple(frozenset(map(parse, side)) for side in sides))
 
     def __str__(self) -> str:
         body = " | ".join(
@@ -452,7 +458,6 @@ class MinimalClassesReport:
     minimal: tuple[int, ...]
     classes: tuple[tuple[int, ...], ...]
     quotient_counts: dict
-    mode: str  # exact | witnessed
 
     @property
     def class_representatives(self) -> tuple[GapSpec, ...]:
@@ -460,7 +465,7 @@ class MinimalClassesReport:
 
     def as_dict(self) -> dict:
         return {
-            "mode": self.mode,
+            "mode": "exact",
             "candidates": len(self.candidates),
             "minimal": len(self.minimal),
             "classes": [[self.candidates[i].to_json()["sides"] for i in cls] for cls in self.classes],
@@ -557,41 +562,22 @@ def _permuted_candidate(g: GapSpec, pi: tuple[int, ...], convention: str) -> Opt
 
 
 def minimal_classes(candidates: tuple[GapSpec, ...]) -> MinimalClassesReport:
-    """Minimal candidates grouped by mutual order, with permutation quotients.
+    """Minimal strong candidates grouped by mutual order, with permutation
+    quotients.
 
-    The strong layer is decided exactly by the pullback matrix of
-    :func:`_le_matrix_strong`.  The record layer walks :func:`order_le` over
-    all pairs; an UNKNOWN on a needed pair aborts with an error naming the
-    blocked comparison, because minimality must not be guessed.  Either way
-    ``le`` is a dense bool matrix; minimality is read off its edge list (a
-    candidate is minimal when each edge into it comes back), and classes
-    group the minimal candidates by mutual order.
+    The order is decided exactly by the pullback matrix of
+    :func:`_le_matrix_strong`, a dense bool matrix ``le``; minimality is read
+    off its edge list (a candidate is minimal when each edge into it comes
+    back), and classes group the minimal candidates by mutual order.  Only
+    the first-move layer is supported: the record order is bounded, and
+    minimality must not be guessed.
     """
     import numpy as np
 
-    if not candidates:
-        return MinimalClassesReport((), np.zeros((0, 0), dtype=bool), (), (), {}, "exact")
-    layer = candidates[0].layer
     n = candidates[0].n
-    if any(c.layer != layer or c.n != n for c in candidates):
-        raise ValueError("candidates must share layer and arity")
-
-    if layer == FIRST_MOVE:
-        le = _le_matrix_strong(tuple(candidates), n)
-        mode = "exact"
-    else:
-        mode = "witnessed"
-        k_count = len(candidates)
-        le = np.zeros((k_count, k_count), dtype=bool)
-        for i, g in enumerate(candidates):
-            for j, h in enumerate(candidates):
-                res = order_le(g, h)
-                if res.verdict == LE_WITNESSED:
-                    le[i, j] = True
-                elif res.verdict == UNKNOWN_BOUNDED:
-                    raise ValueError(
-                        f"minimality blocked by unknown comparison {g} vs {h}"
-                    )
+    if any(c.layer != FIRST_MOVE or c.n != n for c in candidates):
+        raise ValueError("minimal classes need first-move candidates of one arity")
+    le = _le_matrix_strong(tuple(candidates), n)
 
     # i is minimal when no j lies strictly below it: every edge j -> i of the
     # edge list comes back as le[i, j]
@@ -613,22 +599,21 @@ def minimal_classes(candidates: tuple[GapSpec, ...]) -> MinimalClassesReport:
     # the other; permutations form a group, so each class's set of exact
     # images is its whole orbit and serves as the orbit's key
     quotient_counts: dict[str, int] = {}
-    if layer == FIRST_MOVE:
-        index_of = {c: k for k, c in enumerate(candidates)}
-        class_at = {frozenset(cls): a for a, cls in enumerate(classes)}
-        for convention in ("alphabet", "sides_only"):
-            orbits = set()
-            for cls in classes:
-                orbit = set()
-                for pi in itertools.permutations(range(n)):
-                    image = frozenset(
-                        index_of.get(_permuted_candidate(candidates[idx], pi, convention))
-                        for idx in cls
-                    )
-                    if image in class_at:
-                        orbit.add(class_at[image])
-                orbits.add(frozenset(orbit))
-            quotient_counts[convention] = len(orbits)
+    index_of = {c: k for k, c in enumerate(candidates)}
+    class_at = {frozenset(cls): a for a, cls in enumerate(classes)}
+    for convention in ("alphabet", "sides_only"):
+        orbits = set()
+        for cls in classes:
+            orbit = set()
+            for pi in itertools.permutations(range(n)):
+                image = frozenset(
+                    index_of.get(_permuted_candidate(candidates[idx], pi, convention))
+                    for idx in cls
+                )
+                if image in class_at:
+                    orbit.add(class_at[image])
+            orbits.add(frozenset(orbit))
+        quotient_counts[convention] = len(orbits)
 
     return MinimalClassesReport(
         tuple(candidates),
@@ -636,7 +621,6 @@ def minimal_classes(candidates: tuple[GapSpec, ...]) -> MinimalClassesReport:
         tuple(minimal),
         tuple(tuple(cls) for cls in classes),
         quotient_counts,
-        mode,
     )
 
 
@@ -651,25 +635,7 @@ class PruneReport:
     before: int
     after: int
     removed_types: tuple[str, ...]
-    audit_note: str
     pruned: tuple[GapSpec, ...]
-
-    def as_dict(self) -> dict:
-        return {
-            "before": self.before,
-            "after": self.after,
-            "removed_types": list(self.removed_types),
-            "audit_note": self.audit_note,
-        }
-
-
-_PRUNE_NOTE = (
-    "the all-dominating teeth types are removed from every side; the literal "
-    "top-comb reading would additionally remove [l0 u1 l1] (it dominates every "
-    "dyadic type by the same definition, and the worked construction maps "
-    "every non-chain type onto it), but the published refinement keeps it, so "
-    "it is retained here and the tension is reported, not resolved"
-)
 
 
 def domination_prune(candidates: tuple[GapSpec, ...]) -> PruneReport:
@@ -695,6 +661,5 @@ def domination_prune(candidates: tuple[GapSpec, ...]) -> PruneReport:
         before=len(candidates),
         after=len(out),
         removed_types=_PRUNED_TYPE_TEXTS,
-        audit_note=_PRUNE_NOTE,
         pruned=tuple(out),
     )

@@ -18,10 +18,11 @@ Provided on top of the raw words:
 * the level-then-value well order ``prec`` (shorter words first, lexicographic
   within a level), with an RLE sort key for lexicographic order,
 * meet- and record-closures of finite node sets,
-* two structural equivalence deciders (first-move and record equivalence)
-  together with their witness bijections,
+* two structural equivalence deciders (first-move and record equivalence),
+  each a yes/no answer: the only bijection that could witness equivalence
+  pairs the two prec-sorted closures by position,
 * a re-embedding helper that rebuilds a node set with fresh padding while
-  preserving its structure, used for randomised property tests.
+  preserving its first-move structure, used for randomised property tests.
 
 A meet-closed set is a tree: each element's longest proper prefix in the set
 is its parent.  The closures are built and compared as such trees.  The meet
@@ -38,7 +39,7 @@ import operator
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 Run = tuple[int, int]
 
@@ -498,40 +499,20 @@ def record_table(a: NodeSet) -> StructureTable:
     return _structure_table(a.record_closure_nodes, a.nodes)
 
 
-@dataclass(frozen=True)
-class EquivalenceResult:
-    equivalent: bool
-    mapping: Optional[tuple[tuple[Node, Node], ...]]  # closure bijection, sorted
-
-    def __bool__(self) -> bool:
-        return self.equivalent
-
-    def as_dict(self) -> dict[Node, Node]:
-        if self.mapping is None:
-            raise ValueError("no witness: sets are not equivalent")
-        return dict(self.mapping)
-
-
-def _equivalent(a: NodeSet, b: NodeSet, closure_attr: str) -> EquivalenceResult:
+def _equivalent(a: NodeSet, b: NodeSet, closure_attr: str) -> bool:
     if a.alphabet != b.alphabet:
         raise AlphabetMismatch(f"alphabet {a.alphabet} vs {b.alphabet}")
     ca: tuple[Node, ...] = getattr(a, closure_attr)
     cb: tuple[Node, ...] = getattr(b, closure_attr)
-    if len(ca) != len(cb):
-        return EquivalenceResult(False, None)
-    ta = _structure_table(ca, a.nodes)
-    tb = _structure_table(cb, b.nodes)
-    if ta != tb:
-        return EquivalenceResult(False, None)
-    return EquivalenceResult(True, tuple(zip(ca, cb)))
+    return len(ca) == len(cb) and _structure_table(ca, a.nodes) == _structure_table(cb, b.nodes)
 
 
-def first_move_equivalent(a: NodeSet, b: NodeSet) -> EquivalenceResult:
+def first_move_equivalent(a: NodeSet, b: NodeSet) -> bool:
     """Decide equivalence over meet-closures (meets, order, first moves)."""
     return _equivalent(a, b, "meet_closure_nodes")
 
 
-def record_equivalent(a: NodeSet, b: NodeSet) -> EquivalenceResult:
+def record_equivalent(a: NodeSet, b: NodeSet) -> bool:
     """Decide equivalence over record-closures."""
     return _equivalent(a, b, "record_closure_nodes")
 
@@ -540,31 +521,28 @@ def record_equivalent(a: NodeSet, b: NodeSet) -> EquivalenceResult:
 # Structure-preserving re-embedding (test support)
 
 
-def reembed(a: NodeSet, rng: random.Random, record: bool = False, pad_max: int = 3) -> NodeSet:
-    """Rebuild ``a`` with fresh padding, preserving its structure.
+def reembed(a: NodeSet, rng: random.Random, pad_max: int = 3) -> NodeSet:
+    """Rebuild ``a`` with fresh padding, preserving its first-move structure.
 
-    The closure tree is replayed node by node in prec order: each node keeps
-    its first-move letter away from its closure parent, gets random padding
-    after it, and total lengths increase strictly so the well order survives.
-    With ``record=True`` padding uses letter 0 only, which never creates a new
-    running-maximum record, so record structure survives as well.
+    The meet-closure tree is replayed node by node in prec order: each node
+    keeps its first-move letter away from its closure parent, gets random
+    padding after it, and total lengths increase strictly so the well order
+    survives.
     """
-    closure = a.record_closure_nodes if record else a.meet_closure_nodes
+    closure = a.meet_closure_nodes
     parent, letter = _parent_links(closure)
     images: list[Node] = []
     prev_len = -1
     for j in range(len(closure)):
         if parent[j] < 0:
-            base = empty_node(a.alphabet)
-            grow = rng.randint(0, pad_max)
-            img = base
-            for _ in range(grow):
-                img = img.extend(0 if record else rng.randrange(a.alphabet))
+            img = empty_node(a.alphabet)
+            for _ in range(rng.randint(0, pad_max)):
+                img = img.extend(rng.randrange(a.alphabet))
         else:
             img = images[parent[j]].extend(letter[j])
         target = max(prev_len + 1, img.length) + rng.randint(0, pad_max)
         while img.length < target:
-            img = img.extend(0 if record else rng.randrange(a.alphabet))
+            img = img.extend(rng.randrange(a.alphabet))
         images.append(img)
         prev_len = img.length
     return NodeSet(a.alphabet, frozenset(img for nd, img in zip(closure, images) if nd in a.nodes))

@@ -34,7 +34,7 @@ from .combs import NotHomogeneous
 
 Token = tuple[int, int]  # (letter, row); row 0 = lower, 1 = upper
 
-_SCALE_LIMIT = 4
+TYPE_ALPHABET_LIMIT = 4
 
 
 @dataclass(frozen=True)
@@ -147,8 +147,8 @@ def enumerate_types(n: int) -> tuple[TypeDescriptor, ...]:
     """All types over alphabet n, canonically ordered (id = list position)."""
     if n < 1:
         raise ValueError("alphabet must be positive")
-    if n > _SCALE_LIMIT:
-        raise ScaleLimit(f"type enumeration supported up to alphabet {_SCALE_LIMIT}")
+    if n > TYPE_ALPHABET_LIMIT:
+        raise ScaleLimit(f"type enumeration supported up to alphabet {TYPE_ALPHABET_LIMIT}")
     letters = range(n)
     out = []
     for size0 in range(1, n + 1):

@@ -1,8 +1,10 @@
 """Literals, fixtures and small reference functions shared by the test modules."""
 
+import random
+
 from adicgaps.combs import CombKind, EFamily, InducedCombMap
 from adicgaps.gaps import FIRST_MOVE, GapSpec
-from adicgaps.tree import Node, NodeSet, empty_node, format_node
+from adicgaps.tree import Node, NodeSet, _parent_links, empty_node, format_node
 
 
 #: The variable that once sized the audit's thread pool.  Nothing reads it
@@ -79,3 +81,30 @@ def compose(outer: InducedCombMap, inner: InducedCombMap) -> InducedCombMap:
         return kind.spine, kind.teeth
 
     return InducedCombMap.from_function(inner.n, outer.m, image)
+
+
+def identity_map(n: int) -> InducedCombMap:
+    """The comb map fixing every kind over alphabet n."""
+    return InducedCombMap.from_function(n, n, lambda i, j: (i, j))
+
+
+def reembed_record(a: NodeSet, rng: random.Random, pad_max: int = 3) -> NodeSet:
+    """Rebuild ``a`` with fresh padding, preserving its record structure.
+
+    :func:`adicgaps.tree.reembed` on the record closure instead of the meet
+    closure, padding with letter 0 only: a 0 never sets a new running
+    maximum, so every climb keeps its records."""
+    closure = a.record_closure_nodes
+    parent, letter = _parent_links(closure)
+    images: list[Node] = []
+    prev_len = -1
+    for j in range(len(closure)):
+        if parent[j] < 0:
+            img = empty_node(a.alphabet).extend(0, rng.randint(0, pad_max))
+        else:
+            img = images[parent[j]].extend(letter[j])
+        target = max(prev_len + 1, img.length) + rng.randint(0, pad_max)
+        img = img.extend(0, target - img.length)
+        images.append(img)
+        prev_len = img.length
+    return NodeSet(a.alphabet, frozenset(img for nd, img in zip(closure, images) if nd in a.nodes))

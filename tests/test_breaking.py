@@ -17,14 +17,12 @@ from hypothesis import strategies as st
 
 import adicgaps.breaking as breaking_module
 from adicgaps.breaking import (
-    AUDIT_CAVEAT,
     BROKEN_WITNESSED,
     DEFAULT_BREAK_BUDGET,
     NOT_BROKEN_BOUNDED,
     BreakQuery,
     break_check,
     candidate_pool,
-    eight_type_gap,
     jbreak_optimality_check,
     jigsaw_audit,
     record_three_gap,
@@ -235,7 +233,6 @@ class TestJigsawAudit:
             (0, 1, 2),
         )
         assert not audit.fully_broken
-        assert audit.note == AUDIT_CAVEAT
 
     def test_queries_run_on_the_calling_thread(self, monkeypatch):
         monkeypatch.setenv(RETIRED_POOL_VARIABLE, "4")
@@ -264,9 +261,8 @@ class TestJigsawAudit:
         assert audit.fully_broken
         assert all(r.witness.kind == "subalphabet" for _, r in audit.entries)
 
-    def test_audit_json_carries_note_and_reports(self):
+    def test_audit_json_carries_reports(self):
         data = jigsaw_audit(DELTA).as_dict()
-        assert data["note"] == AUDIT_CAVEAT
         assert len(data["entries"]) == 7
         assert data["entries"][3]["broken_sides"] == [0, 1]
         assert data["entries"][3]["report"]["verdict"] == NOT_BROKEN_BOUNDED
@@ -312,7 +308,6 @@ class TestJFunction:
         assert j_count(2) == 8
         assert j_count(3) == 61
         assert j_count(4) == 480
-        assert eight_type_gap().n == j_count(2)
 
     def test_scale_guard(self):
         with pytest.raises(ScaleLimit):
@@ -328,16 +323,6 @@ class TestOptimality:
         assert report.checked == 86
         assert len(report.qualifying) == 11
         assert "subalphabet:iota=0,1" in report.qualifying
-
-    def test_gap_is_the_eight_type_gap(self):
-        report = jbreak_optimality_check()
-        assert report.gap.n == 8
-        assert report.gap == eight_type_gap()
-        sides = [next(iter(side)) for side in report.gap.sides]
-        assert sides == list(enumerate_types(2))
-
-    def test_note_flags_the_bounded_quantifier(self):
-        assert jbreak_optimality_check().note == AUDIT_CAVEAT
 
 
 def broken_pairs(gap):

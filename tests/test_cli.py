@@ -205,8 +205,21 @@ class TestGapsOrder:
                 {"layer": "first_move", "n": 2, "m": 2, "sides": [[1], ["1>1"]]},
                 "a gap side must list symbols as strings",
             ),
+            (
+                {"layer": "first_move", "n": 2, "m": float("inf"), "sides": [["0>0"], ["1>1"]]},
+                "n and m must be integers",
+            ),
+            (
+                {"layer": "first_move", "n": 2, "m": 2.7, "sides": [["0>0"], ["1>1"]]},
+                "n and m must be integers",
+            ),
+            (
+                {"layer": "record", "n": True, "m": 2, "sides": [["[l0]"]]},
+                "n and m must be integers",
+            ),
         ],
-        ids=["list", "string", "record-number", "first-move-number"],
+        ids=["list", "string", "record-number", "first-move-number", "m-infinite", "m-float",
+             "n-boolean"],
     )
     def test_ill_typed_file_exits_2(self, capsys, tmp_path, gap_file, content, message):
         bad = tmp_path / "bad.json"
@@ -298,12 +311,19 @@ class TestBreakingCheck:
         assert payload["revalidated"] is True
         assert "Traceback" not in captured.err
 
-    def test_out_of_scale_gap_exits_2(self, capsys, tmp_path):
-        path = tmp_path / "m5.json"
-        path.write_text(json.dumps({"layer": "record", "n": 2, "m": 5, "sides": [["[l0]"], ["[l1]"]]}))
-        assert main(["breaking", "check", "--gap", str(path), "--set", "0"]) == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and err.count("\n") == 1
+    def test_out_of_scale_gap_exits_2(self, tmp_path):
+        # the type catalogue ends at alphabet 4; a refusal must come before
+        # any search, which at m = 20 would build thousands of inclusions
+        for m in (5, 20):
+            path = tmp_path / f"m{m}.json"
+            sides = [["[l0]"], ["[l1]"]]
+            path.write_text(json.dumps({"layer": "record", "n": 2, "m": m, "sides": sides}))
+            refused = _run_cli(["breaking", "check", "--gap", str(path), "--set", "0"], timeout=60)
+            assert refused.returncode == EXIT_USAGE
+            assert refused.stdout == ""
+            lines = refused.stderr.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:"), refused.stderr
+            assert "alphabet" in lines[0]
 
     def test_side_out_of_range_exits_2(self, capsys, gap_file):
         gap = gap_file("c3.json", critical_record_gap(3))

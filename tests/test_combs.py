@@ -27,7 +27,7 @@ from adicgaps.tree import (
     reembed,
 )
 
-from helpers import compose, format_node_set, word_image
+from helpers import compose, format_node_set, identity_map, word_image
 
 WORKED = EFamily.of(2, "0", ["11", "01"])
 
@@ -115,7 +115,7 @@ def test_worked_family_values():
 
 def test_identity_family():
     fam = EFamily.of(3, "", ["0", "1", "2"])
-    assert efamily_induced_map(fam) == InducedCombMap.identity(3)
+    assert efamily_induced_map(fam) == identity_map(3)
 
 
 def test_degenerate_diagonal_is_a_chain_kind():
@@ -192,7 +192,7 @@ def realizable_maps(n, m):
 def test_realizable_maps_at_2_2():
     maps = realizable_maps(2, 2)
     assert len(maps) == 20  # frozen from this enumeration, cross-checked below
-    assert InducedCombMap.identity(2) in set(maps)
+    assert identity_map(2) in set(maps)
     assert efamily_induced_map(WORKED) in set(maps)
 
 
@@ -229,7 +229,7 @@ def test_composition_closure_at_2():
 
 def test_identity_is_always_realizable():
     for n in (1, 2, 3):
-        assert InducedCombMap.identity(n) in set(realizable_maps(n, n))
+        assert identity_map(n) in set(realizable_maps(n, n))
 
 
 def test_arity_one_maps():
@@ -248,8 +248,8 @@ def test_map_json_roundtrip():
 
 
 def test_compose_arity_mismatch():
-    f = InducedCombMap.identity(2)
-    g = InducedCombMap.identity(3)
+    f = identity_map(2)
+    g = identity_map(3)
     with pytest.raises(ValueError):
         compose(g, f)
 

@@ -4,7 +4,9 @@ is used where it is made.
 A top-level function or class, or a method or property of a package class,
 that only the tests reach is test code living in ``src``: move it into the
 tests or delete it.  Imports do not count as uses, and a definition does not
-use itself; dunder methods are called by Python itself and are exempt.  An
+use itself; a class member counts as used only where it is read as an
+attribute (``x.name``), since a bare name of the same spelling is some other
+binding.  Dunder methods are called by Python itself and are exempt.  An
 imported name that its module never reads is a leftover of deleted code.
 """
 
@@ -47,10 +49,10 @@ def test_every_top_level_definition_is_used_in_the_package():
 
 def test_every_class_member_is_used_in_the_package():
     members = []  # (module, class, name)
-    used = set()
+    read = set()  # attribute names read as ``x.name``
     for path in SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        used |= _names_used(tree)
+        read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
         for cls in ast.walk(tree):
             if isinstance(cls, ast.ClassDef):
                 members += [
@@ -60,9 +62,10 @@ def test_every_class_member_is_used_in_the_package():
                     and not _is_dunder(stmt.name)
                 ]
     assert members
-    # a def statement binds its name without an ast.Name or ast.Attribute
-    # node, so ``used`` holds only real reads (recursion aside)
-    unused = [f"{module}:{cls}.{name}" for module, cls, name in members if name not in used]
+    # a def statement binds its name without an ast.Attribute node, so
+    # ``read`` holds only real reads (recursion aside); a local variable
+    # named like a member does not reach it
+    unused = [f"{module}:{cls}.{name}" for module, cls, name in members if name not in read]
     assert unused == []
 
 

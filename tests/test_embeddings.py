@@ -7,20 +7,23 @@ import random
 import pytest
 
 from adicgaps.combs import (
+    CombKind,
     EFamily,
-    InducedCombMap,
     NotHomogeneous,
+    classify_comb,
+    comb_witness,
     efamily_induced_map,
     enumerate_efamilies,
 )
 from adicgaps.embeddings import (
+    COMB_BLOCKS,
     OutOfDomain,
     SubstitutionEmbedding,
     TabulatedEmbedding,
     ValidationFailure,
+    _stem_index,
     apply,
     comb_action,
-    comb_action_partial,
     domination_embedding,
     max_monotone,
     psi_map,
@@ -39,9 +42,11 @@ from adicgaps.tree import (
     format_node,
     node,
     parse_node,
+    prec_sorted,
     random_node_set,
     record_equivalent,
     reembed,
+    words_upto,
 )
 from adicgaps.types import (
     classify_type,
@@ -52,7 +57,7 @@ from adicgaps.types import (
     type_witness,
 )
 
-from helpers import parse_node_set
+from helpers import identity_map, parse_node_set
 
 
 def _n(text, alphabet=2):
@@ -115,9 +120,9 @@ class TestSubstitution:
 
 class TestCombAction:
     def test_identity_and_psi_induce_identity(self):
-        assert comb_action(relabel_embedding([0, 1], 2)) == InducedCombMap.identity(2)
-        assert comb_action(psi_map(2)) == InducedCombMap.identity(2)
-        assert comb_action(relabel_embedding([0, 1, 2], 3)) == InducedCombMap.identity(3)
+        assert comb_action(relabel_embedding([0, 1], 2)) == identity_map(2)
+        assert comb_action(psi_map(2)) == identity_map(2)
+        assert comb_action(relabel_embedding([0, 1, 2], 3)) == identity_map(3)
 
     def test_block_formula_substitution_action(self):
         # blocks w_i = (0, 1-i).  Both blocks start with 0, so both chain
@@ -155,10 +160,11 @@ class TestCombAction:
                 continue
             if not phi.injective:
                 continue
-            table, _ = comb_action_partial(phi)
             for i in (0, 1):
                 first_letter = (w0, w1)[i].letter_at(0)
-                assert table[(i, i)] == (first_letter, first_letter)
+                for count in (COMB_BLOCKS, COMB_BLOCKS + 1):
+                    image = apply(phi, comb_witness(CombKind(i, i), count, 2))
+                    assert classify_comb(image) == CombKind(first_letter, first_letter)
                 checked += 1
         assert checked >= 300
 
@@ -166,10 +172,7 @@ class TestCombAction:
         # w1 three times longer than w0: teeth of a (0,1)-comb image pass
         # the next branch point, and no comb witness is shaped like that.
         phi = SubstitutionEmbedding(empty_node(2), (_n("0"), _n("110")))
-        table, reasons = comb_action_partial(phi)
-        assert table[(0, 1)] is None
-        assert "NotHomogeneous" in reasons[(0, 1)]
-        with pytest.raises(NotHomogeneous):
+        with pytest.raises(NotHomogeneous, match="image of 0>1 witness: NotHomogeneous"):
             comb_action(phi)
 
     def test_collapsing_map_is_reported(self):
@@ -433,6 +436,13 @@ class TestDomination:
         with pytest.raises(ScaleLimit):
             for s in deep.sorted_nodes:
                 phi.map_node(s)
+
+    def test_stem_index_is_the_position_among_stems(self):
+        # stems: the empty word and every word not ending in 0, well ordered
+        for alphabet in (2, 3, 4):
+            words = prec_sorted([empty_node(alphabet), *words_upto(alphabet, 6)])
+            stems = [w for w in words if not w.runs or w.runs[-1][0] != 0]
+            assert [_stem_index(s) for s in stems] == list(range(len(stems)))
 
     def test_preconditions(self):
         tau1 = parse_type("[l0 u1 l1]", 2)

@@ -12,10 +12,10 @@ from hypothesis import given, settings, strategies as st
 
 import adicgaps.combs as combs_module
 import adicgaps.gaps as gaps_module
+from adicgaps.cli import DISCREPANCY_KNOWN, AuditContext, check_discrepancy_dominating_teeth
 from adicgaps.combs import (
     CombKind,
     EFamily,
-    InducedCombMap,
     concretize,
     efamily_induced_map,
     efamily_shapes,
@@ -50,7 +50,7 @@ from adicgaps.search import efamily_label
 from adicgaps.tree import ScaleLimit
 from adicgaps.types import enumerate_types, max_of, parse_type, print_type
 
-from helpers import compose, critical_strong_gap
+from helpers import compose, critical_strong_gap, identity_map
 
 
 def strong2(s0, s1):
@@ -235,7 +235,7 @@ class TestOrderFirstMove:
         tables = {eps.table for eps in maps}
         for outer, inner in itertools.product(maps, repeat=2):
             assert compose(outer, inner).table in tables
-        assert InducedCombMap.identity(2).table in tables
+        assert identity_map(2).table in tables
 
 
 def reference_minimal_classes(le):
@@ -263,7 +263,7 @@ def reference_minimal_classes(le):
 class TestMinimalClasses:
     def test_dyadic_table_recovered(self):
         report = minimal_classes(enumerate_candidates_strong(2))
-        assert report.mode == "exact"
+        assert report.as_dict()["mode"] == "exact"
         assert len(report.minimal) == 6
         classes = {frozenset(report.candidates[i] for i in cls) for cls in report.classes}
         assert classes == {frozenset({g}) for g in TABLE}
@@ -345,20 +345,9 @@ class TestMinimalClasses:
         assert (report.minimal, report.classes) == reference_minimal_classes(report.le)
 
     def test_record_layer_refuses_unknown(self):
-        with pytest.raises(ValueError, match="blocked"):
+        # the record order is bounded, so record minimality is never guessed
+        with pytest.raises(ValueError, match="first-move candidates"):
             minimal_classes((RECORD_ROWS["2"], RECORD_ROWS["2*"]))
-
-    def test_record_layer_witnessed_mode(self):
-        g = RECORD_ROWS["2"]
-        dup = record2([CHAIN0], [CHAIN1])
-        report = minimal_classes((g, dup))
-        assert report.mode == "witnessed"
-        assert report.classes == ((0, 1),)
-        assert (report.minimal, report.classes) == reference_minimal_classes(report.le)
-
-    def test_empty_input(self):
-        report = minimal_classes(())
-        assert report.classes == ()
 
 
 @lru_cache(maxsize=None)
@@ -667,7 +656,11 @@ class TestDominationPrune:
 
     def test_disputed_type_retained_and_flagged(self):
         report = domination_prune(enumerate_candidates_record(2))
-        assert "[l0 u1 l1]" in report.audit_note
+        # the audit reports the tension as a known discrepancy
+        ctx = AuditContext(seed=0, cache=None)
+        _anchor, _expected, computed, status = check_discrepancy_dominating_teeth(ctx)
+        assert computed["literal_extra_dominator"] == "[l0 u1 l1]"
+        assert status == DISCREPANCY_KNOWN
         disputed = parse_type("[l0 u1 l1]", 2)
         assert any(disputed in side for g in report.pruned for side in g.sides)
 
