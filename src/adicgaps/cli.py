@@ -235,8 +235,12 @@ def check_strong_two(ctx: AuditContext) -> CheckResult:
 
 
 def _strong_classes(n: int, cache: Optional[ResultCache]) -> dict:
-    """Minimal classes of the strong n-sided candidates, through the cache."""
+    """Minimal classes of the strong n-sided candidates, through the cache
+    when one is given; the key serializes every candidate, so it is built
+    only then."""
     candidates = enumerate_candidates_strong(n)
+    if cache is None:
+        return minimal_classes(candidates).as_dict()
     key = content_key(
         {
             "computation": "minimal-classes",
@@ -245,13 +249,11 @@ def _strong_classes(n: int, cache: Optional[ResultCache]) -> dict:
             "candidates": [c.to_json() for c in candidates],
         }
     )
-    if cache is not None:
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
+    hit = cache.get(key)
+    if hit is not None:
+        return hit
     report = minimal_classes(candidates).as_dict()
-    if cache is not None:
-        cache.put(key, report)
+    cache.put(key, report)
     return report
 
 

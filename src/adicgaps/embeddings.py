@@ -329,33 +329,64 @@ def budget_depth(phi: Embedding) -> int:
     return phi.depth if isinstance(phi, TabulatedEmbedding) else 10**6
 
 
+STABLE, UNVERIFIED, UNSTABLE, SKIPPED, REFUTED = (
+    "stable", "unverified", "unstable", "skipped", "refuted"
+)
+
+
+def read_type(
+    phi: Embedding,
+    tau: TypeDescriptor,
+    between: Optional[Callable[[TypeDescriptor, TypeDescriptor], bool]] = None,
+) -> tuple[str, object]:
+    """One domain type's probed value under ``phi``, as ``(status, detail)``.
+
+    The witness image of ``tau`` is classified at ``TYPE_BLOCKS`` blocks;
+    ``between(tau, first)``, when given, is asked about that first reading;
+    only then is the image at ``TYPE_BLOCKS + 1`` blocks classified.  A
+    witness or image that does not fit (scale or domain) is out of reach; an
+    image that does not classify is unstable.  The outcomes:
+
+    * ``(STABLE, sigma)``: both sizes classify as sigma;
+    * ``(UNVERIFIED, sigma)``: the first does, the second is out of reach;
+    * ``(UNSTABLE, reason)``: an image does not classify, or the sizes differ;
+    * ``(SKIPPED, None)``: the first is out of reach;
+    * ``(REFUTED, None)``: ``between`` rejected the first reading.
+    """
+    try:
+        first = _classify_type_image(phi, tau, TYPE_BLOCKS)
+    except (ScaleLimit, OutOfDomain):
+        return SKIPPED, None
+    except (NotHomogeneous, AmbiguousTruncation) as ex:
+        return UNSTABLE, f"image not classifiable: {ex}"
+    if between is not None and not between(tau, first):
+        return REFUTED, None
+    try:
+        second = _classify_type_image(phi, tau, TYPE_BLOCKS + 1)
+    except (ScaleLimit, OutOfDomain):
+        return UNVERIFIED, first
+    except (NotHomogeneous, AmbiguousTruncation) as ex:
+        return UNSTABLE, f"follow-up probe not classifiable: {ex}"
+    if first != second:
+        return UNSTABLE, (
+            f"{print_type(first)} at {TYPE_BLOCKS} blocks, "
+            f"{print_type(second)} at {TYPE_BLOCKS + 1}"
+        )
+    return STABLE, first
+
+
 def type_action(phi: Embedding) -> TypeActionReport:
-    mapping, unstable, unverified, skipped = [], [], [], []
+    """Every domain type's reading, in catalogue order."""
+    readings = {STABLE: [], UNSTABLE: [], UNVERIFIED: [], SKIPPED: []}
     for tau in enumerate_types(phi.domain_alphabet):
-        try:
-            first = _classify_type_image(phi, tau, TYPE_BLOCKS)
-        except (ScaleLimit, OutOfDomain):
-            skipped.append(tau)
-            continue
-        except (NotHomogeneous, AmbiguousTruncation) as ex:
-            unstable.append((tau, f"image not classifiable: {ex}"))
-            continue
-        try:
-            second = _classify_type_image(phi, tau, TYPE_BLOCKS + 1)
-        except (ScaleLimit, OutOfDomain):
-            unverified.append((tau, first))
-            continue
-        except (NotHomogeneous, AmbiguousTruncation) as ex:
-            unstable.append((tau, f"follow-up probe not classifiable: {ex}"))
-            continue
-        if first != second:
-            unstable.append(
-                (tau, f"{print_type(first)} at {TYPE_BLOCKS} blocks, "
-                      f"{print_type(second)} at {TYPE_BLOCKS + 1}")
-            )
-        else:
-            mapping.append((tau, first))
-    return TypeActionReport(tuple(mapping), tuple(unstable), tuple(unverified), tuple(skipped))
+        status, detail = read_type(phi, tau)
+        readings[status].append(tau if status == SKIPPED else (tau, detail))
+    return TypeActionReport(
+        tuple(readings[STABLE]),
+        tuple(readings[UNSTABLE]),
+        tuple(readings[UNVERIFIED]),
+        tuple(readings[SKIPPED]),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,12 @@ together with its total action on types.  There are four kinds:
 Each probed embedding is probed once per process: its payload JSON keys a
 memo of one policy-free :class:`ProbeRecord` -- the type action when it is
 total, and whether a pooled same-type sample left the domain or disagreed
-with it.  The memo keeps records, never embeddings.  Both policies read
-the same record:
+with it.  The probe takes one domain type at a time: the witness image,
+then the type's samples from the frozen same-type pool
+(:func:`~adicgaps.types.same_type_probes`), then the larger witness image,
+and it stops at the first failure.  Most rejected maps are refuted by an
+early type's sample, so they never pay for the later witnesses.  The memo
+keeps records, never embeddings.  Both policies read the same record:
 
 * ``RANGE`` (breaking): the action is total and stable, and pooled same-type
   samples corroborate it.  A sample that leaves a tabulated domain proves
@@ -49,8 +53,10 @@ from typing import Callable, Iterable, Iterator, Optional
 from .combs import EFamily, enumerate_efamilies
 from .embeddings import (
     DOMAIN_DEPTH,
+    REFUTED,
     REPLAY_DEPTH,
     REPLAY_SAMPLES,
+    STABLE,
     Embedding,
     OutOfDomain,
     SubstitutionEmbedding,
@@ -60,6 +66,7 @@ from .embeddings import (
     domination_embedding,
     max_monotone,
     probe_json,
+    read_type,
     realize_efamily,
     replay_fixture,
     structural_replay,
@@ -67,6 +74,7 @@ from .embeddings import (
 )
 from .tree import Node, ScaleLimit, empty_node, format_node, random_node_set
 from .types import (
+    TypeDescriptor,
     classify_type,
     dominates,
     enumerate_types,
@@ -169,8 +177,9 @@ class ProbeRecord:
     stably (nothing unstable, unverified or skipped) and no pooled same-type
     sample disagrees with it, else ``None``.  The two flags are read off
     those samples: one left the domain, or one mapped onto another image
-    type (or onto no type).  The scan stops at the first disagreement,
-    which both policies reject, so a contradicted action is not kept.
+    type (or onto no type).  The probe stops at the first failure, which
+    both policies reject, so a rejected record's flags show only how far
+    the probe got; no policy reads them.
     """
 
     action: Optional[tuple]
@@ -179,24 +188,37 @@ class ProbeRecord:
 
 
 def probe(phi: Embedding) -> ProbeRecord:
-    """Probe ``phi`` once: its type action and the pooled same-type samples."""
-    mapping = dict(type_action(phi).mapping)
-    if len(mapping) != len(enumerate_types(phi.domain_alphabet)):
-        return ProbeRecord(None)
+    """Probe ``phi`` once, one domain type at a time, in catalogue order.
+
+    For each type the witness image is classified, then the type's pooled
+    same-type samples, then the larger witness image (:func:`read_type`).
+    The probe stops at the first failure, so a map that a sample of an
+    early type refutes classifies no witness of a later type.  The flags of
+    a rejected record show only how far the probe got.
+    """
     left_domain = False
-    for tau, samples in same_type_probes(phi.domain_alphabet).items():
-        for sample in samples:
+
+    def corroborated(tau: TypeDescriptor, first: TypeDescriptor) -> bool:
+        nonlocal left_domain
+        for sample in same_type_probes(phi.domain_alphabet)[tau]:
             try:
                 image = apply(phi, sample)
             except (OutOfDomain, ScaleLimit):
                 left_domain = True
                 continue
             try:
-                agrees = classify_type(image) == mapping[tau]
+                if classify_type(image) != first:
+                    return False
             except ValueError:
-                agrees = False
-            if not agrees:
-                return ProbeRecord(None, left_domain, disagreed=True)
+                return False
+        return True
+
+    mapping = {}
+    for tau in enumerate_types(phi.domain_alphabet):
+        status, sigma = read_type(phi, tau, corroborated)
+        if status != STABLE:
+            return ProbeRecord(None, left_domain, disagreed=status == REFUTED)
+        mapping[tau] = sigma
     return ProbeRecord(_sorted_action(mapping), left_domain)
 
 

@@ -28,7 +28,6 @@ from .tree import (
     empty_node,
     node_from_runs,
     record_table,
-    words_upto,
 )
 from .combs import NotHomogeneous
 
@@ -249,12 +248,25 @@ class AmbiguousTruncation(ValueError):
 
 
 @lru_cache(maxsize=None)
-def _witness_tables(alphabet: int, count: int):
+def _witness_tables_or_limit(alphabet: int, count: int):
+    """The witness tables, or the message of the ScaleLimit that stopped
+    them, so that a catalogue with an unmaterializable witness fails once
+    per process rather than on every call."""
     table: dict = {}
-    for tau in enumerate_types(alphabet):
-        key = record_table(type_witness(tau, count))
-        table.setdefault(key, []).append(tau)
+    try:
+        for tau in enumerate_types(alphabet):
+            key = record_table(type_witness(tau, count))
+            table.setdefault(key, []).append(tau)
+    except ScaleLimit as ex:
+        return str(ex)
     return {key: tuple(taus) for key, taus in table.items()}
+
+
+def _witness_tables(alphabet: int, count: int) -> dict:
+    tables = _witness_tables_or_limit(alphabet, count)
+    if isinstance(tables, str):
+        raise ScaleLimit(tables)
+    return tables
 
 
 def classify_type(a: NodeSet) -> TypeDescriptor:
@@ -282,44 +294,85 @@ def classify_type(a: NodeSet) -> TypeDescriptor:
     return matches[0]
 
 
-_PROBE_SET_SIZE = 3
-_PROBES_PER_TYPE = 6
+# Each bucket's sets in scan order, a set's words separated by commas; a type
+# missing here has an empty bucket.
+_SAME_TYPE_POOL = {
+    1: {
+        "[l0]": "0,00,000 0,00,0000 0,000,0000 00,000,0000",
+    },
+    2: {
+        "[l0]": "0,00,01 0,00,10 0,00,11 0,00,000 0,00,001 0,00,010",
+        "[l1]": "0,01,10 0,01,11 0,01,000 0,01,001 0,01,010 0,01,011",
+        "[l0 l1]": "0,001,010 0,001,011 0,001,100 0,001,101 0,001,110 0,001,111",
+        "[u0 l1]": "0,1,00 0,1,01 0,1,10 0,1,11 0,1,000 0,1,001",
+        "[l0 u1 l1]": "1,01,10 1,01,11 1,01,000 1,01,001 1,01,010 1,01,011",
+        "[u0 u1 l1]": "01,10,11 01,10,000 01,10,001 01,10,010 01,10,011 01,10,100",
+    },
+    3: {
+        "[l0]": "0,00,01 0,00,02 0,00,10 0,00,11 0,00,12 0,00,20",
+        "[l1]": "0,01,02 0,01,10 0,01,11 0,01,12 0,01,20 0,01,21",
+        "[l2]": "0,02,10 0,02,11 0,02,12 0,02,20 0,02,21 0,02,22",
+        "[l0 l1]": "0,001,002 0,001,010 0,001,011 0,001,012 0,001,020 0,001,021",
+        "[l0 l2]": "0,002,010 0,002,011 0,002,012 0,002,020 0,002,021 0,002,022",
+        "[l1 l2]": "0,012,020 0,012,021 0,012,022 0,012,100 0,012,101 0,012,102",
+        "[u0 l1]": "0,1,2 0,1,00 0,1,01 0,1,02 0,1,10 0,1,11",
+        "[u0 l2]": "0,2,00 0,2,01 0,2,02 0,2,10 0,2,11 0,2,12",
+        "[u1 l2]": "1,2,00 1,2,01 1,2,02 1,2,10 1,2,11 1,2,12",
+        "[l0 u1 l1]": "1,01,02 1,01,10 1,01,11 1,01,12 1,01,20 1,01,21",
+        "[l0 u1 l2]": "1,02,10 1,02,11 1,02,12 1,02,20 1,02,21 1,02,22",
+        "[l0 u2 l2]": "2,02,10 2,02,11 2,02,12 2,02,20 2,02,21 2,02,22",
+        "[l1 u0 l2]": "00,12,20 00,12,21 00,12,22 00,12,000 00,12,001 00,12,002",
+        "[l1 u2 l2]": "2,12,20 2,12,21 2,12,22 2,12,000 2,12,001 2,12,002",
+        "[u0 l1 l2]": "0,12,20 0,12,21 0,12,22 0,12,000 0,12,001 0,12,002",
+        "[u0 u1 l1]": "01,10,11 01,10,12 01,10,20 01,10,21 01,10,22 01,10,000",
+        "[u0 u1 l2]": "01,20,21 01,20,22 01,20,000 01,20,001 01,20,002 01,20,010",
+        "[u0 u2 l2]": "02,20,21 02,20,22 02,20,000 02,20,001 02,20,002 02,20,010",
+        "[u1 l0 l2]": "1,002,010 1,002,011 1,002,012 1,002,020 1,002,021 1,002,022",
+        "[u1 u2 l2]": "12,20,21 12,20,22 12,20,000 12,20,001 12,20,002 12,20,010",
+        "[l0 l1 u1 l2]": "10,012,020 10,012,021 10,012,022 10,012,100 10,012,101 10,012,102",
+        "[l0 l1 u2 l2]": "20,012,020 20,012,021 20,012,022 20,012,100 20,012,101 20,012,102",
+        "[l0 u1 l1 l2]": "1,012,020 1,012,021 1,012,022 1,012,100 1,012,101 1,012,102",
+        "[l0 u1 u2 l2]": "12,020,021 12,020,022 12,020,100 12,020,101 12,020,102 12,020,110",
+        "[l1 u0 u1 l2]": "001,120,121 001,120,122 001,120,200 001,120,201 001,120,202 001,120,210",
+        "[l1 u0 u2 l2]": "002,120,121 002,120,122 002,120,200 002,120,201 002,120,202 002,120,210",
+        "[u0 l1 u1 l2]": "01,12,20 01,12,21 01,12,22 01,12,000 01,12,001 01,12,002",
+        "[u0 l1 u2 l2]": "02,12,20 02,12,21 02,12,22 02,12,000 02,12,001 02,12,002",
+        "[u0 u1 l1 l2]": "01,102,110 01,102,111 01,102,112 01,102,120 01,102,121 01,102,122",
+        "[u0 u1 u2 l2]": "012,200,201 012,200,202 012,200,210 012,200,211 012,200,212 012,200,220",
+        "[u1 l0 u2 l2]": "12,002,010 12,002,011 12,002,012 12,002,020 12,002,021 12,002,022",
+        "[l0 u1 l1 u2 l2]": "12,012,020 12,012,021 12,012,022 12,012,100 12,012,101 12,012,102",
+        "[u0 l1 u1 u2 l2]": "012,120,121 012,120,122 012,120,200 012,120,201 012,120,202 012,120,210",
+        "[u0 u1 l1 u2 l2]": "012,102,110 012,102,111 012,102,112 012,102,120 012,102,121 012,102,122",
+    },
+}
 
 
 @lru_cache(maxsize=None)
 def same_type_probes(alphabet: int) -> dict[TypeDescriptor, tuple[NodeSet, ...]]:
     """Deterministic pool of classified sets, bucketed by type.
 
-    Enumerates every 3-element set of words up to 4 letters (3 letters over
-    alphabets above 2) in a fixed order and keeps the first 6 sets the
-    classifier recognizes for each type.  Embedding actions are probed
-    against these pools: a map whose action is well defined must send every
-    pooled set of one type to sets of a single image type, so differently
-    realized inputs of the same type expose maps that only look consistent
-    on canonical witnesses.  Treat the result as read-only; it is cached.
+    A map whose action is well defined must send every pooled set of one
+    type to sets of a single image type, so differently realized inputs of
+    the same type expose maps that only look consistent on canonical
+    witnesses.  The pool is frozen data, parsed on the first call: for each
+    type, the first 6 three-element sets that classify as it, in a scan of
+    every 3-element set of words up to 4 letters (3 letters over alphabet
+    3) in a fixed order.  ``tests/test_types.py::test_frozen_pool_equals_scan``
+    keeps that scan and regenerates the data.  Alphabet 4 has no pool (its
+    scan ran past 300 s on a 2-vCPU VM), so it raises :class:`ScaleLimit`.
+    Treat the result as read-only; it is cached.
 
     Not every type gets a sample: over alphabet 2 no 3-element set of these
     words classifies as ``[u1 l0]`` or ``[u1 l0 l1]``, so those two buckets
-    stay empty, their types get no same-type corroboration, and the scan
-    never stops early but classifies all 4,060 sets.
+    stay empty and their types get no same-type corroboration.
     """
-    words = words_upto(alphabet, 4 if alphabet <= 2 else 3)
-    pool: dict[TypeDescriptor, list[NodeSet]] = {tau: [] for tau in enumerate_types(alphabet)}
-    needed = len(pool)
-    full = 0
-    for combo in itertools.combinations(words, _PROBE_SET_SIZE):
-        candidate = NodeSet(alphabet, frozenset(combo))
-        if len(candidate) != _PROBE_SET_SIZE:
-            continue
-        try:
-            tau = classify_type(candidate)
-        except ValueError:
-            continue
-        bucket = pool[tau]
-        if len(bucket) < _PROBES_PER_TYPE:
-            bucket.append(candidate)
-            if len(bucket) == _PROBES_PER_TYPE:
-                full += 1
-                if full == needed:
-                    break
-    return {tau: tuple(bucket) for tau, bucket in pool.items()}
+    if alphabet not in _SAME_TYPE_POOL:
+        raise ScaleLimit(f"no same-type pool over alphabet {alphabet}")
+    buckets = _SAME_TYPE_POOL[alphabet]
+    return {
+        tau: tuple(
+            NodeSet.of(alphabet, text.split(","))
+            for text in buckets.get(print_type(tau), "").split()
+        )
+        for tau in enumerate_types(alphabet)
+    }

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from adicgaps import cli
 from adicgaps.cli import (
     AUDIT_CHECKS,
     DISCREPANCY_KNOWN,
@@ -16,6 +17,8 @@ from adicgaps.cli import (
     GAP_STILDE,
     PASS,
     REFERENCE_STRONG_TABLE,
+    AuditContext,
+    check_strong_three,
     main,
 )
 from adicgaps.gaps import critical_record_gap
@@ -149,6 +152,16 @@ class TestEnumStrong:
         argv = ["gaps", "enum-strong", "--n", "2", "--cache-dir", str(locked)]
         assert main(argv) == EXIT_USAGE
         assert_one_error_line(capsys, str(locked))
+
+    def test_no_cache_builds_no_key(self, monkeypatch):
+        # the key serializes all 4,096 strong candidates; without a cache
+        # nothing reads it
+        def no_key(obj):
+            raise AssertionError("content_key called without a cache")
+
+        monkeypatch.setattr(cli, "content_key", no_key)
+        *_, status = check_strong_three(AuditContext(seed=0, cache=None))
+        assert status == PASS
 
 
 class TestGapsOrder:

@@ -24,6 +24,7 @@ from adicgaps.breaking import DEFAULT_BREAK_BUDGET, candidate_pool
 from adicgaps.embeddings import (
     REPLAY_DEPTH,
     REPLAY_SAMPLES,
+    TYPE_BLOCKS,
     OutOfDomain,
     ReplayReport,
     SubstitutionEmbedding,
@@ -57,12 +58,19 @@ from adicgaps.tree import (
     empty_node,
     first_move_equivalent,
     node_from_runs,
+    parse_node,
     prec_compare,
     random_node_set,
     reembed,
     words_upto,
 )
-from adicgaps.types import classify_type, enumerate_types, same_type_probes, type_id
+from adicgaps.types import (
+    classify_type,
+    enumerate_types,
+    print_type,
+    same_type_probes,
+    type_id,
+)
 
 from helpers import parse_node_set
 
@@ -448,15 +456,47 @@ def _counting(monkeypatch, module, name, calls=None):
 
 def test_both_policies_read_one_probe(monkeypatch):
     search._memoized_record.cache_clear()
-    calls = _counting(monkeypatch, search, "type_action")
+    calls = _counting(monkeypatch, search, "probe")
     blocks = [(node_from_runs(2, [(0, 1), (1, 1)]), node_from_runs(2, [(1, 1), (0, 1)]))]
     (broken,) = substitutions(blocks, 2, RANGE)
     (ordered,) = substitutions(blocks, 2, ORDER)
     assert broken.action == ordered.action
-    assert calls["type_action"] == 1
+    assert calls["probe"] == 1
     # revalidation recomputes from the payload and never reads the memo
     assert revalidate(ordered, DEFAULT_SEARCH_BUDGET, ORDER)
-    assert calls["type_action"] == 2
+    assert calls["probe"] == 2
+
+
+@pytest.mark.parametrize(
+    "blocks, refuted_at",
+    [
+        # the letter swap maps [l0]'s witness onto some type, but a pooled
+        # [l0] sample elsewhere
+        (("1", "0"), "[l0]"),
+        (("0", "01"), "[l1]"),
+        (("01", "010"), "[u0 l1]"),
+        (("00", "01"), "[l0 u1 l1]"),
+        (("10", "1011"), "[u0 u1 l1]"),
+    ],
+)
+def test_probe_stops_at_the_first_refuting_sample(monkeypatch, blocks, refuted_at):
+    # each earlier type is read at both witness sizes, the refuted type at
+    # the first only, and no witness of a later type is built
+    phi = SubstitutionEmbedding(empty_node(2), tuple(parse_node(2, b) for b in blocks))
+    built = []
+    original = embeddings.type_witness
+    monkeypatch.setattr(
+        embeddings,
+        "type_witness",
+        lambda tau, size: built.append((print_type(tau), size)) or original(tau, size),
+    )
+    record = probe(phi)
+    assert record.action is None and record.disagreed
+    earlier = [print_type(tau) for tau in enumerate_types(2)]
+    earlier = earlier[: earlier.index(refuted_at)]
+    sizes = (TYPE_BLOCKS, TYPE_BLOCKS + 1)
+    assert built == [(t, n) for t in earlier for n in sizes] + [(refuted_at, TYPE_BLOCKS)]
+    assert reference_admissible_action(phi, RANGE) is None
 
 
 def test_replay_samples_are_drawn_once_per_alphabet(monkeypatch):

@@ -1,12 +1,17 @@
+import itertools
+
 import pytest
 
+from adicgaps import types
 from adicgaps.combs import CombKind, NotHomogeneous, comb_witness
 from adicgaps.tree import (
     NodeSet,
     ScaleLimit,
     empty_node,
+    format_node,
     node_from_runs,
     record_equivalent,
+    words_upto,
 )
 from adicgaps.types import (
     AmbiguousTruncation,
@@ -223,6 +228,67 @@ def test_trimming_fallback_still_works():
     stray = max(w.sorted_nodes, key=lambda x: x.length).extend(0, 7)
     damaged = NodeSet(2, (w.nodes - {max(w.sorted_nodes, key=lambda x: x.length)}) | {stray})
     assert classify_type(damaged) == tau
+
+
+def scan_same_type_probes(alphabet):
+    """The scan the frozen pool was taken from: every 3-element set of words
+    up to 4 letters (3 over alphabet 3), in ``itertools.combinations``
+    order, keeping the first 6 sets that classify as each type."""
+    words = words_upto(alphabet, 4 if alphabet <= 2 else 3)
+    pool = {tau: [] for tau in enumerate_types(alphabet)}
+    for combo in itertools.combinations(words, 3):
+        a = NodeSet(alphabet, frozenset(combo))
+        try:
+            tau = classify_type(a)
+        except ValueError:
+            continue
+        if len(pool[tau]) < 6:
+            pool[tau].append(a)
+            if all(len(bucket) == 6 for bucket in pool.values()):
+                break
+    return {tau: tuple(bucket) for tau, bucket in pool.items()}
+
+
+def frozen_pool_literal(pool):
+    """The pool as the data in ``types``: type text -> its sets, in order."""
+    return {
+        print_type(tau): " ".join(",".join(format_node(x) for x in a.sorted_nodes) for a in bucket)
+        for tau, bucket in pool.items()
+        if bucket
+    }
+
+
+@pytest.mark.parametrize("alphabet", [1, 2, 3])
+def test_frozen_pool_equals_scan(alphabet):
+    # on a mismatch, the left side is the data to paste into types
+    scanned = scan_same_type_probes(alphabet)
+    assert frozen_pool_literal(scanned) == types._SAME_TYPE_POOL[alphabet]
+    assert list(same_type_probes(alphabet).items()) == list(scanned.items())
+
+
+def test_no_same_type_pool_over_alphabet_four(monkeypatch):
+    # the scan ran past 300 s there; the pool refuses at once
+    calls = []
+    monkeypatch.setattr(types, "classify_type", lambda a: calls.append(a))
+    with pytest.raises(ScaleLimit):
+        same_type_probes(4)
+    assert calls == []
+
+
+def test_unmaterializable_witnesses_fail_once(monkeypatch):
+    # 140 of the 480 quaternary witnesses are not materializable; the
+    # ScaleLimit is kept, so later calls build no witness
+    a = NodeSet.of(4, ["0", "00", "000"])
+    with pytest.raises(ScaleLimit):
+        classify_type(a)
+    built = []
+    original = types.type_witness
+    monkeypatch.setattr(
+        types, "type_witness", lambda tau, blocks: built.append(tau) or original(tau, blocks)
+    )
+    with pytest.raises(ScaleLimit):
+        classify_type(a)
+    assert built == []
 
 
 def test_same_type_probe_buckets_pinned():
