@@ -19,7 +19,7 @@ Four generator families feed the search, cheapest evidence first:
 * **substitutions** — block maps ordered by increasing block length; the
   action is probed;
 * **e-driven realizations** — tabulated embeddings realizing an e-family
-  within the letter budget; the action is probed;
+  of at most ``EFAMILY_LETTERS`` letters; the action is probed;
 * **domination constructions** — the dyadic two-type maps sending the first
   chain type to a dominated type and everything else to a dominating
   top-comb; the action is the construction's defining rule.
@@ -38,7 +38,7 @@ lengths always reverse some length tie, yet their ranges are perfectly good
 sets ``M``.)
 
 Verdicts are one-sided: ``BROKEN_witnessed`` embeds a re-checkable witness,
-while ``NOT_BROKEN_bounded`` only reports that the budgeted search found
+while ``NOT_BROKEN_bounded`` only reports that the bounded search found
 nothing — non-breaking facts are not mechanized here.  Only restrictions
 along the full side set and only ranges of generated embeddings are
 examined, so a clean sweep under-approximates the full combinatorial
@@ -54,10 +54,10 @@ from typing import Iterator, Optional
 from .gaps import RECORD, GapSpec
 from .runtime import pmap
 from .search import (
-    DEFAULT_BREAK_BUDGET,
     RANGE,
+    SUBSTITUTION_BLOCKS,
     Candidate,
-    SearchBudget,
+    budget_json,
     dominations,
     efamilies,
     revalidate,
@@ -81,7 +81,6 @@ class BreakQuery:
 
     gap: GapSpec
     broken_sides: frozenset
-    budget: SearchBudget = DEFAULT_BREAK_BUDGET
 
     def __post_init__(self) -> None:
         if self.gap.layer != RECORD:
@@ -109,7 +108,7 @@ def _substitution_sort_key(blocks: tuple) -> tuple:
     )
 
 
-def candidate_pool(m_out: int, budget: SearchBudget) -> Iterator[Candidate]:
+def candidate_pool(m_out: int) -> Iterator[Candidate]:
     """All candidate witnesses in search order, each family over every
     domain alphabet up to ``m_out``: subalphabet inclusions, then
     substitutions by increasing block length, then e-driven realizations,
@@ -121,7 +120,7 @@ def candidate_pool(m_out: int, budget: SearchBudget) -> Iterator[Candidate]:
     tabulated type catalogues raises ScaleLimit before any search."""
     alphabets = range(1, m_out + 1)
     yield from [cand for m_in in alphabets for cand in subalphabets(m_in, m_out)]
-    words = words_upto(m_out, budget.substitution_blocks)
+    words = words_upto(m_out, SUBSTITUTION_BLOCKS)
     for m_in in alphabets:
         tuples = [
             blocks
@@ -131,7 +130,7 @@ def candidate_pool(m_out: int, budget: SearchBudget) -> Iterator[Candidate]:
         tuples.sort(key=_substitution_sort_key)
         yield from substitutions(tuples, m_out, RANGE)
     for m_in in alphabets:
-        yield from efamilies(m_in, m_out, budget, RANGE)
+        yield from efamilies(m_in, m_out, RANGE)
     yield from dominations(2, m_out)
 
 
@@ -148,7 +147,6 @@ class BreakReport:
     verdict: str
     witness: Optional[Candidate]
     searched: int
-    budget: SearchBudget
 
     def __bool__(self) -> bool:
         return self.verdict == BROKEN_WITNESSED
@@ -160,7 +158,7 @@ class BreakReport:
             "verdict": self.verdict,
             "witness": self.witness.as_dict() if self.witness else None,
             "searched": self.searched,
-            "budget": self.budget.as_json(),
+            "budget": budget_json(RANGE),
         }
 
 
@@ -176,13 +174,13 @@ def break_check(query: BreakQuery) -> BreakReport:
     """Search the generator families for a witness; first validated wins.
 
     The verdict is ``BROKEN_witnessed`` with the winning embedding and its
-    action table, or ``NOT_BROKEN_bounded`` once the budgeted families are
+    action table, or ``NOT_BROKEN_bounded`` once the bounded families are
     exhausted.  The search order is deterministic, so reruns reproduce the
     same witness.
     """
     gap = query.gap
     searched = 0
-    for cand in candidate_pool(gap.m, query.budget):
+    for cand in candidate_pool(gap.m):
         searched += 1
         if _range_rule(gap, query.broken_sides, cand.range_types):
             return BreakReport(
@@ -191,7 +189,6 @@ def break_check(query: BreakQuery) -> BreakReport:
                 verdict=BROKEN_WITNESSED,
                 witness=cand,
                 searched=searched,
-                budget=query.budget,
             )
     return BreakReport(
         gap=gap,
@@ -199,7 +196,6 @@ def break_check(query: BreakQuery) -> BreakReport:
         verdict=NOT_BROKEN_BOUNDED,
         witness=None,
         searched=searched,
-        budget=query.budget,
     )
 
 
@@ -219,7 +215,7 @@ def revalidate_break(report: BreakReport) -> bool:
     """
     if report.verdict != BROKEN_WITNESSED or report.witness is None:
         return False
-    if not revalidate(report.witness, report.budget, RANGE):
+    if not revalidate(report.witness, RANGE):
         return False
     return _range_rule(report.gap, frozenset(report.broken_sides), report.witness.range_types)
 
@@ -267,9 +263,7 @@ class JigsawAudit:
         }
 
 
-def jigsaw_audit(
-    gap: GapSpec, budget: SearchBudget = DEFAULT_BREAK_BUDGET
-) -> JigsawAudit:
+def jigsaw_audit(gap: GapSpec) -> JigsawAudit:
     """Run :func:`break_check` for every nonempty subset of side indices.
 
     Queries run one after another on the calling thread, in subset order:
@@ -280,9 +274,7 @@ def jigsaw_audit(
         for size in range(1, gap.n + 1)
         for combo in itertools.combinations(range(gap.n), size)
     ]
-    reports = pmap(
-        lambda b: break_check(BreakQuery(gap, frozenset(b), budget)), subsets
-    )
+    reports = pmap(lambda b: break_check(BreakQuery(gap, frozenset(b))), subsets)
     return JigsawAudit(gap=gap, entries=tuple(zip(subsets, reports)))
 
 
@@ -306,9 +298,7 @@ class OptimalityReport:
     counterexamples: tuple
 
 
-def jbreak_optimality_check(
-    budget: SearchBudget = DEFAULT_BREAK_BUDGET,
-) -> OptimalityReport:
+def jbreak_optimality_check() -> OptimalityReport:
     """Check that no generated embedding witnesses a partial break of the
     eight-type gap beyond the two chain sides."""
     catalogue = enumerate_types(2)
@@ -316,7 +306,7 @@ def jbreak_optimality_check(
     checked = 0
     qualifying = []
     counterexamples = []
-    for cand in candidate_pool(2, budget):
+    for cand in candidate_pool(2):
         checked += 1
         rng = cand.range_types
         if chain0 in rng and chain1 in rng:

@@ -36,7 +36,6 @@ from .breaking import (
     BROKEN_WITNESSED,
     NOT_BROKEN_BOUNDED,
     BreakQuery,
-    DEFAULT_BREAK_BUDGET,
     break_check,
     jbreak_optimality_check,
     jigsaw_audit,
@@ -85,7 +84,7 @@ from .runtime import (
     content_key,
     default_cache_dir,
 )
-from .search import DEFAULT_SEARCH_BUDGET, SearchBudget
+from .search import ORDER, RANGE, budget_json
 from .tree import (
     Node,
     NodeSet,
@@ -798,8 +797,8 @@ def run_audit(
         },
         "seed": seed,
         "budgets": {
-            "order": DEFAULT_SEARCH_BUDGET.as_json(),
-            "breaking": DEFAULT_BREAK_BUDGET.as_json(),
+            "order": budget_json(ORDER),
+            "breaking": budget_json(RANGE),
             "probe": probe_json(DOMAIN_DEPTH),
         },
         "partial": only is not None,
@@ -825,11 +824,16 @@ def _resolve_cache(args) -> Optional[ResultCache]:
     if getattr(args, "no_cache", False):
         return None
     cache = ResultCache(getattr(args, "cache_dir", None) or default_cache_dir())
+    # entries are written under the versioned directory, which can be
+    # unusable (a file, say) where the root is not
     try:
-        cache.root.mkdir(parents=True, exist_ok=True)
+        cache.entry_dir.mkdir(parents=True, exist_ok=True)
     except OSError as ex:
-        raise UsageError(f"cannot create cache directory {cache.root}: {ex.strerror or ex}") from ex
-    _require_writable_dir(cache.root, "cache directory")
+        raise UsageError(
+            f"cannot create cache directory {cache.entry_dir}: {ex.strerror or ex}"
+        ) from ex
+    for path in (cache.root, cache.entry_dir):
+        _require_writable_dir(path, "cache directory")
     return cache
 
 
@@ -916,11 +920,7 @@ def cmd_gaps_order(args) -> int:
     left = _load_gap_file(args.left)
     right = _load_gap_file(args.right)
     try:
-        budget = SearchBudget(
-            substitution_blocks=args.substitution_blocks,
-            efamily_letters=args.efamily_letters,
-        )
-        result = order_le(left, right, budget)
+        result = order_le(left, right)
     except ValueError as ex:
         raise UsageError(str(ex)) from ex
     revalidated = (
@@ -1049,18 +1049,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     order.add_argument("--left", required=True, metavar="FILE", help="gap JSON file")
     order.add_argument("--right", required=True, metavar="FILE", help="gap JSON file")
-    order.add_argument(
-        "--substitution-blocks",
-        type=int,
-        default=DEFAULT_SEARCH_BUDGET.substitution_blocks,
-        help="record-layer search cap on substitution block length",
-    )
-    order.add_argument(
-        "--efamily-letters",
-        type=int,
-        default=DEFAULT_SEARCH_BUDGET.efamily_letters,
-        help="record-layer search cap on total family letters",
-    )
     order.add_argument("--json", action="store_true", help="emit JSON")
     order.set_defaults(func=cmd_gaps_order)
 

@@ -5,7 +5,9 @@ A gap specification assigns comb kinds (first-move layer) or record types
 two specifications, enumerates the candidate lists with their pinned
 diagonals, extracts the minimal equivalence classes of the strong (first-move)
 candidates with their quotients by alphabet permutations, and prunes record
-candidates through domination.
+candidates through domination.  The first-move order is exact; the record
+order searches the candidate embeddings of :mod:`adicgaps.search`, whose
+extent is fixed there, so it is one-sided.
 """
 
 from __future__ import annotations
@@ -25,10 +27,9 @@ from .combs import (
     shape_induced_row,
 )
 from .search import (
-    DEFAULT_SEARCH_BUDGET,
     ORDER,
+    SUBSTITUTION_BLOCKS,
     Candidate,
-    SearchBudget,
     dominations,
     efamilies,
     efamily_label,
@@ -248,9 +249,7 @@ def enumerate_candidates_record(n: int) -> tuple[GapSpec, ...]:
 
 
 @lru_cache(maxsize=None)
-def generate_type_actions(
-    m_in: int, m_out: int, budget: SearchBudget = DEFAULT_SEARCH_BUDGET
-) -> tuple[Candidate, ...]:
+def generate_type_actions(m_in: int, m_out: int) -> tuple[Candidate, ...]:
     """All generated total type actions m_in -> m_out, deduplicated by map,
     in deterministic generator order: subalphabet inclusions, substitutions,
     branch-word family realizations, dominations.
@@ -261,13 +260,13 @@ def generate_type_actions(
     the order policy: total, stable across witness sizes, monotone in the
     maximum letter, and surviving structural replay plus the pooled
     same-type probes."""
-    words = words_upto(m_out, budget.substitution_blocks)
+    words = words_upto(m_out, SUBSTITUTION_BLOCKS)
     out: list[Candidate] = []
     seen: set[tuple] = set()
     chain = itertools.chain(
         subalphabets(m_in, m_out),
         substitutions(itertools.product(words, repeat=m_in), m_out, ORDER),
-        efamilies(m_in, m_out, budget, ORDER),
+        efamilies(m_in, m_out, ORDER),
         dominations(m_in, m_out),
     )
     for cand in chain:
@@ -306,7 +305,6 @@ class OrderResult:
     witness: Optional[GapWitness | Candidate]
     searched: int
     budget_note: str
-    budget: SearchBudget = DEFAULT_SEARCH_BUDGET  # the record-layer search's
 
     def __bool__(self) -> bool:
         return self.verdict == LE_WITNESSED
@@ -377,9 +375,7 @@ def _membership_iff(g: GapSpec, h: GapSpec, image_of: Callable) -> bool:
     return all(g.side_of(c) == h.side_of(image_of(c)) for c in g.symbol_universe())
 
 
-def order_le(
-    g: GapSpec, h: GapSpec, budget: SearchBudget = DEFAULT_SEARCH_BUDGET
-) -> OrderResult:
+def order_le(g: GapSpec, h: GapSpec) -> OrderResult:
     """Decide g <= h by searching symbol-map witnesses.
 
     First-move layer: exact over every realizable comb map, so a verdict of
@@ -390,8 +386,9 @@ def order_le(
     alphabet 4 into an output alphabet of 3 or more the maps are not
     enumerated and :class:`ScaleLimit` is raised.
 
-    Record layer: exhaust the generated embedding actions within budget;
-    failure to find a witness is only a bounded outcome, never a refutation.
+    Record layer: exhaust the generated embedding actions, whose extent
+    :mod:`adicgaps.search` fixes; failure to find a witness is only a
+    bounded outcome, never a refutation.
     This path does not import numpy.
     """
     if g.layer != h.layer:
@@ -411,11 +408,11 @@ def order_le(
             witness = GapWitness("efamily", efamily_label(fam), eps, fam)
             return OrderResult(LE_WITNESSED, witness, len(rows), "exact")
         return OrderResult(NOT_LE_REFUTED_EXACT, None, len(rows), "exact")
-    actions = generate_type_actions(g.m, h.m, budget)
+    actions = generate_type_actions(g.m, h.m)
     for action in actions:
         if _membership_iff(g, h, action.lookup().__getitem__):
-            return OrderResult(LE_WITNESSED, action, len(actions), "bounded", budget)
-    return OrderResult(UNKNOWN_BOUNDED, None, len(actions), "bounded", budget)
+            return OrderResult(LE_WITNESSED, action, len(actions), "bounded")
+    return OrderResult(UNKNOWN_BOUNDED, None, len(actions), "bounded")
 
 
 def revalidate_order(g: GapSpec, h: GapSpec, result: OrderResult) -> bool:
@@ -437,7 +434,7 @@ def revalidate_order(g: GapSpec, h: GapSpec, result: OrderResult) -> bool:
         if eps.table != w.comb_map.table:
             return False
         return _membership_iff(g, h, eps.apply)
-    if not isinstance(w, Candidate) or not revalidate(w, result.budget, ORDER):
+    if not isinstance(w, Candidate) or not revalidate(w, ORDER):
         return False
     lookup = w.lookup()
     if set(lookup) != set(enumerate_types(g.m)):

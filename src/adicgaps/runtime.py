@@ -72,12 +72,12 @@ class ResultCache:
 
     def __init__(self, root: "Path | str | None" = None) -> None:
         self.root = Path(root) if root is not None else default_cache_dir()
-        self._dir = self.root / f"v{SCHEMA_VERSION}"
+        self.entry_dir = self.root / f"v{SCHEMA_VERSION}"
 
     def path_for(self, key: str) -> Path:
         if not key or any(c not in "0123456789abcdef" for c in key):
             raise ValueError(f"cache keys are lowercase hex digests, got {key!r}")
-        return self._dir / f"{key}.json"
+        return self.entry_dir / f"{key}.json"
 
     def get(self, key: str) -> Any:
         path = self.path_for(key)

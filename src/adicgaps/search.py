@@ -8,16 +8,16 @@ together with its total action on types.  There are four kinds:
 * ``subalphabet`` -- increasing letter injections; the action is the
   relabelling rule;
 * ``substitution`` -- injective block maps; the action is probed;
-* ``efamily`` -- realizations of branch-word families within a letter
-  budget; the action is probed;
+* ``efamily`` -- realizations of branch-word families of at most
+  ``EFAMILY_LETTERS`` letters; the action is probed;
 * ``domination`` -- the dyadic two-type construction; the action is the
   construction's defining rule.
 
 Each probed embedding is probed once per process: its payload JSON keys a
 memo of one policy-free :class:`ProbeRecord` -- the type action when it is
-total, and whether a pooled same-type sample left the domain or disagreed
-with it.  The probe takes one domain type at a time: the witness image,
-then the type's samples from the frozen same-type pool
+total and no pooled same-type sample disagrees with it, and whether a
+sample left the domain.  The probe takes one domain type at a time: the
+witness image, then the type's samples from the frozen same-type pool
 (:func:`~adicgaps.types.same_type_probes`), then the larger witness image,
 and it stops at the first failure.  Most rejected maps are refuted by an
 early type's sample, so they never pay for the later witnesses.  The memo
@@ -35,7 +35,9 @@ keeps records, never embeddings.  Both policies read the same record:
 
 Each consumer keeps its own search order; the generators take the domain
 alphabet, and the substitution generator takes the block tuples in the
-order they are to be tried.  :func:`revalidate` rebuilds a candidate's
+order they are to be tried.  The extent of each search is fixed here --
+block length, e-family letters and the policy's domain depth -- and
+:func:`budget_json` reports it.  :func:`revalidate` rebuilds a candidate's
 embedding from its payload alone and probes it afresh under the
 consumer's policy, never reading the memo; a witness stands only when the
 two actions agree.
@@ -53,7 +55,6 @@ from typing import Callable, Iterable, Iterator, Optional
 from .combs import EFamily, enumerate_efamilies
 from .embeddings import (
     DOMAIN_DEPTH,
-    REFUTED,
     REPLAY_DEPTH,
     REPLAY_SAMPLES,
     STABLE,
@@ -89,38 +90,26 @@ RANGE = "range"
 ORDER = "order"
 
 
-@dataclass(frozen=True)
-class SearchBudget:
-    """Limits for a witness search.
-
-    ``substitution_blocks`` caps block length; ``efamily_letters`` caps the
-    total letter count of an e-family's words; ``domain_depth`` is the depth
-    of every tabulated domain the search builds (e-family realizations and
-    domination constructions).  The other probe bounds are the constants of
-    :mod:`adicgaps.embeddings`.  Subalphabet inclusions and domination
-    constructions are finite families and always enumerated in full.
-    """
-
-    substitution_blocks: int = 3
-    efamily_letters: int = 12
-    domain_depth: int = DOMAIN_DEPTH
-
-    def __post_init__(self) -> None:
-        if self.substitution_blocks < 1:
-            raise ValueError("substitution_blocks must be at least 1")
-        if self.efamily_letters < 0:
-            raise ValueError("efamily_letters must be nonnegative")
-
-    def as_json(self) -> dict:
-        return {
-            "substitution_blocks": self.substitution_blocks,
-            "efamily_letters": self.efamily_letters,
-            "probe": probe_json(self.domain_depth),
-        }
+#: The extent of every record search, fixed: the longest substitution block,
+#: the most letters in an e-family's words, and the depth of the tabulated
+#: domains (e-family realizations, domination constructions) each policy
+#: builds.  Breaking tabulates to 40: at 64 its pool grows from 86 to 95
+#: candidates and the audit's pinned values move.  The other probe bounds
+#: are the constants of :mod:`adicgaps.embeddings`.  Subalphabet inclusions
+#: and domination constructions are finite families, always enumerated in
+#: full.
+SUBSTITUTION_BLOCKS = 3
+EFAMILY_LETTERS = 12
+DOMAIN_DEPTHS = {ORDER: DOMAIN_DEPTH, RANGE: 40}
 
 
-DEFAULT_SEARCH_BUDGET = SearchBudget()
-DEFAULT_BREAK_BUDGET = SearchBudget(domain_depth=40)
+def budget_json(policy: str) -> dict:
+    """The extent of a search under ``policy``, for reports."""
+    return {
+        "substitution_blocks": SUBSTITUTION_BLOCKS,
+        "efamily_letters": EFAMILY_LETTERS,
+        "probe": probe_json(DOMAIN_DEPTHS[policy]),
+    }
 
 
 @dataclass(frozen=True)
@@ -175,16 +164,12 @@ class ProbeRecord:
 
     ``action`` is the sorted type action when every domain type classifies
     stably (nothing unstable, unverified or skipped) and no pooled same-type
-    sample disagrees with it, else ``None``.  The two flags are read off
-    those samples: one left the domain, or one mapped onto another image
-    type (or onto no type).  The probe stops at the first failure, which
-    both policies reject, so a rejected record's flags show only how far
-    the probe got; no policy reads them.
+    sample disagrees with it, else ``None``.  ``left_domain`` says that a
+    sample left the domain, which only the ``ORDER`` policy reads.
     """
 
     action: Optional[tuple]
     left_domain: bool = False
-    disagreed: bool = False
 
 
 def probe(phi: Embedding) -> ProbeRecord:
@@ -193,8 +178,7 @@ def probe(phi: Embedding) -> ProbeRecord:
     For each type the witness image is classified, then the type's pooled
     same-type samples, then the larger witness image (:func:`read_type`).
     The probe stops at the first failure, so a map that a sample of an
-    early type refutes classifies no witness of a later type.  The flags of
-    a rejected record show only how far the probe got.
+    early type refutes classifies no witness of a later type.
     """
     left_domain = False
 
@@ -217,7 +201,7 @@ def probe(phi: Embedding) -> ProbeRecord:
     for tau in enumerate_types(phi.domain_alphabet):
         status, sigma = read_type(phi, tau, corroborated)
         if status != STABLE:
-            return ProbeRecord(None, left_domain, disagreed=status == REFUTED)
+            return ProbeRecord(None)
         mapping[tau] = sigma
     return ProbeRecord(_sorted_action(mapping), left_domain)
 
@@ -312,14 +296,13 @@ def _build(payload: dict) -> Embedding:
     raise ValueError(f"no probed embedding to build for kind {kind!r}")
 
 
-def _derive_action(payload: dict, domain_depth: int, policy: str) -> Optional[tuple]:
+def _derive_action(payload: dict, policy: str) -> Optional[tuple]:
     """Recompute a candidate's action from its payload alone, or ``None``.
 
     Subalphabet inclusions recompute the relabelling rule.  Probed kinds are
     rebuilt, probed and admitted under ``policy``.  A domination payload must
-    name a dominating top-comb, and the construction, built at
-    ``domain_depth``, must have probed values that agree with the defining
-    rule.
+    name a dominating top-comb, and the construction, built at the policy's
+    domain depth, must have probed values that agree with the defining rule.
     """
     kind = payload["kind"]
     if kind == "subalphabet":
@@ -333,7 +316,7 @@ def _derive_action(payload: dict, domain_depth: int, policy: str) -> Optional[tu
     tau0, tau1 = _domination_types(payload)
     if not dominates(tau1, tau0):
         return None
-    phi = domination_embedding(tau0, tau1, domain_depth)
+    phi = domination_embedding(tau0, tau1, DOMAIN_DEPTHS[policy])
     rule = _rule_action(payload)
     expected = dict(rule)
     if any(expected[tau] != sigma for tau, sigma in type_action(phi).mapping):
@@ -360,13 +343,13 @@ def _probed(label: str, payload: dict, policy: str) -> Iterator[Candidate]:
         yield Candidate(payload["kind"], label, action[0][0].alphabet, action, payload)
 
 
-def revalidate(candidate: Candidate, budget: SearchBudget, policy: str) -> bool:
+def revalidate(candidate: Candidate, policy: str) -> bool:
     """Recheck a candidate from its payload alone: the action is recomputed
     (never read from the memo) and must equal the stored one."""
     payload = candidate.payload
     return (
         payload.get("kind") == candidate.kind
-        and _derive_action(payload, budget.domain_depth, policy) == candidate.action
+        and _derive_action(payload, policy) == candidate.action
     )
 
 
@@ -393,19 +376,18 @@ def substitutions(
             yield from _probed(label, phi.to_json(), policy)
 
 
-def efamilies(
-    m_in: int, m_out: int, budget: SearchBudget, policy: str
-) -> Iterator[Candidate]:
-    """Realizations of the branch-word families within the letter budget."""
+def efamilies(m_in: int, m_out: int, policy: str) -> Iterator[Candidate]:
+    """Realizations of the branch-word families of at most
+    ``EFAMILY_LETTERS`` letters, tabulated at the policy's domain depth."""
     for fam in enumerate_efamilies(m_in, m_out):
-        if fam.e_inf.length + sum(w.length for w in fam.e) > budget.efamily_letters:
+        if fam.e_inf.length + sum(w.length for w in fam.e) > EFAMILY_LETTERS:
             continue
         payload = {
             "kind": "efamily",
             "alphabet_out": m_out,
             "e_inf": format_node(fam.e_inf),
             "e": [format_node(w) for w in fam.e],
-            "depth": budget.domain_depth,
+            "depth": DOMAIN_DEPTHS[policy],
         }
         yield from _probed(efamily_label(fam), payload, policy)
 

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 import adicgaps.breaking as breaking_module
 from adicgaps.breaking import (
     BROKEN_WITNESSED,
-    DEFAULT_BREAK_BUDGET,
     NOT_BROKEN_BOUNDED,
     BreakQuery,
     break_check,
@@ -37,7 +36,7 @@ from adicgaps.gaps import (
     max_partition_gap,
 )
 from adicgaps.runtime import canonical_json
-from adicgaps.search import RANGE, SearchBudget, admit, probe
+from adicgaps.search import ORDER, RANGE, admit, budget_json, probe
 from adicgaps.tree import ScaleLimit
 from adicgaps.types import enumerate_types, j_count, parse_type, print_type
 
@@ -46,8 +45,8 @@ from helpers import RETIRED_POOL_VARIABLE, critical_strong_gap
 DELTA = record_three_gap()
 
 
-def query(gap, sides, budget=DEFAULT_BREAK_BUDGET):
-    return BreakQuery(gap, frozenset(sides), budget)
+def query(gap, sides):
+    return BreakQuery(gap, frozenset(sides))
 
 
 def record_gap(*sides):
@@ -67,17 +66,32 @@ class TestBreakQuery:
         with pytest.raises(ValueError, match="subset"):
             query(DELTA, {0, 3})
 
-    def test_budget_validation(self):
-        with pytest.raises(ValueError):
-            SearchBudget(substitution_blocks=0)
-        with pytest.raises(ValueError):
-            SearchBudget(efamily_letters=-1)
-
     def test_budget_json_echo(self):
-        data = DEFAULT_BREAK_BUDGET.as_json()
-        assert data["substitution_blocks"] == 3
-        assert data["efamily_letters"] == 12
-        assert data["probe"]["domain_depth"] == 40
+        # the fixed extent of each search, as every report states it
+        assert budget_json(ORDER) == {
+            "efamily_letters": 12,
+            "probe": {
+                "comb_blocks": 4,
+                "domain_depth": 64,
+                "replay_depth": 6,
+                "replay_samples": 20,
+                "run_limit": 20000,
+                "type_blocks": 4,
+            },
+            "substitution_blocks": 3,
+        }
+        assert budget_json(RANGE) == {
+            "efamily_letters": 12,
+            "probe": {
+                "comb_blocks": 4,
+                "domain_depth": 40,
+                "replay_depth": 6,
+                "replay_samples": 20,
+                "run_limit": 20000,
+                "type_blocks": 4,
+            },
+            "substitution_blocks": 3,
+        }
 
 
 class TestBreakCheckOnThreeGap:
@@ -165,7 +179,6 @@ class TestRevalidation:
                 payload=witness.payload,
             ),
             searched=report.searched,
-            budget=report.budget,
         )
         assert not revalidate_break(tampered)
 
@@ -277,7 +290,7 @@ class TestPreservationLemma:
         two_record = parse_type("[l0 l1]", 2)
         checked = 0
         premise_holders = []
-        for cand in candidate_pool(2, DEFAULT_BREAK_BUDGET):
+        for cand in candidate_pool(2):
             if cand.domain_alphabet != 2:
                 continue
             checked += 1

@@ -1,13 +1,17 @@
 """Command-surface tests: argument handling, exit codes, output shapes, and
 the audit command's plumbing (partial runs, cache flags, determinism)."""
 
+import argparse
+import ast
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import adicgaps
 from adicgaps import cli
 from adicgaps.cli import (
     AUDIT_CHECKS,
@@ -23,6 +27,7 @@ from adicgaps.cli import (
 )
 from adicgaps.gaps import critical_record_gap
 from adicgaps.breaking import record_three_gap
+from adicgaps.runtime import SCHEMA_VERSION
 
 from helpers import RETIRED_POOL_VARIABLE
 
@@ -141,6 +146,13 @@ class TestEnumStrong:
         assert main(argv) == EXIT_USAGE
         assert_one_error_line(capsys, str(cache_dir))
 
+    def test_entry_dir_that_is_a_file_exits_2(self, capsys, tmp_path):
+        # entries go under the versioned directory, not the root
+        (tmp_path / f"v{SCHEMA_VERSION}").write_text("")
+        argv = ["gaps", "enum-strong", "--n", "2", "--cache-dir", str(tmp_path)]
+        assert main(argv) == EXIT_USAGE
+        assert_one_error_line(capsys, str(tmp_path / f"v{SCHEMA_VERSION}"))
+
     def test_unwritable_cache_dir_exits_2(self, capsys, tmp_path, monkeypatch):
         # a superuser may write anywhere, so the permission answer is stubbed
         locked = tmp_path / "locked"
@@ -250,16 +262,6 @@ class TestGapsOrder:
             == EXIT_USAGE
         )
         assert "cannot read" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "flag,value", [("--substitution-blocks", "0"), ("--efamily-letters", "-1")]
-    )
-    def test_invalid_budget_exits_2(self, capsys, gap_file, flag, value):
-        gap = gap_file("three.json", record_three_gap())
-        argv = ["gaps", "order", "--left", gap, "--right", gap, flag, value]
-        assert main(argv) == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_layer_mismatch_exits_2(self, capsys, gap_file):
         left = gap_file("left.json", REFERENCE_STRONG_TABLE["4*"])
@@ -448,6 +450,16 @@ class TestAuditCommand:
         assert_one_error_line(capsys, "--only")
         assert not out.exists()
 
+    def test_entry_dir_that_is_a_file_exits_2_before_any_check(self, capsys, tmp_path):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        (cache / f"v{SCHEMA_VERSION}").write_text("")
+        out = tmp_path / "report.json"
+        argv = ["audit", "paper-tables", "--only", "strong-three-gap-classes"]
+        assert main(argv + ["--cache-dir", str(cache), "--json-out", str(out)]) == EXIT_USAGE
+        assert_one_error_line(capsys, str(cache / f"v{SCHEMA_VERSION}"))
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["abc", "0"])
     def test_retired_pool_variable_is_ignored(self, capsys, tmp_path, monkeypatch, value):
         monkeypatch.setenv(RETIRED_POOL_VARIABLE, value)
@@ -485,7 +497,23 @@ class TestAuditCommand:
         assert report["schema"] == 1
         assert report["package"].startswith("adicgaps ")
         assert set(report["toolchain"]) == {"python", "platform"}
-        assert set(report["budgets"]) == {"order", "breaking", "probe"}
+        probe = {
+            "comb_blocks": 4,
+            "domain_depth": 64,
+            "replay_depth": 6,
+            "replay_samples": 20,
+            "run_limit": 20000,
+            "type_blocks": 4,
+        }
+        assert report["budgets"] == {
+            "breaking": {
+                "efamily_letters": 12,
+                "probe": {**probe, "domain_depth": 40},
+                "substitution_blocks": 3,
+            },
+            "order": {"efamily_letters": 12, "probe": probe, "substitution_blocks": 3},
+            "probe": probe,
+        }
         assert report["generated_at"].endswith("+00:00")
 
 
@@ -579,3 +607,83 @@ def test_first_move_order_from_alphabet_three_into_four_answers(tmp_path):
     assert answered.returncode == EXIT_OK
     report = json.loads(answered.stdout)
     assert report["verdict"] == "LE_witnessed" and report["revalidated"]
+
+
+# --------------------------------------------------------------------------
+# the option census: every knob a user can turn
+
+
+def _flags_by_command(parser, path=()):
+    """``{"group command": {flags}}`` for every parser that takes flags or
+    has no subcommands; ``-h``/``--help`` are left out."""
+    out = {}
+    flags = {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if flags or not subparsers:
+        out[" ".join(path)] = flags
+    for action in subparsers:
+        for name, sub in action.choices.items():
+            out.update(_flags_by_command(sub, path + (name,)))
+    return out
+
+
+def _is_os_attr(node, attr):
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr == attr
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "os"
+    )
+
+
+def _environment_reads():
+    """The variables the package reads: the key of each ``os.environ.get``,
+    ``os.environ[...]`` and ``os.getenv``, a module-level string constant
+    resolved to its value.  Any other use of ``os.environ`` (iterating it,
+    copying it, a computed key) is counted as ``"?"``."""
+    names = set()
+    for path in sorted(Path(adicgaps.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        constants = {
+            target.id: stmt.value.value
+            for stmt in tree.body
+            if isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Constant)
+            for target in stmt.targets
+            if isinstance(target, ast.Name)
+        }
+        uses = sum(
+            _is_os_attr(node, "environ") or _is_os_attr(node, "getenv")
+            for node in ast.walk(tree)
+        )
+        keys = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and node.args and (
+                _is_os_attr(node.func, "getenv")
+                or isinstance(node.func, ast.Attribute)
+                and node.func.attr == "get"
+                and _is_os_attr(node.func.value, "environ")
+            ):
+                keys.append(node.args[0])
+            elif isinstance(node, ast.Subscript) and _is_os_attr(node.value, "environ"):
+                keys.append(node.slice)
+        for key in keys:
+            if isinstance(key, ast.Constant):
+                names.add(key.value)
+            else:
+                names.add(constants.get(getattr(key, "id", None), "?"))
+        if uses != len(keys):
+            names.add("?")
+    return names
+
+
+def test_option_census():
+    # a new flag or environment variable must be added here, so that the
+    # number of knobs shows up in review
+    assert _flags_by_command(cli.build_parser()) == {
+        "types enum": {"--n", "--json"},
+        "gaps enum-strong": {"--n", "--upto-perm", "--json", "--cache-dir", "--no-cache"},
+        "gaps order": {"--left", "--right", "--json"},
+        "breaking check": {"--gap", "--set", "--json"},
+        "audit paper-tables": {"--seed", "--json-out", "--only", "--cache-dir", "--no-cache"},
+    }
+    assert _environment_reads() == {"ADICGAPS_CACHE_DIR", "XDG_CACHE_HOME"}

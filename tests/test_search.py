@@ -20,10 +20,11 @@ from functools import lru_cache
 import pytest
 
 from adicgaps import embeddings, search
-from adicgaps.breaking import DEFAULT_BREAK_BUDGET, candidate_pool
+from adicgaps.breaking import candidate_pool
 from adicgaps.embeddings import (
     REPLAY_DEPTH,
     REPLAY_SAMPLES,
+    STABLE,
     TYPE_BLOCKS,
     OutOfDomain,
     ReplayReport,
@@ -34,15 +35,17 @@ from adicgaps.embeddings import (
     domination_embedding,
     max_monotone,
     psi_map,
+    read_type,
     replay_fixture,
     structural_replay,
     type_action,
 )
 from adicgaps.gaps import generate_type_actions
 from adicgaps.search import (
-    DEFAULT_SEARCH_BUDGET,
+    DOMAIN_DEPTHS,
     ORDER,
     RANGE,
+    SUBSTITUTION_BLOCKS,
     _build,
     _domination_types,
     _rule_action,
@@ -67,6 +70,7 @@ from adicgaps.tree import (
 from adicgaps.types import (
     classify_type,
     enumerate_types,
+    parse_type,
     print_type,
     same_type_probes,
     type_id,
@@ -218,7 +222,7 @@ def _entries(candidates):
 
 
 def test_breaking_pool_pinned():
-    assert _entries(candidate_pool(2, DEFAULT_BREAK_BUDGET)) == BREAK_POOL_2
+    assert _entries(candidate_pool(2)) == BREAK_POOL_2
 
 
 def test_order_pool_2_2_pinned():
@@ -230,18 +234,18 @@ def test_order_pool_1_2_pinned():
 
 
 @pytest.mark.parametrize(
-    "pool,budget,policy",
+    "pool,policy",
     [
-        (lambda: candidate_pool(2, DEFAULT_BREAK_BUDGET), DEFAULT_BREAK_BUDGET, RANGE),
-        (lambda: generate_type_actions(2, 2), DEFAULT_SEARCH_BUDGET, ORDER),
+        (lambda: candidate_pool(2), RANGE),
+        (lambda: generate_type_actions(2, 2), ORDER),
     ],
     ids=["breaking", "order"],
 )
-def test_pool_candidates_revalidate_from_their_payloads(pool, budget, policy):
+def test_pool_candidates_revalidate_from_their_payloads(pool, policy):
     # every candidate rebuilds from its payload alone, domination actions
     # with an upper-row padding type included
     for cand in pool():
-        assert revalidate(cand, budget, policy), cand.label
+        assert revalidate(cand, policy), cand.label
 
 
 def test_every_domination_construction_probes_to_its_rule():
@@ -253,7 +257,7 @@ def test_every_domination_construction_probes_to_its_rule():
     chain = enumerate_types(2)[0]
     for cand in candidates:
         phi = domination_embedding(
-            *_domination_types(cand.payload), DEFAULT_SEARCH_BUDGET.domain_depth
+            *_domination_types(cand.payload), DOMAIN_DEPTHS[ORDER]
         )
         probed = type_action(phi).probed()
         rule = dict(_rule_action(cand.payload))
@@ -368,7 +372,7 @@ def _probed_payloads(pools):
 @lru_cache(maxsize=None)
 def _admission_payloads():
     return _probed_payloads([
-        lambda: candidate_pool(2, DEFAULT_BREAK_BUDGET),
+        lambda: candidate_pool(2),
         lambda: generate_type_actions.__wrapped__(2, 2),
         lambda: generate_type_actions.__wrapped__(1, 2),
         lambda: generate_type_actions.__wrapped__(2, 1),
@@ -401,14 +405,14 @@ def test_record_admission_equals_per_policy_admission():
 def _replay_maps():
     """Every injective substitution at (1, 2) and (2, 2), and the e-family
     realizations the order pools generate."""
-    words = words_upto(2, DEFAULT_SEARCH_BUDGET.substitution_blocks)
+    words = words_upto(2, SUBSTITUTION_BLOCKS)
     for m_in in (1, 2):
         for blocks in itertools.product(words, repeat=m_in):
             phi = SubstitutionEmbedding(empty_node(2), tuple(blocks))
             if phi.injective:
                 yield phi
     for m_in in (1, 2):
-        for cand in efamilies(m_in, 2, DEFAULT_SEARCH_BUDGET, ORDER):
+        for cand in efamilies(m_in, 2, ORDER):
             yield _build(cand.payload)
 
 
@@ -463,7 +467,7 @@ def test_both_policies_read_one_probe(monkeypatch):
     assert broken.action == ordered.action
     assert calls["probe"] == 1
     # revalidation recomputes from the payload and never reads the memo
-    assert revalidate(ordered, DEFAULT_SEARCH_BUDGET, ORDER)
+    assert revalidate(ordered, ORDER)
     assert calls["probe"] == 2
 
 
@@ -491,11 +495,13 @@ def test_probe_stops_at_the_first_refuting_sample(monkeypatch, blocks, refuted_a
         lambda tau, size: built.append((print_type(tau), size)) or original(tau, size),
     )
     record = probe(phi)
-    assert record.action is None and record.disagreed
+    assert record.action is None
     earlier = [print_type(tau) for tau in enumerate_types(2)]
     earlier = earlier[: earlier.index(refuted_at)]
     sizes = (TYPE_BLOCKS, TYPE_BLOCKS + 1)
     assert built == [(t, n) for t in earlier for n in sizes] + [(refuted_at, TYPE_BLOCKS)]
+    # the witness alone reads stably: a sample, not the witness, refuted it
+    assert read_type(phi, parse_type(refuted_at, 2))[0] == STABLE
     assert reference_admissible_action(phi, RANGE) is None
 
 
@@ -521,7 +527,7 @@ def test_memo_keeps_no_embedding(monkeypatch):
     blocks = [(node_from_runs(2, [(0, 1), (1, 1)]), node_from_runs(2, [(1, 1), (0, 1)]))]
     for policy in (RANGE, ORDER):
         assert list(substitutions(blocks, 2, policy))
-        assert list(efamilies(1, 2, DEFAULT_SEARCH_BUDGET, policy))
+        assert list(efamilies(1, 2, policy))
     assert len(built) > 2
     gc.collect()
     assert all(ref() is None for ref in built)
