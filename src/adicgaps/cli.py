@@ -937,7 +937,8 @@ def cmd_gaps_order(args) -> int:
     if result.witness is not None:
         print(f"witness: {result.witness.kind} {result.witness.label}")
         print(f"revalidated: {revalidated}")
-    print(f"searched: {result.searched} ({result.budget_note})")
+    extent = "exact" if left.layer == FIRST_MOVE else "bounded"
+    print(f"searched: {result.searched} ({extent})")
     return EXIT_OK
 
 

@@ -173,11 +173,6 @@ class InducedCombMap:
         )
         return InducedCombMap(n, m, table)
 
-    @staticmethod
-    def from_row(n: int, m: int, row: tuple[int, ...]) -> "InducedCombMap":
-        """The map of a flat image row, as :func:`shape_induced_row` writes it."""
-        return InducedCombMap.from_function(n, m, lambda i, j: divmod(row[i * n + j], m))
-
     @cached_property
     def _lookup(self) -> dict[tuple[int, int], tuple[int, int]]:
         return dict(self.table)
@@ -189,9 +184,6 @@ class InducedCombMap:
     def __str__(self) -> str:
         body = ", ".join(f"{i}>{j}: {u}>{v}" for (i, j), (u, v) in self.table)
         return f"[{body}]"
-
-    def to_json_obj(self) -> dict[str, str]:
-        return {f"{i}>{j}": f"{u}>{v}" for (i, j), (u, v) in self.table}
 
 
 def efamily_induced_map(fam: EFamily) -> InducedCombMap:

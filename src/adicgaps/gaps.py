@@ -19,8 +19,6 @@ from typing import Callable, Optional
 
 from .combs import (
     CombKind,
-    EFamily,
-    InducedCombMap,
     concretize,
     efamily_induced_map,
     efamily_shapes,
@@ -30,14 +28,17 @@ from .search import (
     ORDER,
     SUBSTITUTION_BLOCKS,
     Candidate,
+    budget_json,
     dominations,
     efamilies,
     efamily_label,
+    efamily_of,
+    efamily_payload,
     revalidate,
     subalphabets,
     substitutions,
 )
-from .tree import ScaleLimit, format_node, words_upto
+from .tree import ScaleLimit, words_upto
 from .types import (
     TYPE_ALPHABET_LIMIT,
     TypeDescriptor,
@@ -278,43 +279,22 @@ def generate_type_actions(m_in: int, m_out: int) -> tuple[Candidate, ...]:
 
 
 @dataclass(frozen=True)
-class GapWitness:
-    """A first-move order witness: the comb map and the family inducing it.
-    Record-layer witnesses are search :class:`Candidate` objects."""
-
-    kind: str  # always "efamily"
-    label: str
-    comb_map: InducedCombMap
-    efamily: EFamily
-
-    def as_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "label": self.label,
-            "comb_map": self.comb_map.to_json_obj(),
-            "efamily": {
-                "e_inf": format_node(self.efamily.e_inf),
-                "e": [format_node(w) for w in self.efamily.e],
-            },
-        }
-
-
-@dataclass(frozen=True)
 class OrderResult:
-    verdict: str
-    witness: Optional[GapWitness | Candidate]
-    searched: int
-    budget_note: str
+    """An order verdict and its witness.  Both layers' witnesses are
+    :class:`Candidate` objects; a first-move witness is an e-family acting
+    on comb kinds by its induced map."""
 
-    def __bool__(self) -> bool:
-        return self.verdict == LE_WITNESSED
+    verdict: str
+    witness: Optional[Candidate]
+    searched: int
+    budget: Optional[dict]  # the record search's extent; None where exact
 
     def as_dict(self) -> dict:
         return {
             "verdict": self.verdict,
             "witness": None if self.witness is None else self.witness.as_dict(),
             "searched": self.searched,
-            "budget": self.budget_note,
+            "budget": self.budget,
         }
 
 
@@ -382,13 +362,14 @@ def order_le(g: GapSpec, h: GapSpec) -> OrderResult:
     not-below means no branch-word family witnesses the relation.  Each map
     is one row of the image table; with g and h written as side-per-slot
     rows, map e witnesses g <= h exactly when ``h_row[image[e]] == g_row``
-    in every slot, and the witness is the first such map.  From input
-    alphabet 4 into an output alphabet of 3 or more the maps are not
-    enumerated and :class:`ScaleLimit` is raised.
+    in every slot.  The witness is the first such map: an e-family
+    :class:`Candidate` acting by the row, with the first shape's words.
+    From input alphabet 4 into an output alphabet of 3 or more the maps are
+    not enumerated and :class:`ScaleLimit` is raised.
 
     Record layer: exhaust the generated embedding actions, whose extent
-    :mod:`adicgaps.search` fixes; failure to find a witness is only a
-    bounded outcome, never a refutation.
+    :mod:`adicgaps.search` fixes and the result states as its ``budget``;
+    failure to find a witness is only a bounded outcome, never a refutation.
     This path does not import numpy.
     """
     if g.layer != h.layer:
@@ -403,43 +384,57 @@ def order_le(g: GapSpec, h: GapSpec) -> OrderResult:
         g_row, h_row = _side_table((g,), g.m)[0], _side_table((h,), h.m)[0]
         hits = np.flatnonzero((h_row[image] == g_row).all(axis=1))
         if hits.size:
-            eps = InducedCombMap.from_row(g.m, h.m, rows[hits[0]])
             fam = concretize(shapes[hits[0]], h.m)
-            witness = GapWitness("efamily", efamily_label(fam), eps, fam)
-            return OrderResult(LE_WITNESSED, witness, len(rows), "exact")
-        return OrderResult(NOT_LE_REFUTED_EXACT, None, len(rows), "exact")
+            slots = enumerate(rows[hits[0]])
+            action = tuple((CombKind(*divmod(c, g.m)), CombKind(*divmod(v, h.m))) for c, v in slots)
+            witness = Candidate("efamily", efamily_label(fam), g.m, action, efamily_payload(fam))
+            return OrderResult(LE_WITNESSED, witness, len(rows), None)
+        return OrderResult(NOT_LE_REFUTED_EXACT, None, len(rows), None)
     actions = generate_type_actions(g.m, h.m)
     for action in actions:
         if _membership_iff(g, h, action.lookup().__getitem__):
-            return OrderResult(LE_WITNESSED, action, len(actions), "bounded")
-    return OrderResult(UNKNOWN_BOUNDED, None, len(actions), "bounded")
+            return OrderResult(LE_WITNESSED, action, len(actions), budget_json(ORDER))
+    return OrderResult(UNKNOWN_BOUNDED, None, len(actions), budget_json(ORDER))
+
+
+def _efamily_action(w: Candidate) -> Optional[tuple]:
+    """A first-move witness's comb action, recomputed by the family rule
+    from its payload alone; ``None`` when the payload names no family."""
+    if w.kind != "efamily" or w.payload.get("kind") != "efamily":
+        return None
+    try:
+        fam = efamily_of(w.payload)
+    except ValueError:
+        return None
+    table = efamily_induced_map(fam).table
+    return tuple((CombKind(*kind), CombKind(*image)) for kind, image in table)
 
 
 def revalidate_order(g: GapSpec, h: GapSpec, result: OrderResult) -> bool:
     """Independently re-check a witnessed verdict.
 
-    The symbol map is recomputed from the witness provenance (never reused
-    from the stored table) and the membership rule is re-run against it:
-    first-move witnesses recompute the family's induced comb map, and
-    record-layer witnesses rebuild their embedding from its payload and
-    re-derive its action under the order policy.
+    The witness's action is recomputed from its payload alone (never read
+    from the map pool or the probe memo) and must equal the stored one:
+    a first-move witness recomputes its family's induced comb map, and a
+    record witness rebuilds its embedding and re-derives its action under
+    the order policy.  The action must then cover g's symbols, land among
+    h's (a first-move family must be written over h's alphabet), and
+    satisfy the membership rule.
     """
-    if result.verdict != LE_WITNESSED or result.witness is None:
-        return False
     w = result.witness
+    if result.verdict != LE_WITNESSED or w is None:
+        return False
     if g.layer == FIRST_MOVE:
-        if not isinstance(w, GapWitness):
-            return False
-        eps = efamily_induced_map(w.efamily)
-        if eps.table != w.comb_map.table:
-            return False
-        return _membership_iff(g, h, eps.apply)
-    if not isinstance(w, Candidate) or not revalidate(w, ORDER):
-        return False
+        rederived = w.payload.get("alphabet_out") == h.m and _efamily_action(w) == w.action
+    else:
+        rederived = revalidate(w, ORDER)
     lookup = w.lookup()
-    if set(lookup) != set(enumerate_types(g.m)):
-        return False
-    return _membership_iff(g, h, lookup.__getitem__)
+    return (
+        rederived
+        and set(lookup) == set(g.symbol_universe())
+        and set(lookup.values()) <= set(h.symbol_universe())
+        and _membership_iff(g, h, lookup.__getitem__)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -70,8 +70,8 @@ class ResultCache:
     :func:`content_key`; the store never enumerates or expires entries.
     """
 
-    def __init__(self, root: "Path | str | None" = None) -> None:
-        self.root = Path(root) if root is not None else default_cache_dir()
+    def __init__(self, root: "Path | str") -> None:
+        self.root = Path(root)
         self.entry_dir = self.root / f"v{SCHEMA_VERSION}"
 
     def path_for(self, key: str) -> Path:

@@ -3,7 +3,9 @@
 Both record-layer searches -- the witnessed gap order (:mod:`adicgaps.gaps`)
 and breaking (:mod:`adicgaps.breaking`) -- draw their witnesses from the
 generators here.  A candidate is an embedding described by a JSON payload,
-together with its total action on types.  There are four kinds:
+together with its total action on symbols (record types here; comb kinds
+for the first-move order's witnesses, e-family payloads built by
+:mod:`adicgaps.gaps`).  The generators here have four kinds:
 
 * ``subalphabet`` -- increasing letter injections; the action is the
   relabelling rule;
@@ -114,13 +116,14 @@ def budget_json(policy: str) -> dict:
 
 @dataclass(frozen=True)
 class Candidate:
-    """A generated embedding: its total type action and the JSON payload
-    that rebuilds it."""
+    """A witness embedding: its total action on symbols (record types, or
+    comb kinds for a first-move witness) and the JSON payload that rebuilds
+    it."""
 
     kind: str  # "subalphabet" | "substitution" | "efamily" | "domination"
     label: str
     domain_alphabet: int
-    action: tuple  # ((tau, sigma), ...) sorted by domain type id
+    action: tuple  # ((symbol, image), ...) in the domain catalogue order
     payload: dict
 
     @property
@@ -135,9 +138,7 @@ class Candidate:
             "kind": self.kind,
             "label": self.label,
             "domain_alphabet": self.domain_alphabet,
-            "action": {
-                print_type(tau): print_type(sigma) for tau, sigma in self.action
-            },
+            "action": {str(symbol): str(image) for symbol, image in self.action},
             "embedding": self.payload,
         }
 
@@ -148,6 +149,20 @@ def _digits(word: Node) -> str:
 
 def efamily_label(fam: EFamily) -> str:
     return f"e_inf={_digits(fam.e_inf)};e={','.join(_digits(w) for w in fam.e)}"
+
+
+def efamily_payload(fam: EFamily) -> dict:
+    """The words of a branch-word family, as an e-family witness carries them."""
+    words = [format_node(w) for w in (fam.e_inf,) + fam.e]
+    return {"kind": "efamily", "alphabet_out": fam.alphabet_out, "e_inf": words[0], "e": words[1:]}
+
+
+def efamily_of(payload: dict) -> EFamily:
+    """The family an e-family payload names; ValueError when it names none."""
+    try:
+        return EFamily.of(payload["alphabet_out"], payload["e_inf"], payload["e"])
+    except (AttributeError, KeyError, TypeError) as ex:
+        raise ValueError(f"malformed e-family payload: {ex!r}") from ex
 
 
 def _sorted_action(mapping: dict) -> tuple:
@@ -291,8 +306,7 @@ def _build(payload: dict) -> Embedding:
             raise ValidationFailure("blocks are not uniquely decodable")
         return phi
     if kind == "efamily":
-        fam = EFamily.of(payload["alphabet_out"], payload["e_inf"], payload["e"])
-        return realize_efamily(fam, depth=payload["depth"])
+        return realize_efamily(efamily_of(payload), depth=payload["depth"])
     raise ValueError(f"no probed embedding to build for kind {kind!r}")
 
 
@@ -300,7 +314,8 @@ def _derive_action(payload: dict, policy: str) -> Optional[tuple]:
     """Recompute a candidate's action from its payload alone, or ``None``.
 
     Subalphabet inclusions recompute the relabelling rule.  Probed kinds are
-    rebuilt, probed and admitted under ``policy``.  A domination payload must
+    rebuilt, probed and admitted under ``policy``, or give ``None`` when
+    the payload builds nothing.  A domination payload must
     name a dominating top-comb, and the construction, built at the policy's
     domain depth, must have probed values that agree with the defining rule.
     """
@@ -310,7 +325,7 @@ def _derive_action(payload: dict, policy: str) -> Optional[tuple]:
     if kind != "domination":
         try:
             phi = _build(payload)
-        except ValueError:
+        except (KeyError, TypeError, ValueError):
             return None
         return admit(probe(phi), policy, lambda: phi)
     tau0, tau1 = _domination_types(payload)
@@ -382,13 +397,7 @@ def efamilies(m_in: int, m_out: int, policy: str) -> Iterator[Candidate]:
     for fam in enumerate_efamilies(m_in, m_out):
         if fam.e_inf.length + sum(w.length for w in fam.e) > EFAMILY_LETTERS:
             continue
-        payload = {
-            "kind": "efamily",
-            "alphabet_out": m_out,
-            "e_inf": format_node(fam.e_inf),
-            "e": [format_node(w) for w in fam.e],
-            "depth": DOMAIN_DEPTHS[policy],
-        }
+        payload = {**efamily_payload(fam), "depth": DOMAIN_DEPTHS[policy]}
         yield from _probed(efamily_label(fam), payload, policy)
 
 

@@ -21,8 +21,8 @@ Provided on top of the raw words:
 * two structural equivalence deciders (first-move and record equivalence),
   each a yes/no answer: the only bijection that could witness equivalence
   pairs the two prec-sorted closures by position,
-* a re-embedding helper that rebuilds a node set with fresh padding while
-  preserving its first-move structure, used for randomised property tests.
+* random node sets, and a re-embedding that keeps first-move structure under
+  fresh padding: the order search's replay samples and the audit's probes.
 
 A meet-closed set is a tree: each element's longest proper prefix in the set
 is its parent.  The closures are built and compared as such trees.  The meet
@@ -518,7 +518,7 @@ def record_equivalent(a: NodeSet, b: NodeSet) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Structure-preserving re-embedding (test support)
+# Random node sets and structure-preserving re-embedding
 
 
 def reembed(a: NodeSet, rng: random.Random, pad_max: int = 3) -> NodeSet:
@@ -551,7 +551,7 @@ def reembed(a: NodeSet, rng: random.Random, pad_max: int = 3) -> NodeSet:
 def random_node_set(
     rng: random.Random, alphabet: int, size: int, max_len: int = 6
 ) -> NodeSet:
-    """A random finite node set (for property tests)."""
+    """A random finite node set: a replay sample or an audit probe."""
     available = (
         max_len + 1
         if alphabet == 1

@@ -88,6 +88,23 @@ def identity_map(n: int) -> InducedCombMap:
     return InducedCombMap.from_function(n, n, lambda i, j: (i, j))
 
 
+def map_from_row(n: int, m: int, row: tuple) -> InducedCombMap:
+    """The map of a flat image row, as :func:`adicgaps.combs.shape_induced_row`
+    writes it."""
+    return InducedCombMap.from_function(n, m, lambda i, j: divmod(row[i * n + j], m))
+
+
+def map_json(eps: InducedCombMap) -> dict:
+    """A comb map as ``{"i>j": "u>v"}``."""
+    return {f"{i}>{j}": f"{u}>{v}" for (i, j), (u, v) in eps.table}
+
+
+def map_action(eps: InducedCombMap) -> tuple:
+    """A comb map as the sorted (kind, image kind) pairs a first-move order
+    witness carries as its action."""
+    return tuple((CombKind(*kind), CombKind(*image)) for kind, image in eps.table)
+
+
 def reembed_record(a: NodeSet, rng: random.Random, pad_max: int = 3) -> NodeSet:
     """Rebuild ``a`` with fresh padding, preserving its record structure.
 

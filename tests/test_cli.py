@@ -28,6 +28,7 @@ from adicgaps.cli import (
 from adicgaps.gaps import critical_record_gap
 from adicgaps.breaking import record_three_gap
 from adicgaps.runtime import SCHEMA_VERSION
+from adicgaps.search import ORDER, budget_json
 
 from helpers import RETIRED_POOL_VARIABLE
 
@@ -206,6 +207,26 @@ class TestGapsOrder:
         assert payload["revalidated"] is True
         assert payload["witness"]["kind"] == "efamily"
         assert payload["searched"] == 20
+
+    @pytest.mark.parametrize("layer", ["first_move", "record"])
+    def test_budget_states_the_search_extent(self, capsys, gap_file, layer):
+        # the first-move search is exact, so it has no extent to state; the
+        # record search states its extent as breaking reports do
+        if layer == "first_move":
+            left, right = REFERENCE_STRONG_TABLE["4*"], GAP_STILDE
+            budget, note = None, "(exact)"
+        else:
+            left = right = critical_record_gap(2)
+            budget, note = budget_json(ORDER), "(bounded)"
+        argv = ["gaps", "order", "--left", gap_file("l.json", left)]
+        argv += ["--right", gap_file("r.json", right)]
+        assert main(argv + ["--json"]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["verdict"] == "LE_witnessed" and payload["revalidated"] is True
+        assert payload["budget"] == budget
+        assert set(payload["witness"]) == {"kind", "label", "domain_alphabet", "action", "embedding"}
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[-1].endswith(note)
 
     def test_malformed_file_exits_2(self, capsys, tmp_path, gap_file):
         bad = tmp_path / "bad.json"

@@ -27,7 +27,7 @@ from adicgaps.tree import (
     reembed,
 )
 
-from helpers import compose, format_node_set, identity_map, word_image
+from helpers import compose, format_node_set, identity_map, map_from_row, map_json, word_image
 
 WORKED = EFamily.of(2, "0", ["11", "01"])
 
@@ -186,7 +186,7 @@ def test_enumeration_shape_count_small():
 def realizable_maps(n, m):
     """The first-move map pool, as maps, in pool order."""
     rows, _shapes = _realizable_maps(n, m)
-    return tuple(InducedCombMap.from_row(n, m, row) for row in rows)
+    return tuple(map_from_row(n, m, row) for row in rows)
 
 
 def test_realizable_maps_at_2_2():
@@ -241,7 +241,7 @@ def test_arity_one_maps():
 
 def test_map_json_roundtrip():
     eps = efamily_induced_map(WORKED)
-    obj = eps.to_json_obj()
+    obj = map_json(eps)
     assert obj["0>0"] == "1>0"
     parsed = {key: tuple(map(int, val.split(">"))) for key, val in obj.items()}
     assert InducedCombMap.from_function(2, 2, lambda i, j: parsed[f"{i}>{j}"]) == eps

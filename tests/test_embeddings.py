@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -57,7 +58,7 @@ from adicgaps.types import (
     type_witness,
 )
 
-from helpers import identity_map, parse_node_set
+from helpers import identity_map, map_json, parse_node_set
 
 
 def _n(text, alphabet=2):
@@ -70,6 +71,13 @@ def _random_replay_fixture(rng, alphabet):
         random_node_set(rng, alphabet, rng.randint(2, 5), max_len=6) for _ in range(20)
     ]
     return replay_fixture(samples, rng)
+
+
+def _assert_replayed_in_full(report, fixture):
+    """A returned report means no violation (the replay raises on one), so
+    what is left to check is that every sample and every pair was read."""
+    assert report.samples == len(fixture)
+    assert report.checked_pairs == sum(math.comb(len(s.nodes), 2) for s in fixture)
 
 
 def _types(*texts, alphabet=2):
@@ -131,7 +139,7 @@ class TestCombAction:
         # formula itself, and the oracle sides with the formula.
         phi = SubstitutionEmbedding(empty_node(2), (_n("01"), _n("00")))
         act = comb_action(phi)
-        assert act.to_json_obj() == {
+        assert map_json(act) == {
             "0>0": "0>0",
             "0>1": "1>0",
             "1>0": "0>1",
@@ -139,7 +147,7 @@ class TestCombAction:
         }
         # ...whereas the worked branch-word family induces a different map.
         fam = EFamily.of(2, "0", ["11", "01"])
-        assert efamily_induced_map(fam).to_json_obj() == {
+        assert map_json(efamily_induced_map(fam)) == {
             "0>0": "1>0",
             "0>1": "1>0",
             "1>0": "0>1",
@@ -356,10 +364,10 @@ class TestRealizeEFamily:
 
     def test_structural_replay(self):
         phi = realize_efamily(EFamily.of(2, "0", ["11", "01"]))
-        report = structural_replay(phi, _random_replay_fixture(random.Random(5), 2))
-        assert not report.violations
-        report = structural_replay(psi_map(2), _random_replay_fixture(random.Random(6), 2))
-        assert not report.violations
+        fixture = _random_replay_fixture(random.Random(5), 2)
+        _assert_replayed_in_full(structural_replay(phi, fixture), fixture)
+        fixture = _random_replay_fixture(random.Random(6), 2)
+        _assert_replayed_in_full(structural_replay(psi_map(2), fixture), fixture)
 
     def test_domain_bounds(self):
         phi = realize_efamily(EFamily.of(2, "0", ["11", "01"]), depth=9)
@@ -426,8 +434,8 @@ class TestDomination:
             type_witness(parse_type(t, 2), 4)
             for t in ("[l0]", "[l1]", "[u1 l0]", "[u0 l1]")
         ]
-        report = structural_replay(phi, replay_fixture(samples, None))
-        assert not report.violations
+        fixture = replay_fixture(samples, None)
+        _assert_replayed_in_full(structural_replay(phi, fixture), fixture)
 
     def test_deep_teeth_are_guarded(self):
         tau0, tau1 = _types("[l0]", "[l0 u1 l1]")

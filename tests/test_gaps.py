@@ -29,7 +29,6 @@ from adicgaps.gaps import (
     RECORD,
     UNKNOWN_BOUNDED,
     GapSpec,
-    GapWitness,
     OrderResult,
     _comb_image_table,
     _le_matrix_strong,
@@ -46,11 +45,11 @@ from adicgaps.gaps import (
     order_le,
     revalidate_order,
 )
-from adicgaps.search import efamily_label
+from adicgaps.search import Candidate, efamily_label, efamily_payload
 from adicgaps.tree import ScaleLimit
 from adicgaps.types import enumerate_types, max_of, parse_type, print_type
 
-from helpers import compose, critical_strong_gap, identity_map
+from helpers import compose, critical_strong_gap, identity_map, map_action
 
 
 def strong2(s0, s1):
@@ -222,6 +221,69 @@ class TestOrderFirstMove:
             res = order_le(g, g)
             assert res.verdict == LE_WITNESSED
             assert revalidate_order(g, g, res)
+
+    def test_witness_is_a_candidate_over_comb_kinds(self):
+        res = order_le(GAP_4S, STILDE)
+        w = res.witness
+        assert isinstance(w, Candidate) and res.budget is None
+        assert (w.kind, w.domain_alphabet) == ("efamily", 2)
+        assert w.payload == {"kind": "efamily", "alphabet_out": 2, "e_inf": "0", "e": ["100", "010"]}
+        assert w.label == "e_inf=0;e=100,010"
+        assert w.action == map_action(efamily_induced_map(EFamily.of(2, "0", ["100", "010"])))
+        assert w.as_dict()["action"] == {"0>0": "1>0", "0>1": "1>0", "1>0": "0>1", "1>1": "1>1"}
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            "branch-word",
+            "action-entry",
+            "no-branch-words",
+            "record-pair",
+            "other-alphabet",
+            "record-witness",
+        ],
+    )
+    def test_tampered_witness_fails(self, tamper):
+        """Each witness revalidates as found and fails, without raising,
+        once tampered with or checked against another pair."""
+        g, h = GAP_4S, STILDE
+        res = order_le(g, h)
+        assert revalidate_order(g, h, res)
+        w = res.witness
+        if tamper == "branch-word":
+            # swapping the branch words swaps the images of 0>1 and 1>0
+            payload = {**w.payload, "e": w.payload["e"][::-1]}
+            fam = EFamily.of(2, payload["e_inf"], payload["e"])
+            assert map_action(efamily_induced_map(fam)) != w.action
+            w = replace(w, payload=payload)
+        elif tamper == "action-entry":
+            # 0>1 -> 0>0 still satisfies the membership rule, so only the
+            # recomputed map can reject it
+            action = tuple(
+                (c, CombKind(0, 0) if c == CombKind(0, 1) else image) for c, image in w.action
+            )
+            assert _membership_iff(g, h, dict(action).__getitem__)
+            w = replace(w, action=action)
+        elif tamper == "no-branch-words":
+            w = replace(w, payload={k: v for k, v in w.payload.items() if k != "e"})
+        elif tamper == "record-pair":
+            g = h = record2([CHAIN0], [CHAIN1])
+        elif tamper == "other-alphabet":
+            # a ternary family whose images use letters 0 and 1 only is still
+            # a map into the ternary tree, not a witness over the dyadic one
+            ternary = GapSpec(FIRST_MOVE, 2, 3, GAP_2.sides)
+            res = order_le(GAP_2, ternary)
+            assert revalidate_order(GAP_2, ternary, res)
+            assert {image for _, image in res.witness.action} <= set(GAP_2.symbol_universe())
+            g = h = GAP_2
+            w = res.witness
+        else:
+            record = record2([CHAIN0], [CHAIN1])
+            res = order_le(record, record)
+            assert revalidate_order(record, record, res)
+            g = h = GAP_2
+            w = res.witness
+        assert not revalidate_order(g, h, replace(res, witness=w))
 
     def test_layer_and_arity_guards(self):
         with pytest.raises(ValueError, match="layer"):
@@ -408,9 +470,10 @@ def reference_order_le(g, h):
     pairs = reference_realizable_with_families(g.m, h.m)
     for eps, fam in pairs:
         if _membership_iff(g, h, eps.apply):
-            witness = GapWitness("efamily", efamily_label(fam), eps, fam)
-            return OrderResult(LE_WITNESSED, witness, len(pairs), "exact")
-    return OrderResult(NOT_LE_REFUTED_EXACT, None, len(pairs), "exact")
+            payload = efamily_payload(fam)
+            witness = Candidate("efamily", efamily_label(fam), g.m, map_action(eps), payload)
+            return OrderResult(LE_WITNESSED, witness, len(pairs), None)
+    return OrderResult(NOT_LE_REFUTED_EXACT, None, len(pairs), None)
 
 
 def random_first_move_gap(rng, n, m):
