@@ -290,11 +290,9 @@ class OptimalityReport:
     Over every generated dyadic embedding whose action range contains both
     chain types, the range must be the full eight-type catalogue — otherwise
     some proper superset of {0, 1} would break the eight-sided gap, beating
-    the J bound.  ``qualifying`` lists the embeddings meeting the premise;
-    ``counterexamples`` is expected to stay empty."""
+    the J bound.  ``counterexamples`` is expected to stay empty."""
 
     checked: int
-    qualifying: tuple
     counterexamples: tuple
 
 
@@ -304,23 +302,12 @@ def jbreak_optimality_check() -> OptimalityReport:
     catalogue = enumerate_types(2)
     chain0, chain1 = catalogue[0], catalogue[1]
     checked = 0
-    qualifying = []
     counterexamples = []
     for cand in candidate_pool(2):
         checked += 1
         rng = cand.range_types
-        if chain0 in rng and chain1 in rng:
+        if chain0 in rng and chain1 in rng and len(rng) != len(catalogue):
+            missing = sorted(print_type(t) for t in set(catalogue) - rng)
             tag = f"{cand.kind}:{cand.label}"
-            qualifying.append(tag)
-            if len(rng) != len(catalogue):
-                missing = sorted(
-                    print_type(t) for t in set(catalogue) - rng
-                )
-                counterexamples.append(
-                    {"embedding": tag, "range_size": len(rng), "missing": missing}
-                )
-    return OptimalityReport(
-        checked=checked,
-        qualifying=tuple(qualifying),
-        counterexamples=tuple(counterexamples),
-    )
+            counterexamples.append({"embedding": tag, "range_size": len(rng), "missing": missing})
+    return OptimalityReport(checked=checked, counterexamples=tuple(counterexamples))

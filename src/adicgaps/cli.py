@@ -68,6 +68,7 @@ from .gaps import (
     GapSpec,
     LE_WITNESSED,
     NOT_LE_REFUTED_EXACT,
+    PRUNED_TYPE_TEXTS,
     critical_record_gap,
     domination_prune,
     enumerate_candidates_record,
@@ -283,11 +284,8 @@ def check_strong_three(ctx: AuditContext) -> CheckResult:
 def check_worked_order(ctx: AuditContext) -> CheckResult:
     g4s = REFERENCE_STRONG_TABLE["4*"]
     below = order_le(g4s, GAP_STILDE)
-    eps = efamily_induced_map(WORKED_FAMILY)
-    worked_witnesses = all(
-        g4s.side_of(kind) == GAP_STILDE.side_of(eps.apply(kind))
-        for kind in g4s.symbol_universe()
-    )
+    eps = efamily_induced_map(WORKED_FAMILY)  # every kind of g4s, with its image
+    worked_witnesses = all(g4s.side_of(c) == GAP_STILDE.side_of(image) for c, image in eps)
     refuted = order_le(REFERENCE_STRONG_TABLE["3"], REFERENCE_STRONG_TABLE["4"])
     expected = {
         "four_star_below_stilde": LE_WITNESSED,
@@ -301,9 +299,7 @@ def check_worked_order(ctx: AuditContext) -> CheckResult:
         "revalidated": revalidate_order(g4s, GAP_STILDE, below),
         "three_below_four": refuted.verdict,
         "searched": below.searched,
-        "worked_family_map": {
-            f"{i}>{j}": f"{u}>{v}" for (i, j), (u, v) in eps.table
-        },
+        "worked_family_map": {str(kind): str(image) for kind, image in eps},
     }
     ok = all(computed[k] == expected[k] for k in expected)
     anchor = "order witnesses among the reference strong gaps"
@@ -462,11 +458,12 @@ def check_record_self(ctx: AuditContext) -> CheckResult:
 
 def check_domination(ctx: AuditContext) -> CheckResult:
     catalogue = enumerate_types(2)
-    teeth = [parse_type(t, 2) for t in ("[u0 u1 l1]", "[u1 l0]")]
+    teeth = [parse_type(t, 2) for t in PRUNED_TYPE_TEXTS]
     teeth_dominate = all(
         dominates(tooth, sigma) for tooth in teeth for sigma in catalogue
     )
-    prune = domination_prune(enumerate_candidates_record(2))
+    candidates = enumerate_candidates_record(2)
+    pruned = domination_prune(candidates)
     chain0 = parse_type("[l0]", 2)
     tension = parse_type("[l0 u1 l1]", 2)
     phi = domination_embedding(chain0, tension)
@@ -483,7 +480,7 @@ def check_domination(ctx: AuditContext) -> CheckResult:
     }
     computed = {
         "teeth_dominate_all_eight": teeth_dominate,
-        "prune": {"before": prune.before, "after": prune.after},
+        "prune": {"before": len(candidates), "after": len(pruned)},
         "embedding_action_ok": action_ok,
         "probed_action": {
             print_type(k): print_type(v)
@@ -683,10 +680,8 @@ def check_discrepancy_worked_family(ctx: AuditContext) -> CheckResult:
     values that contradict its own displayed substitution rule; this package
     follows the rule, and the classification oracle corroborates it."""
     eps = efamily_induced_map(WORKED_FAMILY)
-    table = {f"{i}>{j}": f"{u}>{v}" for (i, j), (u, v) in eps.table}
-    phi = realize_efamily(WORKED_FAMILY)
-    oracle = comb_action(phi)
-    oracle_agrees = oracle == eps
+    table = {str(kind): str(image) for kind, image in eps}
+    oracle_agrees = comb_action(realize_efamily(WORKED_FAMILY)) == eps
     expected = {
         "printed_values": {"0>1": "0>1", "1>0": "1>0"},
         "note": "printed values are internally inconsistent with the displayed rule",
@@ -716,22 +711,22 @@ def check_discrepancy_dominating_teeth(ctx: AuditContext) -> CheckResult:
     catalogue = enumerate_types(2)
     extra = parse_type("[l0 u1 l1]", 2)
     extra_dominates = all(dominates(extra, sigma) for sigma in catalogue)
-    prune = domination_prune(enumerate_candidates_record(2))
+    after = len(domination_prune(enumerate_candidates_record(2)))
     expected = {
         "removed_types": ["[u0 u1 l1]", "[u1 l0]"],
         "classes_after": 162,
     }
     computed = {
-        "removed_types": list(prune.removed_types),
-        "classes_after": prune.after,
+        "removed_types": list(PRUNED_TYPE_TEXTS),
+        "classes_after": after,
         "literal_extra_dominator": "[l0 u1 l1]",
         "literal_extra_dominates_all": extra_dominates,
         "literal_prune_would_give": 54,
     }
     reproduced = (
         extra_dominates
-        and prune.after == 162
-        and list(prune.removed_types) == expected["removed_types"]
+        and after == 162
+        and list(PRUNED_TYPE_TEXTS) == expected["removed_types"]
     )
     anchor = "dominating tooth types versus the 162-class refinement"
     return anchor, expected, computed, DISCREPANCY_KNOWN if reproduced else FAIL

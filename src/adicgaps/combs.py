@@ -13,13 +13,17 @@ computed here directly from first moves at meets, with a degenerate rule for
 e(inf) lying below e(i).  The finite catalogue of induced maps for given n, m
 is enumerated by walking every branching shape such a family can take and
 reading each shape's map off it, without building words.
+
+A comb map is one value throughout: its ``(kind, image kind)`` pairs in
+:func:`comb_kinds` order, the action a first-move order witness carries.
+Only the order kernel flattens maps into int rows (:func:`shape_induced_row`).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .tree import (
@@ -65,6 +69,11 @@ class CombKind:
             raise ValueError(f"kind {self} has letters outside alphabet {alphabet}")
 
 
+def comb_kinds(alphabet: int) -> tuple[CombKind, ...]:
+    """Every comb kind over ``alphabet``, in sorted (spine, teeth) order."""
+    return tuple(CombKind(i, j) for i in range(alphabet) for j in range(alphabet))
+
+
 def comb_witness(kind: CombKind, count: int, alphabet: int) -> NodeSet:
     """The first ``count`` elements {(j), (iij), (iiiij), ...}; element k is
     i repeated 2k times followed by j."""
@@ -87,10 +96,8 @@ def _comb_tables(alphabet: int, count: int) -> dict[StructureTable, CombKind]:
     are entered in (i, j) order and the first one keeps a shared table.
     """
     table: dict[StructureTable, CombKind] = {}
-    for i in range(alphabet):
-        for j in range(alphabet):
-            kind = CombKind(i, j)
-            table.setdefault(first_move_table(comb_witness(kind, count, alphabet)), kind)
+    for kind in comb_kinds(alphabet):
+        table.setdefault(first_move_table(comb_witness(kind, count, alphabet)), kind)
     return table
 
 
@@ -149,45 +156,9 @@ class EFamily:
         return EFamily(alphabet_out, conv(e_inf), tuple(conv(w) for w in e))
 
 
-@dataclass(frozen=True)
-class InducedCombMap:
-    """A total map of comb kinds, n x n -> m x m."""
-
-    n: int
-    m: int
-    table: tuple[tuple[tuple[int, int], tuple[int, int]], ...]  # sorted pairs
-
-    def __post_init__(self) -> None:
-        keys = [k for k, _ in self.table]
-        if keys != sorted(itertools.product(range(self.n), repeat=2)):
-            raise ValueError("table must cover n x n exactly, in sorted order")
-        for _, (u, v) in self.table:
-            if not (0 <= u < self.m and 0 <= v < self.m):
-                raise ValueError(f"output pair ({u},{v}) outside alphabet {self.m}")
-
-    @staticmethod
-    def from_function(n: int, m: int, fn) -> "InducedCombMap":
-        table = tuple(
-            ((i, j), tuple(fn(i, j)))
-            for i, j in sorted(itertools.product(range(n), repeat=2))
-        )
-        return InducedCombMap(n, m, table)
-
-    @cached_property
-    def _lookup(self) -> dict[tuple[int, int], tuple[int, int]]:
-        return dict(self.table)
-
-    def apply(self, kind: CombKind) -> CombKind:
-        u, v = self._lookup[(kind.spine, kind.teeth)]
-        return CombKind(u, v)
-
-    def __str__(self) -> str:
-        body = ", ".join(f"{i}>{j}: {u}>{v}" for (i, j), (u, v) in self.table)
-        return f"[{body}]"
-
-
-def efamily_induced_map(fam: EFamily) -> InducedCombMap:
-    """The comb-kind map the family induces.
+def efamily_induced_map(fam: EFamily) -> tuple[tuple[CombKind, CombKind], ...]:
+    """The comb-kind map the family induces, as ``(kind, image)`` pairs in
+    :func:`comb_kinds` order.
 
     Off the diagonal, (i,j) maps to the first moves from e(i) meet e(j) toward
     e(i) and e(j).  On the diagonal the roles are played by e(i) and e(inf),
@@ -195,17 +166,17 @@ def efamily_induced_map(fam: EFamily) -> InducedCombMap:
     a chain: both output letters are the first move from e(inf) toward e(i).
     """
 
-    def eps(i: int, j: int) -> tuple[int, int]:
+    def image(i: int, j: int) -> CombKind:
         if i != j:
             t = meet(fam.e[i], fam.e[j])
-            return fam.e[i].letter_at(t.length), fam.e[j].letter_at(t.length)
+            return CombKind(fam.e[i].letter_at(t.length), fam.e[j].letter_at(t.length))
         if fam.e_inf.is_prefix_of(fam.e[i]):
             u = fam.e[i].letter_at(fam.e_inf.length)
-            return u, u
+            return CombKind(u, u)
         t = meet(fam.e_inf, fam.e[i])
-        return fam.e[i].letter_at(t.length), fam.e_inf.letter_at(t.length)
+        return CombKind(fam.e[i].letter_at(t.length), fam.e_inf.letter_at(t.length))
 
-    return InducedCombMap.from_function(fam.n, fam.alphabet_out, eps)
+    return tuple((kind, image(kind.spine, kind.teeth)) for kind in comb_kinds(fam.n))
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +330,7 @@ def enumerate_efamilies(n: int, m: int) -> Iterator[EFamily]:
 def shape_induced_row(shape: object, n: int, m: int) -> tuple[int, ...]:
     """The comb map ``concretize(shape, m)`` induces, read off the shape:
     entry ``i * n + j`` is ``u * m + v`` for the image u>v of kind i>j, so
-    rows sort as the maps' tables do.
+    rows sort as the maps' pairs do.
 
     Children hang off distinct letters, so two words part where their paths
     do.  No leaf has children or e(inf) at or below it, so the family rule

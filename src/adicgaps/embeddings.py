@@ -16,7 +16,8 @@ witness is mapped through the embedding and the image is classified, at two
 sizes, and a disagreement is reported as instability rather than guessed
 away.  Module constants bound witness sizes, the default domain depth, the
 replay sample and the run count of materialized teeth; :func:`probe_json`
-reports them.  Skipped probes are reported, not silently dropped.
+reports them.  Skipped probes are reported by :func:`read_type`, not
+silently dropped.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ from typing import Callable, Iterable, Optional
 from .combs import (
     CombKind,
     EFamily,
-    InducedCombMap,
     NotHomogeneous,
     classify_comb,
+    comb_kinds,
     comb_witness,
     efamily_induced_map,
 )
@@ -270,40 +271,40 @@ def _classify_comb_image(phi: Embedding, kind: CombKind, count: int) -> CombKind
     return classify_comb(image)
 
 
-def comb_action(phi: Embedding) -> InducedCombMap:
+def comb_action(phi: Embedding) -> tuple[tuple[CombKind, CombKind], ...]:
     """Map each comb kind's witness through phi and classify the image, at
-    two sizes; raise at the first kind whose images do not classify
+    two sizes, giving ``(kind, image)`` pairs as :func:`efamily_induced_map`
+    does; raise at the first kind whose images do not classify
     (NotHomogeneous) or classify differently at the two sizes
     (UnstableAction).  Chain images always classify; comb images need not (a
     block longer than twice the spine block pushes teeth past the next
     branch point, and no comb witness looks like that).
     """
 
-    def image(i: int, j: int) -> tuple[int, int]:
-        kind = CombKind(i, j)
+    def image(kind: CombKind) -> CombKind:
         try:
             first = _classify_comb_image(phi, kind, COMB_BLOCKS)
             second = _classify_comb_image(phi, kind, COMB_BLOCKS + 1)
         except (NotHomogeneous, ScaleLimit, OutOfDomain) as ex:
-            raise NotHomogeneous(f"image of {i}>{j} witness: {type(ex).__name__}: {ex}") from ex
+            raise NotHomogeneous(f"image of {kind} witness: {type(ex).__name__}: {ex}") from ex
         if first != second:
             raise UnstableAction(
-                f"{i}>{j} unstable: {first} at {COMB_BLOCKS} blocks, "
+                f"{kind} unstable: {first} at {COMB_BLOCKS} blocks, "
                 f"{second} at {COMB_BLOCKS + 1}"
             )
-        return first.spine, first.teeth
+        return first
 
-    return InducedCombMap.from_function(phi.domain_alphabet, phi.codomain_alphabet, image)
+    return tuple((kind, image(kind)) for kind in comb_kinds(phi.domain_alphabet))
 
 
 @dataclass(frozen=True)
 class TypeActionReport:
-    """Oracle action on types: stable values, plus everything that was not."""
+    """Oracle action on types: the stable values and the unverified ones.
+    Types that read as unstable or skipped have no value here; their
+    statuses come from :func:`read_type`."""
 
     mapping: tuple[tuple[TypeDescriptor, TypeDescriptor], ...]
-    unstable: tuple[tuple[TypeDescriptor, str], ...]
     unverified: tuple[tuple[TypeDescriptor, TypeDescriptor], ...]  # no second probe fit
-    skipped: tuple[TypeDescriptor, ...]
 
     def as_dict(self) -> dict[TypeDescriptor, TypeDescriptor]:
         return dict(self.mapping)
@@ -376,17 +377,13 @@ def read_type(
 
 
 def type_action(phi: Embedding) -> TypeActionReport:
-    """Every domain type's reading, in catalogue order."""
-    readings = {STABLE: [], UNSTABLE: [], UNVERIFIED: [], SKIPPED: []}
+    """Every domain type's value, in catalogue order, where it has one."""
+    readings = {STABLE: [], UNVERIFIED: []}
     for tau in enumerate_types(phi.domain_alphabet):
         status, detail = read_type(phi, tau)
-        readings[status].append(tau if status == SKIPPED else (tau, detail))
-    return TypeActionReport(
-        tuple(readings[STABLE]),
-        tuple(readings[UNSTABLE]),
-        tuple(readings[UNVERIFIED]),
-        tuple(readings[SKIPPED]),
-    )
+        if status in readings:
+            readings[status].append((tau, detail))
+    return TypeActionReport(tuple(readings[STABLE]), tuple(readings[UNVERIFIED]))
 
 
 # ---------------------------------------------------------------------------
@@ -402,13 +399,6 @@ class ReplaySample:
 
     nodes: tuple[Node, ...]
     reembedded: Optional[NodeSet]
-
-
-@dataclass(frozen=True)
-class ReplayReport:
-    samples: int
-    checked_pairs: int
-    violations: tuple[str, ...]
 
 
 def replay_fixture(
@@ -431,9 +421,11 @@ def replay_fixture(
     return tuple(fixture)
 
 
-def structural_replay(phi: Embedding, fixture: tuple[ReplaySample, ...]) -> ReplayReport:
+def structural_replay(phi: Embedding, fixture: tuple[ReplaySample, ...]) -> None:
     """Replay the structural conditions on a fixture's samples: injectivity,
-    order monotonicity, and preservation of first-move equivalence.
+    order monotonicity, and preservation of first-move equivalence.  Return
+    when every sample passes; raise ValidationFailure naming the first
+    violations otherwise.
 
     Images of meets are not compared with meets of images: that pointwise law
     fails even for correct constructions (anchors extend past the image of
@@ -443,12 +435,10 @@ def structural_replay(phi: Embedding, fixture: tuple[ReplaySample, ...]) -> Repl
     witness-shaped samples rather than arbitrary ones.
     """
     violations = []
-    checked = 0
     for k, sample in enumerate(fixture):
         images = {s: phi.map_node(s) for s in sample.nodes}
         for i, s in enumerate(sample.nodes):
             for t in sample.nodes[:i]:  # t comes before s
-                checked += 1
                 if images[s] == images[t]:
                     violations.append(f"collision: {s!r} and {t!r}")
                 if prec_compare(images[s], images[t]) != 1:
@@ -457,10 +447,8 @@ def structural_replay(phi: Embedding, fixture: tuple[ReplaySample, ...]) -> Repl
             image = NodeSet(phi.codomain_alphabet, frozenset(images.values()))
             if not first_move_equivalent(image, apply(phi, sample.reembedded)):
                 violations.append(f"equivalence lost on sample {k}")
-    report = ReplayReport(len(fixture), checked, tuple(violations))
     if violations:
         raise ValidationFailure("; ".join(violations[:3]))
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -506,15 +494,11 @@ def realize_efamily(fam: EFamily, depth: int = DOMAIN_DEPTH) -> TabulatedEmbeddi
         return anchor(s).concat(fam.e_inf)
 
     phi = TabulatedEmbedding(n, m, depth, fn=fn)
-    expected = efamily_induced_map(fam)
-    got = comb_action(phi)
-    if got != expected:
-        for (key, want), (_, have) in zip(expected.table, got.table):
-            if want != have:
-                raise ValidationFailure(
-                    f"comb action mismatch at {key[0]}>{key[1]}: "
-                    f"rule says {want[0]}>{want[1]}, oracle says {have[0]}>{have[1]}"
-                )
+    for (kind, want), (_, have) in zip(efamily_induced_map(fam), comb_action(phi)):
+        if want != have:
+            raise ValidationFailure(
+                f"comb action mismatch at {kind}: rule says {want}, oracle says {have}"
+            )
     return phi
 
 

@@ -13,12 +13,13 @@ extent is fixed there, so it is one-sided.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
 
 from .combs import (
     CombKind,
+    comb_kinds,
     concretize,
     efamily_induced_map,
     efamily_shapes,
@@ -67,12 +68,6 @@ def _symbol_key(symbol) -> tuple:
     return (type_id(symbol),)
 
 
-def _format_symbol(symbol) -> str:
-    if isinstance(symbol, CombKind):
-        return str(symbol)
-    return print_type(symbol)
-
-
 @dataclass(frozen=True)
 class GapSpec:
     """Sides of symbols over one tree: comb kinds or record types."""
@@ -85,6 +80,8 @@ class GapSpec:
     def __post_init__(self) -> None:
         if self.layer not in (FIRST_MOVE, RECORD):
             raise ValueError(f"unknown layer {self.layer!r}")
+        if self.n < 1:
+            raise ValueError(f"a gap needs at least one side, got arity {self.n}")
         if self.n != len(self.sides):
             raise ValueError(f"{len(self.sides)} sides for arity {self.n}")
         if self.m < 1:
@@ -101,7 +98,7 @@ class GapSpec:
             for symbol in side:
                 self._check_symbol(symbol)
                 if symbol in seen:
-                    raise ValueError(f"sides overlap at {_format_symbol(symbol)}")
+                    raise ValueError(f"sides overlap at {symbol}")
                 seen.add(symbol)
 
     def _check_symbol(self, symbol) -> None:
@@ -126,9 +123,7 @@ class GapSpec:
     def symbol_universe(self) -> tuple:
         """Every symbol of the layer over this alphabet, canonically ordered."""
         if self.layer == FIRST_MOVE:
-            return tuple(
-                CombKind(i, j) for i, j in sorted(itertools.product(range(self.m), repeat=2))
-            )
+            return comb_kinds(self.m)
         return enumerate_types(self.m)
 
     @property
@@ -143,7 +138,7 @@ class GapSpec:
             "n": self.n,
             "m": self.m,
             "sides": [
-                [_format_symbol(s) for s in sorted(side, key=_symbol_key)]
+                [str(s) for s in sorted(side, key=_symbol_key)]
                 for side in self.sides
             ],
         }
@@ -161,14 +156,16 @@ class GapSpec:
             parse = lambda text: parse_type(text, m)  # noqa: E731
         else:
             raise ValueError(f"unknown layer {layer!r}")
-        sides = tuple(list(side) for side in obj["sides"])
+        sides = obj["sides"]
+        if not isinstance(sides, list) or not all(isinstance(side, list) for side in sides):
+            raise ValueError("a gap file's sides must be a list of lists")
         if not all(isinstance(text, str) for side in sides for text in side):
             raise ValueError("a gap side must list symbols as strings")
         return GapSpec(layer, n, m, tuple(frozenset(map(parse, side)) for side in sides))
 
     def __str__(self) -> str:
         body = " | ".join(
-            ",".join(_format_symbol(s) for s in sorted(side, key=_symbol_key))
+            ",".join(str(s) for s in sorted(side, key=_symbol_key))
             for side in self.sides
         )
         return f"<{self.layer} {body}>"
@@ -213,13 +210,13 @@ def enumerate_candidates_strong(n: int) -> tuple[GapSpec, ...]:
         raise ValueError("arity must be positive")
     if n > _STRONG_LIMIT:
         raise ScaleLimit(f"strong candidate enumeration supported up to arity {_STRONG_LIMIT}")
-    off = [(i, j) for i, j in sorted(itertools.product(range(n), repeat=2)) if i != j]
+    off = [kind for kind in comb_kinds(n) if kind.spine != kind.teeth]
     out = []
     for digits in itertools.product(range(n + 1), repeat=len(off)):
         sides = [{CombKind(i, i)} for i in range(n)]
-        for (i, j), d in zip(off, digits):
+        for kind, d in zip(off, digits):
             if d < n:
-                sides[d].add(CombKind(i, j))
+                sides[d].add(kind)
         out.append(GapSpec(FIRST_MOVE, n, n, tuple(frozenset(s) for s in sides)))
     return tuple(out)
 
@@ -326,8 +323,8 @@ def _realizable_maps(m_in: int, m_out: int) -> tuple[tuple[tuple[int, ...], ...]
 def _comb_image_table(m_in: int, m_out: int):
     """Read-only int array: ``image[e, c]`` is the slot of the comb kind that
     map ``e`` of :func:`_realizable_maps` sends the input kind in slot ``c``
-    to.  Kind i>j sits in slot ``i * m + j`` over alphabet m, the sorted
-    order of a map's table."""
+    to.  Kind i>j sits in slot ``i * m + j`` over alphabet m, its place in
+    :func:`~adicgaps.combs.comb_kinds`."""
     import numpy as np
 
     rows, _shapes = _realizable_maps(m_in, m_out)
@@ -385,8 +382,8 @@ def order_le(g: GapSpec, h: GapSpec) -> OrderResult:
         hits = np.flatnonzero((h_row[image] == g_row).all(axis=1))
         if hits.size:
             fam = concretize(shapes[hits[0]], h.m)
-            slots = enumerate(rows[hits[0]])
-            action = tuple((CombKind(*divmod(c, g.m)), CombKind(*divmod(v, h.m))) for c, v in slots)
+            images = (CombKind(*divmod(v, h.m)) for v in rows[hits[0]])
+            action = tuple(zip(comb_kinds(g.m), images))
             witness = Candidate("efamily", efamily_label(fam), g.m, action, efamily_payload(fam))
             return OrderResult(LE_WITNESSED, witness, len(rows), None)
         return OrderResult(NOT_LE_REFUTED_EXACT, None, len(rows), None)
@@ -406,8 +403,7 @@ def _efamily_action(w: Candidate) -> Optional[tuple]:
         fam = efamily_of(w.payload)
     except ValueError:
         return None
-    table = efamily_induced_map(fam).table
-    return tuple((CombKind(*kind), CombKind(*image)) for kind, image in table)
+    return efamily_induced_map(fam)
 
 
 def revalidate_order(g: GapSpec, h: GapSpec, result: OrderResult) -> bool:
@@ -444,9 +440,6 @@ def revalidate_order(g: GapSpec, h: GapSpec, result: OrderResult) -> bool:
 @dataclass(frozen=True)
 class MinimalClassesReport:
     candidates: tuple[GapSpec, ...]
-    # bool matrix, le[i][j] means candidate i <= candidate j; an array has no
-    # single truth value, so == compares the fields the matrix determines
-    le: "numpy.ndarray" = field(compare=False)
     minimal: tuple[int, ...]
     classes: tuple[tuple[int, ...], ...]
     quotient_counts: dict
@@ -609,7 +602,6 @@ def minimal_classes(candidates: tuple[GapSpec, ...]) -> MinimalClassesReport:
 
     return MinimalClassesReport(
         tuple(candidates),
-        le,
         tuple(minimal),
         tuple(tuple(cls) for cls in classes),
         quotient_counts,
@@ -619,25 +611,18 @@ def minimal_classes(candidates: tuple[GapSpec, ...]) -> MinimalClassesReport:
 # ---------------------------------------------------------------------------
 # domination pruning of record candidates
 
-_PRUNED_TYPE_TEXTS = ("[u0 u1 l1]", "[u1 l0]")
+#: The two all-dominating dyadic types that the pruning deletes.
+PRUNED_TYPE_TEXTS = ("[u0 u1 l1]", "[u1 l0]")
 
 
-@dataclass(frozen=True)
-class PruneReport:
-    before: int
-    after: int
-    removed_types: tuple[str, ...]
-    pruned: tuple[GapSpec, ...]
-
-
-def domination_prune(candidates: tuple[GapSpec, ...]) -> PruneReport:
+def domination_prune(candidates: tuple[GapSpec, ...]) -> tuple[GapSpec, ...]:
     """Refine record candidates by deleting the two all-dominating types.
 
     Any candidate using one of them sits above a chain-versus-everything
     gap, so restricting sides to the remaining types preserves the property
     that every gap contains a candidate; duplicates collapse after the
     restriction."""
-    removed = tuple(parse_type(text, 2) for text in _PRUNED_TYPE_TEXTS)
+    removed = tuple(parse_type(text, 2) for text in PRUNED_TYPE_TEXTS)
     out: list[GapSpec] = []
     seen = set()
     for g in candidates:
@@ -649,9 +634,4 @@ def domination_prune(candidates: tuple[GapSpec, ...]) -> PruneReport:
             continue
         seen.add(restricted)
         out.append(restricted)
-    return PruneReport(
-        before=len(candidates),
-        after=len(out),
-        removed_types=_PRUNED_TYPE_TEXTS,
-        pruned=tuple(out),
-    )
+    return tuple(out)

@@ -314,21 +314,24 @@ def _derive_action(payload: dict, policy: str) -> Optional[tuple]:
     """Recompute a candidate's action from its payload alone, or ``None``.
 
     Subalphabet inclusions recompute the relabelling rule.  Probed kinds are
-    rebuilt, probed and admitted under ``policy``, or give ``None`` when
-    the payload builds nothing.  A domination payload must
+    rebuilt, probed and admitted under ``policy``.  A domination payload must
     name a dominating top-comb, and the construction, built at the policy's
     domain depth, must have probed values that agree with the defining rule.
+    A payload that is missing a field or holds a malformed one gives
+    ``None``.
     """
     kind = payload["kind"]
-    if kind == "subalphabet":
-        return _rule_action(payload)
-    if kind != "domination":
-        try:
+    try:
+        if kind == "subalphabet":
+            return _rule_action(payload)
+        if kind == "domination":
+            tau0, tau1 = _domination_types(payload)
+        else:
             phi = _build(payload)
-        except (KeyError, TypeError, ValueError):
-            return None
+    except (AttributeError, KeyError, TypeError, ValueError):
+        return None
+    if kind != "domination":
         return admit(probe(phi), policy, lambda: phi)
-    tau0, tau1 = _domination_types(payload)
     if not dominates(tau1, tau0):
         return None
     phi = domination_embedding(tau0, tau1, DOMAIN_DEPTHS[policy])

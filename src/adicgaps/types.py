@@ -196,8 +196,6 @@ class TypeWitnessSpec:
     ones, which is what pins the left-to-right order in the record structure.
     """
 
-    tau: TypeDescriptor
-    repetitions: tuple[tuple[Token, int], ...]
     u: Node
     v: Node
 
@@ -217,7 +215,7 @@ def witness_spec(tau: TypeDescriptor) -> TypeWitnessSpec:
         v = node_from_runs(tau.alphabet, [(k, reps[(k, 1)]) for k in sorted(tau.tau1)])
     else:
         v = u  # a pure lower-row type witnesses as a chain of u-blocks
-    return TypeWitnessSpec(tau, tuple(sorted(reps.items())), u, v)
+    return TypeWitnessSpec(u, v)
 
 
 def type_witness(tau: TypeDescriptor, blocks: int) -> NodeSet:

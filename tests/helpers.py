@@ -2,7 +2,7 @@
 
 import random
 
-from adicgaps.combs import CombKind, EFamily, InducedCombMap
+from adicgaps.combs import CombKind, EFamily, comb_kinds
 from adicgaps.gaps import FIRST_MOVE, GapSpec
 from adicgaps.tree import Node, NodeSet, _parent_links, empty_node, format_node
 
@@ -71,38 +71,26 @@ def word_image(fam: EFamily, s: Node) -> Node:
     return out.concat(fam.e_inf)
 
 
-def compose(outer: InducedCombMap, inner: InducedCombMap) -> InducedCombMap:
-    """``outer`` after ``inner``: the arity of ``inner``, the outputs of ``outer``."""
-    if inner.m != outer.n:
-        raise ValueError(f"cannot compose {outer.n}x{outer.m} after {inner.n}x{inner.m}")
-
-    def image(i: int, j: int) -> tuple[int, int]:
-        kind = outer.apply(inner.apply(CombKind(i, j)))
-        return kind.spine, kind.teeth
-
-    return InducedCombMap.from_function(inner.n, outer.m, image)
+def compose(outer: tuple, inner: tuple) -> tuple:
+    """``outer`` after ``inner``, comb maps as sorted ``(kind, image)`` pairs."""
+    image_of = dict(outer)
+    return tuple((kind, image_of[image]) for kind, image in inner)
 
 
-def identity_map(n: int) -> InducedCombMap:
+def identity_map(n: int) -> tuple:
     """The comb map fixing every kind over alphabet n."""
-    return InducedCombMap.from_function(n, n, lambda i, j: (i, j))
+    return tuple((kind, kind) for kind in comb_kinds(n))
 
 
-def map_from_row(n: int, m: int, row: tuple) -> InducedCombMap:
+def map_from_row(n: int, m: int, row: tuple) -> tuple:
     """The map of a flat image row, as :func:`adicgaps.combs.shape_induced_row`
     writes it."""
-    return InducedCombMap.from_function(n, m, lambda i, j: divmod(row[i * n + j], m))
+    return tuple((kind, CombKind(*divmod(v, m))) for kind, v in zip(comb_kinds(n), row))
 
 
-def map_json(eps: InducedCombMap) -> dict:
+def map_json(eps: tuple) -> dict:
     """A comb map as ``{"i>j": "u>v"}``."""
-    return {f"{i}>{j}": f"{u}>{v}" for (i, j), (u, v) in eps.table}
-
-
-def map_action(eps: InducedCombMap) -> tuple:
-    """A comb map as the sorted (kind, image kind) pairs a first-move order
-    witness carries as its action."""
-    return tuple((CombKind(*kind), CombKind(*image)) for kind, image in eps.table)
+    return {str(kind): str(image) for kind, image in eps}
 
 
 def reembed_record(a: NodeSet, rng: random.Random, pad_max: int = 3) -> NodeSet:

@@ -334,8 +334,11 @@ class TestOptimality:
         report = jbreak_optimality_check()
         assert report.counterexamples == ()
         assert report.checked == 86
-        assert len(report.qualifying) == 11
-        assert "subalphabet:iota=0,1" in report.qualifying
+        # the embeddings meeting the premise: both chain types in the range
+        chains = set(enumerate_types(2)[:2])
+        qualifying = [f"{c.kind}:{c.label}" for c in candidate_pool(2) if chains <= c.range_types]
+        assert len(qualifying) == 11
+        assert "subalphabet:iota=0,1" in qualifying
 
 
 def broken_pairs(gap):

@@ -263,9 +263,30 @@ class TestGapsOrder:
                 {"layer": "record", "n": True, "m": 2, "sides": [["[l0]"]]},
                 "n and m must be integers",
             ),
+            (
+                {"layer": "first_move", "n": 0, "m": 2, "sides": []},
+                "a gap needs at least one side",
+            ),
+            (
+                {"layer": "record", "n": 0, "m": 2, "sides": []},
+                "a gap needs at least one side",
+            ),
+            (
+                {"layer": "record", "n": 2, "m": 2, "sides": [["[l0]"], "[l1]"]},
+                "sides must be a list of lists",
+            ),
+            (
+                {"layer": "record", "n": 2, "m": 2, "sides": [["[l0]"], {"[l1]": 1}]},
+                "sides must be a list of lists",
+            ),
+            (
+                {"layer": "record", "n": 1, "m": 2, "sides": "[l0]"},
+                "sides must be a list of lists",
+            ),
         ],
         ids=["list", "string", "record-number", "first-move-number", "m-infinite", "m-float",
-             "n-boolean"],
+             "n-boolean", "first-move-no-sides", "record-no-sides", "string-side", "dict-side",
+             "string-sides"],
     )
     def test_ill_typed_file_exits_2(self, capsys, tmp_path, gap_file, content, message):
         bad = tmp_path / "bad.json"

@@ -4,9 +4,9 @@ is used where it is made.
 A top-level function or class, or a method or property of a package class,
 that only the tests reach is test code living in ``src``: move it into the
 tests or delete it.  Imports do not count as uses, and a definition does not
-use itself; a class member counts as used only where it is read as an
-attribute (``x.name``), since a bare name of the same spelling is some other
-binding.  Dunder methods are called by Python itself and are exempt.  An
+use itself; a class member or field counts as used only where it is read as
+an attribute (``x.name``), since a bare name of the same spelling is some
+other binding.  Dunder methods are called by Python itself and are exempt.  An
 imported name that its module never reads is a leftover of deleted code.
 """
 
@@ -66,6 +66,26 @@ def test_every_class_member_is_used_in_the_package():
     # ``read`` holds only real reads (recursion aside); a local variable
     # named like a member does not reach it
     unused = [f"{module}:{cls}.{name}" for module, cls, name in members if name not in read]
+    assert unused == []
+
+
+def test_every_field_is_read_in_the_package():
+    # an annotated class attribute (a dataclass field, say) that no package
+    # code reads as ``x.name`` is computed for the tests alone
+    fields = []  # (module, class, name)
+    read = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                fields += [
+                    (path.name, cls.name, stmt.target.id)
+                    for stmt in cls.body
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                ]
+    assert fields
+    unused = [f"{module}:{cls}.{name}" for module, cls, name in fields if name not in read]
     assert unused == []
 
 

@@ -4,9 +4,11 @@ import itertools
 import json
 import math
 import random
+from collections import Counter
 
 import pytest
 
+from adicgaps import embeddings
 from adicgaps.combs import (
     CombKind,
     EFamily,
@@ -18,6 +20,9 @@ from adicgaps.combs import (
 )
 from adicgaps.embeddings import (
     COMB_BLOCKS,
+    SKIPPED,
+    STABLE,
+    UNSTABLE,
     OutOfDomain,
     SubstitutionEmbedding,
     TabulatedEmbedding,
@@ -28,6 +33,7 @@ from adicgaps.embeddings import (
     domination_embedding,
     max_monotone,
     psi_map,
+    read_type,
     realize_efamily,
     relabel_embedding,
     replay_fixture,
@@ -43,6 +49,7 @@ from adicgaps.tree import (
     format_node,
     node,
     parse_node,
+    prec_compare,
     prec_sorted,
     random_node_set,
     record_equivalent,
@@ -73,11 +80,25 @@ def _random_replay_fixture(rng, alphabet):
     return replay_fixture(samples, rng)
 
 
-def _assert_replayed_in_full(report, fixture):
-    """A returned report means no violation (the replay raises on one), so
-    what is left to check is that every sample and every pair was read."""
-    assert report.samples == len(fixture)
-    assert report.checked_pairs == sum(math.comb(len(s.nodes), 2) for s in fixture)
+def _assert_replayed_in_full(monkeypatch, phi, fixture):
+    """The replay raises on a violation, so a return means none was found;
+    what is left to check is that it compared every pair of every sample."""
+    compared = []
+
+    def counted(s, t):
+        compared.append((s, t))
+        return prec_compare(s, t)
+
+    monkeypatch.setattr(embeddings, "prec_compare", counted)
+    assert structural_replay(phi, fixture) is None
+    assert len(compared) == sum(math.comb(len(s.nodes), 2) for s in fixture)
+
+
+def _statuses(phi):
+    """Each domain type's status under ``phi``, as :func:`read_type` reads it."""
+    return {
+        print_type(tau): read_type(phi, tau)[0] for tau in enumerate_types(phi.domain_alphabet)
+    }
 
 
 def _types(*texts, alphabet=2):
@@ -208,9 +229,8 @@ PSI_ACTION = {
 class TestTypeAction:
     def test_psi_action_frozen(self):
         report = type_action(psi_map(2))
-        assert not report.unstable and not report.unverified and not report.skipped
         got = {print_type(a): print_type(b) for a, b in report.mapping}
-        assert got == PSI_ACTION
+        assert got == PSI_ACTION  # all eight types stable
 
     def test_psi_chain_images_directly(self):
         # the [l0]-chain maps onto {01, 0101, ...}, whose record pattern
@@ -219,18 +239,16 @@ class TestTypeAction:
         assert print_type(classify_type(img)) == "[l0 l1]"
 
     def test_triadic_psi_counts(self):
-        report = type_action(psi_map(3))
-        assert len(report.mapping) == 51
-        assert not report.unstable and not report.unverified
-        assert len(report.skipped) == 10  # witnesses beyond the repetition bound
+        assert len(type_action(psi_map(3)).mapping) == 51
+        # the other ten have witnesses beyond the repetition bound
+        assert Counter(_statuses(psi_map(3)).values()) == {STABLE: 51, SKIPPED: 10}
 
     def test_relabel_embedding_agrees_with_token_relabel(self):
         iota = (0, 2)
         phi = relabel_embedding(iota, 3)
         report = type_action(phi)
         expected = {tau: relabel(tau, iota, 3) for tau in enumerate_types(2)}
-        assert report.as_dict() == expected
-        assert not report.unstable and not report.skipped
+        assert report.as_dict() == expected  # all eight types stable
 
     def test_honest_readout_of_a_flattening_map(self):
         # an injective map that flattens everything onto one chain
@@ -338,9 +356,8 @@ class TestRealizeEFamily:
     def test_worked_family_type_action_frozen(self):
         phi = realize_efamily(EFamily.of(2, "0", ["11", "01"]))
         report = type_action(phi)
-        assert not report.unstable and not report.unverified and not report.skipped
         got = {print_type(a): print_type(b) for a, b in report.mapping}
-        assert got == WORKED_FAMILY_TYPE_ACTION
+        assert got == WORKED_FAMILY_TYPE_ACTION  # all eight types stable
 
     def test_every_2_2_family_realizes(self):
         count = 0
@@ -362,12 +379,12 @@ class TestRealizeEFamily:
         nodes = img.sorted_nodes
         assert all(nodes[k].is_prefix_of(nodes[k + 1]) for k in range(len(nodes) - 1))
 
-    def test_structural_replay(self):
+    def test_structural_replay(self, monkeypatch):
         phi = realize_efamily(EFamily.of(2, "0", ["11", "01"]))
         fixture = _random_replay_fixture(random.Random(5), 2)
-        _assert_replayed_in_full(structural_replay(phi, fixture), fixture)
+        _assert_replayed_in_full(monkeypatch, phi, fixture)
         fixture = _random_replay_fixture(random.Random(6), 2)
-        _assert_replayed_in_full(structural_replay(psi_map(2), fixture), fixture)
+        _assert_replayed_in_full(monkeypatch, psi_map(2), fixture)
 
     def test_domain_bounds(self):
         phi = realize_efamily(EFamily.of(2, "0", ["11", "01"]), depth=9)
@@ -394,9 +411,10 @@ class TestDomination:
             "[u0 l1]": "[l0 u1 l1]",
             "[u1 l0]": "[l0 u1 l1]",
         }
-        assert not report.unstable
+        statuses = _statuses(phi)
+        assert UNSTABLE not in statuses.values()
         # deep witnesses need teeth beyond the run budget: honestly skipped
-        assert {print_type(t) for t in report.skipped} == {
+        assert {t for t, status in statuses.items() if status == SKIPPED} == {
             "[l0 l1]", "[l0 u1 l1]", "[u0 u1 l1]", "[u1 l0 l1]",
         }
 
@@ -427,7 +445,7 @@ class TestDomination:
         img = apply(phi, parse_node_set(2, "{0,00,000,0000}"))
         assert print_type(classify_type(img)) == "[l0]"
 
-    def test_replay_on_witness_shaped_samples(self):
+    def test_replay_on_witness_shaped_samples(self, monkeypatch):
         tau0, tau1 = _types("[l0]", "[l0 u1 l1]")
         phi = domination_embedding(tau0, tau1)
         samples = [
@@ -435,7 +453,7 @@ class TestDomination:
             for t in ("[l0]", "[l1]", "[u1 l0]", "[u0 l1]")
         ]
         fixture = replay_fixture(samples, None)
-        _assert_replayed_in_full(structural_replay(phi, fixture), fixture)
+        _assert_replayed_in_full(monkeypatch, phi, fixture)
 
     def test_deep_teeth_are_guarded(self):
         tau0, tau1 = _types("[l0]", "[l0 u1 l1]")

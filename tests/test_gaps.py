@@ -26,6 +26,7 @@ from adicgaps.gaps import (
     FIRST_MOVE,
     LE_WITNESSED,
     NOT_LE_REFUTED_EXACT,
+    PRUNED_TYPE_TEXTS,
     RECORD,
     UNKNOWN_BOUNDED,
     GapSpec,
@@ -49,7 +50,7 @@ from adicgaps.search import Candidate, efamily_label, efamily_payload
 from adicgaps.tree import ScaleLimit
 from adicgaps.types import enumerate_types, max_of, parse_type, print_type
 
-from helpers import compose, critical_strong_gap, identity_map, map_action
+from helpers import compose, critical_strong_gap, identity_map
 
 
 def strong2(s0, s1):
@@ -207,9 +208,9 @@ class TestOrderFirstMove:
             (1, 0): (0, 1),
             (1, 1): (1, 1),
         }
-        assert eps.table == tuple(sorted(expected.items()))
-        for kind in (CombKind(i, j) for i in range(2) for j in range(2)):
-            assert GAP_4S.side_of(kind) == STILDE.side_of(eps.apply(kind))
+        assert eps == tuple((CombKind(*k), CombKind(*v)) for k, v in sorted(expected.items()))
+        for kind, image in eps:
+            assert GAP_4S.side_of(kind) == STILDE.side_of(image)
 
     def test_separations_are_exact(self):
         assert order_le(GAP_3, GAP_4).verdict == NOT_LE_REFUTED_EXACT
@@ -229,7 +230,7 @@ class TestOrderFirstMove:
         assert (w.kind, w.domain_alphabet) == ("efamily", 2)
         assert w.payload == {"kind": "efamily", "alphabet_out": 2, "e_inf": "0", "e": ["100", "010"]}
         assert w.label == "e_inf=0;e=100,010"
-        assert w.action == map_action(efamily_induced_map(EFamily.of(2, "0", ["100", "010"])))
+        assert w.action == efamily_induced_map(EFamily.of(2, "0", ["100", "010"]))
         assert w.as_dict()["action"] == {"0>0": "1>0", "0>1": "1>0", "1>0": "0>1", "1>1": "1>1"}
 
     @pytest.mark.parametrize(
@@ -254,7 +255,7 @@ class TestOrderFirstMove:
             # swapping the branch words swaps the images of 0>1 and 1>0
             payload = {**w.payload, "e": w.payload["e"][::-1]}
             fam = EFamily.of(2, payload["e_inf"], payload["e"])
-            assert map_action(efamily_induced_map(fam)) != w.action
+            assert efamily_induced_map(fam) != w.action
             w = replace(w, payload=payload)
         elif tamper == "action-entry":
             # 0>1 -> 0>0 still satisfies the membership rule, so only the
@@ -294,10 +295,9 @@ class TestOrderFirstMove:
     def test_map_pool_closed_under_composition(self):
         maps = [eps for eps, _fam in reference_realizable_with_families(2, 2)]
         assert len(maps) == 20  # frozen count, also pinned in the comb tests
-        tables = {eps.table for eps in maps}
         for outer, inner in itertools.product(maps, repeat=2):
-            assert compose(outer, inner).table in tables
-        assert identity_map(2).table in tables
+            assert compose(outer, inner) in maps
+        assert identity_map(2) in maps
 
 
 def reference_minimal_classes(le):
@@ -340,6 +340,7 @@ class TestMinimalClasses:
     def test_excluded_candidates_have_minimal_below(self):
         cands = enumerate_candidates_strong(2)
         report = minimal_classes(cands)
+        le = _le_matrix_strong(cands, 2)
         below = {
             STILDE: GAP_4S,
             EXC_DIAG_TOOTH: GAP_4,
@@ -351,13 +352,12 @@ class TestMinimalClasses:
             minimal_below = {
                 report.candidates[j]
                 for j in report.minimal
-                if report.le[j][idx]
+                if le[j][idx]
             }
             assert expected in minimal_below
 
     def test_order_matrix_transitive(self):
-        report = minimal_classes(enumerate_candidates_strong(2))
-        le = report.le
+        le = _le_matrix_strong(enumerate_candidates_strong(2), 2)
         k = len(le)
         for a in range(k):
             for b in range(k):
@@ -369,14 +369,14 @@ class TestMinimalClasses:
 
     def test_matrix_agrees_with_pairwise_order(self):
         cands = enumerate_candidates_strong(2)
-        report = minimal_classes(cands)
+        le = _le_matrix_strong(cands, 2)
         for i, g in enumerate(cands):
             for j, h in enumerate(cands):
-                assert report.le[i][j] == (order_le(g, h).verdict == LE_WITNESSED)
+                assert le[i][j] == (order_le(g, h).verdict == LE_WITNESSED)
 
     def test_permutation_equivariance(self):
         cands = enumerate_candidates_strong(2)
-        report = minimal_classes(cands)
+        le = _le_matrix_strong(cands, 2)
         index = {g: i for i, g in enumerate(cands)}
         swap = {}
         for g in cands:
@@ -387,7 +387,7 @@ class TestMinimalClasses:
             swap[g] = GapSpec(FIRST_MOVE, 2, 2, (sides[1], sides[0]))
         for g in cands:
             for h in cands:
-                assert report.le[index[g]][index[h]] == report.le[index[swap[g]]][index[swap[h]]]
+                assert le[index[g]][index[h]] == le[index[swap[g]]][index[swap[h]]]
 
     def test_triadic_counts(self):
         report = minimal_classes(enumerate_candidates_strong(3))
@@ -403,8 +403,10 @@ class TestMinimalClasses:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_minimal_and_classes_match_pairwise_loops(self, n):
-        report = minimal_classes(enumerate_candidates_strong(n))
-        assert (report.minimal, report.classes) == reference_minimal_classes(report.le)
+        cands = enumerate_candidates_strong(n)
+        report = minimal_classes(cands)
+        le = _le_matrix_strong(cands, n)
+        assert (report.minimal, report.classes) == reference_minimal_classes(le)
 
     def test_record_layer_refuses_unknown(self):
         # the record order is bounded, so record minimality is never guessed
@@ -416,19 +418,17 @@ class TestMinimalClasses:
 def reference_realizable_with_families(m_in, m_out):
     """The map pool the shape rule replaced: every family shape concretized
     into words and induced by the family rule, each distinct map kept with
-    its first family, sorted by table."""
+    its first family, sorted by map."""
     by_map = {}
     for fam in enumerate_efamilies(m_in, m_out):
-        eps = efamily_induced_map(fam)
-        if eps.table not in by_map:
-            by_map[eps.table] = (eps, fam)
-    return tuple(by_map[key] for key in sorted(by_map))
+        by_map.setdefault(efamily_induced_map(fam), fam)
+    return tuple((eps, by_map[eps]) for eps in sorted(by_map))
 
 
-def flat_row(eps):
-    """A map's table as a flat image row: entry c is ``u * m + v`` for the
-    kind u>v that the input kind in slot c goes to."""
-    return tuple(u * eps.m + v for _, (u, v) in eps.table)
+def flat_row(eps, m):
+    """A map as a flat image row over output alphabet m: entry c is
+    ``u * m + v`` for the kind u>v that the input kind in slot c goes to."""
+    return tuple(image.spine * m + image.teeth for _, image in eps)
 
 
 def reference_le_matrix_strong(candidates, n):
@@ -454,8 +454,7 @@ def reference_le_matrix_strong(candidates, n):
     hs = np.arange(k_count)
     adds_edge = []
     for eps, _fam in reference_realizable_with_families(n, n):
-        perm = [slot[(eps.apply(CombKind(i, j)).spine, eps.apply(CombKind(i, j)).teeth)]
-                for (i, j) in combs]
+        perm = [slot[(image.spine, image.teeth)] for _, image in eps]
         pulled = full[:, perm]
         valid = (pulled[:, diag_slots] == diag_vals).all(axis=1)
         g_keys = pulled[:, off_slots][valid] @ powers
@@ -469,9 +468,9 @@ def reference_order_le(g, h):
     membership rule map by map, in pool order, until one holds."""
     pairs = reference_realizable_with_families(g.m, h.m)
     for eps, fam in pairs:
-        if _membership_iff(g, h, eps.apply):
+        if _membership_iff(g, h, dict(eps).__getitem__):
             payload = efamily_payload(fam)
-            witness = Candidate("efamily", efamily_label(fam), g.m, map_action(eps), payload)
+            witness = Candidate("efamily", efamily_label(fam), g.m, eps, payload)
             return OrderResult(LE_WITNESSED, witness, len(pairs), None)
     return OrderResult(NOT_LE_REFUTED_EXACT, None, len(pairs), None)
 
@@ -534,8 +533,8 @@ class TestStrongKernels:
             # that pullback uses every side
             eps = rng.choice(maps)
             sides = [set() for _ in range(n)]
-            for c in g.symbol_universe():
-                side = h.side_of(eps.apply(c))
+            for c, image in eps:
+                side = h.side_of(image)
                 if side is not None:
                     sides[side].add(c)
             if k % 4 < 2 and all(sides):
@@ -588,7 +587,7 @@ class TestRealizablePool:
         for m_in, m_out in POOL_SCALES:
             for shape in efamily_shapes(m_in, m_out):
                 shapes += 1
-                family_row = flat_row(efamily_induced_map(concretize(shape, m_out)))
+                family_row = flat_row(efamily_induced_map(concretize(shape, m_out)), m_out)
                 mismatches += shape_induced_row(shape, m_in, m_out) != family_row
         assert (shapes, mismatches) == (10_324, 0)
 
@@ -598,10 +597,10 @@ class TestRealizablePool:
         reference = reference_realizable_with_families(m_in, m_out)
         assert len(rows) == len(shapes) == len(reference)
         for row, shape, (eps, fam) in zip(rows, shapes, reference):
-            assert row == flat_row(eps)
+            assert row == flat_row(eps, m_out)
             assert concretize(shape, m_out) == fam
         table = _comb_image_table(m_in, m_out)
-        assert table.tolist() == [list(flat_row(eps)) for eps, _fam in reference]
+        assert table.tolist() == [list(flat_row(eps, m_out)) for eps, _fam in reference]
 
     def test_only_the_witness_is_concretized(self, monkeypatch):
         calls = {"efamily_induced_map": 0, "concretize": 0}
@@ -701,41 +700,38 @@ class TestTypeActionGenerators:
 
 class TestDominationPrune:
     def test_counts(self):
-        report = domination_prune(enumerate_candidates_record(2))
-        assert report.before == 1458
-        assert report.after == 162
-        assert len(report.pruned) == len(set(report.pruned)) == 162
+        candidates = enumerate_candidates_record(2)
+        pruned = domination_prune(candidates)
+        assert len(candidates) == 1458
+        assert len(pruned) == len(set(pruned)) == 162
 
     def test_removed_types_absent(self):
-        report = domination_prune(enumerate_candidates_record(2))
-        removed = {parse_type(t, 2) for t in report.removed_types}
-        for g in report.pruned:
+        removed = {parse_type(t, 2) for t in PRUNED_TYPE_TEXTS}
+        assert {print_type(t) for t in removed} == {"[u0 u1 l1]", "[u1 l0]"}
+        for g in domination_prune(enumerate_candidates_record(2)):
             assert not frozenset().union(*g.sides) & removed
 
     def test_widest_row_restriction_retained(self):
-        report = domination_prune(enumerate_candidates_record(2))
+        pruned = domination_prune(enumerate_candidates_record(2))
         survivors = [t for t in NONCHAIN if t not in ("[u0 u1 l1]", "[u1 l0]")]
-        assert record2([CHAIN0], survivors) in report.pruned
+        assert record2([CHAIN0], survivors) in pruned
 
     def test_disputed_type_retained_and_flagged(self):
-        report = domination_prune(enumerate_candidates_record(2))
+        pruned = domination_prune(enumerate_candidates_record(2))
         # the audit reports the tension as a known discrepancy
         ctx = AuditContext(seed=0, cache=None)
         _anchor, _expected, computed, status = check_discrepancy_dominating_teeth(ctx)
         assert computed["literal_extra_dominator"] == "[l0 u1 l1]"
         assert status == DISCREPANCY_KNOWN
         disputed = parse_type("[l0 u1 l1]", 2)
-        assert any(disputed in side for g in report.pruned for side in g.sides)
+        assert any(disputed in side for g in pruned for side in g.sides)
 
     def test_idempotent(self):
         once = domination_prune(enumerate_candidates_record(2))
-        twice = domination_prune(once.pruned)
-        assert twice.after == once.after
-        assert twice.pruned == once.pruned
+        assert domination_prune(once) == once
 
     def test_empty_input(self):
-        report = domination_prune(())
-        assert report.before == report.after == 0
+        assert domination_prune(()) == ()
 
     def test_rejects_other_layers(self):
         with pytest.raises(ValueError):

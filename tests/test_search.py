@@ -15,6 +15,7 @@ import json
 import random
 import weakref
 from collections import Counter
+from dataclasses import replace
 from functools import lru_cache
 
 import pytest
@@ -27,7 +28,6 @@ from adicgaps.embeddings import (
     STABLE,
     TYPE_BLOCKS,
     OutOfDomain,
-    ReplayReport,
     SubstitutionEmbedding,
     TabulatedEmbedding,
     ValidationFailure,
@@ -248,6 +248,25 @@ def test_pool_candidates_revalidate_from_their_payloads(pool, policy):
         assert revalidate(cand, policy), cand.label
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"kind": "subalphabet", "alphabet_out": 2},
+        {"kind": "subalphabet", "iota": [0, 1]},
+        {"kind": "subalphabet", "iota": "ab", "alphabet_out": 2},
+        {"kind": "domination", "tau1": "[u0 u1 l1]"},
+        {"kind": "domination", "tau0": "[l9]", "tau1": "[u0 u1 l1]"},
+        {"kind": "domination", "tau0": 5, "tau1": "[u0 u1 l1]"},
+    ],
+    ids=["no-iota", "no-alphabet-out", "string-iota", "no-tau0", "bad-tau0", "int-tau0"],
+)
+def test_malformed_rule_payload_fails_revalidation(payload):
+    # refused like a malformed probed payload, never raised on
+    witness = next(dominations(2, 2))
+    assert revalidate(witness, ORDER)
+    assert not revalidate(replace(witness, kind=payload["kind"], payload=payload), ORDER)
+
+
 def test_every_domination_construction_probes_to_its_rule():
     # all 25 dyadic dominations, upper-row padding types included: the built
     # map's probed values agree with the defining rule, and the chain type
@@ -271,7 +290,8 @@ def test_every_domination_construction_probes_to_its_rule():
 
 def reference_structural_replay(phi, rng, sample_sets=None):
     """The replay loop that draws its samples and re-embeddings for every
-    map: the oracle of the cached fixture."""
+    map: the oracle of the cached fixture.  Returns how many samples and
+    pairs it read."""
     violations = []
     checked = 0
     n = phi.domain_alphabet
@@ -297,10 +317,9 @@ def reference_structural_replay(phi, rng, sample_sets=None):
             if first_move_equivalent(a, b):
                 if not first_move_equivalent(apply(phi, a), apply(phi, b)):
                     violations.append(f"equivalence lost on sample {k}")
-    report = ReplayReport(len(samples), checked, tuple(violations))
     if violations:
         raise ValidationFailure("; ".join(violations[:3]))
-    return report
+    return len(samples), checked
 
 
 def reference_replay(phi):
@@ -346,7 +365,7 @@ def reference_admissible_action(phi, policy):
 
 
 def _outcome(replay, *args):
-    """A replay's report, or the message it failed with."""
+    """What a replay returns, or the message it failed with."""
     try:
         return replay(*args)
     except ValidationFailure as ex:
@@ -416,15 +435,29 @@ def _replay_maps():
             yield _build(cand.payload)
 
 
-def test_cached_fixture_replay_equals_per_map_replay():
+def test_cached_fixture_replay_equals_per_map_replay(monkeypatch):
+    # a passing replay returns nothing, so the pairs it read are counted
+    # through its order comparisons
+    compared = []
+
+    def counted(s, t):
+        compared.append((s, t))
+        return prec_compare(s, t)
+
+    monkeypatch.setattr(embeddings, "prec_compare", counted)
     failed = passed = 0
     for phi in _replay_maps():
         fixture = search._replay_fixture(phi.domain_alphabet, isinstance(phi, TabulatedEmbedding))
         expected = _outcome(reference_replay, phi)
-        assert _outcome(structural_replay, phi, fixture) == expected, phi
-        assert search._survives_replay(phi) == isinstance(expected, ReplayReport)
+        compared.clear()
+        got = _outcome(structural_replay, phi, fixture)
+        if isinstance(expected, str):
+            assert got == expected, phi
+        else:
+            assert got is None and (len(fixture), len(compared)) == expected, phi
+        assert search._survives_replay(phi) == (got is None)
         failed += isinstance(expected, str)
-        passed += isinstance(expected, ReplayReport)
+        passed += got is None
     assert failed > 10 and passed > 10
 
 

@@ -116,9 +116,15 @@ def test_single_letter_witness():
     assert format_node_set(w) == "{0,00,000}"
 
 
+def _repetitions(spec):
+    """Each token's repetition count, read off the run lengths of the lower
+    block u and the upper block v."""
+    return {**{(k, 0): r for k, r in spec.u.runs}, **{(k, 1): r for k, r in spec.v.runs}}
+
+
 def test_witness_spec_repetitions():
     spec = witness_spec(parse_type("[u1 l0]", 2))
-    reps = dict(spec.repetitions)
+    reps = _repetitions(spec)
     assert reps[(1, 1)] == 1 and reps[(0, 0)] == 3
     assert reps[(0, 0)] > 2 ** reps[(1, 1)]
     assert spec.u == node_from_runs(2, [(0, 3)])
@@ -127,8 +133,7 @@ def test_witness_spec_repetitions():
 
 def test_witness_repetitions_grow_along_the_order():
     tau = parse_type("[l0 l1 u1 u2 l2]", 3)
-    spec = witness_spec(tau)
-    reps = {tok: r for tok, r in spec.repetitions}
+    reps = _repetitions(witness_spec(tau))
     ordered = [reps[tok] for tok in tau.tokens]
     assert ordered == [1, 3, 9, 513, 2**513 + 1]
     longest = max(x.length for x in type_witness(tau, 3).nodes)
