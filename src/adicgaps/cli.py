@@ -838,7 +838,7 @@ def _load_gap_file(path: str) -> GapSpec:
             obj = json.load(handle)
     except OSError as ex:
         raise UsageError(f"cannot read gap file {path}: {ex}") from ex
-    except json.JSONDecodeError as ex:
+    except (ValueError, RecursionError) as ex:  # bad JSON or UTF-8, or nested too deep
         raise UsageError(f"gap file {path} is not valid JSON: {ex}") from ex
     try:
         return GapSpec.from_json(obj)

@@ -204,7 +204,7 @@ def enumerate_candidates_strong(n: int) -> tuple[GapSpec, ...]:
 
     Candidate index equals the base-(n+1) number read off the off-diagonal
     assignment digits (side index, or n for unassigned), most significant
-    digit first; the pullback order matrix relies on this correspondence.
+    digit first; the pullback order pairs rely on this correspondence.
     """
     if n < 1:
         raise ValueError("arity must be positive")
@@ -319,32 +319,16 @@ def _realizable_maps(m_in: int, m_out: int) -> tuple[tuple[tuple[int, ...], ...]
     return rows, tuple(first[row] for row in rows)
 
 
-@lru_cache(maxsize=None)
-def _comb_image_table(m_in: int, m_out: int):
-    """Read-only int array: ``image[e, c]`` is the slot of the comb kind that
-    map ``e`` of :func:`_realizable_maps` sends the input kind in slot ``c``
-    to.  Kind i>j sits in slot ``i * m + j`` over alphabet m, its place in
-    :func:`~adicgaps.combs.comb_kinds`."""
-    import numpy as np
-
-    rows, _shapes = _realizable_maps(m_in, m_out)
-    image = np.array(rows, dtype=np.int64).reshape(len(rows), m_in * m_in)
-    image.flags.writeable = False
-    return image
-
-
-def _side_table(specs: tuple[GapSpec, ...], m: int):
-    """``rows[k, c]``: the side of first-move spec k holding the comb kind in
-    slot c, or the arity n where no side holds it, so that two unassigned
-    kinds compare equal as :meth:`GapSpec.side_of`'s ``None`` does."""
-    import numpy as np
-
-    rows = np.full((len(specs), m * m), specs[0].n, dtype=np.int64)
-    for k, g in enumerate(specs):
-        for i, side in enumerate(g.sides):
-            for kind in side:
-                rows[k, kind.spine * m + kind.teeth] = i
-    return rows
+def _side_row(g: GapSpec) -> tuple[int, ...]:
+    """Slot ``i * m + j`` holds the side of first-move spec g holding the
+    comb kind i>j (its place in :func:`~adicgaps.combs.comb_kinds`), or the
+    arity n where no side holds it, so that two unassigned kinds compare
+    equal as :meth:`GapSpec.side_of`'s ``None`` does."""
+    row = [g.n] * (g.m * g.m)
+    for i, side in enumerate(g.sides):
+        for kind in side:
+            row[kind.spine * g.m + kind.teeth] = i
+    return tuple(row)
 
 
 def _membership_iff(g: GapSpec, h: GapSpec, image_of: Callable) -> bool:
@@ -357,32 +341,29 @@ def order_le(g: GapSpec, h: GapSpec) -> OrderResult:
 
     First-move layer: exact over every realizable comb map, so a verdict of
     not-below means no branch-word family witnesses the relation.  Each map
-    is one row of the image table; with g and h written as side-per-slot
-    rows, map e witnesses g <= h exactly when ``h_row[image[e]] == g_row``
-    in every slot.  The witness is the first such map: an e-family
-    :class:`Candidate` acting by the row, with the first shape's words.
-    From input alphabet 4 into an output alphabet of 3 or more the maps are
-    not enumerated and :class:`ScaleLimit` is raised.
+    is one flat row of :func:`_realizable_maps`; with g and h written as
+    side-per-slot rows (:func:`_side_row`), the map witnesses g <= h exactly
+    when ``h_row[row[c]] == g_row[c]`` in every slot c.  The witness is the
+    first such row in pool order: an e-family :class:`Candidate` acting by
+    the row, with the first shape's words.  From input alphabet 4 into an
+    output alphabet of 3 or more the maps are not enumerated and
+    :class:`ScaleLimit` is raised.
 
     Record layer: exhaust the generated embedding actions, whose extent
     :mod:`adicgaps.search` fixes and the result states as its ``budget``;
     failure to find a witness is only a bounded outcome, never a refutation.
-    This path does not import numpy.
     """
     if g.layer != h.layer:
         raise ValueError(f"layer mismatch: {g.layer} vs {h.layer}")
     if g.n != h.n:
         raise ValueError(f"arity mismatch: {g.n} vs {h.n}")
     if g.layer == FIRST_MOVE:
-        import numpy as np
-
         rows, shapes = _realizable_maps(g.m, h.m)
-        image = _comb_image_table(g.m, h.m)
-        g_row, h_row = _side_table((g,), g.m)[0], _side_table((h,), h.m)[0]
-        hits = np.flatnonzero((h_row[image] == g_row).all(axis=1))
-        if hits.size:
-            fam = concretize(shapes[hits[0]], h.m)
-            images = (CombKind(*divmod(v, h.m)) for v in rows[hits[0]])
+        g_row, h_of = _side_row(g), _side_row(h).__getitem__
+        hit = next((e for e, row in enumerate(rows) if tuple(map(h_of, row)) == g_row), None)
+        if hit is not None:
+            fam = concretize(shapes[hit], h.m)
+            images = (CombKind(*divmod(v, h.m)) for v in rows[hit])
             action = tuple(zip(comb_kinds(g.m), images))
             witness = Candidate("efamily", efamily_label(fam), g.m, action, efamily_payload(fam))
             return OrderResult(LE_WITNESSED, witness, len(rows), None)
@@ -458,31 +439,31 @@ class MinimalClassesReport:
         }
 
 
-def _pullback_maps(n: int):
-    """Indices of the realizable n -> n comb maps that pull back onto at
+def _pullback_maps(n: int) -> tuple[tuple[int, ...], ...]:
+    """The rows of the realizable n -> n comb maps that pull back onto at
     least one strong candidate (the argument is in :func:`_le_matrix_strong`)."""
-    import numpy as np
+    chains = tuple(i * (n + 1) for i in range(n))
+    kept = []
+    for row in _realizable_maps(n, n)[0]:
+        images = [row[s] for s in chains]
+        to_other_chain = any(v in chains and v != s for s, v in zip(chains, images))
+        if not to_other_chain and len(set(images)) == n:
+            kept.append(row)
+    return tuple(kept)
 
-    own_chain = np.arange(n) * (n + 1)
-    chain_images = _comb_image_table(n, n)[:, own_chain]
-    to_other_chain = np.isin(chain_images, own_chain) & (chain_images != own_chain)
-    keep = ~to_other_chain.any(axis=1)
-    for a, b in itertools.combinations(range(n), 2):
-        keep &= chain_images[:, a] != chain_images[:, b]
-    return np.flatnonzero(keep)
 
-
-def _le_matrix_strong(candidates: tuple[GapSpec, ...], n: int):
-    """Exact order matrix of the strong candidates through witness pullbacks.
+def _le_matrix_strong(candidates: tuple[GapSpec, ...], n: int) -> set[tuple[int, int]]:
+    """Exact order of the strong candidates through witness pullbacks: the
+    set of index pairs ``(key(g), key(h))`` with g <= h.
 
     For a fixed symbol map eps, the only specification below h via eps is
     the pullback g assigning each kind c to the side of eps(c).  It is a
     candidate exactly when it pins every chain kind i>i to side i, that is
     when h holds eps(i>i) on side i.  Candidates are indexed by their
-    assignment digits, so each such (eps, h) contributes the one edge
-    ``le[key(g), h]``, written through a flat index.  The realizable maps
-    contain the identity and are closed under composition, so the edge set
-    is already reflexive and transitive.
+    assignment digits, so each such (eps, h) contributes the one pair
+    ``(key(g), key(h))``.  The realizable maps contain the identity and are
+    closed under composition, so the pair set is already reflexive and
+    transitive.
 
     Most maps pull back onto no candidate and are skipped.  Every candidate
     holds j>j on side j, so a map sending i>i to j>j with j != i has no h;
@@ -492,41 +473,46 @@ def _le_matrix_strong(candidates: tuple[GapSpec, ...], n: int):
     asks for digit i at that kind's position; the candidates with those
     digits are exactly the h the map pulls back onto, and there is at least
     one, since an off-diagonal digit may take any value.  So the skipped
-    maps and the rows left out add no edge.
+    maps and the h left out add no pair.
+
+    key(g) is linear in h's digits: g's digit at off-diagonal slot q is i
+    where eps sends q to chain slot i, and h's digit at the slot eps sends
+    q to otherwise.  So a kept map's pairs are built digit by digit over
+    h's digits, fixed where a chain lands off the diagonal and free
+    elsewhere.
     """
-    import numpy as np
-
     k_count = len(candidates)
-    full = _side_table(candidates, n)
-    diag_slots = np.arange(n) * (n + 1)
-    off_slots = np.setdiff1d(np.arange(n * n), diag_slots)
-    powers = (n + 1) ** np.arange(len(off_slots) - 1, -1, -1)
-    digits = full[:, off_slots]
-    pinned = (full[:, diag_slots] == np.arange(n)).all()
-    if not pinned or not np.array_equal(digits @ powers, np.arange(k_count)):
-        raise AssertionError("candidate order must match assignment keys")
+    diag = tuple(i * (n + 1) for i in range(n))
+    off = tuple(s for s in range(n * n) if s not in diag)
+    position = {s: p for p, s in enumerate(off)}
+    weight = tuple((n + 1) ** (len(off) - 1 - p) for p in range(len(off)))
+    for k, g in enumerate(candidates):
+        row = _side_row(g)
+        pinned = all(row[s] == i for i, s in enumerate(diag))
+        if not pinned or sum(row[s] * w for s, w in zip(off, weight)) != k:
+            raise AssertionError("candidate order must match assignment keys")
 
-    image = _comb_image_table(n, n)
-    position = np.full(n * n, -1)
-    position[off_slots] = np.arange(len(off_slots))
-    rows_for = {}
-    edges = []
-    for e in _pullback_maps(n):
-        demands = tuple(
-            (position[s], i) for i, s in enumerate(image[e, diag_slots].tolist())
-            if position[s] >= 0
-        )
-        rows = rows_for.get(demands)
-        if rows is None:
-            match = np.ones(k_count, dtype=bool)
-            for p, i in demands:
-                match &= digits[:, p] == i
-            rows = rows_for[demands] = np.flatnonzero(match)
-        g_keys = full[rows[:, None], image[e, off_slots]] @ powers
-        edges.append(g_keys * k_count + rows)
-    le = np.zeros(k_count * k_count, dtype=bool)
-    le[np.concatenate(edges)] = True
-    return le.reshape(k_count, k_count)
+    # a pair is written as the one int key(g) * total + key(h)
+    total = (n + 1) ** len(off)
+    flat: set[int] = set()
+    for row in _pullback_maps(n):
+        g_base, g_weight = 0, [0] * len(off)
+        for s, w in zip(off, weight):
+            if row[s] in position:
+                g_weight[position[row[s]]] += w
+            else:
+                g_base += row[s] // (n + 1) * w
+        fixed = {position[row[s]]: i for i, s in enumerate(diag) if row[s] != s}
+        keys = [g_base * total]
+        for p, w in enumerate(weight):
+            digits = (fixed[p],) if p in fixed else range(n + 1)
+            steps = [d * (g_weight[p] * total + w) for d in digits]
+            keys = [key + step for key in keys for step in steps]
+        flat.update(keys)
+    le = set(map(divmod, flat, itertools.repeat(total)))
+    if k_count < total:  # a prefix of the candidates: keep the pairs inside it
+        le = {(a, b) for a, b in le if a < k_count and b < k_count}
+    return le
 
 
 def _permuted_candidate(g: GapSpec, pi: tuple[int, ...], convention: str) -> Optional[GapSpec]:
@@ -550,31 +536,27 @@ def minimal_classes(candidates: tuple[GapSpec, ...]) -> MinimalClassesReport:
     """Minimal strong candidates grouped by mutual order, with permutation
     quotients.
 
-    The order is decided exactly by the pullback matrix of
-    :func:`_le_matrix_strong`, a dense bool matrix ``le``; minimality is read
-    off its edge list (a candidate is minimal when each edge into it comes
-    back), and classes group the minimal candidates by mutual order.  Only
-    the first-move layer is supported: the record order is bounded, and
-    minimality must not be guessed.
+    The order is decided exactly by the pullback pairs of
+    :func:`_le_matrix_strong`, a set ``le`` holding ``(i, j)`` when
+    candidate i lies below candidate j; a candidate is minimal when each
+    pair into it comes back, and classes group the minimal candidates by
+    mutual order.  Only the first-move layer is supported: the record order
+    is bounded, and minimality must not be guessed.
     """
-    import numpy as np
-
     n = candidates[0].n
     if any(c.layer != FIRST_MOVE or c.n != n for c in candidates):
         raise ValueError("minimal classes need first-move candidates of one arity")
     le = _le_matrix_strong(tuple(candidates), n)
 
-    # i is minimal when no j lies strictly below it: every edge j -> i of the
-    # edge list comes back as le[i, j]
-    below, above = np.nonzero(le)
-    not_minimal = np.zeros(len(le), dtype=bool)
-    not_minimal[above[~le[above, below]]] = True
-    minimal = np.flatnonzero(~not_minimal).tolist()
+    # i is minimal when no j lies strictly below it: every pair (j, i) of
+    # the set comes back as (i, j)
+    not_minimal = {i for j, i in le if (i, j) not in le}
+    minimal = [i for i in range(len(candidates)) if i not in not_minimal]
     classes: list[list[int]] = []
     for i in minimal:
         for cls in classes:
             j = cls[0]
-            if le[i, j] and le[j, i]:
+            if (i, j) in le and (j, i) in le:
                 cls.append(i)
                 break
         else:

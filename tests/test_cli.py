@@ -239,6 +239,20 @@ class TestGapsOrder:
         assert "not valid JSON" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "content", [b"\xff\xfe{}", b"[" * 200_000], ids=["utf16-bom", "nested-too-deep"]
+    )
+    def test_undecodable_file_exits_2(self, capsys, tmp_path, gap_file, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        right = gap_file("right.json", GAP_STILDE)
+        for argv in (["gaps", "order", "--left", str(bad), "--right", right],
+                     ["breaking", "check", "--gap", str(bad), "--set", "0"]):
+            assert main(argv) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert "not valid JSON" in err
+
+    @pytest.mark.parametrize(
         "content,message",
         [
             ([1, 2], "a gap file must hold a JSON object"),
@@ -595,18 +609,22 @@ def test_output_closed_early_exits_2_with_one_error_line():
     assert len(lines) == 1 and lines[0].startswith("error:"), err
 
 
-def test_importing_the_package_leaves_numpy_unloaded(tmp_path):
-    # numpy serves only the strong layer (the order matrix and first-move
-    # order); importing the package, record order and breaking checks leave
-    # it unloaded
+def test_no_command_loads_numpy(tmp_path, gap_file):
+    # the package depends on the standard library alone (numpy is a test
+    # oracle): importing it, record order, breaking checks, the strong
+    # classes and first-move order all leave numpy unloaded
     one = tmp_path / "one.json"
     one.write_text(json.dumps({"layer": "record", "n": 1, "m": 1, "sides": [["[l0]"]]}))
     two = record_file(tmp_path, [["[l0]"], ["[l1]"]])
+    four_star = gap_file("four_star.json", REFERENCE_STRONG_TABLE["4*"])
+    stilde = gap_file("stilde.json", GAP_STILDE)
     code = (
         "import sys, adicgaps, adicgaps.cli; "
         "from adicgaps.cli import main; "
         f"assert main(['gaps', 'order', '--left', {str(one)!r}, '--right', {str(one)!r}]) == 0; "
         f"assert main(['breaking', 'check', '--gap', {two!r}, '--set', '0']) == 0; "
+        "assert main(['gaps', 'enum-strong', '--n', '2', '--no-cache', '--json']) == 0; "
+        f"assert main(['gaps', 'order', '--left', {four_star!r}, '--right', {stilde!r}]) == 0; "
         "sys.exit('numpy' in sys.modules)"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))

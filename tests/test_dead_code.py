@@ -1,5 +1,5 @@
-"""Every definition of the package is used by the package, and every import
-is used where it is made.
+"""Every definition of the package is used by the package, every import is
+used where it is made, and the package imports only the standard library.
 
 A top-level function or class, or a method or property of a package class,
 that only the tests reach is test code living in ``src``: move it into the
@@ -11,6 +11,7 @@ imported name that its module never reads is a leftover of deleted code.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import adicgaps
@@ -103,3 +104,20 @@ def test_every_import_is_used_by_its_module():
         unused += [f"{path.parent.name}/{path.name}:{name}" for name in imported if name not in read]
     assert len(SOURCES) > 1 and len(TESTS) > 1
     assert unused == []
+
+
+def test_the_package_imports_only_the_standard_library():
+    # the package has no runtime dependency: each import is relative, of the
+    # package itself, or of a standard-library module (numpy is a test oracle)
+    allowed = sys.stdlib_module_names | {"adicgaps"}
+    foreign = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [f"{path.name}:{name}" for name in names if name.split(".")[0] not in allowed]
+    assert foreign == []

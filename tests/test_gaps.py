@@ -31,7 +31,6 @@ from adicgaps.gaps import (
     UNKNOWN_BOUNDED,
     GapSpec,
     OrderResult,
-    _comb_image_table,
     _le_matrix_strong,
     _membership_iff,
     _pullback_maps,
@@ -300,10 +299,22 @@ class TestOrderFirstMove:
         assert identity_map(2) in maps
 
 
+def as_matrix(pairs, k_count):
+    """The order pairs ``(i, j)`` as a dense bool matrix with ``le[i, j]``."""
+    le = np.zeros((k_count, k_count), dtype=bool)
+    le[tuple(zip(*pairs))] = True
+    return le
+
+
+def true_cells(le):
+    """The ``(i, j)`` pairs of a bool matrix's true cells."""
+    return set(map(tuple, np.argwhere(le).tolist()))
+
+
 def reference_minimal_classes(le):
     """Minimal indices and their mutual-order classes, by the pairwise
-    Python loops over one row and one column of ``le`` at a time."""
-    le = np.asarray(le, dtype=bool)
+    Python loops over one row and one column of a dense matrix ``le`` at a
+    time."""
     k_count = len(le)
     minimal = []
     for i in range(k_count):
@@ -352,27 +363,28 @@ class TestMinimalClasses:
             minimal_below = {
                 report.candidates[j]
                 for j in report.minimal
-                if le[j][idx]
+                if (j, idx) in le
             }
             assert expected in minimal_below
 
     def test_order_matrix_transitive(self):
-        le = _le_matrix_strong(enumerate_candidates_strong(2), 2)
-        k = len(le)
+        cands = enumerate_candidates_strong(2)
+        le = _le_matrix_strong(cands, 2)
+        k = len(cands)
         for a in range(k):
             for b in range(k):
-                if not le[a][b]:
+                if (a, b) not in le:
                     continue
                 for c in range(k):
-                    if le[b][c]:
-                        assert le[a][c]
+                    if (b, c) in le:
+                        assert (a, c) in le
 
     def test_matrix_agrees_with_pairwise_order(self):
         cands = enumerate_candidates_strong(2)
         le = _le_matrix_strong(cands, 2)
         for i, g in enumerate(cands):
             for j, h in enumerate(cands):
-                assert le[i][j] == (order_le(g, h).verdict == LE_WITNESSED)
+                assert ((i, j) in le) == (order_le(g, h).verdict == LE_WITNESSED)
 
     def test_permutation_equivariance(self):
         cands = enumerate_candidates_strong(2)
@@ -387,7 +399,7 @@ class TestMinimalClasses:
             swap[g] = GapSpec(FIRST_MOVE, 2, 2, (sides[1], sides[0]))
         for g in cands:
             for h in cands:
-                assert le[index[g]][index[h]] == le[index[swap[g]]][index[swap[h]]]
+                assert ((index[g], index[h]) in le) == ((index[swap[g]], index[swap[h]]) in le)
 
     def test_triadic_counts(self):
         report = minimal_classes(enumerate_candidates_strong(3))
@@ -405,7 +417,7 @@ class TestMinimalClasses:
     def test_minimal_and_classes_match_pairwise_loops(self, n):
         cands = enumerate_candidates_strong(n)
         report = minimal_classes(cands)
-        le = _le_matrix_strong(cands, n)
+        le = as_matrix(_le_matrix_strong(cands, n), len(cands))
         assert (report.minimal, report.classes) == reference_minimal_classes(le)
 
     def test_record_layer_refuses_unknown(self):
@@ -495,20 +507,25 @@ def triadic():
 
 
 class TestStrongKernels:
-    """The array kernels of the strong layer against the loops they replaced."""
+    """The pure-Python kernels of the strong layer (the order pairs and the
+    first-move scan) against the vectorized numpy oracle and the loops they
+    replaced."""
 
     def test_dyadic_matrix_matches_reference(self):
         cands = enumerate_candidates_strong(2)
-        assert np.array_equal(_le_matrix_strong(cands, 2), reference_le_matrix_strong(cands, 2)[0])
+        expected = true_cells(reference_le_matrix_strong(cands, 2)[0])
+        assert _le_matrix_strong(cands, 2) == expected and len(expected) == 12
 
     def test_triadic_matrix_and_visited_maps_match_reference(self, triadic):
         cands, le = triadic
         expected, adds_edge = reference_le_matrix_strong(cands, 3)
-        assert np.array_equal(le, expected)
+        assert le == true_cells(expected) and len(le) == 41_283
         # the pullback visits exactly the maps that add an edge
-        assert len(adds_edge) == len(_comb_image_table(3, 3)) == 4290
-        assert _pullback_maps(3).tolist() == np.flatnonzero(adds_edge).tolist()
-        assert len(_pullback_maps(3)) == 919
+        reference = reference_realizable_with_families(3, 3)
+        assert len(adds_edge) == len(reference) == len(_realizable_maps(3, 3)[0]) == 4290
+        edge_rows = [flat_row(eps, 3) for (eps, _fam), adds in zip(reference, adds_edge) if adds]
+        assert list(_pullback_maps(3)) == edge_rows
+        assert len(edge_rows) == 919
 
     def test_matrix_refuses_candidates_out_of_key_order(self):
         cands = enumerate_candidates_strong(2)
@@ -520,7 +537,7 @@ class TestStrongKernels:
         for g, h in itertools.product(cands, repeat=2):
             assert order_le(g, h).as_dict() == reference_order_le(g, h).as_dict()
 
-    @pytest.mark.parametrize("m_in,m_out", [(1, 2), (2, 3), (3, 2)])
+    @pytest.mark.parametrize("m_in,m_out", [(1, 2), (1, 3), (2, 3), (3, 2), (2, 4), (4, 2)])
     def test_mixed_alphabet_order_matches_reference(self, m_in, m_out):
         rng = random.Random(m_in * 10 + m_out)
         maps = [eps for eps, _fam in reference_realizable_with_families(m_in, m_out)]
@@ -547,8 +564,8 @@ class TestStrongKernels:
     def test_triadic_order_matches_reference_on_seeded_sample(self, triadic):
         cands, le = triadic
         rng = random.Random(3)
-        edges = np.argwhere(le)
-        pairs = [tuple(edges[k]) for k in rng.sample(range(len(edges)), 6)]
+        edges = sorted(le)
+        pairs = [edges[k] for k in rng.sample(range(len(edges)), 6)]
         pairs += [tuple(rng.sample(range(len(cands)), 2)) for _ in range(4)]
         for i, j in pairs:
             g, h = cands[i], cands[j]
@@ -557,11 +574,11 @@ class TestStrongKernels:
     def test_triadic_order_agrees_with_matrix(self, triadic):
         cands, le = triadic
         rng = random.Random(5)
-        edges = np.argwhere(le)
-        pairs = [tuple(edges[k]) for k in rng.sample(range(len(edges)), 150)]
+        edges = sorted(le)
+        pairs = [edges[k] for k in rng.sample(range(len(edges)), 150)]
         pairs += [tuple(rng.sample(range(len(cands)), 2)) for _ in range(150)]
         for i, j in pairs:
-            assert (order_le(cands[i], cands[j]).verdict == LE_WITNESSED) == le[i, j]
+            assert (order_le(cands[i], cands[j]).verdict == LE_WITNESSED) == ((i, j) in le)
 
     def test_order_from_alphabet_four_is_guarded(self):
         def chain_gap(m):
@@ -599,8 +616,6 @@ class TestRealizablePool:
         for row, shape, (eps, fam) in zip(rows, shapes, reference):
             assert row == flat_row(eps, m_out)
             assert concretize(shape, m_out) == fam
-        table = _comb_image_table(m_in, m_out)
-        assert table.tolist() == [list(flat_row(eps, m_out)) for eps, _fam in reference]
 
     def test_only_the_witness_is_concretized(self, monkeypatch):
         calls = {"efamily_induced_map": 0, "concretize": 0}
@@ -617,9 +632,8 @@ class TestRealizablePool:
             monkeypatch.setattr(combs_module, name, wrapper)
             monkeypatch.setattr(gaps_module, name, wrapper)
         _realizable_maps.cache_clear()
-        _comb_image_table.cache_clear()
         cands = enumerate_candidates_strong(3)
-        _comb_image_table(3, 3)
+        _realizable_maps(3, 3)
         assert order_le(cands[0], cands[1]).verdict == NOT_LE_REFUTED_EXACT
         assert calls == {"efamily_induced_map": 0, "concretize": 0}
         res = order_le(cands[5], cands[5])
