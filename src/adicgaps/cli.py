@@ -202,8 +202,7 @@ def check_type_catalogue(ctx: AuditContext) -> CheckResult:
 
 
 def check_strong_two(ctx: AuditContext) -> CheckResult:
-    candidates = enumerate_candidates_strong(2)
-    report = minimal_classes(candidates)
+    report = minimal_classes(2)
     classes = {
         frozenset(report.candidates[i] for i in cls) for cls in report.classes
     }
@@ -219,7 +218,7 @@ def check_strong_two(ctx: AuditContext) -> CheckResult:
         "mode": "exact",
     }
     computed = {
-        "candidates": len(candidates),
+        "candidates": len(report.candidates),
         "classes": len(report.classes),
         "representatives": representatives if table_match else sorted(
             str(rep) for rep in report.class_representatives
@@ -238,21 +237,20 @@ def _strong_classes(n: int, cache: Optional[ResultCache]) -> dict:
     """Minimal classes of the strong n-sided candidates, through the cache
     when one is given; the key serializes every candidate, so it is built
     only then."""
-    candidates = enumerate_candidates_strong(n)
     if cache is None:
-        return minimal_classes(candidates).as_dict()
+        return minimal_classes(n).as_dict()
     key = content_key(
         {
             "computation": "minimal-classes",
             "layer": FIRST_MOVE,
             "order": "exact-pullback",
-            "candidates": [c.to_json() for c in candidates],
+            "candidates": [c.to_json() for c in enumerate_candidates_strong(n)],
         }
     )
     hit = cache.get(key)
     if hit is not None:
         return hit
-    report = minimal_classes(candidates).as_dict()
+    report = minimal_classes(n).as_dict()
     cache.put(key, report)
     return report
 
@@ -624,14 +622,14 @@ def _determinism_probe() -> bool:
 
     def snapshot() -> bytes:
         partition = jigsaw_audit(max_partition_gap(3)).as_dict()
-        classes = minimal_classes(enumerate_candidates_strong(2)).as_dict()
+        classes = minimal_classes(2).as_dict()
         return canonical_json({"partition": partition, "classes": classes}).encode()
 
     return snapshot() == snapshot()
 
 
 def _cache_spot_check() -> dict:
-    report = minimal_classes(enumerate_candidates_strong(2)).as_dict()
+    report = minimal_classes(2).as_dict()
     key = content_key({"computation": "minimal-classes", "n": 2})
     with tempfile.TemporaryDirectory() as tmp:
         cache = ResultCache(tmp)

@@ -165,11 +165,9 @@ class SubstitutionEmbedding:
 
     @cached_property
     def injective(self) -> bool:
-        try:
-            tuples = tuple(b.letters for b in self.blocks)
-        except ScaleLimit:
-            return len(set(self.blocks)) == len(self.blocks)  # giant blocks: runs differ
-        return _uniquely_decodable(tuples)
+        """Whether block concatenation is injective; ScaleLimit when a block
+        is too long to spell out."""
+        return _uniquely_decodable(tuple(b.letters for b in self.blocks))
 
     def map_node(self, s: Node) -> Node:
         if s.alphabet != self.domain_alphabet:

@@ -126,12 +126,6 @@ class GapSpec:
             return comb_kinds(self.m)
         return enumerate_types(self.m)
 
-    @property
-    def is_strong_candidate(self) -> bool:
-        return self.layer == FIRST_MOVE and all(
-            CombKind(i, i) in self.sides[i] for i in range(self.n)
-        )
-
     def to_json(self) -> dict:
         return {
             "layer": self.layer,
@@ -452,9 +446,10 @@ def _pullback_maps(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(kept)
 
 
-def _le_matrix_strong(candidates: tuple[GapSpec, ...], n: int) -> set[tuple[int, int]]:
-    """Exact order of the strong candidates through witness pullbacks: the
-    set of index pairs ``(key(g), key(h))`` with g <= h.
+def _le_matrix_strong(n: int) -> set[tuple[int, int]]:
+    """Exact order of the strong n-sided candidates through witness
+    pullbacks: the set of index pairs ``(key(g), key(h))`` with g <= h,
+    where key is the index in :func:`enumerate_candidates_strong`.
 
     For a fixed symbol map eps, the only specification below h via eps is
     the pullback g assigning each kind c to the side of eps(c).  It is a
@@ -475,78 +470,60 @@ def _le_matrix_strong(candidates: tuple[GapSpec, ...], n: int) -> set[tuple[int,
     one, since an off-diagonal digit may take any value.  So the skipped
     maps and the h left out add no pair.
 
-    key(g) is linear in h's digits: g's digit at off-diagonal slot q is i
-    where eps sends q to chain slot i, and h's digit at the slot eps sends
-    q to otherwise.  So a kept map's pairs are built digit by digit over
-    h's digits, fixed where a chain lands off the diagonal and free
+    No realizable map sends an off-diagonal kind to a chain kind: i>j
+    (i != j) goes to the letters where the branch words e(i) and e(j) part
+    (:func:`~adicgaps.combs.efamily_induced_map`), and two distinct words
+    of one length part at two distinct letters.  So g's digit at
+    off-diagonal slot q is h's digit at the slot eps sends q to, and key(g)
+    is linear in h's digits.  A kept map's pairs are built digit by digit
+    over h's digits, fixed where a chain lands off the diagonal and free
     elsewhere.
     """
-    k_count = len(candidates)
     diag = tuple(i * (n + 1) for i in range(n))
     off = tuple(s for s in range(n * n) if s not in diag)
     position = {s: p for p, s in enumerate(off)}
     weight = tuple((n + 1) ** (len(off) - 1 - p) for p in range(len(off)))
-    for k, g in enumerate(candidates):
-        row = _side_row(g)
-        pinned = all(row[s] == i for i, s in enumerate(diag))
-        if not pinned or sum(row[s] * w for s, w in zip(off, weight)) != k:
-            raise AssertionError("candidate order must match assignment keys")
 
     # a pair is written as the one int key(g) * total + key(h)
     total = (n + 1) ** len(off)
     flat: set[int] = set()
     for row in _pullback_maps(n):
-        g_base, g_weight = 0, [0] * len(off)
+        g_weight = [0] * len(off)
         for s, w in zip(off, weight):
-            if row[s] in position:
-                g_weight[position[row[s]]] += w
-            else:
-                g_base += row[s] // (n + 1) * w
+            g_weight[position[row[s]]] += w
         fixed = {position[row[s]]: i for i, s in enumerate(diag) if row[s] != s}
-        keys = [g_base * total]
+        keys = [0]
         for p, w in enumerate(weight):
             digits = (fixed[p],) if p in fixed else range(n + 1)
             steps = [d * (g_weight[p] * total + w) for d in digits]
             keys = [key + step for key in keys for step in steps]
         flat.update(keys)
-    le = set(map(divmod, flat, itertools.repeat(total)))
-    if k_count < total:  # a prefix of the candidates: keep the pairs inside it
-        le = {(a, b) for a, b in le if a < k_count and b < k_count}
-    return le
+    return set(map(divmod, flat, itertools.repeat(total)))
 
 
-def _permuted_candidate(g: GapSpec, pi: tuple[int, ...], convention: str) -> Optional[GapSpec]:
-    """Image of a first-move candidate under an alphabet permutation.
-
-    "alphabet" relabels side indices and comb letters together; "sides_only"
-    moves side indices while leaving symbols alone (which may break the
-    diagonal pinning, in which case there is no candidate image).
-    """
+def _permuted_candidate(g: GapSpec, pi: tuple[int, ...]) -> GapSpec:
+    """Image of a strong candidate under an alphabet permutation, which
+    relabels side indices and comb letters together: side pi(i) of the
+    image holds the kinds pi(u)>pi(v) for the kinds u>v on side i."""
     sides = [None] * g.n
     for i, side in enumerate(g.sides):
-        if convention == "alphabet":
-            sides[pi[i]] = frozenset(CombKind(pi[c.spine], pi[c.teeth]) for c in side)
-        else:
-            sides[pi[i]] = side
-    candidate = GapSpec(FIRST_MOVE, g.n, g.m, tuple(sides))
-    return candidate if candidate.is_strong_candidate else None
+        sides[pi[i]] = frozenset(CombKind(pi[c.spine], pi[c.teeth]) for c in side)
+    return GapSpec(FIRST_MOVE, g.n, g.m, tuple(sides))
 
 
-def minimal_classes(candidates: tuple[GapSpec, ...]) -> MinimalClassesReport:
-    """Minimal strong candidates grouped by mutual order, with permutation
-    quotients.
+def minimal_classes(n: int) -> MinimalClassesReport:
+    """Minimal strong n-sided candidates grouped by mutual order, with
+    permutation quotients.
 
     The order is decided exactly by the pullback pairs of
     :func:`_le_matrix_strong`, a set ``le`` holding ``(i, j)`` when
     candidate i lies below candidate j; a candidate is minimal when each
     pair into it comes back, and classes group the minimal candidates by
-    mutual order.  Only the first-move layer is supported: the record order
-    is bounded, and minimality must not be guessed.
+    mutual order.  Only the first-move layer has minimal classes: the
+    record order is bounded, and minimality must not be guessed.
     """
-    n = candidates[0].n
-    if any(c.layer != FIRST_MOVE or c.n != n for c in candidates):
-        raise ValueError("minimal classes need first-move candidates of one arity")
-    le = _le_matrix_strong(tuple(candidates), n)
+    candidates = enumerate_candidates_strong(n)
+    le = _le_matrix_strong(n)
 
     # i is minimal when no j lies strictly below it: every pair (j, i) of
     # the set comes back as (i, j)
@@ -562,28 +539,26 @@ def minimal_classes(candidates: tuple[GapSpec, ...]) -> MinimalClassesReport:
         else:
             classes.append([i])
 
-    # two classes share an orbit when a permutation maps one exactly onto
-    # the other; permutations form a group, so each class's set of exact
-    # images is its whole orbit and serves as the orbit's key
-    quotient_counts: dict[str, int] = {}
+    # two classes share an orbit when a permutation maps one onto the
+    # other; the order is permutation-equivariant, so every image of a
+    # class is a class, and each class's set of images is its whole orbit
+    # and serves as the orbit's key
     index_of = {c: k for k, c in enumerate(candidates)}
     class_at = {frozenset(cls): a for a, cls in enumerate(classes)}
-    for convention in ("alphabet", "sides_only"):
-        orbits = set()
-        for cls in classes:
-            orbit = set()
-            for pi in itertools.permutations(range(n)):
-                image = frozenset(
-                    index_of.get(_permuted_candidate(candidates[idx], pi, convention))
-                    for idx in cls
-                )
-                if image in class_at:
-                    orbit.add(class_at[image])
-            orbits.add(frozenset(orbit))
-        quotient_counts[convention] = len(orbits)
+    orbits = set()
+    for cls in classes:
+        orbit = set()
+        for pi in itertools.permutations(range(n)):
+            image = frozenset(index_of[_permuted_candidate(candidates[idx], pi)] for idx in cls)
+            orbit.add(class_at[image])
+        orbits.add(frozenset(orbit))
+    # Permuting the sides alone moves a pinned chain kind i>i off side i,
+    # so outside the identity it maps no candidate onto a candidate and
+    # every class is its own orbit.
+    quotient_counts = {"alphabet": len(orbits), "sides_only": len(classes)}
 
     return MinimalClassesReport(
-        tuple(candidates),
+        candidates,
         tuple(minimal),
         tuple(tuple(cls) for cls in classes),
         quotient_counts,

@@ -16,24 +16,25 @@ for the first-move order's witnesses, e-family payloads built by
   construction's defining rule.
 
 Each probed embedding is probed once per process: its payload JSON keys a
-memo of one policy-free :class:`ProbeRecord` -- the type action when it is
-total and no pooled same-type sample disagrees with it, and whether a
-sample left the domain.  The probe takes one domain type at a time: the
-witness image, then the type's samples from the frozen same-type pool
+memo of its policy-free probed action -- the type action when it is total
+and every pooled same-type sample maps and corroborates it, else ``None``.
+The probe takes one domain type at a time: the witness image, then the
+type's samples from the frozen same-type pool
 (:func:`~adicgaps.types.same_type_probes`), then the larger witness image,
 and it stops at the first failure.  Most rejected maps are refuted by an
-early type's sample, so they never pay for the later witnesses.  The memo
-keeps records, never embeddings.  Both policies read the same record:
+early type's sample, so they never pay for the later witnesses.  A sample
+that cannot be mapped refutes like one that disagrees; none does in the
+searches, whose samples have at most 4 letters and whose tabulated domains
+are at least 40 deep.  The memo keeps actions, never embeddings.  Both
+policies read the same action:
 
 * ``RANGE`` (breaking): the action is total and stable, and pooled same-type
-  samples corroborate it.  A sample that leaves a tabulated domain proves
-  nothing about the range and is passed over.
+  samples corroborate it.
 * ``ORDER`` (the gap order): the same, plus maximum-letter monotonicity and
-  a structural replay; a sample that leaves the domain rejects the
-  candidate.  Only the replay needs the embedding, which is rebuilt from
-  the payload for it.  The replay's samples and re-embeddings are drawn
-  once per domain alphabet (and kind of map), so each candidate only maps
-  them and compares the images.
+  a structural replay.  Only the replay needs the embedding, which is
+  rebuilt from the payload for it.  The replay's samples and re-embeddings
+  are drawn once per domain alphabet (and kind of map), so each candidate
+  only maps them and compares the images.
 
 Each consumer keeps its own search order; the generators take the domain
 alphabet, and the substitution generator takes the block tuples in the
@@ -61,7 +62,6 @@ from .embeddings import (
     REPLAY_SAMPLES,
     STABLE,
     Embedding,
-    OutOfDomain,
     SubstitutionEmbedding,
     TabulatedEmbedding,
     ValidationFailure,
@@ -75,7 +75,7 @@ from .embeddings import (
     structural_replay,
     type_action,
 )
-from .tree import Node, ScaleLimit, empty_node, format_node, random_node_set
+from .tree import Node, empty_node, format_node, random_node_set
 from .types import (
     TypeDescriptor,
     classify_type,
@@ -173,52 +173,35 @@ def _sorted_action(mapping: dict) -> tuple:
 # probing and admission
 
 
-@dataclass(frozen=True, slots=True)
-class ProbeRecord:
-    """What probing one embedding shows, whatever the policy.
-
-    ``action`` is the sorted type action when every domain type classifies
-    stably (nothing unstable, unverified or skipped) and no pooled same-type
-    sample disagrees with it, else ``None``.  ``left_domain`` says that a
-    sample left the domain, which only the ``ORDER`` policy reads.
-    """
-
-    action: Optional[tuple]
-    left_domain: bool = False
-
-
-def probe(phi: Embedding) -> ProbeRecord:
+def probe(phi: Embedding) -> Optional[tuple]:
     """Probe ``phi`` once, one domain type at a time, in catalogue order.
 
     For each type the witness image is classified, then the type's pooled
     same-type samples, then the larger witness image (:func:`read_type`).
-    The probe stops at the first failure, so a map that a sample of an
-    early type refutes classifies no witness of a later type.
+    The result is the sorted type action when every domain type classifies
+    stably (nothing unstable, unverified or skipped) and every sample maps
+    and classifies as its type's witness, else ``None``.  The probe stops at
+    the first failure, so a map that a sample of an early type refutes
+    classifies no witness of a later type.  Over a domain alphabet with no
+    pool (4) the pool's :class:`~adicgaps.tree.ScaleLimit` propagates.
     """
-    left_domain = False
 
     def corroborated(tau: TypeDescriptor, first: TypeDescriptor) -> bool:
-        nonlocal left_domain
-        for sample in same_type_probes(phi.domain_alphabet)[tau]:
-            try:
-                image = apply(phi, sample)
-            except (OutOfDomain, ScaleLimit):
-                left_domain = True
-                continue
-            try:
-                if classify_type(image) != first:
-                    return False
-            except ValueError:
-                return False
-        return True
+        # outside the try: over an alphabet with no pool the ScaleLimit
+        # propagates, and the probe refuses rather than refutes
+        samples = same_type_probes(phi.domain_alphabet)[tau]
+        try:
+            return all(classify_type(apply(phi, sample)) == first for sample in samples)
+        except ValueError:  # out of the domain or scale, or not classifiable
+            return False
 
     mapping = {}
     for tau in enumerate_types(phi.domain_alphabet):
         status, sigma = read_type(phi, tau, corroborated)
         if status != STABLE:
-            return ProbeRecord(None)
+            return None
         mapping[tau] = sigma
-    return ProbeRecord(_sorted_action(mapping), left_domain)
+    return _sorted_action(mapping)
 
 
 @lru_cache(maxsize=None)
@@ -250,28 +233,26 @@ def _survives_replay(phi: Embedding) -> bool:
 
 
 def admit(
-    record: ProbeRecord, policy: str, embedding: Callable[[], Embedding]
+    action: Optional[tuple], policy: str, embedding: Callable[[], Embedding]
 ) -> Optional[tuple]:
     """The probed type action when admissible under ``policy``, else ``None``.
 
     Both policies need a total action that every pooled same-type sample
-    corroborates, which is what a recorded action is.  ``ORDER`` adds maximum-letter monotonicity and the
-    structural replay, and rejects a sample outside the domain, which
-    ``RANGE`` passes over.  Breaking quantifies over the range *set* only,
-    and demanding monotonicity there would empty the witness families it
-    searches.  ``embedding()`` is called only for the replay.
+    corroborates, which is what :func:`probe` returns.  ``ORDER`` adds
+    maximum-letter monotonicity and the structural replay.  Breaking
+    quantifies over the range *set* only, and demanding monotonicity there
+    would empty the witness families it searches.  ``embedding()`` is
+    called only for the replay.
     """
     if policy not in (RANGE, ORDER):
         raise ValueError(f"unknown admissibility policy {policy!r}")
-    if record.action is None:
+    if action is None:
         return None
     if policy == ORDER and (
-        record.left_domain
-        or not max_monotone(dict(record.action))
-        or not _survives_replay(embedding())
+        not max_monotone(dict(action)) or not _survives_replay(embedding())
     ):
         return None
-    return record.action
+    return action
 
 
 # --------------------------------------------------------------------------
@@ -343,20 +324,20 @@ def _derive_action(payload: dict, policy: str) -> Optional[tuple]:
 
 
 @lru_cache(maxsize=None)
-def _memoized_record(payload_json: str) -> ProbeRecord:
+def _memoized_probe(payload_json: str) -> Optional[tuple]:
     """One probe per payload per process, read by both policies.  Only the
-    record is kept; the embedding is dropped once probed."""
+    action is kept; the embedding is dropped once probed."""
     try:
         phi = _build(json.loads(payload_json))
     except ValueError:
-        return ProbeRecord(None)
+        return None
     return probe(phi)
 
 
 def _probed(label: str, payload: dict, policy: str) -> Iterator[Candidate]:
-    """The candidate, when its memoized probe record is admitted."""
-    record = _memoized_record(json.dumps(payload, sort_keys=True))
-    action = admit(record, policy, lambda: _build(payload))
+    """The candidate, when its memoized probed action is admitted."""
+    probed = _memoized_probe(json.dumps(payload, sort_keys=True))
+    action = admit(probed, policy, lambda: _build(payload))
     if action is not None:
         yield Candidate(payload["kind"], label, action[0][0].alphabet, action, payload)
 

@@ -195,6 +195,15 @@ class TestGapsOrder:
         assert "verdict: NOT_LE_refuted_exact" in out
         assert "(exact)" in out
 
+    def test_record_order_from_alphabet_four_exits_2(self, capsys, tmp_path):
+        # substitutions out of alphabet 4 reach the same-type probes, which
+        # have no pool there: the query is refused, not answered
+        left = tmp_path / "left4.json"
+        left.write_text(json.dumps({"layer": "record", "n": 2, "m": 4, "sides": [["[l0]"], ["[l3]"]]}))
+        right = record_file(tmp_path, [["[l0]"], ["[l1]"]])
+        assert main(["gaps", "order", "--left", str(left), "--right", right]) == EXIT_USAGE
+        assert_one_error_line(capsys, "alphabet 4")
+
     def test_json_shape(self, capsys, gap_file):
         left = gap_file("left.json", REFERENCE_STRONG_TABLE["4*"])
         right = gap_file("right.json", GAP_STILDE)

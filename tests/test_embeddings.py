@@ -48,6 +48,7 @@ from adicgaps.tree import (
     first_move_equivalent,
     format_node,
     node,
+    node_from_runs,
     parse_node,
     prec_compare,
     prec_sorted,
@@ -127,6 +128,14 @@ class TestSubstitution:
         # genuinely ambiguous concatenations
         assert not SubstitutionEmbedding(empty_node(2), (_n("0"), _n("00"))).injective
         assert psi_map(3).injective
+
+    def test_injectivity_of_blocks_too_long_to_spell_is_not_guessed(self):
+        # 01 and 10 both map to 0^5,000,000: distinct blocks are not enough
+        blocks = (node_from_runs(1, [(0, 2_000_000)]), node_from_runs(1, [(0, 3_000_000)]))
+        phi = SubstitutionEmbedding(empty_node(1), blocks)
+        assert phi.map_node(_n("01")) == phi.map_node(_n("10"))
+        with pytest.raises(ScaleLimit):
+            phi.injective
 
     def test_rle_blocks_stay_cheap_but_guarded(self):
         phi = psi_map(2)

@@ -35,6 +35,7 @@ from adicgaps.gaps import (
     _membership_iff,
     _pullback_maps,
     _realizable_maps,
+    _side_row,
     critical_record_gap,
     domination_prune,
     enumerate_candidates_record,
@@ -132,8 +133,9 @@ class TestGapSpec:
             GapSpec(RECORD, 1, 2, (frozenset({parse_type("[l2]", 3)}),))
 
     def test_candidate_flags(self):
-        assert GAP_1.is_strong_candidate
-        assert not strong2(["0>1"], ["1>1", "0>0"]).is_strong_candidate
+        # a strong candidate pins the i-chain kind to side i
+        assert GAP_1 in enumerate_candidates_strong(2)
+        assert strong2(["0>1"], ["1>1", "0>0"]) not in enumerate_candidates_strong(2)
 
     def test_json_documented_example(self):
         doc = {
@@ -167,7 +169,7 @@ class TestEnumerations:
     def test_strong_candidates_distinct_and_pinned(self):
         cands = enumerate_candidates_strong(2)
         assert len(set(cands)) == 9
-        assert all(g.is_strong_candidate for g in cands)
+        assert all(g.side_of(CombKind(i, i)) == i for g in cands for i in range(2))
 
     def test_strong_scale_guard(self):
         with pytest.raises(ScaleLimit):
@@ -333,16 +335,38 @@ def reference_minimal_classes(le):
     return tuple(minimal), tuple(tuple(cls) for cls in classes)
 
 
+def reference_sides_only_orbits(report, n):
+    """The orbits of the classes under permutations of the sides alone, by
+    brute force: a permutation pi moves side i to side pi[i] and leaves the
+    kinds as they are, and an image counts when it is a class."""
+    index_of = {c: k for k, c in enumerate(report.candidates)}
+    class_at = {frozenset(cls): a for a, cls in enumerate(report.classes)}
+    orbits = set()
+    for cls in report.classes:
+        orbit = set()
+        for pi in itertools.permutations(range(n)):
+            image = set()
+            for idx in cls:
+                sides = [None] * n
+                for i, side in enumerate(report.candidates[idx].sides):
+                    sides[pi[i]] = side
+                image.add(index_of.get(GapSpec(FIRST_MOVE, n, n, tuple(sides))))
+            if frozenset(image) in class_at:
+                orbit.add(class_at[frozenset(image)])
+        orbits.add(frozenset(orbit))
+    return len(orbits)
+
+
 class TestMinimalClasses:
     def test_dyadic_table_recovered(self):
-        report = minimal_classes(enumerate_candidates_strong(2))
+        report = minimal_classes(2)
         assert report.as_dict()["mode"] == "exact"
         assert len(report.minimal) == 6
         classes = {frozenset(report.candidates[i] for i in cls) for cls in report.classes}
         assert classes == {frozenset({g}) for g in TABLE}
 
     def test_dyadic_quotients(self):
-        report = minimal_classes(enumerate_candidates_strong(2))
+        report = minimal_classes(2)
         # letter-and-side permutations pair 3 with 3* and 4 with 4*;
         # side-only permutations break the diagonal pinning, so they
         # identify nothing
@@ -350,8 +374,8 @@ class TestMinimalClasses:
 
     def test_excluded_candidates_have_minimal_below(self):
         cands = enumerate_candidates_strong(2)
-        report = minimal_classes(cands)
-        le = _le_matrix_strong(cands, 2)
+        report = minimal_classes(2)
+        le = _le_matrix_strong(2)
         below = {
             STILDE: GAP_4S,
             EXC_DIAG_TOOTH: GAP_4,
@@ -368,9 +392,8 @@ class TestMinimalClasses:
             assert expected in minimal_below
 
     def test_order_matrix_transitive(self):
-        cands = enumerate_candidates_strong(2)
-        le = _le_matrix_strong(cands, 2)
-        k = len(cands)
+        le = _le_matrix_strong(2)
+        k = len(enumerate_candidates_strong(2))
         for a in range(k):
             for b in range(k):
                 if (a, b) not in le:
@@ -381,14 +404,14 @@ class TestMinimalClasses:
 
     def test_matrix_agrees_with_pairwise_order(self):
         cands = enumerate_candidates_strong(2)
-        le = _le_matrix_strong(cands, 2)
+        le = _le_matrix_strong(2)
         for i, g in enumerate(cands):
             for j, h in enumerate(cands):
                 assert ((i, j) in le) == (order_le(g, h).verdict == LE_WITNESSED)
 
     def test_permutation_equivariance(self):
         cands = enumerate_candidates_strong(2)
-        le = _le_matrix_strong(cands, 2)
+        le = _le_matrix_strong(2)
         index = {g: i for i, g in enumerate(cands)}
         swap = {}
         for g in cands:
@@ -402,28 +425,27 @@ class TestMinimalClasses:
                 assert ((index[g], index[h]) in le) == ((index[swap[g]], index[swap[h]]) in le)
 
     def test_triadic_counts(self):
-        report = minimal_classes(enumerate_candidates_strong(3))
+        report = minimal_classes(3)
         assert len(report.candidates) == 4096
         assert len(report.classes) == 31
         assert report.quotient_counts["alphabet"] == 9
         assert report.quotient_counts["sides_only"] == 31
 
     def test_reports_compare_by_value(self):
-        cands = enumerate_candidates_strong(2)
-        assert minimal_classes(cands) == minimal_classes(cands)
-        assert minimal_classes(cands) != minimal_classes(cands[:-1])
+        assert minimal_classes(2) == minimal_classes(2)
+        assert minimal_classes(1) != minimal_classes(2)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_minimal_and_classes_match_pairwise_loops(self, n):
-        cands = enumerate_candidates_strong(n)
-        report = minimal_classes(cands)
-        le = as_matrix(_le_matrix_strong(cands, n), len(cands))
+        report = minimal_classes(n)
+        le = as_matrix(_le_matrix_strong(n), len(report.candidates))
         assert (report.minimal, report.classes) == reference_minimal_classes(le)
 
-    def test_record_layer_refuses_unknown(self):
-        # the record order is bounded, so record minimality is never guessed
-        with pytest.raises(ValueError, match="first-move candidates"):
-            minimal_classes((RECORD_ROWS["2"], RECORD_ROWS["2*"]))
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_sides_only_quotient_matches_brute_force(self, n):
+        report = minimal_classes(n)
+        count = reference_sides_only_orbits(report, n)
+        assert report.quotient_counts["sides_only"] == count == len(report.classes)
 
 
 @lru_cache(maxsize=None)
@@ -503,7 +525,7 @@ def random_first_move_gap(rng, n, m):
 @pytest.fixture(scope="module")
 def triadic():
     cands = enumerate_candidates_strong(3)
-    return cands, _le_matrix_strong(cands, 3)
+    return cands, _le_matrix_strong(3)
 
 
 class TestStrongKernels:
@@ -514,7 +536,7 @@ class TestStrongKernels:
     def test_dyadic_matrix_matches_reference(self):
         cands = enumerate_candidates_strong(2)
         expected = true_cells(reference_le_matrix_strong(cands, 2)[0])
-        assert _le_matrix_strong(cands, 2) == expected and len(expected) == 12
+        assert _le_matrix_strong(2) == expected and len(expected) == 12
 
     def test_triadic_matrix_and_visited_maps_match_reference(self, triadic):
         cands, le = triadic
@@ -527,10 +549,25 @@ class TestStrongKernels:
         assert list(_pullback_maps(3)) == edge_rows
         assert len(edge_rows) == 919
 
-    def test_matrix_refuses_candidates_out_of_key_order(self):
-        cands = enumerate_candidates_strong(2)
-        with pytest.raises(AssertionError, match="assignment keys"):
-            _le_matrix_strong(cands[::-1], 2)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_candidate_digits_read_their_index(self, n):
+        # the pairs are keyed by index, so candidate k must pin the chains
+        # and read k in base n + 1 off its off-diagonal side digits
+        diag = [i * (n + 1) for i in range(n)]
+        off = [s for s in range(n * n) if s not in diag]
+        for k, g in enumerate(enumerate_candidates_strong(n)):
+            row = _side_row(g)
+            assert [row[s] for s in diag] == list(range(n))
+            assert int("".join(str(row[s]) for s in off) or "0", n + 1) == k
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_realizable_maps_keep_off_diagonal_kinds_off_the_diagonal(self, m):
+        rows = _realizable_maps(m, m)[0]
+        for row in rows:
+            for s in range(m * m):
+                if s % (m + 1):  # an off-diagonal kind i>j, slot i * m + j
+                    assert row[s] % (m + 1), (row, s)
+        assert len(rows) == {1: 1, 2: 20, 3: 4290}[m]
 
     def test_dyadic_order_matches_reference_on_all_pairs(self):
         cands = enumerate_candidates_strong(2)

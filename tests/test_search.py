@@ -39,6 +39,7 @@ from adicgaps.embeddings import (
     replay_fixture,
     structural_replay,
     type_action,
+    type_witness,
 )
 from adicgaps.gaps import generate_type_actions
 from adicgaps.search import (
@@ -60,6 +61,7 @@ from adicgaps.tree import (
     ScaleLimit,
     empty_node,
     first_move_equivalent,
+    format_node,
     node_from_runs,
     parse_node,
     prec_compare,
@@ -375,14 +377,14 @@ def _outcome(replay, *args):
 def _probed_payloads(pools):
     """Every probed payload the pools generate, in generation order."""
     seen = {}
-    original = search._memoized_record
+    original = search._memoized_probe
 
     def spy(payload_json):
         seen.setdefault(payload_json, None)
         return original(payload_json)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(search, "_memoized_record", spy)
+        mp.setattr(search, "_memoized_probe", spy)
         for pool in pools:
             list(pool())
     return [json.loads(text) for text in seen]
@@ -411,12 +413,14 @@ def test_record_admission_equals_per_policy_admission():
             phi = _build(payload)
         except ValueError:
             continue
-        record = probe(phi)
-        # the search reads the memoized record of the same payload
-        assert search._memoized_record(json.dumps(payload, sort_keys=True)) == record
+        action = probe(phi)
+        # the search reads the memoized action of the same payload
+        assert search._memoized_probe(json.dumps(payload, sort_keys=True)) == action
+        # the reference passes over a sample outside the domain under RANGE,
+        # where the probe refutes; no pooled sample leaves a pool map's domain
         for policy in (RANGE, ORDER):
             expected = reference_admissible_action(phi, policy)
-            assert admit(record, policy, lambda: phi) == expected, (policy, payload)
+            assert admit(action, policy, lambda: phi) == expected, (policy, payload)
             admitted[policy] += expected is not None
     assert admitted[RANGE] > admitted[ORDER] > 20
 
@@ -492,7 +496,7 @@ def _counting(monkeypatch, module, name, calls=None):
 
 
 def test_both_policies_read_one_probe(monkeypatch):
-    search._memoized_record.cache_clear()
+    search._memoized_probe.cache_clear()
     calls = _counting(monkeypatch, search, "probe")
     blocks = [(node_from_runs(2, [(0, 1), (1, 1)]), node_from_runs(2, [(1, 1), (0, 1)]))]
     (broken,) = substitutions(blocks, 2, RANGE)
@@ -527,8 +531,7 @@ def test_probe_stops_at_the_first_refuting_sample(monkeypatch, blocks, refuted_a
         "type_witness",
         lambda tau, size: built.append((print_type(tau), size)) or original(tau, size),
     )
-    record = probe(phi)
-    assert record.action is None
+    assert probe(phi) is None
     earlier = [print_type(tau) for tau in enumerate_types(2)]
     earlier = earlier[: earlier.index(refuted_at)]
     sizes = (TYPE_BLOCKS, TYPE_BLOCKS + 1)
@@ -536,6 +539,73 @@ def test_probe_stops_at_the_first_refuting_sample(monkeypatch, blocks, refuted_a
     # the witness alone reads stably: a sample, not the witness, refuted it
     assert read_type(phi, parse_type(refuted_at, 2))[0] == STABLE
     assert reference_admissible_action(phi, RANGE) is None
+
+
+def test_pooled_samples_fit_every_tabulated_domain():
+    # a sample that cannot be mapped refutes the map; the searches never
+    # meet one, since every pooled sample is shorter than the shallowest
+    # domain they tabulate
+    depth = min(DOMAIN_DEPTHS.values())
+    lengths = [
+        s.length
+        for m in (1, 2, 3)
+        for samples in same_type_probes(m).values()
+        for sample in samples
+        for s in sample.sorted_nodes
+    ]
+    assert lengths and max(lengths) < depth
+
+
+def _witness_words_only(m):
+    """The identity on the words of the type witnesses over alphabet m, at
+    both probe sizes; every other word is out of its domain."""
+    words = {
+        s
+        for tau in enumerate_types(m)
+        for size in (TYPE_BLOCKS, TYPE_BLOCKS + 1)
+        for s in type_witness(tau, size).sorted_nodes
+    }
+
+    def fn(s):
+        if s not in words:
+            raise OutOfDomain(f"{format_node(s)} is no witness word")
+        return s
+
+    return TabulatedEmbedding(m, m, max(s.length for s in words), fn)
+
+
+def _leaves_domain(phi, sample):
+    try:
+        apply(phi, sample)
+    except OutOfDomain:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("witnessed", [False, True])
+def test_a_sample_outside_the_domain_refutes_under_both_policies(witnessed):
+    # the identity of depth 1 maps no witness either; the identity on the
+    # witness words reads every witness stably, so only its samples refute it
+    if witnessed:
+        phi = _witness_words_only(2)
+        assert all(read_type(phi, tau) == (STABLE, tau) for tau in enumerate_types(2))
+    else:
+        phi = TabulatedEmbedding(2, 2, 1, lambda s: s)
+    samples = [sample for pool in same_type_probes(2).values() for sample in pool]
+    assert any(_leaves_domain(phi, sample) for sample in samples)
+    assert probe(phi) is None
+    for policy in (RANGE, ORDER):
+        assert admit(probe(phi), policy, lambda: phi) is None
+
+
+def test_probe_over_an_alphabet_with_no_pool_refuses():
+    # alphabet 4 has no same-type pool: its ScaleLimit must reach the
+    # caller, not refute the map as a sample that fails would
+    blocks = tuple(parse_node(2, text) for text in ("00", "01", "10", "11"))
+    phi = SubstitutionEmbedding(empty_node(2), blocks)
+    assert phi.domain_alphabet == 4 and phi.injective
+    with pytest.raises(ScaleLimit, match="no same-type pool over alphabet 4"):
+        probe(phi)
 
 
 def test_replay_samples_are_drawn_once_per_alphabet(monkeypatch):
@@ -547,7 +617,7 @@ def test_replay_samples_are_drawn_once_per_alphabet(monkeypatch):
 
 
 def test_memo_keeps_no_embedding(monkeypatch):
-    search._memoized_record.cache_clear()
+    search._memoized_probe.cache_clear()
     built = []
     original = search._build
 
