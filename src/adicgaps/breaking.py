@@ -65,7 +65,7 @@ from .search import (
     substitutions,
 )
 from .tree import words_upto
-from .types import enumerate_types, parse_type, print_type
+from .types import enumerate_types, parse_type, print_type, same_type_probes
 
 BROKEN_WITNESSED = "BROKEN_witnessed"
 NOT_BROKEN_BOUNDED = "NOT_BROKEN_bounded"
@@ -117,11 +117,14 @@ def candidate_pool(m_out: int) -> Iterator[Candidate]:
     All-single-letter block tuples are skipped: their ranges are subalphabet
     subtrees, already covered exactly by the inclusions.  The inclusions are
     built in full before anything is yielded, so an alphabet beyond the
-    tabulated type catalogues raises ScaleLimit before any search."""
+    tabulated type catalogues raises ScaleLimit before any search.  A domain
+    alphabet with no same-type pool (4) raises it before its block tuples
+    are built."""
     alphabets = range(1, m_out + 1)
     yield from [cand for m_in in alphabets for cand in subalphabets(m_in, m_out)]
     words = words_upto(m_out, SUBSTITUTION_BLOCKS)
     for m_in in alphabets:
+        same_type_probes(m_in)
         tuples = [
             blocks
             for blocks in itertools.product(words, repeat=m_in)

@@ -2,10 +2,11 @@
 
 A node is a finite sequence of letters drawn from ``range(alphabet)``.  Nodes
 are stored run-length encoded, as a tuple of ``(letter, count)`` runs with
-arbitrary-precision counts.  The canonical witnesses used elsewhere repeat
-letters on a doubly-exponential schedule, so run counts routinely exceed
-anything a flat tuple could hold; every operation here works on runs and never
-materialises letters unless explicitly asked.
+arbitrary-precision counts.  Words grow far longer than their run lists: the
+tabulated embeddings pad with 0-runs of length ``T(s)``, exponential in the
+word's length, and domination teeth repeat a block ``N * step`` times.  Every
+operation here works on runs and never materialises letters unless explicitly
+asked.
 
 The runs of a ``Node`` are always normal: no zero counts, no two adjacent
 runs with the same letter.  Joining two normal words can only merge the two

@@ -4,7 +4,7 @@ import random
 
 from adicgaps.combs import CombKind, EFamily, comb_kinds
 from adicgaps.gaps import FIRST_MOVE, GapSpec
-from adicgaps.tree import Node, NodeSet, _parent_links, empty_node, format_node
+from adicgaps.tree import Node, NodeSet, _parent_links, empty_node, format_node, node_from_runs
 
 
 #: The variable that once sized the audit's thread pool.  Nothing reads it
@@ -113,3 +113,27 @@ def reembed_record(a: NodeSet, rng: random.Random, pad_max: int = 3) -> NodeSet:
         images.append(img)
         prev_len = img.length
     return NodeSet(a.alphabet, frozenset(img for nd, img in zip(closure, images) if nd in a.nodes))
+
+
+def tower_reps(tau):
+    """The former schedule r -> 2**r + 1 (1, 3, 9, 513, 2**513 + 1), kept as
+    the oracle of the current one; stored as a table, in token order."""
+    reps = [1]
+    while len(reps) < len(tau.tokens):
+        reps.append(2 ** reps[-1] + 1)
+    return tuple(reps)
+
+
+def table_witness(tau, reps, blocks):
+    """A witness from a repetition table, one count per token in token order."""
+    by_tok = dict(zip(tau.tokens, reps))
+    u = node_from_runs(tau.alphabet, [(k, by_tok[(k, 0)]) for k in sorted(tau.tau0)])
+    if tau.tau1:
+        v = node_from_runs(tau.alphabet, [(k, by_tok[(k, 1)]) for k in sorted(tau.tau1)])
+    else:
+        v = u
+    elems, word = [], empty_node(tau.alphabet)
+    for _ in range(blocks):
+        elems.append(word.concat(v))
+        word = word.concat(u)
+    return NodeSet(tau.alphabet, frozenset(elems))

@@ -162,6 +162,40 @@ class TestBreakCheckOnThreeGap:
         assert canonical_json(first) == canonical_json(second)
 
 
+def test_quaternary_three_gap_breaks_with_the_dyadic_labels():
+    # [l0]|[l1]|[l0 l1] over alphabet 4: quaternary witness images
+    # classify, so the m = 3 witnesses answer; in one process the three
+    # queries share the probe memo
+    sides = [["[l0]"], ["[l1]"], ["[l0 l1]"]]
+    gap = GapSpec.from_json({"layer": RECORD, "n": 3, "m": 4, "sides": sides})
+    for broken, label, searched in [
+        ({2}, "blocks=01", 17),
+        ({0, 2}, "blocks=00,010", 176),
+        ({1, 2}, "blocks=01,10", 105),
+    ]:
+        report = break_check(query(gap, broken))
+        assert report.verdict == BROKEN_WITNESSED
+        assert (report.witness.label, report.searched) == (label, searched)
+        assert revalidate_break(report)
+
+
+def test_candidate_pool_refuses_alphabet_four_before_building_its_tuples(monkeypatch):
+    # alphabet 4 has no same-type pool; its 84**4 block tuples (21**4 at
+    # block length 2) must not be built before the query is refused
+    monkeypatch.setattr(breaking_module, "SUBSTITUTION_BLOCKS", 2)
+    domains = set()
+
+    def substitutions(block_tuples, m_out, policy):
+        domains.update(len(blocks) for blocks in block_tuples)
+        return iter(())
+
+    monkeypatch.setattr(breaking_module, "substitutions", substitutions)
+    monkeypatch.setattr(breaking_module, "efamilies", lambda m_in, m_out, policy: iter(()))
+    with pytest.raises(ScaleLimit, match="no same-type pool over alphabet 4"):
+        list(candidate_pool(4))
+    assert domains == {1, 2, 3}
+
+
 class TestRevalidation:
     def test_tampered_witness_fails(self):
         report = break_check(query(DELTA, {0, 2}))

@@ -204,6 +204,17 @@ class TestGapsOrder:
         assert main(["gaps", "order", "--left", str(left), "--right", right]) == EXIT_USAGE
         assert_one_error_line(capsys, "alphabet 4")
 
+    def test_record_order_between_two_alphabet_four_gaps_exits_2(self, tmp_path):
+        # both sides over alphabet 4: refused at the first probed candidate,
+        # not after a walk through its 84**4 substitution block tuples
+        path = tmp_path / "four.json"
+        sides = [["[l0]"], ["[l3]"]]
+        path.write_text(json.dumps({"layer": "record", "n": 2, "m": 4, "sides": sides}))
+        refused = _run_cli(["gaps", "order", "--left", str(path), "--right", str(path)], timeout=60)
+        assert refused.returncode == EXIT_USAGE
+        assert refused.stdout == ""
+        assert refused.stderr.splitlines() == ["error: no same-type pool over alphabet 4"]
+
     def test_json_shape(self, capsys, gap_file):
         left = gap_file("left.json", REFERENCE_STRONG_TABLE["4*"])
         right = gap_file("right.json", GAP_STILDE)

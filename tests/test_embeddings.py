@@ -22,6 +22,7 @@ from adicgaps.embeddings import (
     COMB_BLOCKS,
     SKIPPED,
     STABLE,
+    TYPE_BLOCKS,
     UNSTABLE,
     OutOfDomain,
     SubstitutionEmbedding,
@@ -66,7 +67,14 @@ from adicgaps.types import (
     type_witness,
 )
 
-from helpers import identity_map, map_json, parse_node_set
+from helpers import (
+    identity_map,
+    map_json,
+    parse_node_set,
+    reembed_record,
+    table_witness,
+    tower_reps,
+)
 
 
 def _n(text, alphabet=2):
@@ -248,9 +256,22 @@ class TestTypeAction:
         assert print_type(classify_type(img)) == "[l0 l1]"
 
     def test_triadic_psi_counts(self):
-        assert len(type_action(psi_map(3)).mapping) == 51
-        # the other ten have witnesses beyond the repetition bound
-        assert Counter(_statuses(psi_map(3)).values()) == {STABLE: 51, SKIPPED: 10}
+        mapping = dict(type_action(psi_map(3)).mapping)
+        assert len(mapping) == 61
+        assert Counter(_statuses(psi_map(3)).values()) == {STABLE: 61}
+        # each value read independently: a type of up to four tokens as the
+        # images of its tower witness (the former schedule), and a five-token
+        # type, whose tower witness cannot be mapped, as the images of record
+        # re-embeddings of its witness
+        rng = random.Random(0)
+        for tau, sigma in mapping.items():
+            if len(tau.tokens) < 5:
+                sizes = (TYPE_BLOCKS, TYPE_BLOCKS + 1)
+                sets = [table_witness(tau, tower_reps(tau), b) for b in sizes]
+            else:
+                sets = [reembed_record(type_witness(tau, TYPE_BLOCKS), rng) for _ in range(3)]
+            for a in sets:
+                assert classify_type(apply(psi_map(3), a)) == sigma, print_type(tau)
 
     def test_relabel_embedding_agrees_with_token_relabel(self):
         iota = (0, 2)

@@ -353,15 +353,9 @@ def reference_admissible_action(phi, policy):
     for tau, samples in same_type_probes(phi.domain_alphabet).items():
         for sample in samples:
             try:
-                image = apply(phi, sample)
-            except (OutOfDomain, ScaleLimit):
-                if policy == ORDER:
+                if classify_type(apply(phi, sample)) != mapping[tau]:
                     return None
-                continue
-            try:
-                if classify_type(image) != mapping[tau]:
-                    return None
-            except ValueError:
+            except ValueError:  # unmappable or unclassifiable: refuted
                 return None
     return tuple(sorted(mapping.items(), key=lambda pair: type_id(pair[0])))
 
@@ -416,13 +410,16 @@ def test_record_admission_equals_per_policy_admission():
         action = probe(phi)
         # the search reads the memoized action of the same payload
         assert search._memoized_probe(json.dumps(payload, sort_keys=True)) == action
-        # the reference passes over a sample outside the domain under RANGE,
-        # where the probe refutes; no pooled sample leaves a pool map's domain
         for policy in (RANGE, ORDER):
             expected = reference_admissible_action(phi, policy)
             assert admit(action, policy, lambda: phi) == expected, (policy, payload)
             admitted[policy] += expected is not None
     assert admitted[RANGE] > admitted[ORDER] > 20
+    # no pooled sample leaves a pool map's domain; this map's samples do,
+    # and both the probe and the reference refute it under both policies
+    phi = _witness_words_only(2)
+    for policy in (RANGE, ORDER):
+        assert admit(probe(phi), policy, lambda: phi) == reference_admissible_action(phi, policy)
 
 
 def _replay_maps():

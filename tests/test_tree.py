@@ -110,7 +110,7 @@ def test_prefix_relation():
 
 
 def test_big_counts_stay_cheap():
-    # Witness words later in the suite reach lengths near 2**513; every
+    # Tabulated pads grow exponentially with the word they map; every
     # structural operation must work on runs without expanding them.
     big = node_from_runs(3, [(0, 2**513), (2, 1)])
     other = node_from_runs(3, [(0, 2**513), (1, 7)])

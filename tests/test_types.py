@@ -7,10 +7,10 @@ from adicgaps.combs import CombKind, NotHomogeneous, comb_witness
 from adicgaps.tree import (
     NodeSet,
     ScaleLimit,
-    empty_node,
     format_node,
     node_from_runs,
     record_equivalent,
+    record_table,
     words_upto,
 )
 from adicgaps.types import (
@@ -32,7 +32,7 @@ from adicgaps.types import (
     witness_spec,
 )
 
-from helpers import format_node_set
+from helpers import format_node_set, table_witness, tower_reps
 
 DYADIC = [
     "[l0]",
@@ -131,37 +131,35 @@ def test_witness_spec_repetitions():
     assert spec.v == node_from_runs(2, [(1, 1)])
 
 
+def obeys_growth_rule(reps):
+    """Each count beats the sum of all earlier ones (``witness_spec``)."""
+    return all(r > sum(reps[:k]) for k, r in enumerate(reps))
+
+
 def test_witness_repetitions_grow_along_the_order():
     tau = parse_type("[l0 l1 u1 u2 l2]", 3)
     reps = _repetitions(witness_spec(tau))
     ordered = [reps[tok] for tok in tau.tokens]
-    assert ordered == [1, 3, 9, 513, 2**513 + 1]
-    longest = max(x.length for x in type_witness(tau, 3).nodes)
-    assert longest > 2**513  # the whole point of run-length encoding
+    assert ordered == [1, 3, 7, 15, 31]
+    assert obeys_growth_rule(ordered)
+    assert tower_reps(tau) == (1, 3, 9, 513, 2**513 + 1)
 
 
-def test_witness_blocks_unmaterializable_beyond_five_tokens():
-    taus = [t for t in enumerate_types(4) if len(t.tokens) == 6]
-    assert taus
-    with pytest.raises(ScaleLimit):
-        type_witness(taus[0], 3)
+def test_witness_blocks_materialize_beyond_five_tokens():
+    # six- and seven-token witnesses build: their largest count is 127,
+    # where the tower's would pass 2**513
+    taus = [t for t in enumerate_types(4) if len(t.tokens) >= 6]
+    assert len(taus) == 140
+    for tau in taus:
+        assert len(type_witness(tau, 3)) == 3
+    seven = [t for t in taus if len(t.tokens) == 7]
+    assert seven and max(r for _, r in witness_spec(seven[0]).u.runs) == 127
 
 
 def alt_witness(tau, reps, blocks):
     """A witness from a hand-picked repetition table (for schedule freedom)."""
-    by_tok = dict(zip(tau.tokens, reps))
-    for a, b in zip(tau.tokens, tau.tokens[1:]):
-        assert by_tok[b] > 2 ** by_tok[a], "table violates the growth rule"
-    u = node_from_runs(tau.alphabet, [(k, by_tok[(k, 0)]) for k in sorted(tau.tau0)])
-    if tau.tau1:
-        v = node_from_runs(tau.alphabet, [(k, by_tok[(k, 1)]) for k in sorted(tau.tau1)])
-    else:
-        v = u
-    elems, word = [], empty_node(tau.alphabet)
-    for _ in range(blocks):
-        elems.append(word.concat(v))
-        word = word.concat(u)
-    return NodeSet(tau.alphabet, frozenset(elems))
+    assert obeys_growth_rule(reps), "table violates the growth rule"
+    return table_witness(tau, reps, blocks)
 
 
 def test_schedule_freedom():
@@ -171,6 +169,7 @@ def test_schedule_freedom():
         ("[l0 l1]", (2, 5)),
         ("[l0 u1 l1]", (1, 3, 9)),
         ("[u0 u1 l1]", (2, 5, 33)),
+        ("[u0 u1 l1]", (2, 3, 6)),  # 3 < 2**2 + 1: the tower's rule r' > 2**r rejects it
     ]
     for text, reps in cases:
         tau = parse_type(text, 2)
@@ -180,12 +179,44 @@ def test_schedule_freedom():
             assert record_equivalent(a, b), (text, blocks)
 
 
+def test_schedule_without_the_growth_rule_moves_a_record_table():
+    # r -> r + 1 gives 3 = 1 + 2 at the third token, and the record table
+    # of [u1 u2 l0] moves: a schedule needs the rule, not just growth
+    tau = parse_type("[u1 u2 l0]", 3)
+    reps = (1, 2, 3)
+    assert not obeys_growth_rule(reps)
+    for blocks in (3, 4):
+        assert not record_equivalent(type_witness(tau, blocks), table_witness(tau, reps, blocks))
+
+
+def test_schedule_equals_the_tower_oracle():
+    # every type at alphabets 1-3, 1 to 9 blocks: 630 record tables
+    compared = 0
+    for n in (1, 2, 3):
+        for tau in enumerate_types(n):
+            for blocks in range(1, 10):
+                oracle = table_witness(tau, tower_reps(tau), blocks)
+                assert record_table(type_witness(tau, blocks)) == record_table(oracle), (
+                    print_type(tau),
+                    blocks,
+                )
+                compared += 1
+    assert compared == 630
+
+
 # ---------------------------------------------------------------------------
 # classification
 
 
 def test_classify_witness_roundtrip_all_types():
     for n in (2, 3):
+        for tau in enumerate_types(n):
+            for blocks in (3, 4, 5):
+                assert classify_type(type_witness(tau, blocks)) == tau
+
+
+def test_classify_witness_roundtrip_alphabets_one_and_four():
+    for n in (1, 4):
         for tau in enumerate_types(n):
             for blocks in (3, 4, 5):
                 assert classify_type(type_witness(tau, blocks)) == tau
@@ -280,19 +311,17 @@ def test_no_same_type_pool_over_alphabet_four(monkeypatch):
     assert calls == []
 
 
-def test_unmaterializable_witnesses_fail_once(monkeypatch):
-    # 140 of the 480 quaternary witnesses are not materializable; the
-    # ScaleLimit is kept, so later calls build no witness
+def test_quaternary_witness_tables_are_built_once(monkeypatch):
+    # every quaternary witness builds, so sets over alphabet 4 classify; the
+    # witness tables are cached, so later calls build no witness
     a = NodeSet.of(4, ["0", "00", "000"])
-    with pytest.raises(ScaleLimit):
-        classify_type(a)
+    assert print_type(classify_type(a)) == "[l0]"
     built = []
     original = types.type_witness
     monkeypatch.setattr(
         types, "type_witness", lambda tau, blocks: built.append(tau) or original(tau, blocks)
     )
-    with pytest.raises(ScaleLimit):
-        classify_type(a)
+    assert print_type(classify_type(a)) == "[l0]"
     assert built == []
 
 
