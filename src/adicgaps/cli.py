@@ -203,8 +203,9 @@ def check_type_catalogue(ctx: AuditContext) -> CheckResult:
 
 def check_strong_two(ctx: AuditContext) -> CheckResult:
     report = minimal_classes(2)
+    candidates = enumerate_candidates_strong(2)
     classes = {
-        frozenset(report.candidates[i] for i in cls) for cls in report.classes
+        frozenset(candidates[i] for i in cls) for cls in report.classes
     }
     table_match = classes == {frozenset({g}) for g in REFERENCE_STRONG_TABLE.values()}
     by_spec = {g: name for name, g in REFERENCE_STRONG_TABLE.items()}
@@ -218,7 +219,7 @@ def check_strong_two(ctx: AuditContext) -> CheckResult:
         "mode": "exact",
     }
     computed = {
-        "candidates": len(report.candidates),
+        "candidates": len(candidates),
         "classes": len(report.classes),
         "representatives": representatives if table_match else sorted(
             str(rep) for rep in report.class_representatives
@@ -235,8 +236,8 @@ def check_strong_two(ctx: AuditContext) -> CheckResult:
 
 def _strong_classes(n: int, cache: Optional[ResultCache]) -> dict:
     """Minimal classes of the strong n-sided candidates, through the cache
-    when one is given; the key serializes every candidate, so it is built
-    only then."""
+    when one is given.  The key names what :func:`minimal_classes` takes:
+    the arity, with the layer and the order it decides them by."""
     if cache is None:
         return minimal_classes(n).as_dict()
     key = content_key(
@@ -244,7 +245,7 @@ def _strong_classes(n: int, cache: Optional[ResultCache]) -> dict:
             "computation": "minimal-classes",
             "layer": FIRST_MOVE,
             "order": "exact-pullback",
-            "candidates": [c.to_json() for c in enumerate_candidates_strong(n)],
+            "n": n,
         }
     )
     hit = cache.get(key)

@@ -74,9 +74,11 @@ def comb_kinds(alphabet: int) -> tuple[CombKind, ...]:
     return tuple(CombKind(i, j) for i in range(alphabet) for j in range(alphabet))
 
 
+@lru_cache(maxsize=None)
 def comb_witness(kind: CombKind, count: int, alphabet: int) -> NodeSet:
     """The first ``count`` elements {(j), (iij), (iiiij), ...}; element k is
-    i repeated 2k times followed by j."""
+    i repeated 2k times followed by j.  Witnesses are immutable, so each is
+    built once per process and shared."""
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
     kind.check_alphabet(alphabet)
@@ -311,11 +313,15 @@ def concretize(shape: object, m: int) -> EFamily:
 
 def efamily_shapes(n: int, m: int) -> Iterator[object]:
     """Every lettered branching shape of an arity-n family over alphabet m,
-    in one fixed order (shapes may repeat maps)."""
+    in one fixed order (shapes may repeat maps).  The arity n is the input
+    alphabet of the induced comb map, m its output alphabet."""
     if n < 1 or m < 1:
-        raise ValueError("arities must be positive")
+        raise ValueError("alphabets must be positive")
     if n > _SCALE_LIMIT or m > _SCALE_LIMIT:
-        raise ScaleLimit(f"enumeration supported up to arity {_SCALE_LIMIT}")
+        raise ScaleLimit(
+            f"e-family enumeration supported over alphabets up to {_SCALE_LIMIT}, "
+            f"got input alphabet {n} and output alphabet {m}"
+        )
     for shape in _hierarchies(tuple(range(n))):
         for lettered in _assign_letters(shape, m):
             yield from _placements(lettered, m)

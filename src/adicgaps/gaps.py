@@ -193,26 +193,49 @@ _STRONG_LIMIT = 3
 
 
 @lru_cache(maxsize=None)
-def enumerate_candidates_strong(n: int) -> tuple[GapSpec, ...]:
-    """Every side assignment pinning the i-chain kind to side i.
-
-    Candidate index equals the base-(n+1) number read off the off-diagonal
-    assignment digits (side index, or n for unassigned), most significant
-    digit first; the pullback order pairs rely on this correspondence.
-    """
+def _strong_off_kinds(n: int) -> tuple[CombKind, ...]:
+    """The off-diagonal kinds of a strong n-sided candidate, whose sides
+    are its digits, in :func:`~adicgaps.combs.comb_kinds` order."""
     if n < 1:
         raise ValueError("arity must be positive")
     if n > _STRONG_LIMIT:
         raise ScaleLimit(f"strong candidate enumeration supported up to arity {_STRONG_LIMIT}")
-    off = [kind for kind in comb_kinds(n) if kind.spine != kind.teeth]
-    out = []
-    for digits in itertools.product(range(n + 1), repeat=len(off)):
-        sides = [{CombKind(i, i)} for i in range(n)]
-        for kind, d in zip(off, digits):
-            if d < n:
-                sides[d].add(kind)
-        out.append(GapSpec(FIRST_MOVE, n, n, tuple(frozenset(s) for s in sides)))
-    return tuple(out)
+    return tuple(kind for kind in comb_kinds(n) if kind.spine != kind.teeth)
+
+
+def _strong_count(n: int) -> int:
+    return (n + 1) ** len(_strong_off_kinds(n))
+
+
+def _strong_digits(n: int, index: int) -> list[int]:
+    """The off-diagonal digits of candidate ``index``, most significant
+    first: digit p is the side holding off-diagonal kind p, or n for none."""
+    if not 0 <= index < _strong_count(n):
+        raise ValueError(f"no strong {n}-sided candidate has index {index}")
+    digits = []
+    for _ in _strong_off_kinds(n):
+        index, d = divmod(index, n + 1)
+        digits.append(d)
+    return digits[::-1]
+
+
+def strong_candidate(n: int, index: int) -> GapSpec:
+    """The strong n-sided candidate with the given index: the i-chain kind
+    on side i, and the off-diagonal kinds assigned by the base-(n+1) digits
+    of the index (:func:`_strong_digits`).  The pullback order pairs of
+    :func:`_le_matrix_strong` are keyed by this index."""
+    sides = [{CombKind(i, i)} for i in range(n)]
+    for kind, d in zip(_strong_off_kinds(n), _strong_digits(n, index)):
+        if d < n:
+            sides[d].add(kind)
+    return GapSpec(FIRST_MOVE, n, n, tuple(frozenset(s) for s in sides))
+
+
+@lru_cache(maxsize=None)
+def enumerate_candidates_strong(n: int) -> tuple[GapSpec, ...]:
+    """Every side assignment pinning the i-chain kind to side i, candidate k
+    at position k (:func:`strong_candidate`)."""
+    return tuple(strong_candidate(n, k) for k in range(_strong_count(n)))
 
 
 def enumerate_candidates_record(n: int) -> tuple[GapSpec, ...]:
@@ -414,21 +437,28 @@ def revalidate_order(g: GapSpec, h: GapSpec, result: OrderResult) -> bool:
 
 @dataclass(frozen=True)
 class MinimalClassesReport:
-    candidates: tuple[GapSpec, ...]
+    """The minimal strong n-sided candidates and their classes, as indices
+    of :func:`strong_candidate`; only the class members a reader asks for
+    are decoded into :class:`GapSpec` values."""
+
+    n: int
     minimal: tuple[int, ...]
     classes: tuple[tuple[int, ...], ...]
     quotient_counts: dict
 
     @property
     def class_representatives(self) -> tuple[GapSpec, ...]:
-        return tuple(self.candidates[cls[0]] for cls in self.classes)
+        return tuple(strong_candidate(self.n, cls[0]) for cls in self.classes)
 
     def as_dict(self) -> dict:
         return {
             "mode": "exact",
-            "candidates": len(self.candidates),
+            "candidates": _strong_count(self.n),
             "minimal": len(self.minimal),
-            "classes": [[self.candidates[i].to_json()["sides"] for i in cls] for cls in self.classes],
+            "classes": [
+                [strong_candidate(self.n, i).to_json()["sides"] for i in cls]
+                for cls in self.classes
+            ],
             "quotients": dict(self.quotient_counts),
         }
 
@@ -449,7 +479,7 @@ def _pullback_maps(n: int) -> tuple[tuple[int, ...], ...]:
 def _le_matrix_strong(n: int) -> set[tuple[int, int]]:
     """Exact order of the strong n-sided candidates through witness
     pullbacks: the set of index pairs ``(key(g), key(h))`` with g <= h,
-    where key is the index in :func:`enumerate_candidates_strong`.
+    where key is the index of :func:`strong_candidate`.
 
     For a fixed symbol map eps, the only specification below h via eps is
     the pullback g assigning each kind c to the side of eps(c).  It is a
@@ -501,14 +531,22 @@ def _le_matrix_strong(n: int) -> set[tuple[int, int]]:
     return set(map(divmod, flat, itertools.repeat(total)))
 
 
-def _permuted_candidate(g: GapSpec, pi: tuple[int, ...]) -> GapSpec:
-    """Image of a strong candidate under an alphabet permutation, which
-    relabels side indices and comb letters together: side pi(i) of the
-    image holds the kinds pi(u)>pi(v) for the kinds u>v on side i."""
-    sides = [None] * g.n
-    for i, side in enumerate(g.sides):
-        sides[pi[i]] = frozenset(CombKind(pi[c.spine], pi[c.teeth]) for c in side)
-    return GapSpec(FIRST_MOVE, g.n, g.m, tuple(sides))
+def _permuted_index(n: int, index: int, pi: tuple[int, ...]) -> int:
+    """Index of the image of strong candidate ``index`` under an alphabet
+    permutation, which relabels side indices and comb letters together:
+    side pi(i) of the image holds the kinds pi(u)>pi(v) for the kinds u>v
+    on side i, so the digit of u>v moves to the position of pi(u)>pi(v)
+    and reads pi of itself (n, for no side, stays n)."""
+    off = _strong_off_kinds(n)
+    position = {kind: p for p, kind in enumerate(off)}
+    side = tuple(pi) + (n,)
+    image = [0] * len(off)
+    for kind, d in zip(off, _strong_digits(n, index)):
+        image[position[CombKind(pi[kind.spine], pi[kind.teeth])]] = side[d]
+    out = 0
+    for d in image:
+        out = out * (n + 1) + d
+    return out
 
 
 def minimal_classes(n: int) -> MinimalClassesReport:
@@ -522,13 +560,13 @@ def minimal_classes(n: int) -> MinimalClassesReport:
     mutual order.  Only the first-move layer has minimal classes: the
     record order is bounded, and minimality must not be guessed.
     """
-    candidates = enumerate_candidates_strong(n)
+    count = _strong_count(n)
     le = _le_matrix_strong(n)
 
     # i is minimal when no j lies strictly below it: every pair (j, i) of
     # the set comes back as (i, j)
     not_minimal = {i for j, i in le if (i, j) not in le}
-    minimal = [i for i in range(len(candidates)) if i not in not_minimal]
+    minimal = [i for i in range(count) if i not in not_minimal]
     classes: list[list[int]] = []
     for i in minimal:
         for cls in classes:
@@ -543,13 +581,12 @@ def minimal_classes(n: int) -> MinimalClassesReport:
     # other; the order is permutation-equivariant, so every image of a
     # class is a class, and each class's set of images is its whole orbit
     # and serves as the orbit's key
-    index_of = {c: k for k, c in enumerate(candidates)}
     class_at = {frozenset(cls): a for a, cls in enumerate(classes)}
     orbits = set()
     for cls in classes:
         orbit = set()
         for pi in itertools.permutations(range(n)):
-            image = frozenset(index_of[_permuted_candidate(candidates[idx], pi)] for idx in cls)
+            image = frozenset(_permuted_index(n, idx, pi) for idx in cls)
             orbit.add(class_at[image])
         orbits.add(frozenset(orbit))
     # Permuting the sides alone moves a pinned chain kind i>i off side i,
@@ -558,7 +595,7 @@ def minimal_classes(n: int) -> MinimalClassesReport:
     quotient_counts = {"alphabet": len(orbits), "sides_only": len(classes)}
 
     return MinimalClassesReport(
-        candidates,
+        n,
         tuple(minimal),
         tuple(tuple(cls) for cls in classes),
         quotient_counts,

@@ -3,6 +3,7 @@ the audit command's plumbing (partial runs, cache flags, determinism)."""
 
 import argparse
 import ast
+import hashlib
 import json
 import os
 import subprocess
@@ -92,6 +93,13 @@ class TestTypesEnum:
         assert exc.value.code == 2
 
 
+#: sha256 of the ``gaps enum-strong --n N --json`` stdout, per N
+ENUM_STRONG_SHA256 = {
+    "2": "b30c41e1f6e75c6844a0c3318d28afc23a61d5db77f16fccb4c106319ce2b24b",
+    "3": "aee6d40775303de844be613d384f7777711f3a912159ede94f2c5c7afe122f5e",
+}
+
+
 class TestEnumStrong:
     def test_dyadic_classes(self, capsys):
         assert main(["gaps", "enum-strong", "--n", "2", "--no-cache"]) == EXIT_OK
@@ -121,6 +129,11 @@ class TestEnumStrong:
         assert main(["gaps", "enum-strong", "--n", "4"]) == EXIT_USAGE
         assert "desk-scale" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n,digest", ENUM_STRONG_SHA256.items())
+    def test_json_bytes_pinned(self, capsys, n, digest):
+        assert main(["gaps", "enum-strong", "--n", n, "--json", "--no-cache"]) == EXIT_OK
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
     def test_cache_roundtrip_preserves_output(self, capsys, tmp_path):
         argv = ["gaps", "enum-strong", "--n", "2", "--json", "--cache-dir", str(tmp_path)]
         assert main(argv) == EXIT_OK
@@ -130,6 +143,22 @@ class TestEnumStrong:
         assert main(argv) == EXIT_OK
         warm = capsys.readouterr().out
         assert warm == cold
+
+    def test_triadic_cache_roundtrip_prints_the_pinned_bytes(self, capsys, tmp_path, monkeypatch):
+        argv = ["gaps", "enum-strong", "--n", "3", "--json", "--cache-dir", str(tmp_path)]
+        outputs = []
+        assert main(argv) == EXIT_OK  # computes and writes
+        outputs.append(capsys.readouterr().out)
+        assert len(list(tmp_path.rglob("*.json"))) == 1
+
+        def recomputed(n):
+            raise AssertionError("the cached classes were recomputed")
+
+        monkeypatch.setattr(cli, "minimal_classes", recomputed)
+        assert main(argv) == EXIT_OK  # reads
+        outputs.append(capsys.readouterr().out)
+        digests = {hashlib.sha256(out.encode()).hexdigest() for out in outputs}
+        assert digests == {ENUM_STRONG_SHA256["3"]}
 
 
     def test_cache_dir_is_created_when_missing(self, capsys, tmp_path):
@@ -167,8 +196,8 @@ class TestEnumStrong:
         assert_one_error_line(capsys, str(locked))
 
     def test_no_cache_builds_no_key(self, monkeypatch):
-        # the key serializes all 4,096 strong candidates; without a cache
-        # nothing reads it
+        # the key is small (the arity and what the classes are decided
+        # by), but without a cache nothing reads it, so it is not built
         def no_key(obj):
             raise AssertionError("content_key called without a cache")
 
@@ -338,6 +367,20 @@ class TestGapsOrder:
             == EXIT_USAGE
         )
         assert "cannot read" in capsys.readouterr().err
+
+    def test_family_enumeration_beyond_alphabet_four_exits_2(self, capsys, tmp_path):
+        # from alphabet 5 into 2 the order reaches the e-family enumeration,
+        # whose refusal names both alphabets
+        left = tmp_path / "left.json"
+        left.write_text(json.dumps(
+            {"layer": "first_move", "n": 2, "m": 5, "sides": [["0>0"], ["1>1"]]}
+        ))
+        right = tmp_path / "right.json"
+        right.write_text(json.dumps(
+            {"layer": "first_move", "n": 2, "m": 2, "sides": [["0>0"], ["1>1"]]}
+        ))
+        assert main(["gaps", "order", "--left", str(left), "--right", str(right)]) == EXIT_USAGE
+        assert_one_error_line(capsys, "alphabet 5")
 
     def test_layer_mismatch_exits_2(self, capsys, gap_file):
         left = gap_file("left.json", REFERENCE_STRONG_TABLE["4*"])

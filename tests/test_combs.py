@@ -53,6 +53,20 @@ def test_witness_with_huge_count():
     assert longest == 2 * (2**14 - 1) + 1
 
 
+@pytest.mark.parametrize("alphabet", [2, 3])
+def test_witness_is_built_once_and_shared(alphabet):
+    for kind in itertools.product(range(alphabet), repeat=2):
+        kind = CombKind(*kind)
+        shared = comb_witness(kind, 5, alphabet)
+        assert comb_witness(kind, 5, alphabet) is shared
+        fresh = comb_witness.__wrapped__(kind, 5, alphabet)
+        assert fresh == shared and fresh is not shared
+        # classifying the shared witness leaves it as it was
+        assert classify_comb(shared) == classify_comb(fresh) == kind
+        assert classify_comb(comb_witness(kind, 5, alphabet)) == kind
+        assert shared.sorted_nodes == fresh.sorted_nodes
+
+
 def reference_classify_comb(a):
     """The n**2 search: the first kind, in (i, j) order, whose witness is
     first-move equivalent to ``a`` minus its last element."""

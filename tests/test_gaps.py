@@ -33,6 +33,7 @@ from adicgaps.gaps import (
     OrderResult,
     _le_matrix_strong,
     _membership_iff,
+    _permuted_index,
     _pullback_maps,
     _realizable_maps,
     _side_row,
@@ -45,6 +46,7 @@ from adicgaps.gaps import (
     minimal_classes,
     order_le,
     revalidate_order,
+    strong_candidate,
 )
 from adicgaps.search import Candidate, efamily_label, efamily_payload
 from adicgaps.tree import ScaleLimit
@@ -339,7 +341,8 @@ def reference_sides_only_orbits(report, n):
     """The orbits of the classes under permutations of the sides alone, by
     brute force: a permutation pi moves side i to side pi[i] and leaves the
     kinds as they are, and an image counts when it is a class."""
-    index_of = {c: k for k, c in enumerate(report.candidates)}
+    candidates = enumerate_candidates_strong(n)
+    index_of = {c: k for k, c in enumerate(candidates)}
     class_at = {frozenset(cls): a for a, cls in enumerate(report.classes)}
     orbits = set()
     for cls in report.classes:
@@ -348,7 +351,7 @@ def reference_sides_only_orbits(report, n):
             image = set()
             for idx in cls:
                 sides = [None] * n
-                for i, side in enumerate(report.candidates[idx].sides):
+                for i, side in enumerate(candidates[idx].sides):
                     sides[pi[i]] = side
                 image.add(index_of.get(GapSpec(FIRST_MOVE, n, n, tuple(sides))))
             if frozenset(image) in class_at:
@@ -362,7 +365,8 @@ class TestMinimalClasses:
         report = minimal_classes(2)
         assert report.as_dict()["mode"] == "exact"
         assert len(report.minimal) == 6
-        classes = {frozenset(report.candidates[i] for i in cls) for cls in report.classes}
+        cands = enumerate_candidates_strong(2)
+        classes = {frozenset(cands[i] for i in cls) for cls in report.classes}
         assert classes == {frozenset({g}) for g in TABLE}
 
     def test_dyadic_quotients(self):
@@ -385,7 +389,7 @@ class TestMinimalClasses:
             idx = cands.index(g)
             assert idx not in report.minimal
             minimal_below = {
-                report.candidates[j]
+                cands[j]
                 for j in report.minimal
                 if (j, idx) in le
             }
@@ -426,7 +430,7 @@ class TestMinimalClasses:
 
     def test_triadic_counts(self):
         report = minimal_classes(3)
-        assert len(report.candidates) == 4096
+        assert report.n == 3 and report.as_dict()["candidates"] == 4096
         assert len(report.classes) == 31
         assert report.quotient_counts["alphabet"] == 9
         assert report.quotient_counts["sides_only"] == 31
@@ -438,7 +442,7 @@ class TestMinimalClasses:
     @pytest.mark.parametrize("n", [2, 3])
     def test_minimal_and_classes_match_pairwise_loops(self, n):
         report = minimal_classes(n)
-        le = as_matrix(_le_matrix_strong(n), len(report.candidates))
+        le = as_matrix(_le_matrix_strong(n), len(enumerate_candidates_strong(n)))
         assert (report.minimal, report.classes) == reference_minimal_classes(le)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -446,6 +450,77 @@ class TestMinimalClasses:
         report = minimal_classes(n)
         count = reference_sides_only_orbits(report, n)
         assert report.quotient_counts["sides_only"] == count == len(report.classes)
+
+
+def reference_enumerate_candidates_strong(n):
+    """The candidate enumeration the index decoding replaced: every digit
+    tuple of ``itertools.product`` in order, each off-diagonal kind on the
+    side its digit names, or on none for digit n."""
+    off = [kind for kind in combs_module.comb_kinds(n) if kind.spine != kind.teeth]
+    out = []
+    for digits in itertools.product(range(n + 1), repeat=len(off)):
+        sides = [{CombKind(i, i)} for i in range(n)]
+        for kind, d in zip(off, digits):
+            if d < n:
+                sides[d].add(kind)
+        out.append(GapSpec(FIRST_MOVE, n, n, tuple(frozenset(s) for s in sides)))
+    return out
+
+
+def reference_permuted_candidate(g, pi):
+    """The candidate relabelling the digit arithmetic replaced: side pi(i)
+    of the image holds the kinds pi(u)>pi(v) for the kinds u>v on side i."""
+    sides = [None] * g.n
+    for i, side in enumerate(g.sides):
+        sides[pi[i]] = frozenset(CombKind(pi[c.spine], pi[c.teeth]) for c in side)
+    return GapSpec(FIRST_MOVE, g.n, g.m, tuple(sides))
+
+
+class TestStrongIndices:
+    """The strong layer decodes a candidate from its index only where a
+    candidate is reported; the decoding and the permutation arithmetic
+    against the spec-level loops they replaced."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_decoding_matches_product_enumeration(self, n):
+        reference = reference_enumerate_candidates_strong(n)
+        assert [strong_candidate(n, k) for k in range(len(reference))] == reference
+        assert list(enumerate_candidates_strong(n)) == reference
+
+    @pytest.mark.parametrize("index", [-1, 9])
+    def test_index_out_of_range(self, index):
+        with pytest.raises(ValueError, match="index"):
+            strong_candidate(2, index)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_permuted_index_matches_permuted_candidate(self, n):
+        cands = enumerate_candidates_strong(n)
+        index_of = {g: k for k, g in enumerate(cands)}
+        for pi in itertools.permutations(range(n)):
+            for k, g in enumerate(cands):
+                assert _permuted_index(n, k, pi) == index_of[reference_permuted_candidate(g, pi)]
+
+    def test_triadic_classes_decode_only_their_members(self, monkeypatch):
+        decoded = []
+
+        def counted(n, index):
+            decoded.append(index)
+            return strong_candidate(n, index)
+
+        def refused(n):
+            raise AssertionError("the candidate tuple was built")
+
+        monkeypatch.setattr(gaps_module, "strong_candidate", counted)
+        monkeypatch.setattr(gaps_module, "enumerate_candidates_strong", refused)
+        report = minimal_classes(3)
+        assert decoded == []
+        payload = report.as_dict()
+        members = [i for cls in report.classes for i in cls]
+        assert len(members) == 43 and decoded == members
+        assert payload["candidates"] == 4096 and len(payload["classes"]) == 31
+        decoded.clear()
+        assert len(report.class_representatives) == 31
+        assert decoded == [cls[0] for cls in report.classes]
 
 
 @lru_cache(maxsize=None)
