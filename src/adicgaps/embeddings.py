@@ -315,17 +315,10 @@ class TypeActionReport:
 
 
 def _classify_type_image(phi: Embedding, tau: TypeDescriptor, blocks: int) -> TypeDescriptor:
-    witness = type_witness(tau, blocks)
-    if max(x.length for x in witness.nodes) > budget_depth(phi):
-        raise OutOfDomain(f"witness of {print_type(tau)} exceeds domain depth")
-    image = apply(phi, witness)
+    image = apply(phi, type_witness(tau, blocks))
     if len(image) != blocks:
         raise ValidationFailure(f"witness of {print_type(tau)} collapsed")
     return classify_type(image)
-
-
-def budget_depth(phi: Embedding) -> int:
-    return phi.depth if isinstance(phi, TabulatedEmbedding) else 10**6
 
 
 STABLE, UNVERIFIED, UNSTABLE, SKIPPED, REFUTED = (
@@ -348,7 +341,7 @@ def read_type(
 
     * ``(STABLE, sigma)``: both sizes classify as sigma;
     * ``(UNVERIFIED, sigma)``: the first does, the second is out of reach;
-    * ``(UNSTABLE, reason)``: an image does not classify, or the sizes differ;
+    * ``(UNSTABLE, None)``: an image does not classify, or the sizes differ;
     * ``(SKIPPED, None)``: the first is out of reach;
     * ``(REFUTED, None)``: ``between`` rejected the first reading.
     """
@@ -356,21 +349,18 @@ def read_type(
         first = _classify_type_image(phi, tau, TYPE_BLOCKS)
     except (ScaleLimit, OutOfDomain):
         return SKIPPED, None
-    except (NotHomogeneous, AmbiguousTruncation) as ex:
-        return UNSTABLE, f"image not classifiable: {ex}"
+    except (NotHomogeneous, AmbiguousTruncation):
+        return UNSTABLE, None
     if between is not None and not between(tau, first):
         return REFUTED, None
     try:
         second = _classify_type_image(phi, tau, TYPE_BLOCKS + 1)
     except (ScaleLimit, OutOfDomain):
         return UNVERIFIED, first
-    except (NotHomogeneous, AmbiguousTruncation) as ex:
-        return UNSTABLE, f"follow-up probe not classifiable: {ex}"
+    except (NotHomogeneous, AmbiguousTruncation):
+        return UNSTABLE, None
     if first != second:
-        return UNSTABLE, (
-            f"{print_type(first)} at {TYPE_BLOCKS} blocks, "
-            f"{print_type(second)} at {TYPE_BLOCKS + 1}"
-        )
+        return UNSTABLE, None
     return STABLE, first
 
 

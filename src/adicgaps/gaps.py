@@ -437,14 +437,15 @@ def revalidate_order(g: GapSpec, h: GapSpec, result: OrderResult) -> bool:
 
 @dataclass(frozen=True)
 class MinimalClassesReport:
-    """The minimal strong n-sided candidates and their classes, as indices
-    of :func:`strong_candidate`; only the class members a reader asks for
-    are decoded into :class:`GapSpec` values."""
+    """The classes of the minimal strong n-sided candidates, as indices of
+    :func:`strong_candidate`, and the number of orbits of those classes
+    under letter-and-side permutations.  :meth:`as_dict` is the one JSON
+    form of the result, which ``gaps enum-strong --json`` prints and the
+    cache stores."""
 
     n: int
-    minimal: tuple[int, ...]
     classes: tuple[tuple[int, ...], ...]
-    quotient_counts: dict
+    orbits: int
 
     @property
     def class_representatives(self) -> tuple[GapSpec, ...]:
@@ -452,14 +453,14 @@ class MinimalClassesReport:
 
     def as_dict(self) -> dict:
         return {
+            "n": self.n,
             "mode": "exact",
             "candidates": _strong_count(self.n),
-            "minimal": len(self.minimal),
             "classes": [
                 [strong_candidate(self.n, i).to_json()["sides"] for i in cls]
                 for cls in self.classes
             ],
-            "quotients": dict(self.quotient_counts),
+            "quotients": {"alphabet": self.orbits},
         }
 
 
@@ -550,15 +551,16 @@ def _permuted_index(n: int, index: int, pi: tuple[int, ...]) -> int:
 
 
 def minimal_classes(n: int) -> MinimalClassesReport:
-    """Minimal strong n-sided candidates grouped by mutual order, with
-    permutation quotients.
+    """Minimal strong n-sided candidates grouped by mutual order, with the
+    number of their orbits under letter-and-side permutations.
 
     The order is decided exactly by the pullback pairs of
     :func:`_le_matrix_strong`, a set ``le`` holding ``(i, j)`` when
     candidate i lies below candidate j; a candidate is minimal when each
     pair into it comes back, and classes group the minimal candidates by
-    mutual order.  Only the first-move layer has minimal classes: the
-    record order is bounded, and minimality must not be guessed.
+    mutual order, so the minimal candidates are the union of the classes.
+    Only the first-move layer has minimal classes: the record order is
+    bounded, and minimality must not be guessed.
     """
     count = _strong_count(n)
     le = _le_matrix_strong(n)
@@ -566,9 +568,10 @@ def minimal_classes(n: int) -> MinimalClassesReport:
     # i is minimal when no j lies strictly below it: every pair (j, i) of
     # the set comes back as (i, j)
     not_minimal = {i for j, i in le if (i, j) not in le}
-    minimal = [i for i in range(count) if i not in not_minimal]
     classes: list[list[int]] = []
-    for i in minimal:
+    for i in range(count):
+        if i in not_minimal:
+            continue
         for cls in classes:
             j = cls[0]
             if (i, j) in le and (j, i) in le:
@@ -589,17 +592,8 @@ def minimal_classes(n: int) -> MinimalClassesReport:
             image = frozenset(_permuted_index(n, idx, pi) for idx in cls)
             orbit.add(class_at[image])
         orbits.add(frozenset(orbit))
-    # Permuting the sides alone moves a pinned chain kind i>i off side i,
-    # so outside the identity it maps no candidate onto a candidate and
-    # every class is its own orbit.
-    quotient_counts = {"alphabet": len(orbits), "sides_only": len(classes)}
 
-    return MinimalClassesReport(
-        n,
-        tuple(minimal),
-        tuple(tuple(cls) for cls in classes),
-        quotient_counts,
-    )
+    return MinimalClassesReport(n, tuple(tuple(cls) for cls in classes), len(orbits))
 
 
 # ---------------------------------------------------------------------------

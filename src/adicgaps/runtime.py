@@ -25,7 +25,7 @@ _R = TypeVar("_R")
 
 #: Bump when the JSON shape of any cached result changes.  Entries written
 #: under other versions are ignored (recomputed), never migrated.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: Environment variable overriding the default cache directory.
 CACHE_DIR_ENV = "ADICGAPS_CACHE_DIR"

@@ -522,7 +522,10 @@ def record_equivalent(a: NodeSet, b: NodeSet) -> bool:
 # Random node sets and structure-preserving re-embedding
 
 
-def reembed(a: NodeSet, rng: random.Random, pad_max: int = 3) -> NodeSet:
+_REEMBED_PAD = 3  # most random letters of padding a re-embedded node gets
+
+
+def reembed(a: NodeSet, rng: random.Random) -> NodeSet:
     """Rebuild ``a`` with fresh padding, preserving its first-move structure.
 
     The meet-closure tree is replayed node by node in prec order: each node
@@ -537,11 +540,11 @@ def reembed(a: NodeSet, rng: random.Random, pad_max: int = 3) -> NodeSet:
     for j in range(len(closure)):
         if parent[j] < 0:
             img = empty_node(a.alphabet)
-            for _ in range(rng.randint(0, pad_max)):
+            for _ in range(rng.randint(0, _REEMBED_PAD)):
                 img = img.extend(rng.randrange(a.alphabet))
         else:
             img = images[parent[j]].extend(letter[j])
-        target = max(prev_len + 1, img.length) + rng.randint(0, pad_max)
+        target = max(prev_len + 1, img.length) + rng.randint(0, _REEMBED_PAD)
         while img.length < target:
             img = img.extend(rng.randrange(a.alphabet))
         images.append(img)

@@ -79,6 +79,8 @@ class TestAcceptance:
         assert e["computed"]["upto_permutation"] == 9
         # the audit names which quotient convention reaches the published count
         assert e["computed"]["convention"] == "alphabet"
+        # side permutations alone identify no class
+        assert e["computed"]["other_convention"] == {"sides_only": 31}
 
     def test_criterion_4_worked_order_examples(self, entries):
         e = entries["worked-order-examples"]

@@ -26,7 +26,7 @@ from adicgaps.cli import (
     check_strong_three,
     main,
 )
-from adicgaps.gaps import critical_record_gap
+from adicgaps.gaps import critical_record_gap, minimal_classes
 from adicgaps.breaking import record_three_gap
 from adicgaps.runtime import SCHEMA_VERSION
 from adicgaps.search import ORDER, budget_json
@@ -95,8 +95,25 @@ class TestTypesEnum:
 
 #: sha256 of the ``gaps enum-strong --n N --json`` stdout, per N
 ENUM_STRONG_SHA256 = {
-    "2": "b30c41e1f6e75c6844a0c3318d28afc23a61d5db77f16fccb4c106319ce2b24b",
-    "3": "aee6d40775303de844be613d384f7777711f3a912159ede94f2c5c7afe122f5e",
+    "2": "014aa5f06dfef9836c20674003260518ff310d2e6c77cfef9bfd56db41f4d7f7",
+    "3": "29856007c14c77e645ef2e762bd410bf82be1da48bbecd2feebe95f6632ad68a",
+}
+
+#: cache entries of the wrong shape: none may be read back as a result
+MALFORMED_STRONG_ENTRIES = {
+    "empty": {},
+    "list": [1],
+    "partial": {"candidates": 4096},
+    # the shape before the arity key, with the minimal count and the
+    # side-only quotient
+    "old-shape": {
+        "mode": "exact",
+        "candidates": 4096,
+        "minimal": 31,
+        "classes": [],
+        "quotients": {"alphabet": 9, "sides_only": 31},
+    },
+    "other-arity": {"n": 1, "mode": "exact", "candidates": 1, "classes": [], "quotients": {}},
 }
 
 
@@ -113,23 +130,34 @@ class TestEnumStrong:
             main(["gaps", "enum-strong", "--n", "2", "--upto-perm", "--no-cache"])
             == EXIT_OK
         )
-        out = capsys.readouterr().out
-        assert "alphabet convention): 4" in out
-        assert "side permutation only: 6" in out
+        assert capsys.readouterr().out == (
+            "strong 2-gap candidates: 9\n"
+            "minimal classes (mutual order): 6\n"
+            "up to letter-and-side permutation (alphabet convention): 4\n"
+        )
 
     def test_json_shape(self, capsys):
         assert main(["gaps", "enum-strong", "--n", "2", "--json", "--no-cache"]) == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
+        assert set(payload) == {"n", "mode", "candidates", "classes", "quotients"}
+        assert payload["n"] == 2
         assert payload["candidates"] == 9
         assert len(payload["classes"]) == 6
-        assert payload["quotients"] == {"alphabet": 4, "sides_only": 6}
+        assert payload["quotients"] == {"alphabet": 4}
         assert payload["mode"] == "exact"
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_json_is_the_report_value(self, capsys, n):
+        argv = ["gaps", "enum-strong", "--n", str(n), "--json", "--no-cache"]
+        assert main(argv) == EXIT_OK
+        expected = json.dumps(minimal_classes(n).as_dict(), indent=2, sort_keys=True)
+        assert capsys.readouterr().out == expected + "\n"
 
     def test_out_of_range_exits_2(self, capsys):
         assert main(["gaps", "enum-strong", "--n", "4"]) == EXIT_USAGE
         assert "desk-scale" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("n,digest", ENUM_STRONG_SHA256.items())
+    @pytest.mark.parametrize("n,digest", ENUM_STRONG_SHA256.items(), ids=ENUM_STRONG_SHA256)
     def test_json_bytes_pinned(self, capsys, n, digest):
         assert main(["gaps", "enum-strong", "--n", n, "--json", "--no-cache"]) == EXIT_OK
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
@@ -160,6 +188,20 @@ class TestEnumStrong:
         digests = {hashlib.sha256(out.encode()).hexdigest() for out in outputs}
         assert digests == {ENUM_STRONG_SHA256["3"]}
 
+    @pytest.mark.parametrize(
+        "entry", MALFORMED_STRONG_ENTRIES.values(), ids=MALFORMED_STRONG_ENTRIES
+    )
+    def test_malformed_cache_entry_is_recomputed(self, capsys, tmp_path, entry):
+        argv = ["gaps", "enum-strong", "--n", "2", "--json"]
+        assert main(argv + ["--no-cache"]) == EXIT_OK
+        fresh = capsys.readouterr().out
+        assert main(argv + ["--cache-dir", str(tmp_path)]) == EXIT_OK
+        capsys.readouterr()
+        [path] = tmp_path.rglob("*.json")
+        path.write_text(json.dumps(entry))
+        assert main(argv + ["--cache-dir", str(tmp_path)]) == EXIT_OK
+        assert capsys.readouterr().out == fresh
+        assert json.loads(path.read_text()) == json.loads(fresh)
 
     def test_cache_dir_is_created_when_missing(self, capsys, tmp_path):
         cache_dir = tmp_path / "fresh" / "cache"
@@ -579,6 +621,26 @@ class TestAuditCommand:
         assert_one_error_line(capsys, str(cache / f"v{SCHEMA_VERSION}"))
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "entry", MALFORMED_STRONG_ENTRIES.values(), ids=MALFORMED_STRONG_ENTRIES
+    )
+    def test_malformed_cache_entry_is_recomputed(self, capsys, tmp_path, entry):
+        # the strong-three check reads the entry enum-strong writes; a
+        # crash there would exit 1, which reads as a FAIL
+        out = tmp_path / "report.json"
+        argv = ["audit", "paper-tables", "--only", "strong-three-gap-classes"]
+        argv += ["--json-out", str(out)]
+        assert main(argv + ["--no-cache"]) == EXIT_OK
+        fresh = capsys.readouterr().out, json.loads(out.read_text())["content_hash"]
+        cache = tmp_path / "cache"
+        assert main(argv + ["--cache-dir", str(cache)]) == EXIT_OK
+        capsys.readouterr()
+        [path] = cache.rglob("*.json")
+        path.write_text(json.dumps(entry))
+        assert main(argv + ["--cache-dir", str(cache)]) == EXIT_OK
+        assert (capsys.readouterr().out, json.loads(out.read_text())["content_hash"]) == fresh
+        assert json.loads(path.read_text()) == minimal_classes(3).as_dict()
+
     @pytest.mark.parametrize("value", ["abc", "0"])
     def test_retired_pool_variable_is_ignored(self, capsys, tmp_path, monkeypatch, value):
         monkeypatch.setenv(RETIRED_POOL_VARIABLE, value)
@@ -613,7 +675,7 @@ class TestAuditCommand:
         capsys.readouterr()
         report = json.loads(out.read_text())
         assert report["seed"] == 7
-        assert report["schema"] == 1
+        assert report["schema"] == 2
         assert report["package"].startswith("adicgaps ")
         assert set(report["toolchain"]) == {"python", "platform"}
         probe = {

@@ -270,7 +270,7 @@ def perturbed_comb(rng):
     extended, replaced, or joined by a random word."""
     alphabet = rng.randint(1, 3)
     kind = CombKind(rng.randrange(alphabet), rng.randrange(alphabet))
-    w = reembed(comb_witness(kind, rng.randint(3, 6), alphabet), rng, pad_max=2)
+    w = reembed(comb_witness(kind, rng.randint(3, 6), alphabet), rng)
     nodes = list(w.sorted_nodes)
     action = rng.randrange(4)
     k = rng.randrange(len(nodes))

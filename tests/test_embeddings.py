@@ -24,6 +24,7 @@ from adicgaps.embeddings import (
     STABLE,
     TYPE_BLOCKS,
     UNSTABLE,
+    UNVERIFIED,
     OutOfDomain,
     SubstitutionEmbedding,
     TabulatedEmbedding,
@@ -422,6 +423,25 @@ class TestRealizeEFamily:
             phi.map_node(_n("0000000000"))
         with pytest.raises(OutOfDomain):
             phi.map_node(parse_node(3, "012"))
+
+    def test_witnesses_past_the_depth_read_as_out_of_reach(self):
+        # the longest witness words of [u0 l1] and [u1 l0] have length 10 at
+        # TYPE_BLOCKS and 13 at one block more, so at depth 12 only the first
+        # reading fits; the witnesses of the other two-letter types reach 16
+        # and more at TYPE_BLOCKS, and are skipped
+        phi = realize_efamily(EFamily.of(2, "e", ["00", "10"]), depth=12)
+        assert _statuses(phi) == {
+            "[l0]": STABLE,
+            "[l1]": STABLE,
+            "[l0 l1]": SKIPPED,
+            "[u0 l1]": UNVERIFIED,
+            "[u1 l0]": UNVERIFIED,
+            "[l0 u1 l1]": SKIPPED,
+            "[u0 u1 l1]": SKIPPED,
+            "[u1 l0 l1]": SKIPPED,
+        }
+        u0l1 = parse_type("[u0 l1]", 2)
+        assert read_type(phi, u0l1) == (UNVERIFIED, u0l1)
 
 
 # ---------------------------------------------------------------------------

@@ -337,6 +337,11 @@ def reference_minimal_classes(le):
     return tuple(minimal), tuple(tuple(cls) for cls in classes)
 
 
+def minimal_indices(report):
+    """The minimal candidates: the members of the classes, in index order."""
+    return tuple(sorted(i for cls in report.classes for i in cls))
+
+
 def reference_sides_only_orbits(report, n):
     """The orbits of the classes under permutations of the sides alone, by
     brute force: a permutation pi moves side i to side pi[i] and leaves the
@@ -364,21 +369,20 @@ class TestMinimalClasses:
     def test_dyadic_table_recovered(self):
         report = minimal_classes(2)
         assert report.as_dict()["mode"] == "exact"
-        assert len(report.minimal) == 6
+        assert len(minimal_indices(report)) == 6
         cands = enumerate_candidates_strong(2)
         classes = {frozenset(cands[i] for i in cls) for cls in report.classes}
         assert classes == {frozenset({g}) for g in TABLE}
 
     def test_dyadic_quotients(self):
         report = minimal_classes(2)
-        # letter-and-side permutations pair 3 with 3* and 4 with 4*;
-        # side-only permutations break the diagonal pinning, so they
-        # identify nothing
-        assert report.quotient_counts == {"alphabet": 4, "sides_only": 6}
+        # letter-and-side permutations pair 3 with 3* and 4 with 4*
+        assert report.orbits == 4
+        assert report.as_dict()["quotients"] == {"alphabet": 4}
 
     def test_excluded_candidates_have_minimal_below(self):
         cands = enumerate_candidates_strong(2)
-        report = minimal_classes(2)
+        minimal = minimal_indices(minimal_classes(2))
         le = _le_matrix_strong(2)
         below = {
             STILDE: GAP_4S,
@@ -387,12 +391,8 @@ class TestMinimalClasses:
         }
         for g, expected in below.items():
             idx = cands.index(g)
-            assert idx not in report.minimal
-            minimal_below = {
-                cands[j]
-                for j in report.minimal
-                if (j, idx) in le
-            }
+            assert idx not in minimal
+            minimal_below = {cands[j] for j in minimal if (j, idx) in le}
             assert expected in minimal_below
 
     def test_order_matrix_transitive(self):
@@ -432,8 +432,7 @@ class TestMinimalClasses:
         report = minimal_classes(3)
         assert report.n == 3 and report.as_dict()["candidates"] == 4096
         assert len(report.classes) == 31
-        assert report.quotient_counts["alphabet"] == 9
-        assert report.quotient_counts["sides_only"] == 31
+        assert report.orbits == 9
 
     def test_reports_compare_by_value(self):
         assert minimal_classes(2) == minimal_classes(2)
@@ -443,13 +442,12 @@ class TestMinimalClasses:
     def test_minimal_and_classes_match_pairwise_loops(self, n):
         report = minimal_classes(n)
         le = as_matrix(_le_matrix_strong(n), len(enumerate_candidates_strong(n)))
-        assert (report.minimal, report.classes) == reference_minimal_classes(le)
+        assert (minimal_indices(report), report.classes) == reference_minimal_classes(le)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_sides_only_quotient_matches_brute_force(self, n):
         report = minimal_classes(n)
-        count = reference_sides_only_orbits(report, n)
-        assert report.quotient_counts["sides_only"] == count == len(report.classes)
+        assert reference_sides_only_orbits(report, n) == len(report.classes)
 
 
 def reference_enumerate_candidates_strong(n):
