@@ -73,6 +73,7 @@ from .gaps import (
     domination_prune,
     enumerate_candidates_record,
     enumerate_candidates_strong,
+    is_classes_dict,
     max_partition_gap,
     minimal_classes,
     order_le,
@@ -237,9 +238,9 @@ def check_strong_two(ctx: AuditContext) -> CheckResult:
 def _strong_classes(n: int, cache: Optional[ResultCache]) -> dict:
     """``minimal_classes(n).as_dict()``, through the cache when one is
     given.  The key names what :func:`minimal_classes` takes: the arity,
-    with the layer and the order it decides them by.  A cached value that
-    is not a dict with exactly the keys of ``as_dict()`` and this arity
-    counts as a miss, and is recomputed and overwritten."""
+    with the layer and the order it decides them by.  A cached value not of
+    that form for this arity (:func:`is_classes_dict`) counts as a miss,
+    and is recomputed and overwritten."""
     if cache is None:
         return minimal_classes(n).as_dict()
     key = content_key(
@@ -251,11 +252,7 @@ def _strong_classes(n: int, cache: Optional[ResultCache]) -> dict:
         }
     )
     hit = cache.get(key)
-    if (
-        isinstance(hit, dict)
-        and hit.keys() == {"n", "mode", "candidates", "classes", "quotients"}
-        and hit["n"] == n
-    ):
+    if is_classes_dict(hit, n):
         return hit
     report = minimal_classes(n).as_dict()
     cache.put(key, report)

@@ -3,7 +3,8 @@
 An (i,j)-comb over alphabet n is any node set equivalent (in the first-move
 sense) to a prefix of the pattern {(j), (i,i,j), (i,i,i,i,j), ...}: a spine
 climbing by i with teeth hanging off by j.  The diagonal kind (i,i) is the
-i-chain.  Comb kinds are written ``"i>j"``.
+i-chain.  Comb kinds are written ``"i>j"``.  A set's kind is read by the
+tree's one classifier (:func:`~adicgaps.tree.classify`) on first-move tables.
 
 A family e(inf), e(0), ..., e(n-1) of words over an output alphabet m, with
 e(inf) shorter than the equally long and pairwise distinct e(i), determines a
@@ -30,17 +31,14 @@ from .tree import (
     Node,
     NodeSet,
     ScaleLimit,
-    StructureTable,
+    classify,
     empty_node,
     first_move_table,
     meet,
     node_from_runs,
     parse_node,
+    witness_classes,
 )
-
-
-class NotHomogeneous(ValueError):
-    """The node set is not equivalent to any single comb pattern."""
 
 
 @dataclass(frozen=True, order=True)
@@ -90,29 +88,15 @@ def comb_witness(kind: CombKind, count: int, alphabet: int) -> NodeSet:
 
 
 @lru_cache(maxsize=None)
-def _comb_tables(alphabet: int, count: int) -> dict[StructureTable, CombKind]:
-    """First-move structure table of each kind's ``count``-element witness.
-
-    Equal tables mean first-move equivalent sets (a table starts with the
-    closure length), so one lookup replaces a search over all kinds; kinds
-    are entered in (i, j) order and the first one keeps a shared table.
-    """
-    table: dict[StructureTable, CombKind] = {}
-    for kind in comb_kinds(alphabet):
-        table.setdefault(first_move_table(comb_witness(kind, count, alphabet)), kind)
-    return table
+def _comb_classes(alphabet: int, count: int) -> dict:
+    """The kinds whose ``count``-element witness has each first-move table."""
+    witness = lambda kind: comb_witness(kind, count, alphabet)  # noqa: E731
+    return witness_classes(comb_kinds(alphabet), witness, first_move_table)
 
 
 def classify_comb(a: NodeSet) -> CombKind:
-    """The unique kind whose witness matches ``a`` after discarding the
-    last element in the well order (a truncation artifact, not structure)."""
-    if len(a) < 3:
-        raise ValueError(f"need at least 3 elements to classify, got {len(a)}")
-    trimmed = NodeSet(a.alphabet, frozenset(a.sorted_nodes[:-1]))
-    kind = _comb_tables(a.alphabet, len(trimmed)).get(first_move_table(trimmed))
-    if kind is None:
-        raise NotHomogeneous(f"not homogeneous: {a}")
-    return kind
+    """The comb kind of ``a``, read by :func:`~adicgaps.tree.classify`."""
+    return classify(a, _comb_classes, first_move_table)
 
 
 # ---------------------------------------------------------------------------

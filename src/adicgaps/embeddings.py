@@ -11,13 +11,13 @@ domination construction (route every word through a tooth of a fixed witness
 family of the dominating type, indexed by the word's stem, again with padding
 lengths from the same kind of schedule).
 
-Actions on comb kinds and types are never derived symbolically: a canonical
-witness is mapped through the embedding and the image is classified, at two
-sizes, and a disagreement is reported as instability rather than guessed
-away.  Module constants bound witness sizes, the default domain depth, the
-replay sample and the run count of materialized teeth; :func:`probe_json`
-reports them.  Skipped probes are reported by :func:`read_type`, not
-silently dropped.
+Actions on comb kinds and types are never derived symbolically: one reader,
+:func:`read`, maps a symbol's canonical witness through the embedding and
+classifies the image at two sizes, and a disagreement is reported as
+instability rather than guessed away.  Module constants bound the witness
+size, the default domain depth, the replay sample and the run count of
+materialized teeth; :func:`probe_json` reports them.  Skipped probes are
+reported by :func:`read`, not silently dropped.
 """
 
 from __future__ import annotations
@@ -30,15 +30,16 @@ from typing import Callable, Iterable, Optional
 from .combs import (
     CombKind,
     EFamily,
-    NotHomogeneous,
     classify_comb,
     comb_kinds,
     comb_witness,
     efamily_induced_map,
 )
 from .tree import (
+    AmbiguousTruncation,
     Node,
     NodeSet,
+    NotHomogeneous,
     ScaleLimit,
     empty_node,
     first_move_equivalent,
@@ -48,12 +49,10 @@ from .tree import (
     weight,
 )
 from .types import (
-    AmbiguousTruncation,
     TypeDescriptor,
     classify_type,
     enumerate_types,
     max_of,
-    print_type,
     type_witness,
     witness_spec,
 )
@@ -63,16 +62,11 @@ class ValidationFailure(ValueError):
     """An embedding failed its structural or oracle validation."""
 
 
-class UnstableAction(RuntimeError):
-    """Witness images classify differently at two probe sizes."""
-
-
 class OutOfDomain(ValueError):
     """A node beyond the embedding's domain capability."""
 
 
-COMB_BLOCKS = 4  # comb witnesses are probed at this many blocks and one more
-TYPE_BLOCKS = 4  # likewise for type witnesses
+PROBE_BLOCKS = 4  # witnesses are probed at this many blocks and one more
 DOMAIN_DEPTH = 64  # default depth of a tabulated domain
 REPLAY_SAMPLES = 20
 REPLAY_DEPTH = 6  # longest word of a random replay sample
@@ -82,8 +76,8 @@ RUN_LIMIT = 20_000  # largest materialized tooth, in RLE runs
 def probe_json(domain_depth: int) -> dict:
     """The probe bounds, for reports; only the domain depth varies."""
     return {
-        "comb_blocks": COMB_BLOCKS,
-        "type_blocks": TYPE_BLOCKS,
+        "comb_blocks": PROBE_BLOCKS,
+        "type_blocks": PROBE_BLOCKS,
         "domain_depth": domain_depth,
         "replay_samples": REPLAY_SAMPLES,
         "replay_depth": REPLAY_DEPTH,
@@ -262,44 +256,71 @@ def apply(phi: Embedding, a: NodeSet) -> NodeSet:
 # oracle actions
 
 
-def _classify_comb_image(phi: Embedding, kind: CombKind, count: int) -> CombKind:
-    image = apply(phi, comb_witness(kind, count, phi.domain_alphabet))
-    if len(image) != count:
-        raise ValidationFailure(f"witness of {kind} collapsed under {phi}")
-    return classify_comb(image)
+STABLE, UNVERIFIED, UNSTABLE, SKIPPED, REFUTED = (
+    "stable", "unverified", "unstable", "skipped", "refuted"
+)
+
+
+def read(phi: Embedding, symbol, between: Optional[Callable] = None) -> tuple[str, object]:
+    """A domain comb kind's or record type's value under ``phi``, as
+    ``(status, detail)``: its witness image classified at ``PROBE_BLOCKS``
+    blocks, then, if ``between(symbol, first)`` accepts that reading when
+    given, at one block more.  A witness or image that does not fit (scale
+    or domain) is out of reach, an image that does not classify is
+    unstable, and a witness whose image has fewer elements raises
+    :class:`ValidationFailure`.  The outcomes:
+
+    * ``(STABLE, sigma)``: both sizes classify as sigma;
+    * ``(UNVERIFIED, sigma)``: the first does, the second is out of reach;
+    * ``(UNSTABLE, None)``: an image does not classify, or the sizes differ;
+    * ``(SKIPPED, None)``: the first is out of reach;
+    * ``(REFUTED, None)``: ``between`` rejected the first reading.
+    """
+    comb = isinstance(symbol, CombKind)
+    classify = classify_comb if comb else classify_type
+    first = None
+    for blocks in (PROBE_BLOCKS, PROBE_BLOCKS + 1):
+        try:
+            if comb:
+                image = apply(phi, comb_witness(symbol, blocks, phi.domain_alphabet))
+            else:
+                image = apply(phi, type_witness(symbol, blocks))
+            if len(image) != blocks:
+                raise ValidationFailure(f"witness of {symbol} collapsed")
+            sigma = classify(image)
+        except (ScaleLimit, OutOfDomain):
+            return (SKIPPED, None) if first is None else (UNVERIFIED, first)
+        except (NotHomogeneous, AmbiguousTruncation):
+            return UNSTABLE, None
+        if first is None:
+            if between is not None and not between(symbol, sigma):
+                return REFUTED, None
+            first = sigma
+        elif sigma != first:
+            return UNSTABLE, None
+    return STABLE, first
 
 
 def comb_action(phi: Embedding) -> tuple[tuple[CombKind, CombKind], ...]:
-    """Map each comb kind's witness through phi and classify the image, at
-    two sizes, giving ``(kind, image)`` pairs as :func:`efamily_induced_map`
-    does; raise at the first kind whose images do not classify
-    (NotHomogeneous) or classify differently at the two sizes
-    (UnstableAction).  Chain images always classify; comb images need not (a
-    block longer than twice the spine block pushes teeth past the next
-    branch point, and no comb witness looks like that).
-    """
-
-    def image(kind: CombKind) -> CombKind:
-        try:
-            first = _classify_comb_image(phi, kind, COMB_BLOCKS)
-            second = _classify_comb_image(phi, kind, COMB_BLOCKS + 1)
-        except (NotHomogeneous, ScaleLimit, OutOfDomain) as ex:
-            raise NotHomogeneous(f"image of {kind} witness: {type(ex).__name__}: {ex}") from ex
-        if first != second:
-            raise UnstableAction(
-                f"{kind} unstable: {first} at {COMB_BLOCKS} blocks, "
-                f"{second} at {COMB_BLOCKS + 1}"
-            )
-        return first
-
-    return tuple((kind, image(kind)) for kind in comb_kinds(phi.domain_alphabet))
+    """Each comb kind's :func:`read` value, as :func:`efamily_induced_map`
+    pairs; a kind not ``STABLE`` raises :class:`ValidationFailure` naming its
+    status.  Chain images always classify; comb images need not (a block
+    longer than twice the spine block pushes teeth past the next branch
+    point, and no comb witness looks like that)."""
+    pairs = []
+    for kind in comb_kinds(phi.domain_alphabet):
+        status, image = read(phi, kind)
+        if status != STABLE:
+            raise ValidationFailure(f"comb action: {kind} reads {status}")
+        pairs.append((kind, image))
+    return tuple(pairs)
 
 
 @dataclass(frozen=True)
 class TypeActionReport:
     """Oracle action on types: the stable values and the unverified ones.
     Types that read as unstable or skipped have no value here; their
-    statuses come from :func:`read_type`."""
+    statuses come from :func:`read`."""
 
     mapping: tuple[tuple[TypeDescriptor, TypeDescriptor], ...]
     unverified: tuple[tuple[TypeDescriptor, TypeDescriptor], ...]  # no second probe fit
@@ -314,61 +335,11 @@ class TypeActionReport:
         return out
 
 
-def _classify_type_image(phi: Embedding, tau: TypeDescriptor, blocks: int) -> TypeDescriptor:
-    image = apply(phi, type_witness(tau, blocks))
-    if len(image) != blocks:
-        raise ValidationFailure(f"witness of {print_type(tau)} collapsed")
-    return classify_type(image)
-
-
-STABLE, UNVERIFIED, UNSTABLE, SKIPPED, REFUTED = (
-    "stable", "unverified", "unstable", "skipped", "refuted"
-)
-
-
-def read_type(
-    phi: Embedding,
-    tau: TypeDescriptor,
-    between: Optional[Callable[[TypeDescriptor, TypeDescriptor], bool]] = None,
-) -> tuple[str, object]:
-    """One domain type's probed value under ``phi``, as ``(status, detail)``.
-
-    The witness image of ``tau`` is classified at ``TYPE_BLOCKS`` blocks;
-    ``between(tau, first)``, when given, is asked about that first reading;
-    only then is the image at ``TYPE_BLOCKS + 1`` blocks classified.  A
-    witness or image that does not fit (scale or domain) is out of reach; an
-    image that does not classify is unstable.  The outcomes:
-
-    * ``(STABLE, sigma)``: both sizes classify as sigma;
-    * ``(UNVERIFIED, sigma)``: the first does, the second is out of reach;
-    * ``(UNSTABLE, None)``: an image does not classify, or the sizes differ;
-    * ``(SKIPPED, None)``: the first is out of reach;
-    * ``(REFUTED, None)``: ``between`` rejected the first reading.
-    """
-    try:
-        first = _classify_type_image(phi, tau, TYPE_BLOCKS)
-    except (ScaleLimit, OutOfDomain):
-        return SKIPPED, None
-    except (NotHomogeneous, AmbiguousTruncation):
-        return UNSTABLE, None
-    if between is not None and not between(tau, first):
-        return REFUTED, None
-    try:
-        second = _classify_type_image(phi, tau, TYPE_BLOCKS + 1)
-    except (ScaleLimit, OutOfDomain):
-        return UNVERIFIED, first
-    except (NotHomogeneous, AmbiguousTruncation):
-        return UNSTABLE, None
-    if first != second:
-        return UNSTABLE, None
-    return STABLE, first
-
-
 def type_action(phi: Embedding) -> TypeActionReport:
     """Every domain type's value, in catalogue order, where it has one."""
     readings = {STABLE: [], UNVERIFIED: []}
     for tau in enumerate_types(phi.domain_alphabet):
-        status, detail = read_type(phi, tau)
+        status, detail = read(phi, tau)
         if status in readings:
             readings[status].append((tau, detail))
     return TypeActionReport(tuple(readings[STABLE]), tuple(readings[UNVERIFIED]))

@@ -25,6 +25,7 @@ from .combs import (
     efamily_shapes,
     shape_induced_row,
 )
+from .runtime import canonical_json
 from .search import (
     ORDER,
     SUBSTITUTION_BLOCKS,
@@ -462,6 +463,26 @@ class MinimalClassesReport:
             ],
             "quotients": {"alphabet": self.orbits},
         }
+
+
+def is_classes_dict(value: object, n: int) -> bool:
+    """Whether ``value`` has the form of ``minimal_classes(n).as_dict()``:
+    its keys, arity and candidate count, nonempty classes of strong n-sided
+    candidates written as it writes them, and an integer orbit count.
+    Whether they are the right classes only recomputing tells."""
+    try:
+        orbits = value["quotients"]["alphabet"]
+        classes = [
+            [GapSpec.from_json({"layer": FIRST_MOVE, "n": n, "m": n, "sides": s}) for s in cls]
+            for cls in value["classes"]
+        ]
+    except (KeyError, TypeError, ValueError):
+        return False
+    form = MinimalClassesReport(n, (), orbits).as_dict()
+    form["classes"] = [[g.to_json()["sides"] for g in cls] for cls in classes]
+    chains = all(CombKind(i, i) in g.sides[i] for cls in classes for g in cls for i in range(n))
+    same = canonical_json(form) == canonical_json(value)
+    return same and type(orbits) is int and all(classes) and chains
 
 
 def _pullback_maps(n: int) -> tuple[tuple[int, ...], ...]:

@@ -69,7 +69,7 @@ from .embeddings import (
     domination_embedding,
     max_monotone,
     probe_json,
-    read_type,
+    read,
     realize_efamily,
     replay_fixture,
     structural_replay,
@@ -177,7 +177,7 @@ def probe(phi: Embedding) -> Optional[tuple]:
     """Probe ``phi`` once, one domain type at a time, in catalogue order.
 
     For each type the witness image is classified, then the type's pooled
-    same-type samples, then the larger witness image (:func:`read_type`).
+    same-type samples, then the larger witness image (:func:`read`).
     The result is the sorted type action when every domain type classifies
     stably (nothing unstable, unverified or skipped) and every sample maps
     and classifies as its type's witness, else ``None``.  The probe stops at
@@ -197,7 +197,7 @@ def probe(phi: Embedding) -> Optional[tuple]:
 
     mapping = {}
     for tau in enumerate_types(phi.domain_alphabet):
-        status, sigma = read_type(phi, tau, corroborated)
+        status, sigma = read(phi, tau, corroborated)
         if status != STABLE:
             return None
         mapping[tau] = sigma

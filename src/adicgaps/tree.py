@@ -22,6 +22,8 @@ Provided on top of the raw words:
 * two structural equivalence deciders (first-move and record equivalence),
   each a yes/no answer: the only bijection that could witness equivalence
   pairs the two prec-sorted closures by position,
+* one classifier for both layers: a set's comb kind or record type is the
+  symbol whose canonical witness has its structure table,
 * random node sets, and a re-embedding that keeps first-move structure under
   fresh padding: the order search's replay samples and the audit's probes.
 
@@ -40,7 +42,7 @@ import operator
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 Run = tuple[int, int]
 
@@ -516,6 +518,58 @@ def first_move_equivalent(a: NodeSet, b: NodeSet) -> bool:
 def record_equivalent(a: NodeSet, b: NodeSet) -> bool:
     """Decide equivalence over record-closures."""
     return _equivalent(a, b, "record_closure_nodes")
+
+
+# ---------------------------------------------------------------------------
+# Classification against witness patterns
+
+
+class NotHomogeneous(ValueError):
+    """The node set follows no single witness pattern."""
+
+
+class AmbiguousTruncation(ValueError):
+    """Too few elements survive trimming to pin down a single symbol: the
+    two-block witnesses of distinct types can be equivalent, the token
+    interleaving showing only once the repeated block occurs twice."""
+
+
+def witness_classes(symbols: Iterable, witness: Callable, table: Callable) -> dict:
+    """Each table ``table(witness(symbol))`` over ``symbols``, mapped to the
+    symbols that have it, in ``symbols`` order."""
+    classes: dict[StructureTable, list] = {}
+    for symbol in symbols:
+        classes.setdefault(table(witness(symbol)), []).append(symbol)
+    return {key: tuple(matches) for key, matches in classes.items()}
+
+
+def classify(a: NodeSet, classes: Callable[[int, int], dict], table: Callable):
+    """The one symbol whose witness pattern ``a`` follows, where
+    ``classes(alphabet, count)`` is :func:`witness_classes` of the
+    ``count``-element witnesses under ``table``.  The last element of ``a``
+    in the well order is a truncation artifact, not structure, so ``a``
+    without it is matched first, and the whole set only to settle a tie.
+
+    That never changes an answer.  A witness minus its last element is the
+    next smaller witness, and the bijection that makes ``a`` equivalent to
+    a witness keeps the well order and the members, so it restricts to the
+    trimmed sets: every symbol matching ``a`` matches ``a`` trimmed.  A
+    unique trimmed match is thus the whole match whenever there is one, and
+    a set with no trimmed match has no whole match.
+    """
+    if len(a) < 3:
+        raise ValueError(f"need at least 3 elements to classify, got {len(a)}")
+    trimmed = NodeSet(a.alphabet, frozenset(a.sorted_nodes[:-1]))
+    matches = classes(a.alphabet, len(trimmed)).get(table(trimmed))
+    if matches is None:
+        raise NotHomogeneous(f"not homogeneous: {a}")
+    if len(matches) == 1:
+        return matches[0]
+    whole = classes(a.alphabet, len(a)).get(table(a), ())
+    if len(whole) == 1:
+        return whole[0]
+    names = ", ".join(map(str, matches))
+    raise AmbiguousTruncation(f"{len(matches)} symbols match after trimming: {names}")
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ of a type repeats each token's letter on a growing schedule so that,
 climbing through the witness, lower-row letters set records inside the
 repeated block u and upper-row letters inside the closing block v.  Every
 witness over the supported alphabets builds, and classification inverts it:
-the witness of each type classifies as that type.
+the witness of each type classifies as that type, by the tree's one
+classifier (:func:`~adicgaps.tree.classify`) on record tables.
 """
 
 from __future__ import annotations
@@ -25,11 +26,12 @@ from .tree import (
     Node,
     NodeSet,
     ScaleLimit,
+    classify,
     empty_node,
     node_from_runs,
     record_table,
+    witness_classes,
 )
-from .combs import NotHomogeneous
 
 Token = tuple[int, int]  # (letter, row); row 0 = lower, 1 = upper
 
@@ -241,48 +243,16 @@ def type_witness(tau: TypeDescriptor, blocks: int) -> NodeSet:
 # classification
 
 
-class AmbiguousTruncation(ValueError):
-    """Too few elements survive trimming to pin down a single type.
-
-    Two-block witness prefixes of distinct types can be genuinely equivalent
-    (the token interleaving only shows up once the repeated block occurs
-    twice), so a three-element set that needs its boundary element discarded
-    may match several types at once.
-    """
-
-
 @lru_cache(maxsize=None)
-def _witness_tables(alphabet: int, count: int) -> dict:
+def _type_classes(alphabet: int, count: int) -> dict:
     """The types whose ``count``-block witness has each record table."""
-    table: dict = {}
-    for tau in enumerate_types(alphabet):
-        table.setdefault(record_table(type_witness(tau, count)), []).append(tau)
-    return {key: tuple(taus) for key, taus in table.items()}
+    witness = lambda tau: type_witness(tau, count)  # noqa: E731
+    return witness_classes(enumerate_types(alphabet), witness, record_table)
 
 
 def classify_type(a: NodeSet) -> TypeDescriptor:
-    """The unique type whose witness matches ``a``.
-
-    The whole set is matched first; only if that fails is the last element
-    in the well order discarded as a truncation artifact and the rest
-    matched.  Trimming first would lose real structure: a three-element
-    witness minus its boundary element no longer determines its type.
-    """
-    if len(a) < 3:
-        raise ValueError(f"need at least 3 elements to classify, got {len(a)}")
-    whole = _witness_tables(a.alphabet, len(a)).get(record_table(a))
-    if whole is not None and len(whole) == 1:
-        return whole[0]
-    trimmed = NodeSet(a.alphabet, frozenset(a.sorted_nodes[:-1]))
-    matches = _witness_tables(a.alphabet, len(trimmed)).get(record_table(trimmed))
-    if matches is None:
-        raise NotHomogeneous(f"not homogeneous: {a}")
-    if len(matches) > 1:
-        raise AmbiguousTruncation(
-            f"{len(matches)} types match after trimming: "
-            + ", ".join(print_type(t) for t in matches)
-        )
-    return matches[0]
+    """The record type of ``a``, read by :func:`~adicgaps.tree.classify`."""
+    return classify(a, _type_classes, record_table)
 
 
 # Each bucket's sets in scan order, a set's words separated by commas; a type

@@ -1,10 +1,23 @@
 """Literals, fixtures and small reference functions shared by the test modules."""
 
+import functools
 import random
 
-from adicgaps.combs import CombKind, EFamily, comb_kinds
+from adicgaps.combs import CombKind, EFamily, comb_kinds, comb_witness
 from adicgaps.gaps import FIRST_MOVE, GapSpec
-from adicgaps.tree import Node, NodeSet, _parent_links, empty_node, format_node, node_from_runs
+from adicgaps.tree import (
+    AmbiguousTruncation,
+    Node,
+    NodeSet,
+    NotHomogeneous,
+    _parent_links,
+    empty_node,
+    first_move_equivalent,
+    format_node,
+    node_from_runs,
+    record_table,
+)
+from adicgaps.types import enumerate_types, type_witness
 
 
 #: The variable that once sized the audit's thread pool.  Nothing reads it
@@ -137,3 +150,49 @@ def table_witness(tau, reps, blocks):
         elems.append(word.concat(v))
         word = word.concat(u)
     return NodeSet(tau.alphabet, frozenset(elems))
+
+
+# ---------------------------------------------------------------------------
+# classification references: each layer's former policy, kept as the oracle
+# of ``adicgaps.tree.classify``
+
+
+def reference_classify_comb(a):
+    """The n**2 search: the first kind, in (i, j) order, whose witness is
+    first-move equivalent to ``a`` minus its last element."""
+    if len(a) < 3:
+        raise ValueError(f"need at least 3 elements to classify, got {len(a)}")
+    trimmed = NodeSet(a.alphabet, frozenset(a.sorted_nodes[:-1]))
+    for i in range(a.alphabet):
+        for j in range(a.alphabet):
+            kind = CombKind(i, j)
+            if first_move_equivalent(trimmed, comb_witness(kind, len(trimmed), a.alphabet)):
+                return kind
+    raise NotHomogeneous(f"not homogeneous: {a}")
+
+
+@functools.lru_cache(maxsize=None)
+def reference_type_tables(alphabet, count):
+    """The types whose ``count``-block witness has each record table."""
+    tables = {}
+    for tau in enumerate_types(alphabet):
+        tables.setdefault(record_table(type_witness(tau, count)), []).append(tau)
+    return tables
+
+
+def reference_classify_type(a):
+    """The whole-first policy: the whole set is matched first; only if no
+    single type matches it is the last element in the well order discarded
+    and the rest matched."""
+    if len(a) < 3:
+        raise ValueError(f"need at least 3 elements to classify, got {len(a)}")
+    whole = reference_type_tables(a.alphabet, len(a)).get(record_table(a))
+    if whole is not None and len(whole) == 1:
+        return whole[0]
+    trimmed = NodeSet(a.alphabet, frozenset(a.sorted_nodes[:-1]))
+    matches = reference_type_tables(a.alphabet, len(trimmed)).get(record_table(trimmed))
+    if matches is None:
+        raise NotHomogeneous(f"not homogeneous: {a}")
+    if len(matches) > 1:
+        raise AmbiguousTruncation(f"{len(matches)} types match after trimming")
+    return matches[0]

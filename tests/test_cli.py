@@ -116,6 +116,19 @@ MALFORMED_STRONG_ENTRIES = {
     "other-arity": {"n": 1, "mode": "exact", "candidates": 1, "classes": [], "quotients": {}},
 }
 
+#: Entries with the keys and the arity of the value their key names, but
+#: values of another form; each is stored under its own arity's key
+WRONG_VALUED_STRONG_ENTRIES = {
+    "2": {"n": 2, "mode": "exact", "candidates": 9, "classes": 5, "quotients": {}},
+    "3": {
+        "n": 3,
+        "mode": "exact",
+        "candidates": 4096,
+        "classes": [[1]],
+        "quotients": {"alphabet": "x"},
+    },
+}
+
 
 class TestEnumStrong:
     def test_dyadic_classes(self, capsys):
@@ -202,6 +215,20 @@ class TestEnumStrong:
         assert main(argv + ["--cache-dir", str(tmp_path)]) == EXIT_OK
         assert capsys.readouterr().out == fresh
         assert json.loads(path.read_text()) == json.loads(fresh)
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    @pytest.mark.parametrize("n", WRONG_VALUED_STRONG_ENTRIES)
+    def test_wrong_valued_cache_entry_is_recomputed(self, capsys, tmp_path, n, json_flag):
+        argv = ["gaps", "enum-strong", "--n", n] + json_flag
+        assert main(argv + ["--no-cache"]) == EXIT_OK
+        fresh = capsys.readouterr().out
+        assert main(argv + ["--cache-dir", str(tmp_path)]) == EXIT_OK
+        capsys.readouterr()
+        [path] = tmp_path.rglob("*.json")
+        path.write_text(json.dumps(WRONG_VALUED_STRONG_ENTRIES[n]))
+        assert main(argv + ["--cache-dir", str(tmp_path)]) == EXIT_OK
+        assert capsys.readouterr().out == fresh
+        assert json.loads(path.read_text()) == minimal_classes(int(n)).as_dict()
 
     def test_cache_dir_is_created_when_missing(self, capsys, tmp_path):
         cache_dir = tmp_path / "fresh" / "cache"
@@ -461,6 +488,28 @@ class TestBreakingCheck:
         assert payload["broken_sides"] == [0, 2]
         assert payload["revalidated"] is True
 
+    def test_budget_json_pinned(self, capsys, gap_file):
+        # one probe size serves combs and types; the budget still names it
+        # under both keys, byte for byte as before
+        gap = gap_file("three.json", record_three_gap())
+        assert main(["breaking", "check", "--gap", gap, "--set", "0,2", "--json"]) == EXIT_OK
+        out = capsys.readouterr().out
+        start = out.index('  "budget"')
+        assert out[start:out.index("\n  },\n", start) + 6] == (
+            '  "budget": {\n'
+            '    "efamily_letters": 12,\n'
+            '    "probe": {\n'
+            '      "comb_blocks": 4,\n'
+            '      "domain_depth": 40,\n'
+            '      "replay_depth": 6,\n'
+            '      "replay_samples": 20,\n'
+            '      "run_limit": 20000,\n'
+            '      "type_blocks": 4\n'
+            '    },\n'
+            '    "substitution_blocks": 3\n'
+            '  },\n'
+        )
+
     def test_domination_witness_revalidates(self, capsys, tmp_path):
         others = ["[l1]", "[l0 l1]", "[u1 l0]", "[l0 u1 l1]", "[u0 u1 l1]", "[u1 l0 l1]"]
         gap = record_file(tmp_path, [["[l0]"], ["[u0 l1]"], others])
@@ -637,6 +686,23 @@ class TestAuditCommand:
         capsys.readouterr()
         [path] = cache.rglob("*.json")
         path.write_text(json.dumps(entry))
+        assert main(argv + ["--cache-dir", str(cache)]) == EXIT_OK
+        assert (capsys.readouterr().out, json.loads(out.read_text())["content_hash"]) == fresh
+        assert json.loads(path.read_text()) == minimal_classes(3).as_dict()
+
+    def test_wrong_valued_cache_entry_is_recomputed(self, capsys, tmp_path):
+        # a value of the right keys and arity but the wrong form used to
+        # make the check FAIL, so the verdict hung on the cache's state
+        out = tmp_path / "report.json"
+        argv = ["audit", "paper-tables", "--only", "strong-three-gap-classes"]
+        argv += ["--json-out", str(out)]
+        assert main(argv + ["--no-cache"]) == EXIT_OK
+        fresh = capsys.readouterr().out, json.loads(out.read_text())["content_hash"]
+        cache = tmp_path / "cache"
+        assert main(argv + ["--cache-dir", str(cache)]) == EXIT_OK
+        capsys.readouterr()
+        [path] = cache.rglob("*.json")
+        path.write_text(json.dumps(WRONG_VALUED_STRONG_ENTRIES["3"]))
         assert main(argv + ["--cache-dir", str(cache)]) == EXIT_OK
         assert (capsys.readouterr().out, json.loads(out.read_text())["content_hash"]) == fresh
         assert json.loads(path.read_text()) == minimal_classes(3).as_dict()

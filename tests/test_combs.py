@@ -10,8 +10,7 @@ from adicgaps import tree
 from adicgaps.combs import (
     CombKind,
     EFamily,
-    NotHomogeneous,
-    _comb_tables,
+    _comb_classes,
     classify_comb,
     comb_witness,
     efamily_induced_map,
@@ -20,13 +19,22 @@ from adicgaps.combs import (
 from adicgaps.gaps import _realizable_maps
 from adicgaps.tree import (
     NodeSet,
+    NotHomogeneous,
     first_move_equivalent,
     node,
     random_node_set,
     reembed,
 )
 
-from helpers import compose, format_node_set, identity_map, map_from_row, map_json, word_image
+from helpers import (
+    compose,
+    format_node_set,
+    identity_map,
+    map_from_row,
+    map_json,
+    reference_classify_comb,
+    word_image,
+)
 
 WORKED = EFamily.of(2, "0", ["11", "01"])
 
@@ -65,20 +73,6 @@ def test_witness_is_built_once_and_shared(alphabet):
         assert classify_comb(shared) == classify_comb(fresh) == kind
         assert classify_comb(comb_witness(kind, 5, alphabet)) == kind
         assert shared.sorted_nodes == fresh.sorted_nodes
-
-
-def reference_classify_comb(a):
-    """The n**2 search: the first kind, in (i, j) order, whose witness is
-    first-move equivalent to ``a`` minus its last element."""
-    if len(a) < 3:
-        raise ValueError(f"need at least 3 elements to classify, got {len(a)}")
-    trimmed = NodeSet(a.alphabet, frozenset(a.sorted_nodes[:-1]))
-    for i in range(a.alphabet):
-        for j in range(a.alphabet):
-            kind = CombKind(i, j)
-            if first_move_equivalent(trimmed, comb_witness(kind, len(trimmed), a.alphabet)):
-                return kind
-    raise NotHomogeneous(f"not homogeneous: {a}")
 
 
 def test_classify_witness_roundtrip():
@@ -324,12 +318,14 @@ def test_classify_builds_one_structure_table(monkeypatch):
 
 
 def test_comb_tables_built_once_per_size():
-    _comb_tables.cache_clear()
+    _comb_classes.cache_clear()
     for count in (3, 4, 5):
         for kind in (CombKind(0, 1), CombKind(1, 0), CombKind(1, 1)):
             classify_comb(comb_witness(kind, count, 2))
-    # a witness of `count` elements is looked up among tables for count - 1
-    assert _comb_tables.cache_info().misses == 3
-    assert set(_comb_tables(2, 4).values()) == {
-        CombKind(i, j) for i in range(2) for j in range(2)
-    }
+    # a witness of `count` elements is looked up among tables for count - 1,
+    # where every kind has a table of its own, so the whole set is never
+    # looked up
+    assert _comb_classes.cache_info().misses == 3
+    assert sorted(_comb_classes(2, 4).values()) == [
+        (CombKind(i, j),) for i in range(2) for j in range(2)
+    ]

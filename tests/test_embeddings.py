@@ -12,17 +12,15 @@ from adicgaps import embeddings
 from adicgaps.combs import (
     CombKind,
     EFamily,
-    NotHomogeneous,
     classify_comb,
     comb_witness,
     efamily_induced_map,
     enumerate_efamilies,
 )
 from adicgaps.embeddings import (
-    COMB_BLOCKS,
+    PROBE_BLOCKS,
     SKIPPED,
     STABLE,
-    TYPE_BLOCKS,
     UNSTABLE,
     UNVERIFIED,
     OutOfDomain,
@@ -35,7 +33,7 @@ from adicgaps.embeddings import (
     domination_embedding,
     max_monotone,
     psi_map,
-    read_type,
+    read,
     realize_efamily,
     relabel_embedding,
     replay_fixture,
@@ -105,9 +103,9 @@ def _assert_replayed_in_full(monkeypatch, phi, fixture):
 
 
 def _statuses(phi):
-    """Each domain type's status under ``phi``, as :func:`read_type` reads it."""
+    """Each domain type's status under ``phi``, as :func:`read` reads it."""
     return {
-        print_type(tau): read_type(phi, tau)[0] for tau in enumerate_types(phi.domain_alphabet)
+        print_type(tau): read(phi, tau)[0] for tau in enumerate_types(phi.domain_alphabet)
     }
 
 
@@ -209,7 +207,7 @@ class TestCombAction:
                 continue
             for i in (0, 1):
                 first_letter = (w0, w1)[i].letter_at(0)
-                for count in (COMB_BLOCKS, COMB_BLOCKS + 1):
+                for count in (PROBE_BLOCKS, PROBE_BLOCKS + 1):
                     image = apply(phi, comb_witness(CombKind(i, i), count, 2))
                     assert classify_comb(image) == CombKind(first_letter, first_letter)
                 checked += 1
@@ -219,12 +217,28 @@ class TestCombAction:
         # w1 three times longer than w0: teeth of a (0,1)-comb image pass
         # the next branch point, and no comb witness is shaped like that.
         phi = SubstitutionEmbedding(empty_node(2), (_n("0"), _n("110")))
-        with pytest.raises(NotHomogeneous, match="image of 0>1 witness: NotHomogeneous"):
+        assert read(phi, CombKind(0, 1)) == (UNSTABLE, None)
+        with pytest.raises(ValidationFailure, match="^comb action: 0>1 reads unstable$"):
             comb_action(phi)
+
+    @pytest.mark.parametrize("depth, status", [(6, SKIPPED), (8, UNVERIFIED)])
+    def test_a_kind_out_of_reach_is_reported(self, depth, status):
+        # the longest word of the 0>0 witness has 7 letters at PROBE_BLOCKS
+        # and 9 at one block more
+        assert max(s.length for s in comb_witness(CombKind(0, 0), PROBE_BLOCKS, 2).nodes) == 7
+        shallow = TabulatedEmbedding(2, 2, depth, fn=lambda s: s)
+        with pytest.raises(ValidationFailure, match=f"^comb action: 0>0 reads {status}$"):
+            comb_action(shallow)
+
+    def test_a_family_realized_too_shallow_is_reported(self):
+        fam = EFamily.of(2, "0", ["11", "01"])
+        assert comb_action(realize_efamily(fam, depth=9)) == efamily_induced_map(fam)
+        with pytest.raises(ValidationFailure, match="^comb action: 0>0 reads unverified$"):
+            realize_efamily(fam, depth=8)
 
     def test_collapsing_map_is_reported(self):
         squash = TabulatedEmbedding(2, 2, 16, fn=lambda s: _n("0"))
-        with pytest.raises(ValidationFailure):
+        with pytest.raises(ValidationFailure, match="^witness of 0>0 collapsed$"):
             comb_action(squash)
 
 
@@ -267,10 +281,10 @@ class TestTypeAction:
         rng = random.Random(0)
         for tau, sigma in mapping.items():
             if len(tau.tokens) < 5:
-                sizes = (TYPE_BLOCKS, TYPE_BLOCKS + 1)
+                sizes = (PROBE_BLOCKS, PROBE_BLOCKS + 1)
                 sets = [table_witness(tau, tower_reps(tau), b) for b in sizes]
             else:
-                sets = [reembed_record(type_witness(tau, TYPE_BLOCKS), rng) for _ in range(3)]
+                sets = [reembed_record(type_witness(tau, PROBE_BLOCKS), rng) for _ in range(3)]
             for a in sets:
                 assert classify_type(apply(psi_map(3), a)) == sigma, print_type(tau)
 
@@ -426,9 +440,9 @@ class TestRealizeEFamily:
 
     def test_witnesses_past_the_depth_read_as_out_of_reach(self):
         # the longest witness words of [u0 l1] and [u1 l0] have length 10 at
-        # TYPE_BLOCKS and 13 at one block more, so at depth 12 only the first
+        # PROBE_BLOCKS and 13 at one block more, so at depth 12 only the first
         # reading fits; the witnesses of the other two-letter types reach 16
-        # and more at TYPE_BLOCKS, and are skipped
+        # and more at PROBE_BLOCKS, and are skipped
         phi = realize_efamily(EFamily.of(2, "e", ["00", "10"]), depth=12)
         assert _statuses(phi) == {
             "[l0]": STABLE,
@@ -441,7 +455,7 @@ class TestRealizeEFamily:
             "[u1 l0 l1]": SKIPPED,
         }
         u0l1 = parse_type("[u0 l1]", 2)
-        assert read_type(phi, u0l1) == (UNVERIFIED, u0l1)
+        assert read(phi, u0l1) == (UNVERIFIED, u0l1)
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ from adicgaps.gaps import (
     enumerate_candidates_record,
     enumerate_candidates_strong,
     generate_type_actions,
+    is_classes_dict,
     max_partition_gap,
     minimal_classes,
     order_le,
@@ -448,6 +449,28 @@ class TestMinimalClasses:
     def test_sides_only_quotient_matches_brute_force(self, n):
         report = minimal_classes(n)
         assert reference_sides_only_orbits(report, n) == len(report.classes)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_only_the_form_as_dict_gives_passes_as_classes(self, n):
+        good = minimal_classes(n).as_dict()
+        assert is_classes_dict(good, n)
+        assert not is_classes_dict(good, 5 - n)
+        member = good["classes"][0][0]
+        bad = {
+            "candidates": {**good, "candidates": good["candidates"] + 1},
+            "float candidates": {**good, "candidates": float(good["candidates"])},
+            "mode": {**good, "mode": "bounded"},
+            "classes not a list": {**good, "classes": 5},
+            "empty class": {**good, "classes": good["classes"] + [[]]},
+            "member not sides": {**good, "classes": [[1]]},
+            "member unsorted": {**good, "classes": [[[side[::-1] for side in member]]]},
+            "chain off its side": {**good, "classes": [[member[::-1]]]},
+            "extra quotient": {**good, "quotients": {**good["quotients"], "sides_only": 1}},
+            "quotient text": {**good, "quotients": {"alphabet": "x"}},
+            "quotient bool": {**good, "quotients": {"alphabet": True}},
+            "no quotients": {**good, "quotients": {}},
+        }
+        assert [name for name, value in bad.items() if is_classes_dict(value, n)] == []
 
 
 def reference_enumerate_candidates_strong(n):

@@ -23,10 +23,10 @@ import pytest
 from adicgaps import embeddings, search
 from adicgaps.breaking import candidate_pool
 from adicgaps.embeddings import (
+    PROBE_BLOCKS,
     REPLAY_DEPTH,
     REPLAY_SAMPLES,
     STABLE,
-    TYPE_BLOCKS,
     OutOfDomain,
     SubstitutionEmbedding,
     TabulatedEmbedding,
@@ -35,7 +35,7 @@ from adicgaps.embeddings import (
     domination_embedding,
     max_monotone,
     psi_map,
-    read_type,
+    read,
     replay_fixture,
     structural_replay,
     type_action,
@@ -531,10 +531,10 @@ def test_probe_stops_at_the_first_refuting_sample(monkeypatch, blocks, refuted_a
     assert probe(phi) is None
     earlier = [print_type(tau) for tau in enumerate_types(2)]
     earlier = earlier[: earlier.index(refuted_at)]
-    sizes = (TYPE_BLOCKS, TYPE_BLOCKS + 1)
-    assert built == [(t, n) for t in earlier for n in sizes] + [(refuted_at, TYPE_BLOCKS)]
+    sizes = (PROBE_BLOCKS, PROBE_BLOCKS + 1)
+    assert built == [(t, n) for t in earlier for n in sizes] + [(refuted_at, PROBE_BLOCKS)]
     # the witness alone reads stably: a sample, not the witness, refuted it
-    assert read_type(phi, parse_type(refuted_at, 2))[0] == STABLE
+    assert read(phi, parse_type(refuted_at, 2))[0] == STABLE
     assert reference_admissible_action(phi, RANGE) is None
 
 
@@ -559,7 +559,7 @@ def _witness_words_only(m):
     words = {
         s
         for tau in enumerate_types(m)
-        for size in (TYPE_BLOCKS, TYPE_BLOCKS + 1)
+        for size in (PROBE_BLOCKS, PROBE_BLOCKS + 1)
         for s in type_witness(tau, size).sorted_nodes
     }
 
@@ -585,7 +585,7 @@ def test_a_sample_outside_the_domain_refutes_under_both_policies(witnessed):
     # witness words reads every witness stably, so only its samples refute it
     if witnessed:
         phi = _witness_words_only(2)
-        assert all(read_type(phi, tau) == (STABLE, tau) for tau in enumerate_types(2))
+        assert all(read(phi, tau) == (STABLE, tau) for tau in enumerate_types(2))
     else:
         phi = TabulatedEmbedding(2, 2, 1, lambda s: s)
     samples = [sample for pool in same_type_probes(2).values() for sample in pool]

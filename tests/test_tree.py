@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 import pytest
@@ -8,11 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import adicgaps.tree as tree_module
-from adicgaps.embeddings import RUN_LIMIT, apply, domination_embedding
+from adicgaps.combs import classify_comb, comb_kinds, comb_witness
+from adicgaps.embeddings import RUN_LIMIT, apply, domination_embedding, psi_map
 from adicgaps.tree import (
     AlphabetMismatch,
+    AmbiguousTruncation,
     Node,
     NodeSet,
+    NotHomogeneous,
     ScaleLimit,
     empty_node,
     first_move_equivalent,
@@ -28,16 +32,27 @@ from adicgaps.tree import (
     random_node_set,
     record_closure,
     record_equivalent,
+    record_table,
     reembed,
     weight,
 )
-from adicgaps.types import enumerate_types, parse_type, type_witness
+from adicgaps.types import (
+    TypeDescriptor,
+    classify_type,
+    enumerate_types,
+    parse_type,
+    same_type_probes,
+    type_witness,
+)
 
 from helpers import (
     NotBelow,
     format_node_set,
     parse_node_set,
     reembed_record,
+    reference_classify_comb,
+    reference_classify_type,
+    reference_type_tables,
     strictly_below,
     suffix_after,
     suffix_from,
@@ -486,6 +501,70 @@ def test_equivalence_relation_laws(alphabet, size, record, seed):
     assert rel(a, a)
     assert rel(a, b) == rel(b, a)
     assert rel(a, c)  # transitivity along the reembedding chain
+
+
+# ---------------------------------------------------------------------------
+# one classifier for combs and types vs each layer's former policy
+
+
+def classification_corpus():
+    """Fixed sets for the classifier over alphabets 1-3: every comb witness
+    at 4 and 5 elements and every type witness at 2-4 blocks, each also
+    with one element dropped and with a stray element added, short or past
+    the longest; the pooled same-type samples and their psi images; and
+    seeded random sets."""
+    rng = random.Random(20141013)
+    corpus = []
+    for alphabet in (1, 2, 3):
+        witnesses = [
+            comb_witness(kind, count, alphabet) for kind in comb_kinds(alphabet) for count in (4, 5)
+        ]
+        witnesses += [
+            type_witness(tau, count) for tau in enumerate_types(alphabet) for count in (2, 3, 4)
+        ]
+        for w in witnesses:
+            longest = max(x.length for x in w.nodes)
+            corpus.append(w)
+            for length in (rng.randint(0, 8), longest + rng.randint(1, 4)):
+                stray = node(alphabet, [rng.randrange(alphabet) for _ in range(length)])
+                corpus.append(NodeSet(alphabet, w.nodes | {stray}))
+            corpus += [NodeSet(alphabet, w.nodes - {x}) for x in w.nodes]
+        pool = [a for samples in same_type_probes(alphabet).values() for a in samples]
+        corpus += pool + [apply(psi_map(alphabet), a) for a in pool]
+        corpus += [random_node_set(rng, alphabet, rng.randint(3, 6), max_len=5) for _ in range(100)]
+    return [a for a in corpus if len(a) >= 3]
+
+
+def classification_outcome(classify, a):
+    try:
+        return classify(a)
+    except (NotHomogeneous, AmbiguousTruncation) as ex:
+        return type(ex).__name__
+
+
+def type_matches(a, trim):
+    """How many types' witnesses match ``a``, or ``a`` without its last element."""
+    b = NodeSet(a.alphabet, frozenset(a.sorted_nodes[:-1])) if trim else a
+    return len(reference_type_tables(a.alphabet, len(b)).get(record_table(b), ()))
+
+
+def test_classify_matches_both_former_policies_on_a_fixed_corpus():
+    # combs trimmed first, types matched whole first; one classifier that
+    # trims first and matches the whole set only to settle an ambiguous
+    # trimmed match gives every answer and every refusal of both
+    seen = Counter()
+    for a in classification_corpus():
+        for new, reference in (
+            (classify_comb, reference_classify_comb),
+            (classify_type, reference_classify_type),
+        ):
+            got = classification_outcome(new, a)
+            assert got == classification_outcome(reference, a), format_node_set(a)
+            seen[got if isinstance(got, str) else new.__name__] += 1
+        if isinstance(classification_outcome(classify_type, a), TypeDescriptor):
+            seen["whole set settles"] += type_matches(a, trim=True) > 1
+            seen["trimmed set alone"] += type_matches(a, trim=False) == 0
+    assert min(seen.values()) > 0 and len(seen) == 6, seen
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,11 @@ import itertools
 import pytest
 
 from adicgaps import types
-from adicgaps.combs import CombKind, NotHomogeneous, comb_witness
+from adicgaps.combs import CombKind, comb_witness
 from adicgaps.tree import (
+    AmbiguousTruncation,
     NodeSet,
+    NotHomogeneous,
     ScaleLimit,
     format_node,
     node_from_runs,
@@ -14,7 +16,6 @@ from adicgaps.tree import (
     words_upto,
 )
 from adicgaps.types import (
-    AmbiguousTruncation,
     TypeDescriptor,
     catalogue_json,
     classify_type,
