@@ -16,26 +16,27 @@ Four generator families feed the search, cheapest evidence first:
 * **subalphabet inclusions** — increasing letter injections; the action is
   the relabelling rule, total and exact, so the range is the full relabelled
   type catalogue;
-* **substitutions** — block maps ordered by increasing block length; the
-  action is probed;
+* **substitutions** — block maps ordered by longest block, total length
+  and letters; the action is probed;
 * **e-driven realizations** — tabulated embeddings realizing an e-family
   of at most ``EFAMILY_LETTERS`` letters; the action is probed;
 * **domination constructions** — the dyadic two-type maps sending the first
   chain type to a dominated type and everything else to a dominating
   top-comb; the action is the construction's defining rule.
 
-The generators live in :mod:`adicgaps.search`, shared with the gap order;
-this module fixes their search order and admits probed candidates under the
-*range* policy: the type action is *total*, *stable* (the canonical witness
-classifies identically at consecutive block counts) and *corroborated by a
-pooled sample of same-type sets* — evidence that the action is a
-well-defined function of the type, which is exactly what the range rule
-needs.  Order-layer requirements such as ``≺``-monotonicity are deliberately
-**not** imposed: the verdict quantifies over the range *set* ``M``, not over
-order-preserving maps, and demanding monotonicity would empty the witness
-families this module exists to search.  (Block maps with unequal block
-lengths always reverse some length tie, yet their ranges are perfectly good
-sets ``M``.)
+The pool is :func:`adicgaps.search.candidate_pool`, the one the gap order
+walks too; this module asks it for every domain alphabet up to the gap's,
+each family over all of them before the next, and admits probed candidates
+under the *range* policy: the type action is *total*, *stable* (the
+canonical witness classifies identically at consecutive block counts) and
+*corroborated by a pooled sample of same-type sets* — evidence that the
+action is a well-defined function of the type, which is exactly what the
+range rule needs.  Order-layer requirements such as ``≺``-monotonicity are
+deliberately **not** imposed: the verdict quantifies over the range *set*
+``M``, not over order-preserving maps, and demanding monotonicity would
+empty the witness families this module exists to search.  (Block maps with
+unequal block lengths always reverse some length tie, yet their ranges are
+perfectly good sets ``M``.)
 
 Verdicts are one-sided: ``BROKEN_witnessed`` embeds a re-checkable witness,
 while ``NOT_BROKEN_bounded`` only reports that the bounded search found
@@ -49,23 +50,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from .gaps import RECORD, GapSpec
 from .runtime import pmap
-from .search import (
-    RANGE,
-    SUBSTITUTION_BLOCKS,
-    Candidate,
-    budget_json,
-    dominations,
-    efamilies,
-    revalidate,
-    subalphabets,
-    substitutions,
-)
-from .tree import words_upto
-from .types import enumerate_types, parse_type, print_type, same_type_probes
+from .search import RANGE, Candidate, budget_json, candidate_pool, revalidate
+from .types import enumerate_types, parse_type, print_type
 
 BROKEN_WITNESSED = "BROKEN_witnessed"
 NOT_BROKEN_BOUNDED = "NOT_BROKEN_bounded"
@@ -94,47 +84,6 @@ class BreakQuery:
                 f"broken_sides {sorted(sides)} not a subset of side indices "
                 f"0..{self.gap.n - 1}"
             )
-
-
-# --------------------------------------------------------------------------
-# candidate embeddings
-
-
-def _substitution_sort_key(blocks: tuple) -> tuple:
-    return (
-        max(b.length for b in blocks),
-        sum(b.length for b in blocks),
-        tuple(b.letters for b in blocks),
-    )
-
-
-def candidate_pool(m_out: int) -> Iterator[Candidate]:
-    """All candidate witnesses in search order, each family over every
-    domain alphabet up to ``m_out``: subalphabet inclusions, then
-    substitutions by increasing block length, then e-driven realizations,
-    then domination constructions.
-
-    All-single-letter block tuples are skipped: their ranges are subalphabet
-    subtrees, already covered exactly by the inclusions.  The inclusions are
-    built in full before anything is yielded, so an alphabet beyond the
-    tabulated type catalogues raises ScaleLimit before any search.  A domain
-    alphabet with no same-type pool (4) raises it before its block tuples
-    are built."""
-    alphabets = range(1, m_out + 1)
-    yield from [cand for m_in in alphabets for cand in subalphabets(m_in, m_out)]
-    words = words_upto(m_out, SUBSTITUTION_BLOCKS)
-    for m_in in alphabets:
-        same_type_probes(m_in)
-        tuples = [
-            blocks
-            for blocks in itertools.product(words, repeat=m_in)
-            if not all(b.length == 1 for b in blocks)
-        ]
-        tuples.sort(key=_substitution_sort_key)
-        yield from substitutions(tuples, m_out, RANGE)
-    for m_in in alphabets:
-        yield from efamilies(m_in, m_out, RANGE)
-    yield from dominations(2, m_out)
 
 
 # --------------------------------------------------------------------------
@@ -183,7 +132,7 @@ def break_check(query: BreakQuery) -> BreakReport:
     """
     gap = query.gap
     searched = 0
-    for cand in candidate_pool(gap.m):
+    for cand in candidate_pool(range(1, gap.m + 1), gap.m, RANGE):
         searched += 1
         if _range_rule(gap, query.broken_sides, cand.range_types):
             return BreakReport(
@@ -306,7 +255,7 @@ def jbreak_optimality_check() -> OptimalityReport:
     chain0, chain1 = catalogue[0], catalogue[1]
     checked = 0
     counterexamples = []
-    for cand in candidate_pool(2):
+    for cand in candidate_pool(range(1, 3), 2, RANGE):
         checked += 1
         rng = cand.range_types
         if chain0 in rng and chain1 in rng and len(rng) != len(catalogue):

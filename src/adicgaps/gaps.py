@@ -28,19 +28,15 @@ from .combs import (
 from .runtime import canonical_json
 from .search import (
     ORDER,
-    SUBSTITUTION_BLOCKS,
     Candidate,
     budget_json,
-    dominations,
-    efamilies,
+    candidate_pool,
     efamily_label,
     efamily_of,
     efamily_payload,
     revalidate,
-    subalphabets,
-    substitutions,
 )
-from .tree import ScaleLimit, words_upto
+from .tree import ScaleLimit
 from .types import (
     TYPE_ALPHABET_LIMIT,
     TypeDescriptor,
@@ -267,7 +263,8 @@ def enumerate_candidates_record(n: int) -> tuple[GapSpec, ...]:
 @lru_cache(maxsize=None)
 def generate_type_actions(m_in: int, m_out: int) -> tuple[Candidate, ...]:
     """All generated total type actions m_in -> m_out, deduplicated by map,
-    in deterministic generator order: subalphabet inclusions, substitutions,
+    in the order of :func:`~adicgaps.search.candidate_pool` over the domain
+    alphabet ``m_in`` alone: subalphabet inclusions, substitutions,
     branch-word family realizations, dominations.
 
     Inclusions carry the rule-level action of an increasing letter
@@ -276,16 +273,9 @@ def generate_type_actions(m_in: int, m_out: int) -> tuple[Candidate, ...]:
     the order policy: total, stable across witness sizes, monotone in the
     maximum letter, and surviving structural replay plus the pooled
     same-type probes."""
-    words = words_upto(m_out, SUBSTITUTION_BLOCKS)
     out: list[Candidate] = []
     seen: set[tuple] = set()
-    chain = itertools.chain(
-        subalphabets(m_in, m_out),
-        substitutions(itertools.product(words, repeat=m_in), m_out, ORDER),
-        efamilies(m_in, m_out, ORDER),
-        dominations(m_in, m_out),
-    )
-    for cand in chain:
+    for cand in candidate_pool((m_in,), m_out, ORDER):
         if cand.action in seen:
             continue
         seen.add(cand.action)

@@ -1,11 +1,12 @@
 """Candidate embeddings: generation, admission, memo and revalidation.
 
 Both record-layer searches -- the witnessed gap order (:mod:`adicgaps.gaps`)
-and breaking (:mod:`adicgaps.breaking`) -- draw their witnesses from the
-generators here.  A candidate is an embedding described by a JSON payload,
-together with its total action on symbols (record types here; comb kinds
-for the first-move order's witnesses, e-family payloads built by
-:mod:`adicgaps.gaps`).  The generators here have four kinds:
+and breaking (:mod:`adicgaps.breaking`) -- draw their witnesses from one
+pool here, :func:`candidate_pool`.  A candidate is an embedding described
+by a JSON payload, together with its total action on symbols (record types
+here; comb kinds for the first-move order's witnesses, e-family payloads
+built by :mod:`adicgaps.gaps`).  The pool yields four kinds, in this
+order, the substitutions in the one order of :func:`block_tuples`:
 
 * ``subalphabet`` -- increasing letter injections; the action is the
   relabelling rule;
@@ -36,9 +37,9 @@ policies read the same action:
   are drawn once per domain alphabet (and kind of map), so each candidate
   only maps them and compares the images.
 
-Each consumer keeps its own search order; the generators take the domain
-alphabet, and the substitution generator takes the block tuples in the
-order they are to be tried.  The extent of each search is fixed here --
+Both searches walk the same order; they differ only in the domain
+alphabets they ask for (breaking all up to its gap's, the order its left
+gap's) and in the policy.  The extent of each search is fixed here --
 block length, e-family letters and the policy's domain depth -- and
 :func:`budget_json` reports it.  :func:`revalidate` rebuilds a candidate's
 embedding from its payload alone and probes it afresh under the
@@ -48,12 +49,13 @@ two actions agree.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import json
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 from .combs import EFamily, enumerate_efamilies
 from .embeddings import (
@@ -75,7 +77,7 @@ from .embeddings import (
     structural_replay,
     type_action,
 )
-from .tree import Node, empty_node, format_node, random_node_set
+from .tree import Node, empty_node, format_node, random_node_set, words_upto
 from .types import (
     TypeDescriptor,
     classify_type,
@@ -85,7 +87,6 @@ from .types import (
     print_type,
     relabel,
     same_type_probes,
-    type_id,
 )
 
 RANGE = "range"
@@ -165,10 +166,6 @@ def efamily_of(payload: dict) -> EFamily:
         raise ValueError(f"malformed e-family payload: {ex!r}") from ex
 
 
-def _sorted_action(mapping: dict) -> tuple:
-    return tuple(sorted(mapping.items(), key=lambda pair: type_id(pair[0])))
-
-
 # --------------------------------------------------------------------------
 # probing and admission
 
@@ -178,12 +175,13 @@ def probe(phi: Embedding) -> Optional[tuple]:
 
     For each type the witness image is classified, then the type's pooled
     same-type samples, then the larger witness image (:func:`read`).
-    The result is the sorted type action when every domain type classifies
-    stably (nothing unstable, unverified or skipped) and every sample maps
-    and classifies as its type's witness, else ``None``.  The probe stops at
-    the first failure, so a map that a sample of an early type refutes
-    classifies no witness of a later type.  Over a domain alphabet with no
-    pool (4) the pool's :class:`~adicgaps.tree.ScaleLimit` propagates.
+    The result is the type action, in catalogue order, when every domain
+    type classifies stably (nothing unstable, unverified or skipped) and
+    every sample maps and classifies as its type's witness, else ``None``.
+    The probe stops at the first failure, so a map that a sample of an early
+    type refutes classifies no witness of a later type.  Over a domain
+    alphabet with no pool (4) the pool's :class:`~adicgaps.tree.ScaleLimit`
+    propagates.
     """
 
     def corroborated(tau: TypeDescriptor, first: TypeDescriptor) -> bool:
@@ -201,7 +199,7 @@ def probe(phi: Embedding) -> Optional[tuple]:
         if status != STABLE:
             return None
         mapping[tau] = sigma
-    return _sorted_action(mapping)
+    return tuple(mapping.items())
 
 
 @lru_cache(maxsize=None)
@@ -263,14 +261,10 @@ def _rule_action(payload: dict) -> tuple:
     """The defining action of a rule-level kind."""
     if payload["kind"] == "subalphabet":
         iota, m_out = tuple(payload["iota"]), payload["alphabet_out"]
-        return _sorted_action(
-            {tau: relabel(tau, iota, m_out) for tau in enumerate_types(len(iota))}
-        )
+        return tuple((tau, relabel(tau, iota, m_out)) for tau in enumerate_types(len(iota)))
     tau0, tau1 = _domination_types(payload)
     catalogue = enumerate_types(2)
-    return _sorted_action(
-        {tau: (tau0 if tau == catalogue[0] else tau1) for tau in catalogue}
-    )
+    return tuple((tau, tau0 if tau == catalogue[0] else tau1) for tau in catalogue)
 
 
 def _domination_types(payload: dict) -> tuple:
@@ -364,12 +358,35 @@ def subalphabets(m_in: int, m_out: int) -> Iterator[Candidate]:
         yield Candidate("subalphabet", label, m_in, _rule_action(payload), payload)
 
 
-def substitutions(
-    block_tuples: Iterable[tuple], m_out: int, policy: str
-) -> Iterator[Candidate]:
-    """Injective block maps, tried in the order given."""
-    for blocks in block_tuples:
-        phi = SubstitutionEmbedding(empty_node(m_out), tuple(blocks))
+def block_tuples(m_in: int, m_out: int) -> Iterator[tuple]:
+    """Every ``m_in``-tuple of words of at most ``SUBSTITUTION_BLOCKS``
+    letters over ``m_out``, lazily, in the one substitution order: by
+    longest block, then total length, then letters.
+
+    Tuples of single letters are left out: their ranges are subalphabet
+    subtrees, which the inclusions cover exactly.  Within one (longest,
+    total) group each length profile's product of letter-ordered words is
+    already in order, so one merge per group orders the group and nothing is
+    materialized."""
+    words = words_upto(m_out, SUBSTITUTION_BLOCKS)  # shortest first
+    by_length = {
+        n: list(group) for n, group in itertools.groupby(words, key=lambda w: w.length)
+    }
+    profiles = list(itertools.product(by_length, repeat=m_in))
+    for longest in range(2, SUBSTITUTION_BLOCKS + 1):
+        for total in range(longest + m_in - 1, longest * m_in + 1):
+            group = [
+                itertools.product(*(by_length[n] for n in profile))
+                for profile in profiles
+                if max(profile) == longest and sum(profile) == total
+            ]
+            yield from heapq.merge(*group, key=lambda blocks: tuple(b.letters for b in blocks))
+
+
+def substitutions(m_in: int, m_out: int, policy: str) -> Iterator[Candidate]:
+    """Injective block maps, in :func:`block_tuples` order."""
+    for blocks in block_tuples(m_in, m_out):
+        phi = SubstitutionEmbedding(empty_node(m_out), blocks)
         if phi.injective:
             label = "blocks=" + ",".join(_digits(b) for b in blocks)
             yield from _probed(label, phi.to_json(), policy)
@@ -400,3 +417,23 @@ def dominations(m_in: int, m_out: int) -> Iterator[Candidate]:
             payload = {"kind": "domination", "tau0": print_type(tau0), "tau1": print_type(tau1)}
             label = f"tau0={payload['tau0']},tau1={payload['tau1']}"
             yield Candidate("domination", label, 2, _rule_action(payload), payload)
+
+
+def candidate_pool(domains: Sequence[int], m_out: int, policy: str) -> Iterator[Candidate]:
+    """Every candidate into ``m_out`` from the given domain alphabets, kind
+    by kind: all inclusions, then the substitutions, the e-family
+    realizations and the domination constructions, each over the domains in
+    turn.
+
+    The inclusions are built in full before anything is yielded, so an
+    alphabet beyond the tabulated type catalogues raises ScaleLimit before
+    any search.  Everything else is generated as it is drawn: a domain
+    alphabet with no same-type pool (4) raises it at its first probed
+    candidate."""
+    yield from [cand for m_in in domains for cand in subalphabets(m_in, m_out)]
+    for m_in in domains:
+        yield from substitutions(m_in, m_out, policy)
+    for m_in in domains:
+        yield from efamilies(m_in, m_out, policy)
+    for m_in in domains:
+        yield from dominations(m_in, m_out)

@@ -21,7 +21,6 @@ from adicgaps.breaking import (
     NOT_BROKEN_BOUNDED,
     BreakQuery,
     break_check,
-    candidate_pool,
     jbreak_optimality_check,
     jigsaw_audit,
     record_three_gap,
@@ -36,7 +35,7 @@ from adicgaps.gaps import (
     max_partition_gap,
 )
 from adicgaps.runtime import canonical_json
-from adicgaps.search import ORDER, RANGE, admit, budget_json, probe
+from adicgaps.search import ORDER, RANGE, admit, budget_json, candidate_pool, probe
 from adicgaps.tree import ScaleLimit
 from adicgaps.types import enumerate_types, j_count, parse_type, print_type
 
@@ -179,23 +178,6 @@ def test_quaternary_three_gap_breaks_with_the_dyadic_labels():
         assert revalidate_break(report)
 
 
-def test_candidate_pool_refuses_alphabet_four_before_building_its_tuples(monkeypatch):
-    # alphabet 4 has no same-type pool; its 84**4 block tuples (21**4 at
-    # block length 2) must not be built before the query is refused
-    monkeypatch.setattr(breaking_module, "SUBSTITUTION_BLOCKS", 2)
-    domains = set()
-
-    def substitutions(block_tuples, m_out, policy):
-        domains.update(len(blocks) for blocks in block_tuples)
-        return iter(())
-
-    monkeypatch.setattr(breaking_module, "substitutions", substitutions)
-    monkeypatch.setattr(breaking_module, "efamilies", lambda m_in, m_out, policy: iter(()))
-    with pytest.raises(ScaleLimit, match="no same-type pool over alphabet 4"):
-        list(candidate_pool(4))
-    assert domains == {1, 2, 3}
-
-
 class TestRevalidation:
     def test_tampered_witness_fails(self):
         report = break_check(query(DELTA, {0, 2}))
@@ -324,7 +306,7 @@ class TestPreservationLemma:
         two_record = parse_type("[l0 l1]", 2)
         checked = 0
         premise_holders = []
-        for cand in candidate_pool(2):
+        for cand in candidate_pool(range(1, 3), 2, RANGE):
             if cand.domain_alphabet != 2:
                 continue
             checked += 1
@@ -370,7 +352,8 @@ class TestOptimality:
         assert report.checked == 86
         # the embeddings meeting the premise: both chain types in the range
         chains = set(enumerate_types(2)[:2])
-        qualifying = [f"{c.kind}:{c.label}" for c in candidate_pool(2) if chains <= c.range_types]
+        pool = candidate_pool(range(1, 3), 2, RANGE)
+        qualifying = [f"{c.kind}:{c.label}" for c in pool if chains <= c.range_types]
         assert len(qualifying) == 11
         assert "subalphabet:iota=0,1" in qualifying
 

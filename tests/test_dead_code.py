@@ -7,7 +7,8 @@ tests or delete it.  Imports do not count as uses, and a definition does not
 use itself; a class member or field counts as used only where it is read as
 an attribute (``x.name``), since a bare name of the same spelling is some
 other binding.  Dunder methods are called by Python itself and are exempt.  An
-imported name that its module never reads is a leftover of deleted code.
+imported name that its module never reads is a leftover of deleted code.  Only
+``search.candidate_pool`` combines the four candidate generators.
 """
 
 import ast
@@ -104,6 +105,19 @@ def test_every_import_is_used_by_its_module():
         unused += [f"{path.parent.name}/{path.name}:{name}" for name in imported if name not in read]
     assert len(SOURCES) > 1 and len(TESTS) > 1
     assert unused == []
+
+
+def test_only_the_candidate_pool_combines_the_generators():
+    # one pool composition: a second one, with its own order, would let the
+    # two record searches drift apart
+    generators = {"subalphabets", "substitutions", "efamilies", "dominations"}
+    callers = set()
+    for path in SOURCES:
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Call) and generators & _names_used(node.func):
+                    callers.add(f"{path.name}:{getattr(stmt, 'name', '<module>')}")
+    assert callers == {"search.py:candidate_pool"}
 
 
 def test_the_package_imports_only_the_standard_library():

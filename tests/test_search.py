@@ -13,6 +13,7 @@ import gc
 import itertools
 import json
 import random
+import tracemalloc
 import weakref
 from collections import Counter
 from dataclasses import replace
@@ -21,7 +22,6 @@ from functools import lru_cache
 import pytest
 
 from adicgaps import embeddings, search
-from adicgaps.breaking import candidate_pool
 from adicgaps.embeddings import (
     PROBE_BLOCKS,
     REPLAY_DEPTH,
@@ -51,11 +51,12 @@ from adicgaps.search import (
     _domination_types,
     _rule_action,
     admit,
+    block_tuples,
+    candidate_pool,
     dominations,
     efamilies,
     probe,
     revalidate,
-    substitutions,
 )
 from adicgaps.tree import (
     ScaleLimit,
@@ -223,8 +224,12 @@ def _entries(candidates):
     )
 
 
+def _break_pool_2():
+    return candidate_pool(range(1, 3), 2, RANGE)
+
+
 def test_breaking_pool_pinned():
-    assert _entries(candidate_pool(2)) == BREAK_POOL_2
+    assert _entries(_break_pool_2()) == BREAK_POOL_2
 
 
 def test_order_pool_2_2_pinned():
@@ -238,7 +243,7 @@ def test_order_pool_1_2_pinned():
 @pytest.mark.parametrize(
     "pool,policy",
     [
-        (lambda: candidate_pool(2), RANGE),
+        (_break_pool_2, RANGE),
         (lambda: generate_type_actions(2, 2), ORDER),
     ],
     ids=["breaking", "order"],
@@ -284,6 +289,103 @@ def test_every_domination_construction_probes_to_its_rule():
         rule = dict(_rule_action(cand.payload))
         assert chain in probed, cand.label
         assert {tau: rule[tau] for tau in probed} == probed, cand.label
+
+
+# --------------------------------------------------------------------------
+# one candidate pool, one substitution order
+
+
+def eager_block_tuples(m_in, m_out):
+    """The substitution order as one sorted list: the oracle of the lazy
+    :func:`block_tuples`."""
+    words = words_upto(m_out, SUBSTITUTION_BLOCKS)
+    tuples = [
+        blocks
+        for blocks in itertools.product(words, repeat=m_in)
+        if not all(b.length == 1 for b in blocks)
+    ]
+    return sorted(
+        tuples,
+        key=lambda blocks: (
+            max(b.length for b in blocks),
+            sum(b.length for b in blocks),
+            tuple(b.letters for b in blocks),
+        ),
+    )
+
+
+def reference_order_pool(m_in, m_out):
+    """The order pool with its substitutions in ``itertools.product`` order,
+    single letters included, deduplicated by action."""
+
+    def product_substitutions():
+        for blocks in itertools.product(words_upto(m_out, SUBSTITUTION_BLOCKS), repeat=m_in):
+            phi = SubstitutionEmbedding(empty_node(m_out), blocks)
+            if phi.injective:
+                label = "blocks=" + ",".join(search._digits(b) for b in blocks)
+                yield from search._probed(label, phi.to_json(), ORDER)
+
+    out, seen = [], set()
+    for cand in itertools.chain(
+        search.subalphabets(m_in, m_out),
+        product_substitutions(),
+        efamilies(m_in, m_out, ORDER),
+        dominations(m_in, m_out),
+    ):
+        if cand.action not in seen:
+            seen.add(cand.action)
+            out.append(cand)
+    return tuple(out)
+
+
+@pytest.mark.parametrize(
+    "m_in, m_out",
+    [(m_in, m_out) for m_in in (1, 2, 3) for m_out in (1, 2, 3)] + [(1, 4), (2, 4)],
+)
+def test_block_tuples_equal_the_sorted_list(m_in, m_out):
+    assert list(block_tuples(m_in, m_out)) == eager_block_tuples(m_in, m_out)
+
+
+@pytest.mark.parametrize("m_in, m_out", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2)])
+def test_order_pool_equals_the_product_order_pool(m_in, m_out):
+    # the substitution order moves no action, label or position
+    assert _entries(generate_type_actions(m_in, m_out)) == _entries(
+        reference_order_pool(m_in, m_out)
+    )
+
+
+def test_block_tuples_are_generated_as_drawn():
+    # sorting all 84**3 triples over alphabet 4 as one list peaks at 235 MB
+    tracemalloc.start()
+    try:
+        first = list(itertools.islice(block_tuples(3, 4), 1000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(first) == 1000 and peak < 1 << 20
+
+
+def test_pool_refuses_alphabet_four_at_its_first_probed_candidate(monkeypatch):
+    # alphabet 4 has no same-type pool; with domains 1-3 emptied, the
+    # refusal comes at the first injective domain-4 tuple, the 156th drawn,
+    # and no later tuple is built
+    drawn = Counter()
+    original = search.block_tuples
+
+    def counted(m_in, m_out):
+        for blocks in original(m_in, m_out) if m_in == 4 else ():
+            drawn[m_in] += 1
+            yield blocks
+
+    monkeypatch.setattr(search, "block_tuples", counted)
+    with pytest.raises(ScaleLimit, match="no same-type pool over alphabet 4"):
+        list(candidate_pool(range(1, 5), 4, RANGE))
+    first_probed = next(
+        i
+        for i, blocks in enumerate(original(4, 4), 1)
+        if SubstitutionEmbedding(empty_node(4), blocks).injective
+    )
+    assert drawn[4] == first_probed == 156
 
 
 # --------------------------------------------------------------------------
@@ -387,7 +489,7 @@ def _probed_payloads(pools):
 @lru_cache(maxsize=None)
 def _admission_payloads():
     return _probed_payloads([
-        lambda: candidate_pool(2),
+        _break_pool_2,
         lambda: generate_type_actions.__wrapped__(2, 2),
         lambda: generate_type_actions.__wrapped__(1, 2),
         lambda: generate_type_actions.__wrapped__(2, 1),
@@ -492,12 +594,17 @@ def _counting(monkeypatch, module, name, calls=None):
     return calls
 
 
+def _swap_blocks_payload():
+    """The payload of the substitution ``0 -> 01, 1 -> 10``."""
+    blocks = (node_from_runs(2, [(0, 1), (1, 1)]), node_from_runs(2, [(1, 1), (0, 1)]))
+    return SubstitutionEmbedding(empty_node(2), blocks).to_json()
+
+
 def test_both_policies_read_one_probe(monkeypatch):
     search._memoized_probe.cache_clear()
     calls = _counting(monkeypatch, search, "probe")
-    blocks = [(node_from_runs(2, [(0, 1), (1, 1)]), node_from_runs(2, [(1, 1), (0, 1)]))]
-    (broken,) = substitutions(blocks, 2, RANGE)
-    (ordered,) = substitutions(blocks, 2, ORDER)
+    (broken,) = search._probed("blocks=01,10", _swap_blocks_payload(), RANGE)
+    (ordered,) = search._probed("blocks=01,10", _swap_blocks_payload(), ORDER)
     assert broken.action == ordered.action
     assert calls["probe"] == 1
     # revalidation recomputes from the payload and never reads the memo
@@ -624,9 +731,8 @@ def test_memo_keeps_no_embedding(monkeypatch):
         return phi
 
     monkeypatch.setattr(search, "_build", tracked)
-    blocks = [(node_from_runs(2, [(0, 1), (1, 1)]), node_from_runs(2, [(1, 1), (0, 1)]))]
     for policy in (RANGE, ORDER):
-        assert list(substitutions(blocks, 2, policy))
+        assert list(search._probed("blocks=01,10", _swap_blocks_payload(), policy))
         assert list(efamilies(1, 2, policy))
     assert len(built) > 2
     gc.collect()
