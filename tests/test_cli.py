@@ -99,6 +99,41 @@ ENUM_STRONG_SHA256 = {
     "3": "29856007c14c77e645ef2e762bd410bf82be1da48bbecd2feebe95f6632ad68a",
 }
 
+#: sha256 of the ``breaking check --json`` stdout on ``record_three_gap()``,
+#: per side set
+BREAKING_THREE_SHA256 = {
+    "0": "415dc81fe5279d10e9667ae99c8d1c2bf12cc3044791a3b4b543f7bc63d1c1d8",
+    "1": "4116b8b43d139ec91265b845d4a200cd2cca6b7959fa28e42b5232aca0768d5e",
+    "2": "9392c664682104694486877afb606bdfc903734c75dfd0081e4543b701e7165e",
+    "0,1": "2258c108929016b8fe61b5c64104fef43818a09adfefcf9fb075f9c10a4586ac",
+    "0,2": "b8005d0a66c019ec9ffb97aa4f56367d810476bc2b7113d9440f66c18ec4cec1",
+    "1,2": "c2e6e90b8e1c865473416867f4ea2b1e5e537fc4357fae917b1cbf4751bf1567",
+    "0,1,2": "290e1862964e01f29fff092d1a3396a6de1bdbc2eb485f3225ad642bab824572",
+}
+
+RECORD_LEFT = {"layer": "record", "n": 2, "m": 2, "sides": [["[l0]"], ["[l1]"]]}
+RECORD_RIGHT = {
+    "layer": "record",
+    "n": 2,
+    "m": 2,
+    "sides": [["[l0]", "[u1 l0]"], ["[l1]", "[l0 l1]"]],
+}
+
+#: sha256 of the ``gaps order --json`` stdout: 4* <= S-tilde (witnessed,
+#: exact) and a record pair the bounded search leaves UNKNOWN_bounded
+ORDER_SHA256 = {
+    "four-star-stilde": (
+        REFERENCE_STRONG_TABLE["4*"].to_json(),
+        GAP_STILDE.to_json(),
+        "2b5a75209646b621a03505f7b5fed22f7f4bf71f72d8c407c59e9fea137fccd2",
+    ),
+    "record-unknown": (
+        RECORD_LEFT,
+        RECORD_RIGHT,
+        "e8b1489eb7ed0428779f6bfff1224eb18244bf02b099d6234943179967a77cf3",
+    ),
+}
+
 #: cache entries of the wrong shape: none may be read back as a result
 MALFORMED_STRONG_ENTRIES = {
     "empty": {},
@@ -346,6 +381,17 @@ class TestGapsOrder:
         assert main(argv) == EXIT_OK
         assert capsys.readouterr().out.splitlines()[-1].endswith(note)
 
+    @pytest.mark.parametrize("pair", ORDER_SHA256, ids=ORDER_SHA256)
+    def test_json_bytes_pinned(self, capsys, tmp_path, pair):
+        left, right, digest = ORDER_SHA256[pair]
+        paths = []
+        for name, spec in (("left.json", left), ("right.json", right)):
+            (tmp_path / name).write_text(json.dumps(spec))
+            paths.append(str(tmp_path / name))
+        argv = ["gaps", "order", "--left", paths[0], "--right", paths[1], "--json"]
+        assert main(argv) == EXIT_OK
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
     def test_malformed_file_exits_2(self, capsys, tmp_path, gap_file):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -509,6 +555,12 @@ class TestBreakingCheck:
             '    "substitution_blocks": 3\n'
             '  },\n'
         )
+
+    @pytest.mark.parametrize("sides,digest", BREAKING_THREE_SHA256.items(), ids=BREAKING_THREE_SHA256)
+    def test_json_bytes_pinned(self, capsys, gap_file, sides, digest):
+        gap = gap_file("three.json", record_three_gap())
+        assert main(["breaking", "check", "--gap", gap, "--set", sides, "--json"]) == EXIT_OK
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     def test_domination_witness_revalidates(self, capsys, tmp_path):
         others = ["[l1]", "[l0 l1]", "[u1 l0]", "[l0 u1 l1]", "[u0 u1 l1]", "[u1 l0 l1]"]
