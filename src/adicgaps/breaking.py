@@ -38,9 +38,13 @@ empty the witness families this module exists to search.  (Block maps with
 unequal block lengths always reverse some length tie, yet their ranges are
 perfectly good sets ``M``.)
 
-Verdicts are one-sided: ``BROKEN_witnessed`` embeds a re-checkable witness,
-while ``NOT_BROKEN_bounded`` only reports that the bounded search found
-nothing — non-breaking facts are not mechanized here.  Only restrictions
+:func:`break_check` takes the gap and the side set ``B`` as the gap order's
+``order_le(g, h)`` takes its two gaps, answers in the same
+:class:`~adicgaps.search.Answer`, and :func:`revalidate_break` rechecks the
+answer against the same arguments.  Verdicts are one-sided:
+``BROKEN_witnessed`` embeds a re-checkable witness, while
+``NOT_BROKEN_bounded`` only reports that the bounded search found nothing —
+non-breaking facts are not mechanized here.  Only restrictions
 along the full side set and only ranges of generated embeddings are
 examined, so a clean sweep under-approximates the full combinatorial
 statement.
@@ -49,69 +53,15 @@ statement.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable
 
 from .gaps import RECORD, GapSpec
 from .runtime import pmap
-from .search import RANGE, Candidate, budget_json, candidate_pool, revalidate
+from .search import RANGE, Answer, budget_json, candidate_pool, revalidate
 from .types import enumerate_types, parse_type, print_type
 
 BROKEN_WITNESSED = "BROKEN_witnessed"
 NOT_BROKEN_BOUNDED = "NOT_BROKEN_bounded"
-
-
-# --------------------------------------------------------------------------
-# queries
-
-
-@dataclass(frozen=True)
-class BreakQuery:
-    """A single breaking question: which sides must survive restriction."""
-
-    gap: GapSpec
-    broken_sides: frozenset
-
-    def __post_init__(self) -> None:
-        if self.gap.layer != RECORD:
-            raise ValueError("breaking analysis applies to record-layer gaps")
-        sides = frozenset(self.broken_sides)
-        object.__setattr__(self, "broken_sides", sides)
-        if not sides:
-            raise ValueError("broken_sides must be nonempty")
-        if not sides <= set(range(self.gap.n)):
-            raise ValueError(
-                f"broken_sides {sorted(sides)} not a subset of side indices "
-                f"0..{self.gap.n - 1}"
-            )
-
-
-# --------------------------------------------------------------------------
-# verdicts
-
-
-@dataclass(frozen=True)
-class BreakReport:
-    """Outcome of one breaking query; ``bool`` is True exactly when broken."""
-
-    gap: GapSpec
-    broken_sides: tuple
-    verdict: str
-    witness: Optional[Candidate]
-    searched: int
-
-    def __bool__(self) -> bool:
-        return self.verdict == BROKEN_WITNESSED
-
-    def as_dict(self) -> dict:
-        return {
-            "gap": self.gap.to_json(),
-            "broken_sides": list(self.broken_sides),
-            "verdict": self.verdict,
-            "witness": self.witness.as_dict() if self.witness else None,
-            "searched": self.searched,
-            "budget": budget_json(RANGE),
-        }
 
 
 def _range_rule(gap: GapSpec, broken_sides: frozenset, range_types: frozenset) -> bool:
@@ -122,40 +72,38 @@ def _range_rule(gap: GapSpec, broken_sides: frozenset, range_types: frozenset) -
     return True
 
 
-def break_check(query: BreakQuery) -> BreakReport:
-    """Search the generator families for a witness; first validated wins.
+def break_check(gap: GapSpec, broken_sides: Iterable[int]) -> Answer:
+    """Search the generator families for a witness that the sides
+    ``broken_sides`` break; first validated wins.
 
-    The verdict is ``BROKEN_witnessed`` with the winning embedding and its
-    action table, or ``NOT_BROKEN_bounded`` once the bounded families are
-    exhausted.  The search order is deterministic, so reruns reproduce the
-    same witness.
+    A first-move gap, an empty side set and indices outside the gap are
+    refused with ValueError before any candidate is drawn.  The verdict is
+    ``BROKEN_witnessed`` with the winning embedding and its action table, or
+    ``NOT_BROKEN_bounded`` once the bounded families are exhausted.  The
+    search order is deterministic, so reruns reproduce the same witness.
     """
-    gap = query.gap
+    if gap.layer != RECORD:
+        raise ValueError("breaking analysis applies to record-layer gaps")
+    sides = frozenset(broken_sides)
+    if not sides:
+        raise ValueError("broken_sides must be nonempty")
+    if not sides <= set(range(gap.n)):
+        raise ValueError(
+            f"broken_sides {sorted(sides)} not a subset of side indices 0..{gap.n - 1}"
+        )
     searched = 0
     for cand in candidate_pool(range(1, gap.m + 1), gap.m, RANGE):
         searched += 1
-        if _range_rule(gap, query.broken_sides, cand.range_types):
-            return BreakReport(
-                gap=gap,
-                broken_sides=tuple(sorted(query.broken_sides)),
-                verdict=BROKEN_WITNESSED,
-                witness=cand,
-                searched=searched,
-            )
-    return BreakReport(
-        gap=gap,
-        broken_sides=tuple(sorted(query.broken_sides)),
-        verdict=NOT_BROKEN_BOUNDED,
-        witness=None,
-        searched=searched,
-    )
+        if _range_rule(gap, sides, cand.range_types):
+            return Answer(BROKEN_WITNESSED, cand, searched, budget_json(RANGE))
+    return Answer(NOT_BROKEN_BOUNDED, None, searched, budget_json(RANGE))
 
 
 # --------------------------------------------------------------------------
 # witness revalidation
 
 
-def revalidate_break(report: BreakReport) -> bool:
+def revalidate_break(gap: GapSpec, broken_sides: Iterable[int], answer: Answer) -> bool:
     """Recheck a BROKEN verdict from scratch.
 
     The witness embedding is rebuilt from its JSON payload and its action
@@ -165,11 +113,10 @@ def revalidate_break(report: BreakReport) -> bool:
     range rule is re-applied: every requested side must be met by some
     action image and every other side avoided by all of them.
     """
-    if report.verdict != BROKEN_WITNESSED or report.witness is None:
+    w = answer.witness
+    if answer.verdict != BROKEN_WITNESSED or w is None:
         return False
-    if not revalidate(report.witness, RANGE):
-        return False
-    return _range_rule(report.gap, frozenset(report.broken_sides), report.witness.range_types)
+    return revalidate(w, RANGE) and _range_rule(gap, frozenset(broken_sides), w.range_types)
 
 
 # --------------------------------------------------------------------------
@@ -194,29 +141,9 @@ def record_three_gap() -> GapSpec:
 # jigsaw audit
 
 
-@dataclass(frozen=True)
-class JigsawAudit:
-    """Break verdicts for every nonempty subset of sides of one gap."""
-
-    gap: GapSpec
-    entries: tuple  # ((side indices...), BreakReport) ordered by (len, tuple)
-
-    @property
-    def fully_broken(self) -> bool:
-        return all(report for _, report in self.entries)
-
-    def as_dict(self) -> dict:
-        return {
-            "gap": self.gap.to_json(),
-            "entries": [
-                {"broken_sides": list(b), "report": report.as_dict()}
-                for b, report in self.entries
-            ],
-        }
-
-
-def jigsaw_audit(gap: GapSpec) -> JigsawAudit:
-    """Run :func:`break_check` for every nonempty subset of side indices.
+def jigsaw_audit(gap: GapSpec) -> tuple:
+    """``(side indices, answer)`` of :func:`break_check` for every nonempty
+    subset of side indices.
 
     Queries run one after another on the calling thread, in subset order:
     by size, then lexicographically.
@@ -226,31 +153,23 @@ def jigsaw_audit(gap: GapSpec) -> JigsawAudit:
         for size in range(1, gap.n + 1)
         for combo in itertools.combinations(range(gap.n), size)
     ]
-    reports = pmap(lambda b: break_check(BreakQuery(gap, frozenset(b))), subsets)
-    return JigsawAudit(gap=gap, entries=tuple(zip(subsets, reports)))
+    return tuple(zip(subsets, pmap(lambda b: break_check(gap, b), subsets)))
 
 
 # --------------------------------------------------------------------------
 # J-optimality
 
 
-@dataclass(frozen=True)
-class OptimalityReport:
-    """Evidence that the all-types gap needs every side to break.
+def jbreak_optimality_check() -> tuple[int, tuple]:
+    """Evidence that the all-types gap needs every side to break: the
+    number of generated dyadic embeddings checked, and the counterexamples,
+    expected to stay empty.
 
     The all-types gap is the dyadic gap with one singleton side per type.
     Over every generated dyadic embedding whose action range contains both
-    chain types, the range must be the full eight-type catalogue — otherwise
+    chain types, the range must be the full eight-type catalogue; otherwise
     some proper superset of {0, 1} would break the eight-sided gap, beating
-    the J bound.  ``counterexamples`` is expected to stay empty."""
-
-    checked: int
-    counterexamples: tuple
-
-
-def jbreak_optimality_check() -> OptimalityReport:
-    """Check that no generated embedding witnesses a partial break of the
-    eight-type gap beyond the two chain sides."""
+    the J bound."""
     catalogue = enumerate_types(2)
     chain0, chain1 = catalogue[0], catalogue[1]
     checked = 0
@@ -262,4 +181,4 @@ def jbreak_optimality_check() -> OptimalityReport:
             missing = sorted(print_type(t) for t in set(catalogue) - rng)
             tag = f"{cand.kind}:{cand.label}"
             counterexamples.append({"embedding": tag, "range_size": len(rng), "missing": missing})
-    return OptimalityReport(checked=checked, counterexamples=tuple(counterexamples))
+    return checked, tuple(counterexamples)

@@ -35,7 +35,6 @@ from . import __version__
 from .breaking import (
     BROKEN_WITNESSED,
     NOT_BROKEN_BOUNDED,
-    BreakQuery,
     break_check,
     jbreak_optimality_check,
     jigsaw_audit,
@@ -86,7 +85,7 @@ from .runtime import (
     content_key,
     default_cache_dir,
 )
-from .search import ORDER, RANGE, budget_json
+from .search import ORDER, RANGE, Answer, budget_json
 from .tree import (
     Node,
     NodeSet,
@@ -506,26 +505,25 @@ def check_breaking(ctx: AuditContext) -> CheckResult:
     critical_results = {}
     revalidated = 0
     for b in ((0, 1), (0, 2), (1, 2), (0, 1, 2)):
-        report = break_check(BreakQuery(critical, frozenset(b)))
-        label = report.witness.label if report.witness else ""
-        critical_results[",".join(map(str, b))] = f"{report.verdict}:{label}"
-        if report and revalidate_break(report):
+        answer = break_check(critical, b)
+        label = answer.witness.label if answer.witness else ""
+        critical_results[",".join(map(str, b))] = f"{answer.verdict}:{label}"
+        if answer.witness and revalidate_break(critical, b, answer):
             revalidated += 1
 
-    three = jigsaw_audit(record_three_gap())
+    three = record_three_gap()
     three_results = {}
-    for b, report in three.entries:
+    for b, answer in jigsaw_audit(three):
         if len(b) != 2:
             continue
-        label = report.witness.label if report.witness else ""
         three_results[",".join(map(str, b))] = (
-            f"{report.verdict}:{label}" if report else report.verdict
+            f"{answer.verdict}:{answer.witness.label}" if answer.witness else answer.verdict
         )
-        if report and revalidate_break(report):
+        if answer.witness and revalidate_break(three, b, answer):
             revalidated += 1
 
     partition = jigsaw_audit(max_partition_gap(3))
-    optimality = jbreak_optimality_check()
+    checked, counterexamples = jbreak_optimality_check()
 
     expected = {
         "critical_three": {
@@ -545,9 +543,9 @@ def check_breaking(ctx: AuditContext) -> CheckResult:
     computed = {
         "critical_three": critical_results,
         "three_gap_pairs": three_results,
-        "max_partition_fully_broken": partition.fully_broken,
-        "optimality_counterexamples": len(optimality.counterexamples),
-        "optimality_checked": optimality.checked,
+        "max_partition_fully_broken": all(answer.witness is not None for _, answer in partition),
+        "optimality_counterexamples": len(counterexamples),
+        "optimality_checked": checked,
         "revalidated_witnesses": revalidated,
     }
     ok = all(computed[k] == expected[k] for k in expected) and revalidated == 6
@@ -615,10 +613,11 @@ def _revalidation_sweep() -> dict:
         REFERENCE_STRONG_TABLE["4*"], GAP_STILDE, below
     )):
         failures.append("order witness")
+    three = record_three_gap()
     for b in ((0, 2), (1, 2)):
-        report = break_check(BreakQuery(record_three_gap(), frozenset(b)))
+        answer = break_check(three, b)
         checked += 1
-        if not (report and revalidate_break(report)):
+        if not (answer.witness and revalidate_break(three, b, answer)):
             failures.append(f"break witness {b}")
     return {"verdicts": checked, "failures": failures}
 
@@ -628,7 +627,7 @@ def _determinism_probe() -> bool:
     byte for byte."""
 
     def snapshot() -> bytes:
-        partition = jigsaw_audit(max_partition_gap(3)).as_dict()
+        partition = [[b, answer.as_dict()] for b, answer in jigsaw_audit(max_partition_gap(3))]
         classes = minimal_classes(2).as_dict()
         return canonical_json({"partition": partition, "classes": classes}).encode()
 
@@ -905,55 +904,48 @@ def cmd_gaps_enum_strong(args) -> int:
     return EXIT_OK
 
 
+def _emit_answer(args, answer: Answer, revalidated: Optional[bool], searched: str, **extra) -> int:
+    """Print a search's answer: with ``--json`` its JSON form, ``extra``
+    and ``revalidated``; else the verdict, the witness and ``searched``."""
+    if args.json:
+        _emit_json({**answer.as_dict(), **extra, "revalidated": revalidated})
+        return EXIT_OK
+    print(f"verdict: {answer.verdict}")
+    if answer.witness is not None:
+        print(f"witness: {answer.witness.kind} {answer.witness.label}")
+        print(f"revalidated: {revalidated}")
+    print(f"searched: {searched}")
+    return EXIT_OK
+
+
 def cmd_gaps_order(args) -> int:
     left = _load_gap_file(args.left)
     right = _load_gap_file(args.right)
     try:
-        result = order_le(left, right)
+        answer = order_le(left, right)
     except ValueError as ex:
         raise UsageError(str(ex)) from ex
-    revalidated = (
-        revalidate_order(left, right, result)
-        if result.verdict == LE_WITNESSED
-        else None
-    )
-    if args.json:
-        payload = result.as_dict()
-        payload["revalidated"] = revalidated
-        _emit_json(payload)
-        return EXIT_OK
-    print(f"verdict: {result.verdict}")
-    if result.witness is not None:
-        print(f"witness: {result.witness.kind} {result.witness.label}")
-        print(f"revalidated: {revalidated}")
+    revalidated = revalidate_order(left, right, answer) if answer.witness else None
     extent = "exact" if left.layer == FIRST_MOVE else "bounded"
-    print(f"searched: {result.searched} ({extent})")
-    return EXIT_OK
+    return _emit_answer(args, answer, revalidated, f"{answer.searched} ({extent})")
 
 
 def cmd_breaking_check(args) -> int:
     gap = _load_gap_file(args.gap)
     broken = _parse_side_set(args.set)
     try:
-        query = BreakQuery(gap, broken)
+        answer = break_check(gap, broken)
     except ValueError as ex:
         raise UsageError(str(ex)) from ex
-    try:
-        report = break_check(query)
-    except ScaleLimit as ex:
-        raise UsageError(str(ex)) from ex
-    revalidated = revalidate_break(report) if report else None
-    if args.json:
-        payload = report.as_dict()
-        payload["revalidated"] = revalidated
-        _emit_json(payload)
-        return EXIT_OK
-    print(f"verdict: {report.verdict}")
-    if report.witness is not None:
-        print(f"witness: {report.witness.kind} {report.witness.label}")
-        print(f"revalidated: {revalidated}")
-    print(f"searched: {report.searched} candidate embeddings")
-    return EXIT_OK
+    revalidated = revalidate_break(gap, broken, answer) if answer.witness else None
+    return _emit_answer(
+        args,
+        answer,
+        revalidated,
+        f"{answer.searched} candidate embeddings",
+        gap=gap.to_json(),
+        broken_sides=sorted(broken),
+    )
 
 
 def cmd_audit_paper_tables(args) -> int:

@@ -442,10 +442,9 @@ def realize_efamily(fam: EFamily, depth: int = DOMAIN_DEPTH) -> TabulatedEmbeddi
             return hit
         parent = s.prefix(s.length - 1)
         letter = s.letter_at(s.length - 1)
-        pad = T(s) - T(parent) - block_len
-        assert pad >= 0
-        out = anchor(parent).concat(fam.e[letter]).extend(0, pad) if pad else \
-            anchor(parent).concat(fam.e[letter])
+        # T grows by at least 3K per level and K >= block_len, so the pad is
+        # positive; extend refuses a negative count
+        out = anchor(parent).concat(fam.e[letter]).extend(0, T(s) - T(parent) - block_len)
         anchors[s] = out
         return out
 

@@ -28,6 +28,7 @@ from .combs import (
 from .runtime import canonical_json
 from .search import (
     ORDER,
+    Answer,
     Candidate,
     budget_json,
     candidate_pool,
@@ -283,26 +284,6 @@ def generate_type_actions(m_in: int, m_out: int) -> tuple[Candidate, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class OrderResult:
-    """An order verdict and its witness.  Both layers' witnesses are
-    :class:`Candidate` objects; a first-move witness is an e-family acting
-    on comb kinds by its induced map."""
-
-    verdict: str
-    witness: Optional[Candidate]
-    searched: int
-    budget: Optional[dict]  # the record search's extent; None where exact
-
-    def as_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "witness": None if self.witness is None else self.witness.as_dict(),
-            "searched": self.searched,
-            "budget": self.budget,
-        }
-
-
 _FIRST_MOVE_FROM_FOUR_LIMIT = 2
 
 
@@ -344,11 +325,12 @@ def _membership_iff(g: GapSpec, h: GapSpec, image_of: Callable) -> bool:
     return all(g.side_of(c) == h.side_of(image_of(c)) for c in g.symbol_universe())
 
 
-def order_le(g: GapSpec, h: GapSpec) -> OrderResult:
+def order_le(g: GapSpec, h: GapSpec) -> Answer:
     """Decide g <= h by searching symbol-map witnesses.
 
     First-move layer: exact over every realizable comb map, so a verdict of
-    not-below means no branch-word family witnesses the relation.  Each map
+    not-below means no branch-word family witnesses the relation, and the
+    answer states no ``budget``.  Each map
     is one flat row of :func:`_realizable_maps`; with g and h written as
     side-per-slot rows (:func:`_side_row`), the map witnesses g <= h exactly
     when ``h_row[row[c]] == g_row[c]`` in every slot c.  The witness is the
@@ -358,7 +340,7 @@ def order_le(g: GapSpec, h: GapSpec) -> OrderResult:
     :class:`ScaleLimit` is raised.
 
     Record layer: exhaust the generated embedding actions, whose extent
-    :mod:`adicgaps.search` fixes and the result states as its ``budget``;
+    :mod:`adicgaps.search` fixes and the answer states as its ``budget``;
     failure to find a witness is only a bounded outcome, never a refutation.
     """
     if g.layer != h.layer:
@@ -374,13 +356,13 @@ def order_le(g: GapSpec, h: GapSpec) -> OrderResult:
             images = (CombKind(*divmod(v, h.m)) for v in rows[hit])
             action = tuple(zip(comb_kinds(g.m), images))
             witness = Candidate("efamily", efamily_label(fam), g.m, action, efamily_payload(fam))
-            return OrderResult(LE_WITNESSED, witness, len(rows), None)
-        return OrderResult(NOT_LE_REFUTED_EXACT, None, len(rows), None)
+            return Answer(LE_WITNESSED, witness, len(rows), None)
+        return Answer(NOT_LE_REFUTED_EXACT, None, len(rows), None)
     actions = generate_type_actions(g.m, h.m)
     for action in actions:
         if _membership_iff(g, h, action.lookup().__getitem__):
-            return OrderResult(LE_WITNESSED, action, len(actions), budget_json(ORDER))
-    return OrderResult(UNKNOWN_BOUNDED, None, len(actions), budget_json(ORDER))
+            return Answer(LE_WITNESSED, action, len(actions), budget_json(ORDER))
+    return Answer(UNKNOWN_BOUNDED, None, len(actions), budget_json(ORDER))
 
 
 def _efamily_action(w: Candidate) -> Optional[tuple]:
@@ -395,7 +377,7 @@ def _efamily_action(w: Candidate) -> Optional[tuple]:
     return efamily_induced_map(fam)
 
 
-def revalidate_order(g: GapSpec, h: GapSpec, result: OrderResult) -> bool:
+def revalidate_order(g: GapSpec, h: GapSpec, answer: Answer) -> bool:
     """Independently re-check a witnessed verdict.
 
     The witness's action is recomputed from its payload alone (never read
@@ -406,8 +388,8 @@ def revalidate_order(g: GapSpec, h: GapSpec, result: OrderResult) -> bool:
     h's (a first-move family must be written over h's alphabet), and
     satisfy the membership rule.
     """
-    w = result.witness
-    if result.verdict != LE_WITNESSED or w is None:
+    w = answer.witness
+    if answer.verdict != LE_WITNESSED or w is None:
         return False
     if g.layer == FIRST_MOVE:
         rederived = w.payload.get("alphabet_out") == h.m and _efamily_action(w) == w.action

@@ -39,7 +39,9 @@ policies read the same action:
 
 Both searches walk the same order; they differ only in the domain
 alphabets they ask for (breaking all up to its gap's, the order its left
-gap's) and in the policy.  The extent of each search is fixed here --
+gap's) and in the policy.  Both answer in one :class:`Answer`: the
+verdict, the witness candidate, the number of candidates walked and the
+search's extent.  The extent of each search is fixed here --
 block length, e-family letters and the policy's domain depth -- and
 :func:`budget_json` reports it.  :func:`revalidate` rebuilds a candidate's
 embedding from its payload alone and probes it afresh under the
@@ -141,6 +143,27 @@ class Candidate:
             "domain_alphabet": self.domain_alphabet,
             "action": {str(symbol): str(image) for symbol, image in self.action},
             "embedding": self.payload,
+        }
+
+
+@dataclass(frozen=True)
+class Answer:
+    """A search's answer to either question, the gap order (g <= h) or
+    breaking (does side set B break?): the verdict, the witness when there
+    is one, the number of candidates walked, and the search's extent
+    (:func:`budget_json`), ``None`` where the search is exact."""
+
+    verdict: str
+    witness: Optional[Candidate]
+    searched: int
+    budget: Optional[dict]
+
+    def as_dict(self) -> dict:
+        return {
+            "verdict": self.verdict,
+            "witness": None if self.witness is None else self.witness.as_dict(),
+            "searched": self.searched,
+            "budget": self.budget,
         }
 
 

@@ -10,6 +10,7 @@ import itertools
 import random
 import threading
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,6 @@ import adicgaps.breaking as breaking_module
 from adicgaps.breaking import (
     BROKEN_WITNESSED,
     NOT_BROKEN_BOUNDED,
-    BreakQuery,
     break_check,
     jbreak_optimality_check,
     jigsaw_audit,
@@ -44,29 +44,36 @@ from helpers import RETIRED_POOL_VARIABLE, critical_strong_gap
 DELTA = record_three_gap()
 
 
-def query(gap, sides):
-    return BreakQuery(gap, frozenset(sides))
-
-
 def record_gap(*sides):
     return GapSpec.from_json({"layer": RECORD, "n": len(sides), "m": 2, "sides": list(sides)})
 
 
 class TestBreakQuery:
+    """A question ``break_check`` cannot answer is refused before any
+    candidate is drawn."""
+
+    @pytest.fixture(autouse=True)
+    def no_pool(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("candidate_pool drawn for a refused question")
+
+        monkeypatch.setattr(breaking_module, "candidate_pool", refuse)
+
     def test_rejects_first_move_layer(self):
-        with pytest.raises(ValueError, match="record-layer"):
-            query(critical_strong_gap(2), {0})
+        with pytest.raises(ValueError, match="^breaking analysis applies to record-layer gaps$"):
+            break_check(critical_strong_gap(2), {0})
 
     def test_rejects_empty_side_set(self):
-        with pytest.raises(ValueError, match="nonempty"):
-            query(DELTA, set())
+        with pytest.raises(ValueError, match="^broken_sides must be nonempty$"):
+            break_check(DELTA, set())
 
     def test_rejects_out_of_range_indices(self):
-        with pytest.raises(ValueError, match="subset"):
-            query(DELTA, {0, 3})
+        message = r"^broken_sides \[0, 3\] not a subset of side indices 0\.\.2$"
+        with pytest.raises(ValueError, match=message):
+            break_check(DELTA, {0, 3})
 
     def test_budget_json_echo(self):
-        # the fixed extent of each search, as every report states it
+        # the fixed extent of each search, as every answer states it
         assert budget_json(ORDER) == {
             "efamily_letters": 12,
             "probe": {
@@ -102,62 +109,62 @@ class TestBreakCheckOnThreeGap:
             (1, "subalphabet", "iota=1"),
             (2, "substitution", "blocks=01"),
         ]:
-            report = break_check(query(DELTA, {side}))
-            assert report.verdict == BROKEN_WITNESSED
-            assert (report.witness.kind, report.witness.label) == (kind, label)
-            assert revalidate_break(report)
+            answer = break_check(DELTA, {side})
+            assert answer.verdict == BROKEN_WITNESSED
+            assert (answer.witness.kind, answer.witness.label) == (kind, label)
+            assert revalidate_break(DELTA, {side}, answer)
 
     def test_pair_with_two_record_side_breaks(self):
-        report = break_check(query(DELTA, {0, 2}))
-        assert report.verdict == BROKEN_WITNESSED
-        assert report.witness.kind == "substitution"
-        assert report.witness.label == "blocks=00,010"
-        assert revalidate_break(report)
+        answer = break_check(DELTA, {0, 2})
+        assert answer.verdict == BROKEN_WITNESSED
+        assert answer.witness.kind == "substitution"
+        assert answer.witness.label == "blocks=00,010"
+        assert revalidate_break(DELTA, {0, 2}, answer)
 
     def test_other_pair_with_two_record_side_breaks(self):
-        report = break_check(query(DELTA, {1, 2}))
-        assert report.verdict == BROKEN_WITNESSED
-        assert report.witness.label == "blocks=01,10"
-        assert revalidate_break(report)
+        answer = break_check(DELTA, {1, 2})
+        assert answer.verdict == BROKEN_WITNESSED
+        assert answer.witness.label == "blocks=01,10"
+        assert revalidate_break(DELTA, {1, 2}, answer)
 
     def test_chain_pair_is_not_broken_within_budget(self):
-        report = break_check(query(DELTA, {0, 1}))
-        assert report.verdict == NOT_BROKEN_BOUNDED
-        assert report.witness is None
-        assert report.searched == 86  # the full dyadic candidate pool
-        assert not report
-        assert not revalidate_break(report)
+        answer = break_check(DELTA, {0, 1})
+        assert answer.verdict == NOT_BROKEN_BOUNDED
+        assert answer.witness is None
+        assert answer.searched == 86  # the full dyadic candidate pool
+        assert answer.budget == budget_json(RANGE)
+        assert not revalidate_break(DELTA, {0, 1}, answer)
 
     def test_all_sides_break_via_identity_inclusion(self):
-        report = break_check(query(DELTA, {0, 1, 2}))
-        assert report.witness.kind == "subalphabet"
-        assert report.witness.label == "iota=0,1"
+        answer = break_check(DELTA, {0, 1, 2})
+        assert answer.witness.kind == "subalphabet"
+        assert answer.witness.label == "iota=0,1"
 
     def test_witness_range_meets_exactly_the_requested_sides(self):
-        report = break_check(query(DELTA, {0, 2}))
-        rng = report.witness.range_types
+        answer = break_check(DELTA, {0, 2})
+        rng = answer.witness.range_types
         for i in range(DELTA.n):
             assert bool(rng & DELTA.sides[i]) == (i in {0, 2})
 
     def test_pair_witness_action_table(self):
-        report = break_check(query(DELTA, {1, 2}))
-        action = {print_type(a): print_type(b) for a, b in report.witness.action}
+        answer = break_check(DELTA, {1, 2})
+        action = {print_type(a): print_type(b) for a, b in answer.witness.action}
         assert action["[l0]"] == "[l0 l1]"
         assert action["[l1]"] == "[l1]"
 
     def test_report_json_shape(self):
-        report = break_check(query(DELTA, {0, 2}))
-        data = report.as_dict()
+        # the one answer shape the gap order has too; the question (gap and
+        # side set) is the caller's to state
+        data = break_check(DELTA, {0, 2}).as_dict()
+        assert set(data) == {"verdict", "witness", "searched", "budget"}
         assert data["verdict"] == BROKEN_WITNESSED
-        assert data["broken_sides"] == [0, 2]
         assert data["witness"]["action"]["[l0]"] == "[l0]"
         assert "embedding" in data["witness"]
         assert data["budget"]["probe"]["domain_depth"] == 40
-        assert data["gap"] == DELTA.to_json()
 
     def test_determinism_byte_identical(self):
-        first = break_check(query(DELTA, {0, 2})).as_dict()
-        second = break_check(query(DELTA, {0, 2})).as_dict()
+        first = break_check(DELTA, {0, 2}).as_dict()
+        second = break_check(DELTA, {0, 2}).as_dict()
         assert canonical_json(first) == canonical_json(second)
 
 
@@ -172,31 +179,23 @@ def test_quaternary_three_gap_breaks_with_the_dyadic_labels():
         ({0, 2}, "blocks=00,010", 176),
         ({1, 2}, "blocks=01,10", 105),
     ]:
-        report = break_check(query(gap, broken))
-        assert report.verdict == BROKEN_WITNESSED
-        assert (report.witness.label, report.searched) == (label, searched)
-        assert revalidate_break(report)
+        answer = break_check(gap, broken)
+        assert answer.verdict == BROKEN_WITNESSED
+        assert (answer.witness.label, answer.searched) == (label, searched)
+        assert revalidate_break(gap, broken, answer)
 
 
 class TestRevalidation:
     def test_tampered_witness_fails(self):
-        report = break_check(query(DELTA, {0, 2}))
-        witness = report.witness
-        flipped = tuple((a, b) for a, b in reversed(witness.action))
-        tampered = type(report)(
-            gap=report.gap,
-            broken_sides=report.broken_sides,
-            verdict=report.verdict,
-            witness=type(witness)(
-                kind=witness.kind,
-                label=witness.label,
-                domain_alphabet=witness.domain_alphabet,
-                action=flipped,
-                payload=witness.payload,
-            ),
-            searched=report.searched,
-        )
-        assert not revalidate_break(tampered)
+        answer = break_check(DELTA, {0, 2})
+        flipped = tuple((a, b) for a, b in reversed(answer.witness.action))
+        tampered = replace(answer, witness=replace(answer.witness, action=flipped))
+        assert revalidate_break(DELTA, {0, 2}, answer)
+        assert not revalidate_break(DELTA, {0, 2}, tampered)
+
+    def test_witness_fails_against_another_side_set(self):
+        answer = break_check(DELTA, {0, 2})
+        assert not revalidate_break(DELTA, {1, 2}, answer)
 
     def test_efamily_witness_revalidates_after_a_full_sweep(self):
         # a full sweep fills the per-candidate memo; an e-family witness
@@ -206,15 +205,15 @@ class TestRevalidation:
             ["[l1]", "[l0 l1]", "[u0 l1]", "[u1 l0]", "[l0 u1 l1]"],
             ["[l0]", "[u0 u1 l1]"],
         )
-        assert break_check(query(sweep, {0})).verdict == NOT_BROKEN_BOUNDED
+        assert break_check(sweep, {0}).verdict == NOT_BROKEN_BOUNDED
         gap = record_gap(
             ["[l0 l1]", "[u1 l0]", "[u0 u1 l1]"],
             ["[u0 l1]"],
             ["[l0]", "[l1]", "[l0 u1 l1]", "[u1 l0 l1]"],
         )
-        report = break_check(query(gap, {1}))
-        assert (report.witness.kind, report.witness.label) == ("efamily", "e_inf=0;e=10")
-        assert revalidate_break(report)
+        answer = break_check(gap, {1})
+        assert (answer.witness.kind, answer.witness.label) == ("efamily", "e_inf=0;e=10")
+        assert revalidate_break(gap, {1}, answer)
 
     def test_seeded_three_sided_partitions_revalidate(self):
         # 200 of the 5,796 three-sided partitions of the eight dyadic types,
@@ -234,26 +233,26 @@ class TestRevalidation:
                 [print_type(tau) for tau, side in zip(catalogue, labels) if side == k]
                 for k in range(3)
             ))
-            report = break_check(query(gap, rng.choice([{0, 1}, {0, 2}, {1, 2}])))
-            if report.verdict == BROKEN_WITNESSED:
-                assert revalidate_break(report), report.witness.label
-                kind = report.witness.kind
-                if kind == "domination" and "u" in report.witness.payload["tau0"]:
+            broken = rng.choice([{0, 1}, {0, 2}, {1, 2}])
+            answer = break_check(gap, broken)
+            if answer.verdict == BROKEN_WITNESSED:
+                assert revalidate_break(gap, broken, answer), answer.witness.label
+                kind = answer.witness.kind
+                if kind == "domination" and "u" in answer.witness.payload["tau0"]:
                     kind = "upper-row domination"
                 witnesses[kind] += 1
         assert witnesses["upper-row domination"] > 0, witnesses
 
     def test_every_broken_verdict_in_the_audit_revalidates(self):
-        audit = jigsaw_audit(DELTA)
-        for _, report in audit.entries:
-            if report:
-                assert revalidate_break(report)
+        for b, answer in jigsaw_audit(DELTA):
+            if answer.witness is not None:
+                assert revalidate_break(DELTA, b, answer)
 
 
 class TestJigsawAudit:
     def test_three_gap_table(self):
         audit = jigsaw_audit(DELTA)
-        assert tuple(b for b, report in audit.entries if report) == (
+        assert tuple(b for b, answer in audit if answer.witness is not None) == (
             (0,),
             (1,),
             (2,),
@@ -261,40 +260,37 @@ class TestJigsawAudit:
             (1, 2),
             (0, 1, 2),
         )
-        assert not audit.fully_broken
 
     def test_queries_run_on_the_calling_thread(self, monkeypatch):
         monkeypatch.setenv(RETIRED_POOL_VARIABLE, "4")
         threads = []
         real = breaking_module.break_check
 
-        def recorded(query):
+        def recorded(gap, broken_sides):
             threads.append(threading.get_ident())
-            return real(query)
+            return real(gap, broken_sides)
 
         monkeypatch.setattr(breaking_module, "break_check", recorded)
         audit = jigsaw_audit(max_partition_gap(3))
-        assert len(threads) == len(audit.entries) == 7
+        assert len(threads) == len(audit) == 7
         assert set(threads) == {threading.get_ident()}
 
     def test_critical_gap_breaks_everywhere_by_subalphabets(self):
         audit = jigsaw_audit(critical_record_gap(3))
-        assert audit.fully_broken
-        assert len(audit.entries) == 7
-        for b, report in audit.entries:
-            assert report.witness.kind == "subalphabet"
-            assert report.witness.label == "iota=" + ",".join(map(str, b))
+        assert len(audit) == 7
+        for b, answer in audit:
+            assert answer.witness.kind == "subalphabet"
+            assert answer.witness.label == "iota=" + ",".join(map(str, b))
 
     def test_max_partition_gap_breaks_everywhere(self):
         audit = jigsaw_audit(max_partition_gap(3))
-        assert audit.fully_broken
-        assert all(r.witness.kind == "subalphabet" for _, r in audit.entries)
+        assert all(a.witness is not None and a.witness.kind == "subalphabet" for _, a in audit)
 
     def test_audit_json_carries_reports(self):
-        data = jigsaw_audit(DELTA).as_dict()
-        assert len(data["entries"]) == 7
-        assert data["entries"][3]["broken_sides"] == [0, 1]
-        assert data["entries"][3]["report"]["verdict"] == NOT_BROKEN_BOUNDED
+        # subsets by size, then lexicographically, each with its answer
+        audit = jigsaw_audit(DELTA)
+        assert [b for b, _ in audit] == [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
+        assert audit[3][1].as_dict()["verdict"] == NOT_BROKEN_BOUNDED
 
 
 class TestPreservationLemma:
@@ -347,9 +343,9 @@ class TestJFunction:
 
 class TestOptimality:
     def test_no_counterexamples(self):
-        report = jbreak_optimality_check()
-        assert report.counterexamples == ()
-        assert report.checked == 86
+        checked, counterexamples = jbreak_optimality_check()
+        assert counterexamples == ()
+        assert checked == 86
         # the embeddings meeting the premise: both chain types in the range
         chains = set(enumerate_types(2)[:2])
         pool = candidate_pool(range(1, 3), 2, RANGE)
@@ -362,7 +358,7 @@ def broken_pairs(gap):
     return tuple(
         pair
         for pair in itertools.combinations(range(gap.n), 2)
-        if break_check(query(gap, pair))
+        if break_check(gap, pair).witness is not None
     )
 
 
@@ -386,24 +382,24 @@ class TestProperties:
     @given(st.integers(min_value=0, max_value=1457))
     def test_two_sided_candidates_break_at_full_pair(self, index):
         gap = enumerate_candidates_record(2)[index]
-        report = break_check(query(gap, {0, 1}))
-        assert report.verdict == BROKEN_WITNESSED
+        answer = break_check(gap, {0, 1})
+        assert answer.verdict == BROKEN_WITNESSED
         # The full-alphabet inclusion realises every type, so it always
         # validates a query with no avoid sides; nothing earlier can meet
         # two disjoint sides with a single-type range.
-        assert report.witness.label == "iota=0,1"
-        assert revalidate_break(report)
+        assert answer.witness.label == "iota=0,1"
+        assert revalidate_break(gap, {0, 1}, answer)
 
     @settings(max_examples=20, deadline=None)
     @given(st.sampled_from([(0,), (1,), (2,), (0, 2), (1, 2), (0, 1, 2)]))
     def test_broken_verdicts_meet_exactly_the_requested_sides(self, sides):
-        report = break_check(query(DELTA, set(sides)))
-        assert report.verdict == BROKEN_WITNESSED
-        rng = report.witness.range_types
+        answer = break_check(DELTA, sides)
+        assert answer.verdict == BROKEN_WITNESSED
+        rng = answer.witness.range_types
         for i in range(DELTA.n):
             assert bool(rng & DELTA.sides[i]) == (i in sides)
 
     def test_breaking_is_not_monotone_in_the_side_set(self):
-        assert break_check(query(DELTA, {0, 2}))
-        assert break_check(query(DELTA, {0, 1, 2}))
-        assert not break_check(query(DELTA, {0, 1}))
+        assert break_check(DELTA, {0, 2}).witness is not None
+        assert break_check(DELTA, {0, 1, 2}).witness is not None
+        assert break_check(DELTA, {0, 1}).witness is None

@@ -617,6 +617,60 @@ class TestBreakingCheck:
         assert "record-layer" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "gap,sides,message",
+        [
+            ("three", "3", "error: broken_sides [3] not a subset of side indices 0..2"),
+            ("first-move", "0", "error: breaking analysis applies to record-layer gaps"),
+        ],
+        ids=["side-3", "first-move"],
+    )
+    def test_refusal_is_one_error_line(self, capsys, gap_file, gap, sides, message):
+        spec = record_three_gap() if gap == "three" else REFERENCE_STRONG_TABLE["4*"]
+        path = gap_file("gap.json", spec)
+        assert main(["breaking", "check", "--gap", path, "--set", sides, "--json"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [message]
+
+
+#: the keys of every ``--json`` answer, and of its witness when it has one
+ANSWER_KEYS = {"verdict", "witness", "searched", "budget", "revalidated"}
+WITNESS_KEYS = {"kind", "label", "domain_alphabet", "action", "embedding"}
+
+
+def test_order_and_breaking_answer_in_one_shape(capsys, gap_file):
+    """``gaps order`` and ``breaking check`` print one answer shape;
+    breaking adds exactly the question it answers, ``gap`` and
+    ``broken_sides``.  A witness has the same keys on both layers."""
+    order_pairs = [
+        (REFERENCE_STRONG_TABLE["4*"], GAP_STILDE, "LE_witnessed"),
+        (REFERENCE_STRONG_TABLE["3"], REFERENCE_STRONG_TABLE["4"], "NOT_LE_refuted_exact"),
+        (critical_record_gap(2), critical_record_gap(2), "LE_witnessed"),
+    ]
+    answers = []
+    for left, right, verdict in order_pairs:
+        argv = ["gaps", "order", "--left", gap_file("l.json", left)]
+        argv += ["--right", gap_file("r.json", right), "--json"]
+        assert main(argv) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert set(payload) == ANSWER_KEYS and payload["verdict"] == verdict
+        answers.append(payload)
+    three = gap_file("three.json", record_three_gap())
+    for sides, verdict in (("0,2", "BROKEN_witnessed"), ("0,1", "NOT_BROKEN_bounded")):
+        assert main(["breaking", "check", "--gap", three, "--set", sides, "--json"]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert set(payload) == ANSWER_KEYS | {"gap", "broken_sides"}
+        assert payload["verdict"] == verdict
+        answers.append(payload)
+    for payload in answers:
+        if payload["witness"] is None:
+            assert payload["revalidated"] is None
+        else:
+            assert set(payload["witness"]) == WITNESS_KEYS
+            assert payload["revalidated"] is True
+
+
 class TestAuditCommand:
     def test_check_names_are_unique_and_ordered(self):
         names = [name for name, _ in AUDIT_CHECKS]

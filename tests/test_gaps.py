@@ -30,7 +30,6 @@ from adicgaps.gaps import (
     RECORD,
     UNKNOWN_BOUNDED,
     GapSpec,
-    OrderResult,
     _le_matrix_strong,
     _membership_iff,
     _permuted_index,
@@ -49,7 +48,7 @@ from adicgaps.gaps import (
     revalidate_order,
     strong_candidate,
 )
-from adicgaps.search import Candidate, efamily_label, efamily_payload
+from adicgaps.search import Answer, Candidate, efamily_label, efamily_payload
 from adicgaps.tree import ScaleLimit
 from adicgaps.types import enumerate_types, max_of, parse_type, print_type
 
@@ -601,8 +600,8 @@ def reference_order_le(g, h):
         if _membership_iff(g, h, dict(eps).__getitem__):
             payload = efamily_payload(fam)
             witness = Candidate("efamily", efamily_label(fam), g.m, eps, payload)
-            return OrderResult(LE_WITNESSED, witness, len(pairs), None)
-    return OrderResult(NOT_LE_REFUTED_EXACT, None, len(pairs), None)
+            return Answer(LE_WITNESSED, witness, len(pairs), None)
+    return Answer(NOT_LE_REFUTED_EXACT, None, len(pairs), None)
 
 
 def random_first_move_gap(rng, n, m):
