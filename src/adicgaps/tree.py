@@ -11,7 +11,12 @@ asked.
 The runs of a ``Node`` are always normal: no zero counts, no two adjacent
 runs with the same letter.  Joining two normal words can only merge the two
 runs at the seam, so ``concat``, ``extend`` and ``repeat`` touch the seam
-alone, and slicing (``prefix``) keeps runs normal as it cuts.  Full normalisation is for untrusted input (``node_from_runs``).
+alone, and slicing (``prefix``) keeps runs normal as it cuts.  Full
+normalisation is for untrusted input (``node_from_runs``).
+
+A ``Node`` is a value built by the hundred thousand per query: a plain
+slotted class whose fields nothing writes after construction, so it hashes
+its fields once and keeps the result for every later set or dict lookup.
 
 Provided on top of the raw words:
 
@@ -23,7 +28,9 @@ Provided on top of the raw words:
   each a yes/no answer: the only bijection that could witness equivalence
   pairs the two prec-sorted closures by position,
 * one classifier for both layers: a set's comb kind or record type is the
-  symbol whose canonical witness has its structure table,
+  symbol whose canonical witness has its structure table, looked up through
+  one bounded memo, since the searches classify the same images again and
+  again,
 * random node sets, and a re-embedding that keeps first-move structure under
   fresh padding: the order search's replay samples and the audit's probes.
 
@@ -41,7 +48,7 @@ import itertools
 import operator
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator
 
 Run = tuple[int, int]
@@ -79,13 +86,35 @@ def _join(a: tuple[Run, ...], b: tuple[Run, ...]) -> tuple[Run, ...]:
     return a + b
 
 
-@dataclass(frozen=True)
 class Node:
-    """One node of the tree: an RLE word over ``range(alphabet)``."""
+    """One node of the tree: an RLE word over ``range(alphabet)``.
 
-    alphabet: int
-    runs: tuple[Run, ...]
-    length: int
+    A value: nothing assigns a field after ``__init__`` (a test keeps it
+    so), which is what lets ``__hash__`` cache its result.
+    """
+
+    __slots__ = ("alphabet", "runs", "length", "_hash")
+
+    def __init__(self, alphabet: int, runs: tuple[Run, ...], length: int) -> None:
+        self.alphabet = alphabet
+        self.runs = runs
+        self.length = length
+        self._hash = None
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.alphabet, self.runs, self.length))
+        return h
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Node:
+            return NotImplemented
+        return (
+            self.length == other.length
+            and self.alphabet == other.alphabet
+            and self.runs == other.runs
+        )
 
     def __repr__(self) -> str:  # digits when small, runs otherwise
         if self.length == 0:
@@ -556,20 +585,46 @@ def classify(a: NodeSet, classes: Callable[[int, int], dict], table: Callable):
     trimmed sets: every symbol matching ``a`` matches ``a`` trimmed.  A
     unique trimmed match is thus the whole match whenever there is one, and
     a set with no trimmed match has no whole match.
+
+    Both lookups go through one bounded memo, :func:`_matches`, keyed by
+    ``classes``, ``table``, the alphabet and the prec-sorted tuple of the
+    matched nodes: ``a.sorted_nodes[:-1]`` for the trimmed match and
+    ``a.sorted_nodes`` for the tie-break.  The well order is total, so two
+    node sets are equal exactly when their sorted tuples are, and the tuple
+    is there to hash at no further cost.  The memo stores the matching
+    symbols or ``None``, never an exception; the refusals are raised here
+    on every call.  An entry is a pure function of its key (the class maps
+    are fixed per alphabet and count, and a table depends on the set
+    alone), so a hit returns what a miss would compute, and the memo can
+    never change an answer, only skip a table.
     """
     if len(a) < 3:
         raise ValueError(f"need at least 3 elements to classify, got {len(a)}")
-    trimmed = NodeSet(a.alphabet, frozenset(a.sorted_nodes[:-1]))
-    matches = classes(a.alphabet, len(trimmed)).get(table(trimmed))
+    nodes = a.sorted_nodes
+    matches = _matches(classes, table, a.alphabet, nodes[:-1])
     if matches is None:
         raise NotHomogeneous(f"not homogeneous: {a}")
     if len(matches) == 1:
         return matches[0]
-    whole = classes(a.alphabet, len(a)).get(table(a), ())
+    whole = _matches(classes, table, a.alphabet, nodes) or ()
     if len(whole) == 1:
         return whole[0]
     names = ", ".join(map(str, matches))
     raise AmbiguousTruncation(f"{len(matches)} symbols match after trimming: {names}")
+
+
+# Hit rates of the record-table lookups at maxsize 64 / 256 / 1024 /
+# unbounded: 61 / 64 / 71 / 72% in a bench record-queries child (seed 0),
+# 55 / 62 / 63 / 64% in a cold audit, 79 / 83 / 85 / 91% in the first 30 s
+# of the ternary breaking check ([l0]|[l1]|[l0 l1], --set 0,1).  Unbounded,
+# that query's peak RSS reached 110 MB in those 30 s against 33 MB at 256,
+# and it grows for as long as the query runs; 256 keeps most of the hits.
+# Comb images rarely repeat (2% hits in a cold audit) and cost one entry.
+@lru_cache(maxsize=256)
+def _matches(classes: Callable, table: Callable, alphabet: int, nodes: tuple[Node, ...]):
+    """The symbols whose witness has the table of the set of prec-sorted
+    ``nodes``, or ``None``: :func:`classify`'s one lookup."""
+    return classes(alphabet, len(nodes)).get(table(NodeSet(alphabet, frozenset(nodes))))
 
 
 # ---------------------------------------------------------------------------

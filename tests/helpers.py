@@ -153,8 +153,26 @@ def table_witness(tau, reps, blocks):
 
 
 # ---------------------------------------------------------------------------
-# classification references: each layer's former policy, kept as the oracle
-# of ``adicgaps.tree.classify``
+# classification references: each layer's former policy, and the classifier
+# before its memo, kept as the oracles of ``adicgaps.tree.classify``
+
+
+def reference_classify(a, classes, table):
+    """:func:`adicgaps.tree.classify` without its memo: each call builds the
+    trimmed set and its table, and the whole set's table on a tie."""
+    if len(a) < 3:
+        raise ValueError(f"need at least 3 elements to classify, got {len(a)}")
+    trimmed = NodeSet(a.alphabet, frozenset(a.sorted_nodes[:-1]))
+    matches = classes(a.alphabet, len(trimmed)).get(table(trimmed))
+    if matches is None:
+        raise NotHomogeneous(f"not homogeneous: {a}")
+    if len(matches) == 1:
+        return matches[0]
+    whole = classes(a.alphabet, len(a)).get(table(a), ())
+    if len(whole) == 1:
+        return whole[0]
+    names = ", ".join(map(str, matches))
+    raise AmbiguousTruncation(f"{len(matches)} symbols match after trimming: {names}")
 
 
 def reference_classify_comb(a):

@@ -8,7 +8,10 @@ use itself; a class member or field counts as used only where it is read as
 an attribute (``x.name``), since a bare name of the same spelling is some
 other binding.  Dunder methods are called by Python itself and are exempt.  An
 imported name that its module never reads is a leftover of deleted code.  Only
-``search.candidate_pool`` combines the four candidate generators.
+``search.candidate_pool`` combines the four candidate generators.  Two guards
+keep what speed depends on: nothing writes a ``Node`` field after
+``Node.__init__`` (its hash is cached), and every ``lru_cache`` is listed
+with its bound, each unbounded one with the reason its keys stay few.
 """
 
 import ast
@@ -135,3 +138,119 @@ def test_the_package_imports_only_the_standard_library():
                 continue
             foreign += [f"{path.name}:{name}" for name in names if name.split(".")[0] not in allowed]
     assert foreign == []
+
+
+# every field of tree.Node, and the two methods that may write them
+NODE_FIELDS = {"alphabet", "runs", "length", "_hash"}
+NODE_WRITERS = {"tree.py:Node.__init__", "tree.py:Node.__hash__"}
+
+
+def _attribute_writes(tree: ast.AST) -> list:
+    """``(enclosing definitions, name)`` for every attribute stored or
+    deleted, and every string a ``setattr``-like call names."""
+    writers = {"setattr", "delattr", "__setattr__", "__delattr__"}
+    out = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = scope + (node.name,)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            out.append((".".join(scope), node.attr))
+        if isinstance(node, ast.Call) and writers & _names_used(node.func):
+            out.extend(
+                (".".join(scope), arg.value)
+                for arg in node.args
+                if isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+            )
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return out
+
+
+def test_no_package_code_writes_a_node_field():
+    # Node is a plain slotted class, not a frozen one, and its __hash__
+    # caches the hash of its fields: a field written later would leave the
+    # node misfiled in every set and dict that holds it
+    writes = [
+        (f"{path.name}:{scope}", name)
+        for path in SOURCES
+        for scope, name in _attribute_writes(ast.parse(path.read_text(encoding="utf-8")))
+        if name in NODE_FIELDS
+    ]
+    assert [f"{scope}.{name}" for scope, name in writes if scope not in NODE_WRITERS] == []
+    assert {scope for scope, _ in writes} == NODE_WRITERS
+
+
+# Every lru_cache of the package with its maxsize.  An unbounded cache keeps
+# every entry for the life of the process (one unbounded classification memo
+# grew to about 300 MB in a minute of a ternary query), so each says why its
+# keys stay few.  A new cache fails the census until it is listed here.
+CACHES = {
+    "combs.py:comb_witness": (None, "one witness per kind, size and alphabet: 42 in a cold audit"),
+    "combs.py:_comb_classes": (None, "one table map per alphabet and size"),
+    "gaps.py:_strong_off_kinds": (None, "one tuple per arity"),
+    "gaps.py:enumerate_candidates_strong": (None, "one candidate list per arity"),
+    "gaps.py:generate_type_actions": (None, "one order pool per pair of arities"),
+    "gaps.py:_realizable_maps": (None, "one map pool per pair of arities"),
+    "search.py:_replay_fixture": (None, "one fixture per alphabet and map kind"),
+    "search.py:_memoized_probe": (
+        None,
+        "one action or None per probed payload, a few dozen bytes each",
+    ),
+    "tree.py:_matches": (256, "bounded: node-set keys are unbounded in number and size"),
+    "types.py:enumerate_types": (None, "one catalogue per alphabet"),
+    "types.py:_type_classes": (None, "one table map per alphabet and size"),
+    "types.py:same_type_probes": (None, "one pool per alphabet"),
+}
+
+
+def _caches(path: Path) -> dict:
+    """``{"module:function": maxsize}`` for each function a module decorates
+    with ``functools.lru_cache`` or ``functools.cache``, and ``{"module:line
+    N": "?"}`` for any other use of either."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    local = {  # local name -> functools name
+        alias.asname or alias.name: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "functools"
+        for alias in node.names
+        if alias.name in ("lru_cache", "cache")
+    }
+
+    def maker(node):  # "lru_cache", "cache" or None
+        if isinstance(node, ast.Name):
+            return local.get(node.id)
+        if isinstance(node, ast.Attribute) and _names_used(node.value) == {"functools"}:
+            return node.attr if node.attr in ("lru_cache", "cache") else None
+        return None
+
+    found, placed = {}, set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for dec in fn.decorator_list:
+            call = dec if isinstance(dec, ast.Call) else None
+            target = call.func if call else dec
+            kind = maker(target)
+            if kind is None:
+                continue
+            placed.add(id(target))
+            args = {}
+            if call:
+                args = dict(zip(["maxsize"], call.args)) | {kw.arg: kw.value for kw in call.keywords}
+            maxsize = ast.literal_eval(args["maxsize"]) if "maxsize" in args else 128
+            found[f"{path.name}:{fn.name}"] = None if kind == "cache" else maxsize
+    for node in ast.walk(tree):
+        if maker(node) and id(node) not in placed:
+            found[f"{path.name}:line {node.lineno}"] = "?"
+    return found
+
+
+def test_every_cache_is_listed_with_its_bound():
+    found = {}
+    for path in SOURCES:
+        found.update(_caches(path))
+    assert found == {name: maxsize for name, (maxsize, _) in CACHES.items()}
+    assert all(reason for _, reason in CACHES.values())

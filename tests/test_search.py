@@ -21,7 +21,16 @@ from functools import lru_cache
 
 import pytest
 
+import adicgaps.tree as tree_module
 from adicgaps import embeddings, search
+from adicgaps.combs import (
+    CombKind,
+    _comb_classes,
+    classify_comb,
+    comb_kinds,
+    comb_witness,
+    enumerate_efamilies,
+)
 from adicgaps.embeddings import (
     PROBE_BLOCKS,
     REPLAY_DEPTH,
@@ -36,6 +45,7 @@ from adicgaps.embeddings import (
     max_monotone,
     psi_map,
     read,
+    realize_efamily,
     replay_fixture,
     structural_replay,
     type_action,
@@ -62,15 +72,18 @@ from adicgaps.tree import (
     ScaleLimit,
     empty_node,
     first_move_equivalent,
+    first_move_table,
     format_node,
     node_from_runs,
     parse_node,
     prec_compare,
     random_node_set,
+    record_table,
     reembed,
     words_upto,
 )
 from adicgaps.types import (
+    _type_classes,
     classify_type,
     enumerate_types,
     parse_type,
@@ -79,7 +92,7 @@ from adicgaps.types import (
     type_id,
 )
 
-from helpers import parse_node_set
+from helpers import parse_node_set, reference_classify
 
 BREAK_POOL_2 = (
     ("subalphabet", "iota=0", (0,)),
@@ -737,3 +750,97 @@ def test_memo_keeps_no_embedding(monkeypatch):
     assert len(built) > 2
     gc.collect()
     assert all(ref() is None for ref in built)
+
+
+# --------------------------------------------------------------------------
+# the classification memo on the probe stream
+
+
+LAYERS = (
+    (classify_comb, _comb_classes, first_move_table),
+    (classify_type, _type_classes, record_table),
+)
+
+
+def _classified(classify, a, *layer):
+    try:
+        return classify(a, *layer)
+    except ValueError as ex:
+        return type(ex).__name__, str(ex)
+
+
+def _memo_corpus():
+    """Every type witness at alphabets 1-3 and 3-6 blocks, the pooled
+    same-type samples mapped through every payload the breaking and order
+    pools probe, and the comb witness images at 4 and 5 blocks of the
+    audit's 31 exhaustive e-families."""
+    corpus = [
+        type_witness(tau, blocks)
+        for alphabet in (1, 2, 3)
+        for tau in enumerate_types(alphabet)
+        for blocks in range(3, 7)
+    ]
+    for payload in _admission_payloads():
+        try:
+            phi = _build(payload)
+        except ValueError:
+            continue
+        for samples in same_type_probes(phi.domain_alphabet).values():
+            for sample in samples:
+                try:
+                    corpus.append(apply(phi, sample))
+                except ValueError:  # out of the domain or scale
+                    continue
+    families = [
+        fam for n, m in ((1, 1), (1, 2), (2, 1), (2, 2)) for fam in enumerate_efamilies(n, m)
+    ]
+    assert len(families) == 31
+    for fam in families:
+        phi = realize_efamily(fam)
+        corpus += [
+            apply(phi, comb_witness(kind, blocks, fam.n))
+            for kind in comb_kinds(fam.n)
+            for blocks in (PROBE_BLOCKS, PROBE_BLOCKS + 1)
+        ]
+    return [a for a in corpus if len(a) >= 3]
+
+
+def test_memoized_classify_equals_per_call_classify():
+    # answers, refusals and their messages, on both layers, cold and then
+    # warm in reverse order, where the memo answers most lookups
+    corpus = _memo_corpus()
+    expected = [[_classified(reference_classify, a, *layer) for _, *layer in LAYERS] for a in corpus]
+    seen = Counter()
+    tree_module._matches.cache_clear()
+    for order in (range(len(corpus)), reversed(range(len(corpus)))):
+        hits = tree_module._matches.cache_info().hits
+        for k in order:
+            for (classify, *_), want in zip(LAYERS, expected[k]):
+                got = _classified(classify, corpus[k])
+                assert got == want, (classify.__name__, corpus[k])
+                seen[got[0] if isinstance(got, tuple) else type(got).__name__] += 1
+        assert tree_module._matches.cache_info().hits > hits
+    assert set(seen) == {"CombKind", "TypeDescriptor", "NotHomogeneous", "AmbiguousTruncation"}, seen
+
+
+def test_memo_keeps_the_layers_apart():
+    # a 0-chain is both a comb witness and a type witness: keyed without its
+    # classes and table, the memo would give the second layer the first's
+    # symbol
+    chain = comb_witness(CombKind(0, 0), 4, 2)
+    for first, second in ((classify_comb, classify_type), (classify_type, classify_comb)):
+        tree_module._matches.cache_clear()
+        got = {classify: classify(chain) for classify in (first, second)}
+        assert got[classify_comb] == CombKind(0, 0)
+        assert got[classify_type] == parse_type("[l0]", 2)
+
+
+def test_memo_stays_bounded_over_a_pool_walk():
+    # the breaking pool at m = 2 makes more distinct lookups than the memo
+    # holds; it keeps its bound and still answers repeats
+    search._memoized_probe.cache_clear()
+    tree_module._matches.cache_clear()
+    list(candidate_pool(range(1, 3), 2, RANGE))
+    info = tree_module._matches.cache_info()
+    assert info.misses > info.maxsize >= info.currsize
+    assert info.hits > 0

@@ -85,6 +85,26 @@ def test_run_normalization():
     assert a == node(3, [1, 1, 1, 1, 1, 2])
 
 
+def test_node_is_a_value():
+    # equal words built apart are equal, hash alike (the hash of the field
+    # tuple, so a frozenset of nodes iterates, and prints, as before the
+    # hash was cached) and stand for one another as keys
+    a = parse_node(3, "0012")
+    b = node_from_runs(3, [(0, 1), (0, 1), (1, 1), (2, 1)])
+    c = Node(alphabet=3, runs=((0, 2), (1, 1), (2, 1)), length=4)
+    assert a is not b and a == b == c
+    assert hash(a) == hash(b) == hash(c) == hash((3, ((0, 2), (1, 1), (2, 1)), 4))
+    assert hash(a) == hash(a)
+    assert {a: "a"}[c] == "a" and len({a, b, c}) == 1
+    assert frozenset([a, parse_node(3, "1")]) == frozenset([parse_node(3, "1"), c])
+    assert a != parse_node(3, "0011") and a != parse_node(3, "00120")
+    assert node(2, [0, 1]) != node(3, [0, 1])
+    # a node is not the tuple of its fields
+    fields = (a.alphabet, a.runs, a.length)
+    assert a != fields and fields != a
+    assert a.__eq__(fields) is NotImplemented
+
+
 def test_parse_format_roundtrip():
     for text in ("e", "", "0", "120", "0011"):
         nd = parse_node(3, text)
