@@ -28,9 +28,8 @@ Provided on top of the raw words:
   each a yes/no answer: the only bijection that could witness equivalence
   pairs the two prec-sorted closures by position,
 * one classifier for both layers: a set's comb kind or record type is the
-  symbol whose canonical witness has its structure table, looked up through
-  one bounded memo, since the searches classify the same images again and
-  again,
+  symbol whose canonical witness has its tree code, looked up through one
+  bounded memo, since the searches classify the same images again and again,
 * random node sets, and a re-embedding that keeps first-move structure under
   fresh padding: the order search's replay samples and the audit's probes.
 
@@ -38,8 +37,9 @@ A meet-closed set is a tree: each element's longest proper prefix in the set
 is its parent.  The closures are built and compared as such trees.  The meet
 closure adds only the meets of lexicographic neighbours, the record closure
 adds the record nodes of each climb from a parent to its child, and a
-structure table reads every pairwise meet and first move off the parent
-links.
+closure's tree code lists each element's parent, the letter on the edge down
+from it and the element's membership: k entries for a closure of k nodes,
+where every pairwise meet and first move can be read back off.
 """
 
 from __future__ import annotations
@@ -212,7 +212,7 @@ class Node:
         return letter == oletter and count <= ocount
 
 
-def _check_alphabet(a: Node, b: Node) -> None:
+def _check_alphabet(a: Node | NodeSet, b: Node | NodeSet) -> None:
     if a.alphabet != b.alphabet:
         raise AlphabetMismatch(f"alphabet {a.alphabet} vs {b.alphabet}")
 
@@ -429,7 +429,7 @@ class NodeSet:
         # upper node: scan its runs from the one holding the parent's end up
         # to the first run of the top letter, after which none can follow.
         items = self.meet_closure_nodes
-        parent, _ = _parent_links(items)
+        parent = self.meet_code[0]
         top = self.alphabet - 1
         out = set(items)
         for j, hi in enumerate(items):
@@ -452,6 +452,14 @@ class NodeSet:
                 end += count
         return tuple(prec_sorted(out))
 
+    @cached_property
+    def meet_code(self) -> TreeCode:
+        return _tree_code(self.meet_closure_nodes, self.nodes)
+
+    @cached_property
+    def record_code(self) -> TreeCode:
+        return _tree_code(self.record_closure_nodes, self.nodes)
+
 
 def meet_closure(a: NodeSet) -> NodeSet:
     return NodeSet(a.alphabet, frozenset(a.meet_closure_nodes))
@@ -469,84 +477,72 @@ def record_closure(a: NodeSet) -> NodeSet:
 # therefore equality of structure tables: for every sorted pair, the closure
 # index of the meet plus the first-move letters away from it, and for every
 # closure element the flag saying whether it belongs to the underlying set.
+#
+# Equal tables are equal tree codes, which list for each element the index of
+# its parent, the letter on the edge down from it and the member flag: k
+# entries instead of k(k - 1)/2 rows.  The table is read off the code: the
+# meet of i and j is their lowest common ancestor, and the first moves away
+# from it are the edge letters of its children on the two root paths (-1 when
+# the meet is i itself).  The code is read off the table: prefixes sort before
+# their extensions, so the parent of j is the last i < j whose row (i, j) has
+# the meet i, and the edge letter is that row's letter toward j.
 
-StructureTable = tuple[int, tuple[tuple[int, int, int], ...], tuple[bool, ...]]
+TreeCode = tuple[tuple[int, ...], tuple[int, ...], tuple[bool, ...]]
 
 
-def _parent_links(closure: tuple[Node, ...]) -> tuple[list[int], list[int]]:
-    """Each node's parent (its longest proper prefix in the prec-sorted
-    ``closure``, as an index, -1 for none) and the letter on the edge down
-    from the parent.  Shorter words sort first, so the parent is the last
-    earlier word that is a proper prefix."""
+def _tree_code(closure: tuple[Node, ...], members: frozenset[Node]) -> TreeCode:
+    """The tree code of a prec-sorted closure: each node's parent (its
+    longest proper prefix in ``closure``, as an index, -1 for none), the
+    letter on the edge down from the parent (-1 for none) and whether the
+    node is one of ``members``.
+
+    The parent is the last earlier prefix, found on the runs: a word of m
+    runs is a prefix of another exactly when their first m - 1 runs agree
+    and the other's run m has the same letter and at least the count, and a
+    proper prefix when the two differ.  The edge letter goes on with run m
+    if the prefix stops inside it, and starts run m + 1 otherwise.
+    """
     parent = [-1] * len(closure)
     letter = [-1] * len(closure)
     for k, nd in enumerate(closure):
+        runs = nd.runs
         for p in range(k - 1, -1, -1):
-            above = closure[p]
-            if above.length < nd.length and above.is_prefix_of(nd):
-                parent[k] = p
-                letter[k] = nd.letter_at(above.length)
+            head = closure[p].runs
+            m = len(head)
+            if m == 0:
+                parent[k], letter[k] = p, runs[0][0]
                 break
-    return parent, letter
+            if m > len(runs):
+                continue
+            last, count = head[-1]
+            here, length = runs[m - 1]
+            if last == here and count <= length and head[:-1] == runs[: m - 1]:
+                parent[k] = p
+                letter[k] = here if count < length else runs[m][0]
+                break
+    return tuple(parent), tuple(letter), tuple(nd in members for nd in closure)
 
 
-def _structure_table(closure: tuple[Node, ...], members: frozenset[Node]) -> StructureTable:
-    """The table of a prec-sorted meet-closed tuple, read off its tree.
-
-    For the pair (i, j), i before j, the meet is the lowest common ancestor
-    and the first moves away from it are the edge letters of the children of
-    the meet on the two paths (-1 when the meet is i itself).  Parents sort
-    before their children, so one pass over i per j finds every i's lowest
-    ancestor on j's root path.
-    """
-    parent, letter = _parent_links(closure)
-    rows: list[tuple[int, int, int]] = []
-    for j in range(len(closure)):
-        toward_j = {}  # ancestor of j -> edge letter of its child toward j
-        x = j
-        while parent[x] >= 0:
-            toward_j[parent[x]] = letter[x]
-            x = parent[x]
-        lca = [0] * j
-        away = [-1] * j  # edge letter of the lca's child toward i
-        for i in range(j):
-            if i in toward_j:
-                lca[i] = i
-            else:
-                p = parent[i]
-                lca[i] = lca[p]
-                away[i] = letter[i] if lca[p] == p else away[p]
-            rows.append((lca[i], away[i], toward_j[lca[i]]))
-    flags = tuple(nd in members for nd in closure)
-    return (len(closure), tuple(rows), flags)
+def first_move_table(a: NodeSet) -> TreeCode:
+    """Tree code of the meet-closure; equal codes mean equivalent sets."""
+    return a.meet_code
 
 
-def first_move_table(a: NodeSet) -> StructureTable:
-    """Structure table over the meet-closure; equal tables mean equivalent sets."""
-    return _structure_table(a.meet_closure_nodes, a.nodes)
-
-
-def record_table(a: NodeSet) -> StructureTable:
-    """Structure table over the record-closure."""
-    return _structure_table(a.record_closure_nodes, a.nodes)
-
-
-def _equivalent(a: NodeSet, b: NodeSet, closure_attr: str) -> bool:
-    if a.alphabet != b.alphabet:
-        raise AlphabetMismatch(f"alphabet {a.alphabet} vs {b.alphabet}")
-    ca: tuple[Node, ...] = getattr(a, closure_attr)
-    cb: tuple[Node, ...] = getattr(b, closure_attr)
-    return len(ca) == len(cb) and _structure_table(ca, a.nodes) == _structure_table(cb, b.nodes)
+def record_table(a: NodeSet) -> TreeCode:
+    """Tree code of the record-closure."""
+    return a.record_code
 
 
 def first_move_equivalent(a: NodeSet, b: NodeSet) -> bool:
     """Decide equivalence over meet-closures (meets, order, first moves)."""
-    return _equivalent(a, b, "meet_closure_nodes")
+    _check_alphabet(a, b)
+    return a.meet_code == b.meet_code
 
 
 def record_equivalent(a: NodeSet, b: NodeSet) -> bool:
     """Decide equivalence over record-closures."""
-    return _equivalent(a, b, "record_closure_nodes")
+    _check_alphabet(a, b)
+    return a.record_code == b.record_code
 
 
 # ---------------------------------------------------------------------------
@@ -564,9 +560,9 @@ class AmbiguousTruncation(ValueError):
 
 
 def witness_classes(symbols: Iterable, witness: Callable, table: Callable) -> dict:
-    """Each table ``table(witness(symbol))`` over ``symbols``, mapped to the
-    symbols that have it, in ``symbols`` order."""
-    classes: dict[StructureTable, list] = {}
+    """Each tree code ``table(witness(symbol))`` over ``symbols``, mapped to
+    the symbols that have it, in ``symbols`` order."""
+    classes: dict[TreeCode, list] = {}
     for symbol in symbols:
         classes.setdefault(table(witness(symbol)), []).append(symbol)
     return {key: tuple(matches) for key, matches in classes.items()}
@@ -594,9 +590,9 @@ def classify(a: NodeSet, classes: Callable[[int, int], dict], table: Callable):
     is there to hash at no further cost.  The memo stores the matching
     symbols or ``None``, never an exception; the refusals are raised here
     on every call.  An entry is a pure function of its key (the class maps
-    are fixed per alphabet and count, and a table depends on the set
+    are fixed per alphabet and count, and a tree code depends on the set
     alone), so a hit returns what a miss would compute, and the memo can
-    never change an answer, only skip a table.
+    never change an answer, only skip building a code.
     """
     if len(a) < 3:
         raise ValueError(f"need at least 3 elements to classify, got {len(a)}")
@@ -622,7 +618,7 @@ def classify(a: NodeSet, classes: Callable[[int, int], dict], table: Callable):
 # Comb images rarely repeat (2% hits in a cold audit) and cost one entry.
 @lru_cache(maxsize=256)
 def _matches(classes: Callable, table: Callable, alphabet: int, nodes: tuple[Node, ...]):
-    """The symbols whose witness has the table of the set of prec-sorted
+    """The symbols whose witness has the tree code of the set of prec-sorted
     ``nodes``, or ``None``: :func:`classify`'s one lookup."""
     return classes(alphabet, len(nodes)).get(table(NodeSet(alphabet, frozenset(nodes))))
 
@@ -643,7 +639,7 @@ def reembed(a: NodeSet, rng: random.Random) -> NodeSet:
     survives.
     """
     closure = a.meet_closure_nodes
-    parent, letter = _parent_links(closure)
+    parent, letter, _ = a.meet_code
     images: list[Node] = []
     prev_len = -1
     for j in range(len(closure)):

@@ -10,7 +10,6 @@ from adicgaps.tree import (
     Node,
     NodeSet,
     NotHomogeneous,
-    _parent_links,
     empty_node,
     first_move_equivalent,
     format_node,
@@ -109,11 +108,11 @@ def map_json(eps: tuple) -> dict:
 def reembed_record(a: NodeSet, rng: random.Random, pad_max: int = 3) -> NodeSet:
     """Rebuild ``a`` with fresh padding, preserving its record structure.
 
-    :func:`adicgaps.tree.reembed` on the record closure instead of the meet
-    closure, padding with letter 0 only: a 0 never sets a new running
-    maximum, so every climb keeps its records."""
+    :func:`adicgaps.tree.reembed` on the record closure and its tree code
+    instead of the meet closure's, padding with letter 0 only: a 0 never
+    sets a new running maximum, so every climb keeps its records."""
     closure = a.record_closure_nodes
-    parent, letter = _parent_links(closure)
+    parent, letter, _ = a.record_code
     images: list[Node] = []
     prev_len = -1
     for j in range(len(closure)):

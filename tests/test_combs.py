@@ -310,11 +310,11 @@ def test_classify_builds_one_structure_table(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("first_move_equivalent", "_structure_table"):
-        monkeypatch.setattr(tree, name, counted(name, getattr(tree, name)))
     fresh = reembed(w, random.Random(0))
+    for name in ("first_move_equivalent", "_tree_code"):
+        monkeypatch.setattr(tree, name, counted(name, getattr(tree, name)))
     assert classify_comb(fresh) == CombKind(0, 1)
-    assert calls == Counter({"_structure_table": 1})
+    assert calls == Counter({"_tree_code": 1})
 
 
 def test_comb_tables_built_once_per_size():

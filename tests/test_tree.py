@@ -20,6 +20,7 @@ from adicgaps.tree import (
     ScaleLimit,
     empty_node,
     first_move_equivalent,
+    first_move_table,
     format_node,
     lex_key,
     meet,
@@ -603,7 +604,9 @@ def test_node_set_literals():
 # The references below are the earlier implementations: every join and cut
 # renormalises all runs, the meet closure takes every pairwise meet, the
 # record closure tests every pair for comparability and builds its record
-# history, and the structure table builds one meet per pair.
+# history, and the structure table builds one meet per pair.  The tree code
+# that replaced the table is checked through the table it encodes, read off
+# by the lowest-common-ancestor walk that once built the table itself.
 
 
 def reference_normalize(runs):
@@ -675,15 +678,52 @@ def reference_structure_table(closure, members):
     return (len(closure), tuple(rows), tuple(nd in members for nd in closure))
 
 
+def table_from_code(code):
+    """The structure table of a tree code.  For the pair (i, j), i before j,
+    the meet is the lowest common ancestor and the first moves away from it
+    are the edge letters of the children of the meet on the two paths (-1
+    when the meet is i itself).  Parents sort before their children, so one
+    pass over i per j finds every i's lowest ancestor on j's root path."""
+    parent, letter, flags = code
+    rows = []
+    for j in range(len(parent)):
+        toward_j = {}  # ancestor of j -> edge letter of its child toward j
+        x = j
+        while parent[x] >= 0:
+            toward_j[parent[x]] = letter[x]
+            x = parent[x]
+        lca = [0] * j
+        away = [-1] * j  # edge letter of the lca's child toward i
+        for i in range(j):
+            if i in toward_j:
+                lca[i] = i
+            else:
+                p = parent[i]
+                lca[i] = lca[p]
+                away[i] = letter[i] if lca[p] == p else away[p]
+            rows.append((lca[i], away[i], toward_j[lca[i]]))
+    return (len(parent), tuple(rows), flags)
+
+
 def assert_kernel_matches(a):
     meet_closure_nodes = reference_meet_closure(a)
     record_closure_nodes = reference_record_closure(a)
     assert a.meet_closure_nodes == meet_closure_nodes, format_node_set(a)
     assert a.record_closure_nodes == record_closure_nodes, format_node_set(a)
-    for closure in (meet_closure_nodes, record_closure_nodes):
-        assert tree_module._structure_table(closure, a.nodes) == reference_structure_table(
+    for closure, code in (
+        (meet_closure_nodes, first_move_table(a)),
+        (record_closure_nodes, record_table(a)),
+    ):
+        assert table_from_code(code) == reference_structure_table(
             closure, a.nodes
         ), format_node_set(a)
+
+
+def seeded_corpus():
+    rng = random.Random(2024)
+    for _ in range(3000):
+        alphabet = rng.randint(2, 3)
+        yield random_node_set(rng, alphabet, rng.randint(1, 8), max_len=rng.randint(3, 7))
 
 
 def assert_joins_match(a, b):
@@ -696,26 +736,28 @@ def assert_joins_match(a, b):
 
 
 def test_kernel_matches_reference_on_seeded_corpus():
-    rng = random.Random(2024)
-    for _ in range(3000):
-        alphabet = rng.randint(2, 3)
-        a = random_node_set(rng, alphabet, rng.randint(1, 8), max_len=rng.randint(3, 7))
+    for a in seeded_corpus():
         assert_kernel_matches(a)
         items = a.sorted_nodes
         assert_joins_match(items[0], items[-1])
 
 
+def type_witnesses():
+    return [
+        type_witness(tau, blocks)
+        for alphabet in (1, 2, 3)
+        for tau in enumerate_types(alphabet)
+        for blocks in (2, 3, 4)
+    ]
+
+
 def test_kernel_matches_reference_on_type_witnesses():
-    checked = 0
-    for alphabet in (1, 2, 3):
-        for tau in enumerate_types(alphabet):
-            for blocks in (2, 3, 4):
-                w = type_witness(tau, blocks)
-                assert_kernel_matches(w)
-                items = w.sorted_nodes
-                assert_joins_match(items[-1], items[0])
-                checked += 1
-    assert checked == 3 * (1 + 8 + 61)
+    witnesses = type_witnesses()
+    for w in witnesses:
+        assert_kernel_matches(w)
+        items = w.sorted_nodes
+        assert_joins_match(items[-1], items[0])
+    assert len(witnesses) == 3 * (1 + 8 + 61)
 
 
 def domination_teeth():
@@ -740,6 +782,21 @@ def test_kernel_matches_reference_on_domination_teeth():
         for x, y in zip(items, items[1:]):
             assert_joins_match(x, y)
             assert_joins_match(y, x)
+
+
+def test_code_equality_is_reference_table_equality():
+    # for every pair of sets, equal codes <=> equal reference tables: there
+    # are as many distinct codes as distinct tables as distinct pairs of both
+    corpus = [*seeded_corpus(), *type_witnesses(), *domination_teeth()]
+    for code_of, closure_of in (
+        (first_move_table, reference_meet_closure),
+        (record_table, reference_record_closure),
+    ):
+        codes = [code_of(a) for a in corpus]
+        tables = [reference_structure_table(closure_of(a), a.nodes) for a in corpus]
+        distinct = len(set(zip(codes, tables)))
+        assert len(set(codes)) == distinct == len(set(tables))
+        assert len(corpus) - distinct > 1000  # equal codes are common, not a corner
 
 
 @settings(max_examples=150, deadline=None)
@@ -817,7 +874,7 @@ def test_kernel_builds_no_meets_and_renormalises_nothing(monkeypatch):
     counted("meet")
     counted("_normalize_runs")
     for closure, members in closures:
-        tree_module._structure_table(closure, members)
+        tree_module._tree_code(closure, members)
     assert calls["meet"] == 0
     for a in sets:
         items = a.sorted_nodes
@@ -825,3 +882,25 @@ def test_kernel_builds_no_meets_and_renormalises_nothing(monkeypatch):
             suffix_from(x.concat(y).extend(0, 2).extend(1).repeat(3), y.length // 2)
             suffix_from(y.repeat(2), 1)
     assert calls["_normalize_runs"] == 0
+
+
+def test_each_closure_builds_its_code_once(monkeypatch):
+    calls = Counter()
+    tree_code = tree_module._tree_code
+
+    def counted(closure, members):
+        calls[closure] += 1
+        return tree_code(closure, members)
+
+    monkeypatch.setattr(tree_module, "_tree_code", counted)
+    a = random_node_set(random.Random(7), 3, 6)
+    first_move_table(a)  # the meet code
+    record_table(a)  # the record code; the record closure reuses the meet code
+    assert calls == Counter({a.meet_closure_nodes: 1, a.record_closure_nodes: 1})
+    reembed(a, random.Random(0))
+    assert first_move_equivalent(a, a) and record_equivalent(a, a)
+    assert first_move_table(a) == first_move_table(a) and record_table(a) == record_table(a)
+    assert sum(calls.values()) == 2
+    b = NodeSet(a.alphabet, a.nodes)  # an equal set caches codes of its own
+    assert record_table(b) == record_table(a)
+    assert sum(calls.values()) == 4
