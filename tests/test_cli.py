@@ -111,6 +111,11 @@ BREAKING_THREE_SHA256 = {
     "0,1,2": "290e1862964e01f29fff092d1a3396a6de1bdbc2eb485f3225ad642bab824572",
 }
 
+def first_move_json(m, sides):
+    """A first-move gap file over alphabet m with the given sides."""
+    return {"layer": "first_move", "n": len(sides), "m": m, "sides": sides}
+
+
 RECORD_LEFT = {"layer": "record", "n": 2, "m": 2, "sides": [["[l0]"], ["[l1]"]]}
 RECORD_RIGHT = {
     "layer": "record",
@@ -120,7 +125,10 @@ RECORD_RIGHT = {
 }
 
 #: sha256 of the ``gaps order --json`` stdout: 4* <= S-tilde (witnessed,
-#: exact) and a record pair the bounded search leaves UNKNOWN_bounded
+#: exact), a record pair the bounded search leaves UNKNOWN_bounded, two
+#: strong three-sided candidates (one witnessed by a map that is not the
+#: identity, one refuted), and first-move pairs from alphabet 2 into 3 and
+#: from 3 into 4 whose witnesses sit deep in their map pools
 ORDER_SHA256 = {
     "four-star-stilde": (
         REFERENCE_STRONG_TABLE["4*"].to_json(),
@@ -131,6 +139,28 @@ ORDER_SHA256 = {
         RECORD_LEFT,
         RECORD_RIGHT,
         "e8b1489eb7ed0428779f6bfff1224eb18244bf02b099d6234943179967a77cf3",
+    ),
+    "strong-three-witnessed": (
+        first_move_json(3, [["0>0"], ["0>2", "1>0", "1>1", "1>2"], ["0>1", "2>0", "2>1", "2>2"]]),
+        first_move_json(3, [["0>0", "0>2"], ["0>1", "1>0", "1>1", "2>1"], ["1>2", "2>0", "2>2"]]),
+        "d446149d595cc50d2d954c01ad7ddb9c6fc265a98e9798964779741bbc7769fa",
+    ),
+    "strong-three-refuted": (
+        first_move_json(3, [["0>0", "0>1", "0>2", "1>0", "1>2", "2>0", "2>1"], ["1>1"], ["2>2"]]),
+        first_move_json(3, [["0>0", "0>1", "0>2", "1>0", "1>2", "2>0"], ["1>1", "2>1"], ["2>2"]]),
+        "8bac659f7eff074c869a83bfb5d637fe23b7c5ce39ed0aa3e1a9c4a2488a08b4",
+    ),
+    "first-move-2-into-3": (
+        first_move_json(2, [["1>0"], ["0>0", "0>1"]]),
+        first_move_json(3, [["0>2", "1>0"], ["1>2", "2>0", "2>1"]]),
+        "ed829246a215fddff0b0bd1c7800d5508a60c4b3b7b2aef93bf2f45da3046418",
+    ),
+    "first-move-3-into-4": (
+        first_move_json(3, [["0>0", "0>1", "0>2", "1>2"], ["1>0", "2>0", "2>1", "2>2"]]),
+        first_move_json(
+            4, [["0>1", "1>2", "3>1"], ["0>0", "0>2", "0>3", "2>0", "2>1", "2>2", "2>3", "3>0"]]
+        ),
+        "ce636200d6e662373d4ca2cde0954e69ed3f6191f9d526c4b2e631beceea89f9",
     ),
 }
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from collections import Counter
@@ -13,10 +14,13 @@ from adicgaps.combs import (
     _comb_classes,
     classify_comb,
     comb_witness,
+    concretize,
     efamily_induced_map,
+    efamily_shapes,
     enumerate_efamilies,
 )
 from adicgaps.gaps import _realizable_maps
+from adicgaps.search import efamily_label
 from adicgaps.tree import (
     NodeSet,
     NotHomogeneous,
@@ -183,6 +187,23 @@ def test_rule_matches_oracle_on_random_small_families(seed):
 def test_enumeration_shape_count_small():
     # one family per branching shape; the count is a frozen regression value
     assert sum(1 for _ in enumerate_efamilies(2, 2)) == 26
+
+
+#: sha256 of the newline-joined ``efamily_label(concretize(shape, m))`` of
+#: every ``efamily_shapes(n, m)`` shape, in order, with the shape count: the
+#: audit samples 500 shapes at (3, 3) by position, so the order is pinned
+SHAPE_SEQUENCE_SHA256 = {
+    (2, 2): (26, "cbc3141ffa324da27d9a24a76e47b4796b29a2687c7a4eae3e14eef0716aa71b"),
+    (3, 3): (5_514, "edd4ee4f978dba391af1430cbdf6cf19b3e5aa7239c2226b51d331b71edc9671"),
+    (3, 4): (38_736, "81ada52adb9c6177bc97a16276a269f761bd56c72876c352d0265c3a25e1d070"),
+}
+
+
+@pytest.mark.parametrize("n,m", SHAPE_SEQUENCE_SHA256)
+def test_shape_sequence_pinned(n, m):
+    labels = [efamily_label(concretize(shape, m)) for shape in efamily_shapes(n, m)]
+    digest = hashlib.sha256("\n".join(labels).encode()).hexdigest()
+    assert (len(labels), digest) == SHAPE_SEQUENCE_SHA256[(n, m)]
 
 
 def realizable_maps(n, m):
