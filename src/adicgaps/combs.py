@@ -13,7 +13,10 @@ goes to the kind of the image of one of its witnesses.  That induced map is
 computed here directly from first moves at meets, with a degenerate rule for
 e(inf) lying below e(i).  The finite catalogue of induced maps for given n, m
 is enumerated by walking every branching shape such a family can take and
-reading each shape's map off it, without building words.
+reading each shape's map off it, without building words: a shape is a
+lettered tree of the branch words with e(inf) placed in it, the tree alone
+fixes the off-diagonal images, and each placement yields the chain images
+it fixes alongside the shape (:func:`efamily_placements`).
 
 A comb map is one value throughout: its ``(kind, image kind)`` pairs in
 :func:`comb_kinds` order, the action a first-move order witness carries.
@@ -234,40 +237,66 @@ def _assign_letters(shape: object, m: int) -> Iterator[object]:
             yield _Branch(tuple(zip(letters, combo)))
 
 
-def _placements(tree: object, m: int) -> Iterator[object]:
-    """All ways to add e(inf) to a lettered branch-word tree."""
+def _leaf_labels(tree: object) -> list:
+    """The branch indices at the leaves of a lettered branch-word tree."""
+    if isinstance(tree, _Leaf):
+        return [tree.label]
+    return [i for _, sub in tree.children for i in _leaf_labels(sub)]
+
+
+def _placements(tree: object, m: int) -> Iterator[tuple[object, dict]]:
+    """All ways to add e(inf) to a lettered branch-word tree, each with the
+    diagonal it fixes: ``{i: image}`` with the flat image (as in
+    :func:`shape_induced_row`) of the i-chain kind i>i for each leaf i.
+
+    Placing e(inf) leaves the images of the off-diagonal kinds as the tree
+    alone fixes them.  The i-chain goes to x>x when e(inf) sits on the path
+    to leaf i, with x the next letter toward i, and else to the letters
+    toward i and toward e(inf) where the two paths part."""
     yield from _place_within(tree, m)
     # above the root: on the path, or branching away from it
+    leaves = _leaf_labels(tree)
     for c in range(m):
-        yield _PathStop(c, tree)
+        yield _PathStop(c, tree), dict.fromkeys(leaves, c * (m + 1))
     for a, b in itertools.permutations(range(m), 2):
-        yield _Branch(((a, tree), (b, _Leaf("inf"))))
+        yield _Branch(((a, tree), (b, _Leaf("inf")))), dict.fromkeys(leaves, a * m + b)
 
 
-def _place_within(tree: object, m: int) -> Iterator[object]:
+def _place_within(tree: object, m: int) -> Iterator[tuple[object, dict]]:
     if isinstance(tree, _Leaf):
         return
     assert isinstance(tree, _Branch)
+    groups = [(letter, _leaf_labels(sub)) for letter, sub in tree.children]
     # at this branch node itself
-    yield _Branch(tree.children, inf_here=True)
+    yield _Branch(tree.children, inf_here=True), {
+        i: x * (m + 1) for x, xs in groups for i in xs
+    }
     # as a fresh leaf under it
     used = {letter for letter, _ in tree.children}
     for d in range(m):
         if d not in used:
-            yield _Branch(tree.children + ((d, _Leaf("inf")),))
-    # on or beside one of its edges, or deeper down
+            yield _Branch(tree.children + ((d, _Leaf("inf")),)), {
+                i: x * m + d for x, xs in groups for i in xs
+            }
+    # on or beside one of its edges, or deeper down; the leaves under the
+    # other edges part from e(inf) here, toward it by the edge's letter
     for k, (letter, sub) in enumerate(tree.children):
         def rebuilt(new_sub, k=k, letter=letter):
             kids = list(tree.children)
             kids[k] = (letter, new_sub)
             return _Branch(tuple(kids))
 
+        outside = {i: y * m + letter for q, (y, ys) in enumerate(groups) if q != k for i in ys}
+        inside = groups[k][1]
         for c in range(m):
-            yield rebuilt(_PathStop(c, sub))
+            yield rebuilt(_PathStop(c, sub)), {**outside, **dict.fromkeys(inside, c * (m + 1))}
         for c, d in itertools.permutations(range(m), 2):
-            yield rebuilt(_Branch(((c, sub), (d, _Leaf("inf")))))
-        for deeper in _place_within(sub, m):
-            yield rebuilt(deeper)
+            yield rebuilt(_Branch(((c, sub), (d, _Leaf("inf"))))), {
+                **outside,
+                **dict.fromkeys(inside, c * m + d),
+            }
+        for deeper, diagonal in _place_within(sub, m):
+            yield rebuilt(deeper), {**outside, **diagonal}
 
 
 def concretize(shape: object, m: int) -> EFamily:
@@ -295,10 +324,13 @@ def concretize(shape: object, m: int) -> EFamily:
     return EFamily(m, e_inf, branch)
 
 
-def efamily_shapes(n: int, m: int) -> Iterator[object]:
+def efamily_placements(n: int, m: int) -> Iterator[tuple[object, object, dict]]:
     """Every lettered branching shape of an arity-n family over alphabet m,
-    in one fixed order (shapes may repeat maps).  The arity n is the input
-    alphabet of the induced comb map, m its output alphabet."""
+    in one fixed order (shapes may repeat maps), as ``(tree, shape,
+    diagonal)``: the lettered branch-word tree the shape places e(inf) in,
+    and the chain images that placement fixes (:func:`_placements`).  The
+    arity n is the input alphabet of the induced comb map, m its output
+    alphabet.  Consecutive shapes share one tree object until it changes."""
     if n < 1 or m < 1:
         raise ValueError("alphabets must be positive")
     if n > _SCALE_LIMIT or m > _SCALE_LIMIT:
@@ -306,9 +338,16 @@ def efamily_shapes(n: int, m: int) -> Iterator[object]:
             f"e-family enumeration supported over alphabets up to {_SCALE_LIMIT}, "
             f"got input alphabet {n} and output alphabet {m}"
         )
-    for shape in _hierarchies(tuple(range(n))):
-        for lettered in _assign_letters(shape, m):
-            yield from _placements(lettered, m)
+    for hierarchy in _hierarchies(tuple(range(n))):
+        for tree in _assign_letters(hierarchy, m):
+            for shape, diagonal in _placements(tree, m):
+                yield tree, shape, diagonal
+
+
+def efamily_shapes(n: int, m: int) -> Iterator[object]:
+    """The shapes of :func:`efamily_placements`, in its order."""
+    for _tree, shape, _diagonal in efamily_placements(n, m):
+        yield shape
 
 
 def enumerate_efamilies(n: int, m: int) -> Iterator[EFamily]:

@@ -13,6 +13,7 @@ extent is fixed there, so it is one-sided.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
@@ -22,7 +23,7 @@ from .combs import (
     comb_kinds,
     concretize,
     efamily_induced_map,
-    efamily_shapes,
+    efamily_placements,
     shape_induced_row,
 )
 from .runtime import canonical_json
@@ -294,6 +295,11 @@ def _realizable_maps(m_in: int, m_out: int) -> tuple[tuple[tuple[int, ...], ...]
     enumeration order that induces it.  Only the witness a query returns is
     ever concretized into words.
 
+    Placing e(inf) fixes only the chain kinds' images, so each lettered
+    branch-word tree's off-diagonal images are read once, off the tree, and
+    each shape's row is that tree row with the diagonal its placement fixes
+    (:func:`~adicgaps.combs.efamily_placements`).
+
     From input alphabet 4 only output alphabets up to 2 are enumerated: at
     (4, 3) the family shapes already number 244,080."""
     if m_in >= 4 and m_out > _FIRST_MOVE_FROM_FOUR_LIMIT:
@@ -302,8 +308,13 @@ def _realizable_maps(m_in: int, m_out: int) -> tuple[tuple[tuple[int, ...], ...]
             f"up to {_FIRST_MOVE_FROM_FOUR_LIMIT}, got {m_out}"
         )
     first: dict[tuple[int, ...], object] = {}
-    for shape in efamily_shapes(m_in, m_out):
-        first.setdefault(shape_induced_row(shape, m_in, m_out), shape)
+    last = tree_row = None
+    for tree, shape, diagonal in efamily_placements(m_in, m_out):
+        if tree is not last:
+            last, tree_row = tree, list(shape_induced_row(tree, m_in, m_out))
+        for i, image in diagonal.items():
+            tree_row[i * (m_in + 1)] = image
+        first.setdefault(tuple(tree_row), shape)
     rows = tuple(sorted(first))
     return rows, tuple(first[row] for row in rows)
 
@@ -320,6 +331,37 @@ def _side_row(g: GapSpec) -> tuple[int, ...]:
     return tuple(row)
 
 
+def _first_witness_row(
+    rows: tuple[tuple[int, ...], ...], g_row: tuple[int, ...], h_row: tuple[int, ...]
+) -> Optional[int]:
+    """The index of the first of the sorted ``rows`` with
+    ``h_row[row[c]] == g_row[c]`` in every slot c, or ``None``.
+
+    Slot c may hold exactly the images v with ``h_row[v] == g_row[c]``.
+    The rows sharing a prefix are one run of the sorted rows, found by
+    bisecting on the prefix, so the matching rows are walked slot by slot,
+    each slot's allowed images in increasing order: the first full match is
+    the lowest index, the one a scan of every row in order would find."""
+    allowed = [[v for v, side in enumerate(h_row) if side == want] for want in g_row]
+
+    def descend(prefix: tuple[int, ...], lo: int, hi: int) -> Optional[int]:
+        if len(prefix) == len(allowed):
+            return lo
+        for v in allowed[len(prefix)]:
+            longer = prefix + (v,)
+            start = bisect_left(rows, longer, lo, hi)
+            if start == hi:
+                break
+            stop = bisect_left(rows, prefix + (v + 1,), start, hi)
+            if start < stop:
+                hit = descend(longer, start, stop)
+                if hit is not None:
+                    return hit
+        return None
+
+    return descend((), 0, len(rows))
+
+
 def _membership_iff(g: GapSpec, h: GapSpec, image_of: Callable) -> bool:
     """Symbol map rule: land on side i exactly when starting on side i."""
     return all(g.side_of(c) == h.side_of(image_of(c)) for c in g.symbol_universe())
@@ -334,10 +376,12 @@ def order_le(g: GapSpec, h: GapSpec) -> Answer:
     is one flat row of :func:`_realizable_maps`; with g and h written as
     side-per-slot rows (:func:`_side_row`), the map witnesses g <= h exactly
     when ``h_row[row[c]] == g_row[c]`` in every slot c.  The witness is the
-    first such row in pool order: an e-family :class:`Candidate` acting by
-    the row, with the first shape's words.  From input alphabet 4 into an
-    output alphabet of 3 or more the maps are not enumerated and
-    :class:`ScaleLimit` is raised.
+    first such row in pool order, found by descending the sorted rows slot
+    by slot (:func:`_first_witness_row`) rather than mapping every row: an
+    e-family :class:`Candidate` acting by the row, with the first shape's
+    words.  ``searched`` counts the whole pool, which the verdict covers.
+    From input alphabet 4 into an output alphabet of 3 or more the maps are
+    not enumerated and :class:`ScaleLimit` is raised.
 
     Record layer: exhaust the generated embedding actions, whose extent
     :mod:`adicgaps.search` fixes and the answer states as its ``budget``;
@@ -349,8 +393,7 @@ def order_le(g: GapSpec, h: GapSpec) -> Answer:
         raise ValueError(f"arity mismatch: {g.n} vs {h.n}")
     if g.layer == FIRST_MOVE:
         rows, shapes = _realizable_maps(g.m, h.m)
-        g_row, h_of = _side_row(g), _side_row(h).__getitem__
-        hit = next((e for e, row in enumerate(rows) if tuple(map(h_of, row)) == g_row), None)
+        hit = _first_witness_row(rows, _side_row(g), _side_row(h))
         if hit is not None:
             fam = concretize(shapes[hit], h.m)
             images = (CombKind(*divmod(v, h.m)) for v in rows[hit])
@@ -470,18 +513,19 @@ def _pullback_maps(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(kept)
 
 
-def _le_matrix_strong(n: int) -> set[tuple[int, int]]:
+def _le_matrix_strong(n: int) -> set[int]:
     """Exact order of the strong n-sided candidates through witness
-    pullbacks: the set of index pairs ``(key(g), key(h))`` with g <= h,
-    where key is the index of :func:`strong_candidate`.
+    pullbacks: the set of flat pair keys ``key(g) * total + key(h)`` with
+    g <= h, where key is the index of :func:`strong_candidate` and total
+    the number of candidates (:func:`_strong_count`).
 
     For a fixed symbol map eps, the only specification below h via eps is
     the pullback g assigning each kind c to the side of eps(c).  It is a
     candidate exactly when it pins every chain kind i>i to side i, that is
     when h holds eps(i>i) on side i.  Candidates are indexed by their
-    assignment digits, so each such (eps, h) contributes the one pair
-    ``(key(g), key(h))``.  The realizable maps contain the identity and are
-    closed under composition, so the pair set is already reflexive and
+    assignment digits, so each such (eps, h) contributes the one key of the
+    pair ``(key(g), key(h))``.  The realizable maps contain the identity and
+    are closed under composition, so the pair set is already reflexive and
     transitive.
 
     Most maps pull back onto no candidate and are skipped.  Every candidate
@@ -522,7 +566,7 @@ def _le_matrix_strong(n: int) -> set[tuple[int, int]]:
             steps = [d * (g_weight[p] * total + w) for d in digits]
             keys = [key + step for key in keys for step in steps]
         flat.update(keys)
-    return set(map(divmod, flat, itertools.repeat(total)))
+    return flat
 
 
 def _permuted_index(n: int, index: int, pi: tuple[int, ...]) -> int:
@@ -547,27 +591,30 @@ def minimal_classes(n: int) -> MinimalClassesReport:
     """Minimal strong n-sided candidates grouped by mutual order, with the
     number of their orbits under letter-and-side permutations.
 
-    The order is decided exactly by the pullback pairs of
-    :func:`_le_matrix_strong`, a set ``le`` holding ``(i, j)`` when
-    candidate i lies below candidate j; a candidate is minimal when each
-    pair into it comes back, and classes group the minimal candidates by
-    mutual order, so the minimal candidates are the union of the classes.
+    The order is decided exactly by the flat pair keys of
+    :func:`_le_matrix_strong`, a set ``flat`` holding ``i * total + j``
+    when candidate i lies below candidate j; a candidate is minimal when
+    each pair into it comes back, and classes group the minimal candidates
+    by mutual order, so the minimal candidates are the union of the classes.
     Only the first-move layer has minimal classes: the record order is
     bounded, and minimality must not be guessed.
     """
-    count = _strong_count(n)
-    le = _le_matrix_strong(n)
+    total = _strong_count(n)
+    flat = _le_matrix_strong(n)
 
-    # i is minimal when no j lies strictly below it: every pair (j, i) of
-    # the set comes back as (i, j)
-    not_minimal = {i for j, i in le if (i, j) not in le}
+    # i is minimal when no j lies strictly below it: every key j * total + i
+    # comes back as i * total + j.  ``back`` holds each key reversed, so a
+    # reversed key missing from ``flat`` names, by its quotient, a candidate
+    # with something strictly below it
+    back = {(r % total) * total + r // total for r in flat}
+    not_minimal = {r // total for r in back - flat}
     classes: list[list[int]] = []
-    for i in range(count):
+    for i in range(total):
         if i in not_minimal:
             continue
         for cls in classes:
             j = cls[0]
-            if (i, j) in le and (j, i) in le:
+            if i * total + j in flat and j * total + i in flat:
                 cls.append(i)
                 break
         else:

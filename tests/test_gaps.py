@@ -18,6 +18,7 @@ from adicgaps.combs import (
     EFamily,
     concretize,
     efamily_induced_map,
+    efamily_placements,
     efamily_shapes,
     enumerate_efamilies,
     shape_induced_row,
@@ -30,6 +31,7 @@ from adicgaps.gaps import (
     RECORD,
     UNKNOWN_BOUNDED,
     GapSpec,
+    _first_witness_row,
     _le_matrix_strong,
     _membership_iff,
     _permuted_index,
@@ -303,11 +305,11 @@ class TestOrderFirstMove:
         assert identity_map(2) in maps
 
 
-def as_matrix(pairs, k_count):
-    """The order pairs ``(i, j)`` as a dense bool matrix with ``le[i, j]``."""
-    le = np.zeros((k_count, k_count), dtype=bool)
-    le[tuple(zip(*pairs))] = True
-    return le
+def le_pairs(n):
+    """The order pairs ``(i, j)``, candidate i below candidate j, decoded
+    from the flat keys ``i * total + j`` of :func:`_le_matrix_strong`."""
+    total = len(enumerate_candidates_strong(n))
+    return {divmod(r, total) for r in _le_matrix_strong(n)}
 
 
 def true_cells(le):
@@ -383,7 +385,7 @@ class TestMinimalClasses:
     def test_excluded_candidates_have_minimal_below(self):
         cands = enumerate_candidates_strong(2)
         minimal = minimal_indices(minimal_classes(2))
-        le = _le_matrix_strong(2)
+        le = le_pairs(2)
         below = {
             STILDE: GAP_4S,
             EXC_DIAG_TOOTH: GAP_4,
@@ -396,7 +398,7 @@ class TestMinimalClasses:
             assert expected in minimal_below
 
     def test_order_matrix_transitive(self):
-        le = _le_matrix_strong(2)
+        le = le_pairs(2)
         k = len(enumerate_candidates_strong(2))
         for a in range(k):
             for b in range(k):
@@ -408,14 +410,14 @@ class TestMinimalClasses:
 
     def test_matrix_agrees_with_pairwise_order(self):
         cands = enumerate_candidates_strong(2)
-        le = _le_matrix_strong(2)
+        le = le_pairs(2)
         for i, g in enumerate(cands):
             for j, h in enumerate(cands):
                 assert ((i, j) in le) == (order_le(g, h).verdict == LE_WITNESSED)
 
     def test_permutation_equivariance(self):
         cands = enumerate_candidates_strong(2)
-        le = _le_matrix_strong(2)
+        le = le_pairs(2)
         index = {g: i for i, g in enumerate(cands)}
         swap = {}
         for g in cands:
@@ -440,8 +442,10 @@ class TestMinimalClasses:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_minimal_and_classes_match_pairwise_loops(self, n):
+        # the flat-key classes against the pairwise loops on the numpy
+        # oracle's matrix, which never forms a flat key
         report = minimal_classes(n)
-        le = as_matrix(_le_matrix_strong(n), len(enumerate_candidates_strong(n)))
+        le = reference_le_matrix_strong(enumerate_candidates_strong(n), n)[0]
         assert (minimal_indices(report), report.classes) == reference_minimal_classes(le)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -560,6 +564,7 @@ def flat_row(eps, m):
     return tuple(image.spine * m + image.teeth for _, image in eps)
 
 
+@lru_cache(maxsize=None)
 def reference_le_matrix_strong(candidates, n):
     """The per-map pullback loop the matrix kernel replaced: every realizable
     map over all candidate rows, cells filled by ``side_of``.  Also returns,
@@ -620,7 +625,7 @@ def random_first_move_gap(rng, n, m):
 @pytest.fixture(scope="module")
 def triadic():
     cands = enumerate_candidates_strong(3)
-    return cands, _le_matrix_strong(3)
+    return cands, le_pairs(3)
 
 
 class TestStrongKernels:
@@ -631,7 +636,7 @@ class TestStrongKernels:
     def test_dyadic_matrix_matches_reference(self):
         cands = enumerate_candidates_strong(2)
         expected = true_cells(reference_le_matrix_strong(cands, 2)[0])
-        assert _le_matrix_strong(2) == expected and len(expected) == 12
+        assert le_pairs(2) == expected and len(expected) == 12
 
     def test_triadic_matrix_and_visited_maps_match_reference(self, triadic):
         cands, le = triadic
@@ -773,6 +778,105 @@ class TestRealizablePool:
         assert calls == {"efamily_induced_map": 0, "concretize": 1}
         assert revalidate_order(cands[5], cands[5], res)
         assert calls == {"efamily_induced_map": 1, "concretize": 1}
+
+
+#: the scales whose pools the fast paths are compared on, shape by shape
+ROW_SCALES = list(itertools.product((1, 2, 3), repeat=2)) + [(3, 4), (4, 1), (4, 2)]
+
+
+def reference_first_hit(table, g_row, h_row):
+    """The linear scan the sorted-prefix descent replaced, over every row of
+    the pool as an int array ``table``, in pool order (vectorized): the
+    index of the first row with ``h_row[row[c]] == g_row[c]`` in every
+    slot c, or ``None``."""
+    match = (np.asarray(h_row)[table] == np.asarray(g_row)).all(axis=1)
+    return int(match.argmax()) if match.any() else None
+
+
+def seeded_side_rows(rng, count, m_in, m_out):
+    """``count`` pairs of side rows (:func:`_side_row`) of first-move gaps
+    with 1 to 3 sides, from alphabet m_in into m_out; every other g is the
+    pullback of h through a random map of the pool, so about half the pairs
+    are witnessed."""
+    rows = _realizable_maps(m_in, m_out)[0]
+    out = []
+    for k in range(count):
+        n = rng.randrange(1, 4)
+        h_row = _side_row(random_first_move_gap(rng, n, m_out))
+        if k % 2:
+            g_row = tuple(h_row[v] for v in rng.choice(rows))
+        else:
+            g_row = _side_row(random_first_move_gap(rng, n, m_in))
+        out.append((g_row, h_row))
+    return out
+
+
+class TestFastPaths:
+    """The strong layer's fast paths against the computations they
+    replaced: pool rows read off placements against :func:`shape_induced_row`
+    on every shape, the sorted-prefix descent against the linear scan, and
+    the flat-key classes against the numpy oracle."""
+
+    @pytest.mark.parametrize("m_in,m_out", ROW_SCALES)
+    def test_rows_read_off_placements_match_per_shape_rows(self, m_in, m_out):
+        # each placement's diagonal with its tree's off-diagonal slots is the
+        # shape's own row, and the pool keeps each distinct row's first shape
+        chains = [i * (m_in + 1) for i in range(m_in)]
+        first = {}
+        tree_rows = {}  # by tree identity: placements share their tree object
+        for tree, shape, diagonal in efamily_placements(m_in, m_out):
+            row = shape_induced_row(shape, m_in, m_out)
+            if id(tree) not in tree_rows:
+                tree_rows[id(tree)] = tree, shape_induced_row(tree, m_in, m_out)
+            tree_row = tree_rows[id(tree)][1]
+            assert sorted(diagonal) == list(range(m_in))
+            assert [row[s] for s in chains] == [diagonal[i] for i in range(m_in)]
+            assert all(row[s] == tree_row[s] for s in range(m_in * m_in) if s not in chains)
+            first.setdefault(row, shape)
+        rows = tuple(sorted(first))
+        assert _realizable_maps(m_in, m_out) == (rows, tuple(first[row] for row in rows))
+
+    def assert_descent_matches_scan(self, m_in, m_out, pairs):
+        rows = _realizable_maps(m_in, m_out)[0]
+        table = np.asarray(rows)
+        hits = set()
+        for g_row, h_row in pairs:
+            hit = _first_witness_row(rows, g_row, h_row)
+            assert hit == reference_first_hit(table, g_row, h_row), (g_row, h_row)
+            hits.add(hit is None)
+        return hits
+
+    def test_descent_matches_scan_on_every_dyadic_strong_pair(self):
+        rows = [_side_row(g) for g in enumerate_candidates_strong(2)]
+        pairs = list(itertools.product(rows, repeat=2))
+        assert len(pairs) == 81
+        assert self.assert_descent_matches_scan(2, 2, pairs) == {True, False}
+
+    def test_descent_matches_scan_among_triadic_class_members(self):
+        report = minimal_classes(3)
+        rows = [_side_row(strong_candidate(3, i)) for cls in report.classes for i in cls]
+        pairs = list(itertools.product(rows, repeat=2))
+        assert len(pairs) == 43 * 43
+        assert self.assert_descent_matches_scan(3, 3, pairs) == {True, False}
+
+    @pytest.mark.parametrize(
+        "m_in,m_out,count", [(3, 3, 2000), (2, 3, 200), (3, 2, 200), (3, 4, 200)]
+    )
+    def test_descent_matches_scan_on_seeded_pairs(self, m_in, m_out, count):
+        rng = random.Random(m_in * 10 + m_out)
+        pairs = seeded_side_rows(rng, count, m_in, m_out)
+        assert self.assert_descent_matches_scan(m_in, m_out, pairs) == {True, False}
+
+    def test_descent_on_an_empty_pool_finds_nothing(self):
+        assert _realizable_maps(2, 1)[0] == ()
+        assert _first_witness_row((), (0, 1, 1, 0), (0,)) is None
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_flat_keys_match_the_oracle(self, n):
+        cands = enumerate_candidates_strong(n)
+        total = len(cands)
+        cells = true_cells(reference_le_matrix_strong(cands, n)[0])
+        assert _le_matrix_strong(n) == {i * total + j for i, j in cells}
 
 
 class TestOrderRecord:
