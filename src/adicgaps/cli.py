@@ -7,9 +7,9 @@ report: one entry per acceptance check with an expected/computed pair and a
 ``PASS``/``FAIL`` status, plus two ``DISCREPANCY_KNOWN`` entries for the two
 places where the published text is internally inconsistent and this package
 follows the stated rules instead of the printed values.  The report JSON is
-deterministic apart from its timestamp: reruns — with the result cache hot,
-cold, or disabled — produce byte-identical content after the
-``generated_at`` field is excluded.  Every command runs on one thread.
+deterministic apart from its timestamp: reruns with the same seed produce
+byte-identical content after the ``generated_at`` field is excluded.  Every
+command runs on one thread.
 
 Exit codes: 0 on success, 1 when the audit contains a ``FAIL`` entry, and 2
 for usage errors (out-of-range scales, malformed input files, unusable cache
@@ -27,7 +27,6 @@ import platform
 import random
 import sys
 import tempfile
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Callable, Optional
 
@@ -83,7 +82,6 @@ from .runtime import (
     ResultCache,
     canonical_json,
     content_key,
-    default_cache_dir,
 )
 from .search import ORDER, RANGE, Answer, budget_json
 from .tree import (
@@ -170,12 +168,6 @@ DYADIC_TYPE_TEXTS = (
 # audit report plumbing
 
 
-@dataclass(frozen=True)
-class AuditContext:
-    seed: int
-    cache: Optional[ResultCache]
-
-
 #: What an audit check returns: the anchor (which reference table or stated
 #: fact is being reproduced), the expected and computed values, and the status.
 CheckResult = tuple[str, dict, dict, str]
@@ -185,7 +177,7 @@ CheckResult = tuple[str, dict, dict, str]
 # check 1: type catalogue
 
 
-def check_type_catalogue(ctx: AuditContext) -> CheckResult:
+def check_type_catalogue(seed: int) -> CheckResult:
     expected = {
         "counts": {"1": 1, "2": 8, "3": 61},
         "dyadic_types": list(DYADIC_TYPE_TEXTS),
@@ -201,7 +193,7 @@ def check_type_catalogue(ctx: AuditContext) -> CheckResult:
 # check 2: strong dyadic table
 
 
-def check_strong_two(ctx: AuditContext) -> CheckResult:
+def check_strong_two(seed: int) -> CheckResult:
     report = minimal_classes(2)
     candidates = enumerate_candidates_strong(2)
     classes = {
@@ -231,15 +223,16 @@ def check_strong_two(ctx: AuditContext) -> CheckResult:
 
 
 # ---------------------------------------------------------------------------
-# check 3: strong triadic classes (cached)
+# check 3: strong triadic classes
 
 
 def _strong_classes(n: int, cache: Optional[ResultCache]) -> dict:
     """``minimal_classes(n).as_dict()``, through the cache when one is
-    given.  The key names what :func:`minimal_classes` takes: the arity,
-    with the layer and the order it decides them by.  A cached value not of
-    that form for this arity (:func:`is_classes_dict`) counts as a miss,
-    and is recomputed and overwritten."""
+    given; only ``gaps enum-strong --cache-dir`` gives one, and the audit
+    never does.  The key names what :func:`minimal_classes` takes: the
+    arity, with the layer and the order it decides them by.  A cached value
+    not of that form for this arity (:func:`is_classes_dict`) counts as a
+    miss, and is recomputed and overwritten; one of that form is trusted."""
     if cache is None:
         return minimal_classes(n).as_dict()
     key = content_key(
@@ -258,8 +251,8 @@ def _strong_classes(n: int, cache: Optional[ResultCache]) -> dict:
     return report
 
 
-def check_strong_three(ctx: AuditContext) -> CheckResult:
-    report = _strong_classes(3, ctx.cache)
+def check_strong_three(seed: int) -> CheckResult:
+    report = minimal_classes(3).as_dict()
     expected = {
         "candidates": 4096,
         "classes": 31,
@@ -285,7 +278,7 @@ def check_strong_three(ctx: AuditContext) -> CheckResult:
 # check 4: worked order examples
 
 
-def check_worked_order(ctx: AuditContext) -> CheckResult:
+def check_worked_order(seed: int) -> CheckResult:
     g4s = REFERENCE_STRONG_TABLE["4*"]
     below = order_le(g4s, GAP_STILDE)
     eps = efamily_induced_map(WORKED_FAMILY)  # every kind of g4s, with its image
@@ -314,14 +307,14 @@ def check_worked_order(ctx: AuditContext) -> CheckResult:
 # check 5: rule/oracle agreement on induced comb maps
 
 
-def check_rule_oracle(ctx: AuditContext) -> CheckResult:
+def check_rule_oracle(seed: int) -> CheckResult:
     exhaustive = [
         fam
         for n, m in ((1, 1), (1, 2), (2, 1), (2, 2))
         for fam in enumerate_efamilies(n, m)
     ]
     # sampling shapes picks the same indices as sampling their families would
-    rng = random.Random(ctx.seed)
+    rng = random.Random(seed)
     sampled = [concretize(shape, 3) for shape in rng.sample(list(efamily_shapes(3, 3)), 500)]
     failures = []
     for fam in itertools.chain(exhaustive, sampled):
@@ -400,7 +393,7 @@ def _monotonicity_pool():
     ]
 
 
-def check_record_self(ctx: AuditContext) -> CheckResult:
+def check_record_self(seed: int) -> CheckResult:
     identity_failures = []
     identity_checks = 0
     for alphabet in (2, 3):
@@ -413,7 +406,7 @@ def check_record_self(ctx: AuditContext) -> CheckResult:
     transfer_failures = []
     transfer_pairs = 0
     for alphabet in (2, 3):
-        rng = random.Random(1000 * ctx.seed + 20260816 + alphabet)
+        rng = random.Random(1000 * seed + 20260816 + alphabet)
         psi = psi_map(alphabet)
         for _ in range(100):
             transfer_pairs += 1
@@ -460,7 +453,7 @@ def check_record_self(ctx: AuditContext) -> CheckResult:
 # check 7: domination facts and the pruned refinement
 
 
-def check_domination(ctx: AuditContext) -> CheckResult:
+def check_domination(seed: int) -> CheckResult:
     catalogue = enumerate_types(2)
     teeth = [parse_type(t, 2) for t in PRUNED_TYPE_TEXTS]
     teeth_dominate = all(
@@ -500,7 +493,7 @@ def check_domination(ctx: AuditContext) -> CheckResult:
 # check 8: breaking desk instances
 
 
-def check_breaking(ctx: AuditContext) -> CheckResult:
+def check_breaking(seed: int) -> CheckResult:
     critical = critical_record_gap(3)
     critical_results = {}
     revalidated = 0
@@ -557,8 +550,8 @@ def check_breaking(ctx: AuditContext) -> CheckResult:
 # check 9: property suites
 
 
-def _equivalence_laws(ctx: AuditContext) -> dict:
-    rng = random.Random(ctx.seed + 9)
+def _equivalence_laws(seed: int) -> dict:
+    rng = random.Random(seed + 9)
     sets = []
     for k in range(300):
         alphabet = 2 if k % 2 == 0 else 3
@@ -644,8 +637,8 @@ def _cache_spot_check() -> dict:
     return {"roundtrip_equal": roundtrip == report}
 
 
-def check_properties(ctx: AuditContext) -> CheckResult:
-    laws = _equivalence_laws(ctx)
+def check_properties(seed: int) -> CheckResult:
+    laws = _equivalence_laws(seed)
     revalidation = _revalidation_sweep()
     determinism = _determinism_probe()
     cache = _cache_spot_check()
@@ -679,7 +672,7 @@ def check_properties(ctx: AuditContext) -> CheckResult:
 # known discrepancies (verified, then reported as such — never as failures)
 
 
-def check_discrepancy_worked_family(ctx: AuditContext) -> CheckResult:
+def check_discrepancy_worked_family(seed: int) -> CheckResult:
     """The reference table's worked two-branch family is printed with induced
     values that contradict its own displayed substitution rule; this package
     follows the rule, and the classification oracle corroborates it."""
@@ -707,7 +700,7 @@ def check_discrepancy_worked_family(ctx: AuditContext) -> CheckResult:
     return anchor, expected, computed, DISCREPANCY_KNOWN if reproduced else FAIL
 
 
-def check_discrepancy_dominating_teeth(ctx: AuditContext) -> CheckResult:
+def check_discrepancy_dominating_teeth(seed: int) -> CheckResult:
     """The stated domination rules make a third type dominate every dyadic
     type, yet the published refinement removes only two; this package follows
     the explicit two-type list and reports the tension instead of resolving
@@ -736,7 +729,7 @@ def check_discrepancy_dominating_teeth(ctx: AuditContext) -> CheckResult:
     return anchor, expected, computed, DISCREPANCY_KNOWN if reproduced else FAIL
 
 
-AUDIT_CHECKS: tuple[tuple[str, Callable[[AuditContext], CheckResult]], ...] = (
+AUDIT_CHECKS: tuple[tuple[str, Callable[[int], CheckResult]], ...] = (
     ("type-catalogue", check_type_catalogue),
     ("strong-two-gap-table", check_strong_two),
     ("strong-three-gap-classes", check_strong_three),
@@ -753,15 +746,14 @@ AUDIT_CHECKS: tuple[tuple[str, Callable[[AuditContext], CheckResult]], ...] = (
 
 def run_audit(
     seed: int = 0,
-    cache: Optional[ResultCache] = None,
     only: Optional[set] = None,
     progress: Optional[Callable[[str], None]] = None,
 ) -> dict:
     """Run the audit checks and assemble the report dictionary.
 
     The report is deterministic apart from ``generated_at``: entries depend
-    only on the seed, never on cache state."""
-    ctx = AuditContext(seed=seed, cache=cache)
+    only on the seed.  No check reads a cache; the property suite's round
+    trip writes one only in a temporary directory."""
     names = [name for name, _ in AUDIT_CHECKS]
     if only is not None:
         unknown = only - set(names)
@@ -774,7 +766,7 @@ def run_audit(
     for name, fn in AUDIT_CHECKS:
         if only is not None and name not in only:
             continue
-        anchor, expected, computed, status = fn(ctx)
+        anchor, expected, computed, status = fn(seed)
         entries.append(
             {"check": name, "anchor": anchor, "expected": expected, "computed": computed,
              "status": status}
@@ -820,9 +812,10 @@ def _require_writable_dir(path, what: str) -> None:
 
 
 def _resolve_cache(args) -> Optional[ResultCache]:
-    if getattr(args, "no_cache", False):
+    """The cache under ``--cache-dir``, or ``None`` when none is named."""
+    if not args.cache_dir:
         return None
-    cache = ResultCache(getattr(args, "cache_dir", None) or default_cache_dir())
+    cache = ResultCache(args.cache_dir)
     # entries are written under the versioned directory, which can be
     # unusable (a file, say) where the root is not
     try:
@@ -958,10 +951,8 @@ def cmd_audit_paper_tables(args) -> int:
     if os.path.isdir(out_path):
         raise UsageError(f"report path {out_path} is a directory")
     _require_writable_dir(os.path.dirname(out_path) or ".", "report directory")
-    cache = _resolve_cache(args)
     report = run_audit(
         seed=args.seed,
-        cache=cache,
         only=only,
         progress=lambda line: print(line),
     )
@@ -979,20 +970,6 @@ def cmd_audit_paper_tables(args) -> int:
 
 # ---------------------------------------------------------------------------
 # parser
-
-
-def _add_cache_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        help="result cache directory (default: $ADICGAPS_CACHE_DIR or the "
-        "user cache directory)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="compute everything fresh and store nothing",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1023,7 +1000,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="report the class count up to letter-and-side permutation",
     )
     enum_strong.add_argument("--json", action="store_true", help="emit JSON")
-    _add_cache_flags(enum_strong)
+    enum_strong.add_argument(
+        "--cache-dir",
+        metavar="DIR",
+        help="read and write the classes in a result cache under DIR "
+        "(created if missing); any entry of the right form found there is "
+        "trusted as is.  Without it nothing is cached",
+    )
     enum_strong.set_defaults(func=cmd_gaps_enum_strong)
 
     order = gaps_cmds.add_parser(
@@ -1068,7 +1051,13 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="CHECKS",
         help="comma-separated subset of checks to run (marks the report partial)",
     )
-    _add_cache_flags(paper_tables)
+    paper_tables.add_argument(
+        "--no-cache",
+        action="store_true",
+        help="ignored: the audit reads and writes no cache.  Accepted only "
+        "because the benchmark's audit argv passes it, and retired with that "
+        "argv",
+    )
     paper_tables.set_defaults(func=cmd_audit_paper_tables)
 
     return parser

@@ -8,7 +8,8 @@ lets ``content_key`` derive cache keys by hashing.  ``ResultCache`` stores one
 JSON document per key under a schema-version directory; bumping the version
 orphans old entries instead of migrating them, and writes go through a
 temporary file plus :func:`os.replace` so a crashed run never leaves a
-half-written entry behind.
+half-written entry behind.  A cache exists only where the caller names its
+directory (``gaps enum-strong --cache-dir``).
 """
 
 from __future__ import annotations
@@ -26,9 +27,6 @@ _R = TypeVar("_R")
 #: Bump when the JSON shape of any cached result changes.  Entries written
 #: under other versions are ignored (recomputed), never migrated.
 SCHEMA_VERSION = 2
-
-#: Environment variable overriding the default cache directory.
-CACHE_DIR_ENV = "ADICGAPS_CACHE_DIR"
 
 
 def pmap(fn: Callable[[_T], _R], items: Iterable[_T]) -> list[_R]:
@@ -49,16 +47,6 @@ def canonical_json(obj: Any) -> str:
 def content_key(obj: Any) -> str:
     """Content hash of ``obj``'s canonical JSON, usable as a cache key."""
     return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
-
-
-def default_cache_dir() -> Path:
-    """Cache root: ``$ADICGAPS_CACHE_DIR`` or ``~/.cache/adicgaps``."""
-    raw = os.environ.get(CACHE_DIR_ENV, "")
-    if raw.strip():
-        return Path(raw).expanduser()
-    xdg = os.environ.get("XDG_CACHE_HOME", "")
-    base = Path(xdg).expanduser() if xdg.strip() else Path.home() / ".cache"
-    return base / "adicgaps"
 
 
 class ResultCache:

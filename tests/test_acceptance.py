@@ -25,8 +25,6 @@ def audit(tmp_path_factory):
             "paper-tables",
             "--json-out",
             str(out),
-            "--cache-dir",
-            str(tmp / "cache"),
         ]
     )
     elapsed = time.monotonic() - started

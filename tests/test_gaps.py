@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import adicgaps.combs as combs_module
 import adicgaps.gaps as gaps_module
-from adicgaps.cli import DISCREPANCY_KNOWN, AuditContext, check_discrepancy_dominating_teeth
+from adicgaps.cli import DISCREPANCY_KNOWN, check_discrepancy_dominating_teeth
 from adicgaps.combs import (
     CombKind,
     EFamily,
@@ -969,8 +969,7 @@ class TestDominationPrune:
     def test_disputed_type_retained_and_flagged(self):
         pruned = domination_prune(enumerate_candidates_record(2))
         # the audit reports the tension as a known discrepancy
-        ctx = AuditContext(seed=0, cache=None)
-        _anchor, _expected, computed, status = check_discrepancy_dominating_teeth(ctx)
+        _anchor, _expected, computed, status = check_discrepancy_dominating_teeth(0)
         assert computed["literal_extra_dominator"] == "[l0 u1 l1]"
         assert status == DISCREPANCY_KNOWN
         disputed = parse_type("[l0 u1 l1]", 2)

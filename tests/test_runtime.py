@@ -5,12 +5,10 @@ import json
 import pytest
 
 from adicgaps.runtime import (
-    CACHE_DIR_ENV,
     SCHEMA_VERSION,
     ResultCache,
     canonical_json,
     content_key,
-    default_cache_dir,
     pmap,
 )
 
@@ -79,7 +77,3 @@ class TestResultCache:
         other.parent.mkdir(parents=True)
         other.write_text('"stale"', encoding="utf-8")
         assert cache.get(key) is None
-
-    def test_env_override_for_default_dir(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "custom"))
-        assert default_cache_dir() == tmp_path / "custom"
