@@ -321,7 +321,7 @@ def check_rule_oracle(seed: int) -> CheckResult:
         try:
             realize_efamily(fam)  # compares the probed comb action with the rule
         except (ValidationFailure, ScaleLimit) as ex:
-            failures.append(f"{fam}: {type(ex).__name__}")
+            failures.append(f"{fam}: {type(ex).__name__}: {ex}")
     expected = {"checked": len(exhaustive) + 500, "failures": []}
     computed = {
         "checked": len(exhaustive) + len(sampled),

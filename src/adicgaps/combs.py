@@ -97,9 +97,9 @@ def _comb_classes(alphabet: int, count: int) -> dict:
     return witness_classes(comb_kinds(alphabet), witness, first_move_table)
 
 
-def classify_comb(a: NodeSet) -> CombKind:
+def classify_comb(a: NodeSet, *, whole_first: bool = False) -> CombKind:
     """The comb kind of ``a``, read by :func:`~adicgaps.tree.classify`."""
-    return classify(a, _comb_classes, first_move_table)
+    return classify(a, _comb_classes, first_move_table, whole_first=whole_first)
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,7 @@ from .tree import (
     ScaleLimit,
     empty_node,
     first_move_equivalent,
+    join_runs,
     node_from_runs,
     prec_compare,
     reembed,
@@ -275,6 +276,14 @@ def read(phi: Embedding, symbol, between: Optional[Callable] = None) -> tuple[st
     * ``(UNSTABLE, None)``: an image does not classify, or the sizes differ;
     * ``(SKIPPED, None)``: the first is out of reach;
     * ``(REFUTED, None)``: ``between`` rejected the first reading.
+
+    Each reading builds one tree code.  The first image is matched on its
+    whole set first (``whole_first``), which returns what the trimmed-first
+    rule would: a symbol matching a set matches its trim, so a unique whole
+    match is also the answer the trimmed match and its tie-break give.  The
+    witness at one block more adds one element after the others, so under
+    an order-preserving map the second image trimmed is the first image,
+    and its lookup is a hit in the classifier's memo.
     """
     comb = isinstance(symbol, CombKind)
     classify = classify_comb if comb else classify_type
@@ -287,7 +296,7 @@ def read(phi: Embedding, symbol, between: Optional[Callable] = None) -> tuple[st
                 image = apply(phi, type_witness(symbol, blocks))
             if len(image) != blocks:
                 raise ValidationFailure(f"witness of {symbol} collapsed")
-            sigma = classify(image)
+            sigma = classify(image, whole_first=first is None)
         except (ScaleLimit, OutOfDomain):
             return (SKIPPED, None) if first is None else (UNVERIFIED, first)
         except (NotHomogeneous, AmbiguousTruncation):
@@ -426,30 +435,41 @@ def realize_efamily(fam: EFamily, depth: int = DOMAIN_DEPTH) -> TabulatedEmbeddi
     and order monotonicity come from lengths alone.  When e(inf) lies below
     e(i) the image of s sits on the path into s's subtree images, which is
     what makes chain images chains in the degenerate case.
+
+    Anchors are runs, keyed by the runs of their domain word, and each is
+    joined once onto its parent's, the word without its last letter a.
+    ``T`` and ``weight`` come along from the parent: weight(s+a) =
+    n * weight(s) + a * n, and the level term of ``T`` grows by (n+1)**2
+    per letter, so T(s+a) = (n+1)**2 * (T(s) - K * weight(s)) + K *
+    weight(s+a).  Only an image is a ``Node``.
     """
     n, m = fam.n, fam.alphabet_out
+    e_runs, e_inf = [w.runs for w in fam.e], fam.e_inf
     block_len = fam.e[0].length
-    K = max(block_len, fam.e_inf.length, 1)
+    K = max(block_len, e_inf.length, 1)
+    level = (n + 1) ** 2
+    # domain runs -> (anchor runs, anchor length, T, weight)
+    anchors: dict[tuple, tuple[tuple, int, int, int]] = {(): ((), 0, K * level, 0)}
 
-    def T(s: Node) -> int:
-        return K * ((n + 1) ** (2 * s.length + 2) + weight(s))
-
-    anchors: dict[Node, Node] = {empty_node(n): empty_node(m)}
-
-    def anchor(s: Node) -> Node:
-        hit = anchors.get(s)
+    def anchor(runs: tuple) -> tuple[tuple, int, int, int]:
+        hit = anchors.get(runs)
         if hit is not None:
             return hit
-        parent = s.prefix(s.length - 1)
-        letter = s.letter_at(s.length - 1)
-        # T grows by at least 3K per level and K >= block_len, so the pad is
-        # positive; extend refuses a negative count
-        out = anchor(parent).concat(fam.e[letter]).extend(0, T(s) - T(parent) - block_len)
-        anchors[s] = out
-        return out
+        letter, count = runs[-1]
+        parent = runs[:-1] + ((letter, count - 1),) if count > 1 else runs[:-1]
+        head, length, t_parent, w_parent = anchor(parent)
+        w = n * w_parent + letter * n
+        t = level * (t_parent - K * w_parent) + K * w
+        # T grows by at least 3K per level and K >= block_len, so the pad
+        # is positive and the 0-run it adds is a proper run
+        pad = t - t_parent - block_len
+        out = join_runs(join_runs(head, e_runs[letter]), ((0, pad),))
+        hit = anchors[runs] = (out, length + block_len + pad, t, w)
+        return hit
 
     def fn(s: Node) -> Node:
-        return anchor(s).concat(fam.e_inf)
+        runs, length, _, _ = anchor(s.runs)
+        return Node(m, join_runs(runs, e_inf.runs), length + e_inf.length)
 
     phi = TabulatedEmbedding(n, m, depth, fn=fn)
     for (kind, want), (_, have) in zip(efamily_induced_map(fam), comb_action(phi)):

@@ -79,7 +79,7 @@ def _normalize_runs(runs: Iterable[Run]) -> tuple[Run, ...]:
     return tuple((l, c) for l, c in out)
 
 
-def _join(a: tuple[Run, ...], b: tuple[Run, ...]) -> tuple[Run, ...]:
+def join_runs(a: tuple[Run, ...], b: tuple[Run, ...]) -> tuple[Run, ...]:
     """Normal runs of the word a + b, for normal a and b."""
     if a and b and a[-1][0] == b[0][0]:
         return a[:-1] + ((b[0][0], a[-1][1] + b[0][1]),) + b[1:]
@@ -164,7 +164,7 @@ class Node:
 
     def concat(self, other: "Node") -> "Node":
         _check_alphabet(self, other)
-        return Node(self.alphabet, _join(self.runs, other.runs), self.length + other.length)
+        return Node(self.alphabet, join_runs(self.runs, other.runs), self.length + other.length)
 
     def extend(self, letter: int, count: int = 1) -> "Node":
         if not 0 <= letter < self.alphabet:
@@ -173,7 +173,7 @@ class Node:
             raise ValueError(f"negative run count {count}")
         if count == 0:
             return self
-        return Node(self.alphabet, _join(self.runs, ((letter, count),)), self.length + count)
+        return Node(self.alphabet, join_runs(self.runs, ((letter, count),)), self.length + count)
 
     def repeat(self, times: int) -> "Node":
         """The word self + self + ... (``times`` copies)."""
@@ -568,7 +568,9 @@ def witness_classes(symbols: Iterable, witness: Callable, table: Callable) -> di
     return {key: tuple(matches) for key, matches in classes.items()}
 
 
-def classify(a: NodeSet, classes: Callable[[int, int], dict], table: Callable):
+def classify(
+    a: NodeSet, classes: Callable[[int, int], dict], table: Callable, *, whole_first: bool = False
+):
     """The one symbol whose witness pattern ``a`` follows, where
     ``classes(alphabet, count)`` is :func:`witness_classes` of the
     ``count``-element witnesses under ``table``.  The last element of ``a``
@@ -582,10 +584,18 @@ def classify(a: NodeSet, classes: Callable[[int, int], dict], table: Callable):
     unique trimmed match is thus the whole match whenever there is one, and
     a set with no trimmed match has no whole match.
 
+    The same argument lets ``whole_first`` turn the order round: the whole
+    set is matched first, and a unique whole match is returned at once,
+    since the trimmed match contains it and a tie would be settled by it.
+    Only a whole match of no symbol or of several falls back to the rule
+    above, which reads the trimmed set (a whole miss can still have a
+    unique trimmed match).  :func:`~adicgaps.embeddings.read` asks for it
+    on its first image, whose whole set is the trimmed set of its second.
+
     Both lookups go through one bounded memo, :func:`_matches`, keyed by
     ``classes``, ``table``, the alphabet and the prec-sorted tuple of the
     matched nodes: ``a.sorted_nodes[:-1]`` for the trimmed match and
-    ``a.sorted_nodes`` for the tie-break.  The well order is total, so two
+    ``a.sorted_nodes`` for the whole one.  The well order is total, so two
     node sets are equal exactly when their sorted tuples are, and the tuple
     is there to hash at no further cost.  The memo stores the matching
     symbols or ``None``, never an exception; the refusals are raised here
@@ -597,6 +607,10 @@ def classify(a: NodeSet, classes: Callable[[int, int], dict], table: Callable):
     if len(a) < 3:
         raise ValueError(f"need at least 3 elements to classify, got {len(a)}")
     nodes = a.sorted_nodes
+    if whole_first:
+        whole = _matches(classes, table, a.alphabet, nodes)
+        if whole is not None and len(whole) == 1:
+            return whole[0]
     matches = _matches(classes, table, a.alphabet, nodes[:-1])
     if matches is None:
         raise NotHomogeneous(f"not homogeneous: {a}")
@@ -610,12 +624,14 @@ def classify(a: NodeSet, classes: Callable[[int, int], dict], table: Callable):
 
 
 # Hit rates of the record-table lookups at maxsize 64 / 256 / 1024 /
-# unbounded: 61 / 64 / 71 / 72% in a bench record-queries child (seed 0),
-# 55 / 62 / 63 / 64% in a cold audit, 79 / 83 / 85 / 91% in the first 30 s
+# unbounded: 74 / 75 / 80 / 80% in a bench record-queries child (seed 0),
+# 70 / 72 / 73 / 73% in a cold audit, 85 / 89 / 90 / 93% in the first 30 s
 # of the ternary breaking check ([l0]|[l1]|[l0 l1], --set 0,1).  Unbounded,
-# that query's peak RSS reached 110 MB in those 30 s against 33 MB at 256,
+# that query's peak RSS reached 132 MB in those 30 s against 33 MB at 256,
 # and it grows for as long as the query runs; 256 keeps most of the hits.
-# Comb images rarely repeat (2% hits in a cold audit) and cost one entry.
+# Comb lookups hit 51% in a cold audit at 256 (60% unbounded): nearly every
+# second image of a reading is a hit, since its trimmed set was the first
+# image's whole.
 @lru_cache(maxsize=256)
 def _matches(classes: Callable, table: Callable, alphabet: int, nodes: tuple[Node, ...]):
     """The symbols whose witness has the tree code of the set of prec-sorted

@@ -250,9 +250,9 @@ def _type_classes(alphabet: int, count: int) -> dict:
     return witness_classes(enumerate_types(alphabet), witness, record_table)
 
 
-def classify_type(a: NodeSet) -> TypeDescriptor:
+def classify_type(a: NodeSet, *, whole_first: bool = False) -> TypeDescriptor:
     """The record type of ``a``, read by :func:`~adicgaps.tree.classify`."""
-    return classify(a, _type_classes, record_table)
+    return classify(a, _type_classes, record_table, whole_first=whole_first)
 
 
 # Each bucket's sets in scan order, a set's words separated by commas; a type

@@ -3,20 +3,34 @@
 import functools
 import random
 
-from adicgaps.combs import CombKind, EFamily, comb_kinds, comb_witness
+from adicgaps.combs import CombKind, EFamily, _comb_classes, comb_kinds, comb_witness
+from adicgaps.embeddings import (
+    PROBE_BLOCKS,
+    REFUTED,
+    SKIPPED,
+    STABLE,
+    UNSTABLE,
+    UNVERIFIED,
+    OutOfDomain,
+    ValidationFailure,
+    apply,
+)
 from adicgaps.gaps import FIRST_MOVE, GapSpec
 from adicgaps.tree import (
     AmbiguousTruncation,
     Node,
     NodeSet,
     NotHomogeneous,
+    ScaleLimit,
     empty_node,
     first_move_equivalent,
+    first_move_table,
     format_node,
     node_from_runs,
     record_table,
+    weight,
 )
-from adicgaps.types import enumerate_types, type_witness
+from adicgaps.types import _type_classes, enumerate_types, type_witness
 
 
 #: The variable that once sized the audit's thread pool.  Nothing reads it
@@ -213,3 +227,62 @@ def reference_classify_type(a):
     if len(matches) > 1:
         raise AmbiguousTruncation(f"{len(matches)} types match after trimming")
     return matches[0]
+
+
+# ---------------------------------------------------------------------------
+# witness readings and e-family images as they were built before one tree
+# code per reading and run-keyed anchors, kept as the oracles of
+# ``adicgaps.embeddings.read`` and ``adicgaps.embeddings.realize_efamily``
+
+
+def reference_read(phi, symbol, between=None):
+    """:func:`adicgaps.embeddings.read` with each image classified
+    trimmed-first, without the memo (:func:`reference_classify`)."""
+    comb = isinstance(symbol, CombKind)
+    layer = (_comb_classes, first_move_table) if comb else (_type_classes, record_table)
+    first = None
+    for blocks in (PROBE_BLOCKS, PROBE_BLOCKS + 1):
+        try:
+            if comb:
+                image = apply(phi, comb_witness(symbol, blocks, phi.domain_alphabet))
+            else:
+                image = apply(phi, type_witness(symbol, blocks))
+            if len(image) != blocks:
+                raise ValidationFailure(f"witness of {symbol} collapsed")
+            sigma = reference_classify(image, *layer)
+        except (ScaleLimit, OutOfDomain):
+            return (SKIPPED, None) if first is None else (UNVERIFIED, first)
+        except (NotHomogeneous, AmbiguousTruncation):
+            return UNSTABLE, None
+        if first is None:
+            if between is not None and not between(symbol, sigma):
+                return REFUTED, None
+            first = sigma
+        elif sigma != first:
+            return UNSTABLE, None
+    return STABLE, first
+
+
+def reference_efamily_map(fam: EFamily):
+    """The word map :func:`adicgaps.embeddings.realize_efamily` tabulates,
+    unvalidated: each anchor is its parent's anchor, then e(i), then a 0-pad
+    up to the schedule T(s), recomputed from ``weight`` at every word."""
+    n, m = fam.n, fam.alphabet_out
+    block_len = fam.e[0].length
+    K = max(block_len, fam.e_inf.length, 1)
+
+    def T(s: Node) -> int:
+        return K * ((n + 1) ** (2 * s.length + 2) + weight(s))
+
+    anchors = {empty_node(n): empty_node(m)}
+
+    def anchor(s: Node) -> Node:
+        hit = anchors.get(s)
+        if hit is None:
+            parent = s.prefix(s.length - 1)
+            letter = s.letter_at(s.length - 1)
+            pad = T(s) - T(parent) - block_len
+            hit = anchors[s] = anchor(parent).concat(fam.e[letter]).extend(0, pad)
+        return hit
+
+    return lambda s: anchor(s).concat(fam.e_inf)

@@ -14,18 +14,21 @@ from pathlib import Path
 import pytest
 
 import adicgaps
-from adicgaps import cli
+from adicgaps import cli, embeddings
 from adicgaps.cli import (
     AUDIT_CHECKS,
     DISCREPANCY_KNOWN,
     EXIT_OK,
     EXIT_USAGE,
+    FAIL,
     GAP_STILDE,
     PASS,
     REFERENCE_STRONG_TABLE,
+    check_rule_oracle,
     check_strong_three,
     main,
 )
+from adicgaps.combs import CombKind, enumerate_efamilies
 from adicgaps.gaps import critical_record_gap, minimal_classes
 from adicgaps.breaking import record_three_gap
 from adicgaps.runtime import SCHEMA_VERSION, ResultCache
@@ -795,6 +798,28 @@ class TestAuditCommand:
         report = json.loads(out.read_text())
         assert report["summary"] == {"pass": 0, "fail": 0, "discrepancy_known": 1}
         assert report["entries"][0]["status"] == DISCREPANCY_KNOWN
+
+    def test_rule_oracle_failures_name_the_kind_and_both_readings(self, monkeypatch):
+        # a stated rule that is wrong at 0>0 for every family: each recorded
+        # failure carries realize_efamily's message, not its class alone
+        real = embeddings.efamily_induced_map
+
+        def wrong(fam):
+            (kind, image), *rest = real(fam)
+            return ((kind, CombKind(image.teeth + 1, image.spine)), *rest)
+
+        monkeypatch.setattr(embeddings, "efamily_induced_map", wrong)
+        _, _, computed, status = check_rule_oracle(0)
+        assert status == FAIL
+        fam = next(enumerate_efamilies(1, 1))
+        (_, said), *_ = wrong(fam)
+        (_, read), *_ = real(fam)
+        assert computed["failures"][0] == (
+            f"{fam}: ValidationFailure: comb action mismatch at 0>0: "
+            f"rule says {said}, oracle says {read}"
+        )
+        assert len(computed["failures"]) == 5
+        assert all(": comb action mismatch at 0>0: " in entry for entry in computed["failures"])
 
     def test_unknown_check_exits_2(self, capsys):
         assert main(["audit", "paper-tables", "--only", "bogus"]) == EXIT_USAGE

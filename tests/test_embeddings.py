@@ -1,5 +1,6 @@
 """Tests for substitution and tabulated embeddings and their actions."""
 
+import functools
 import itertools
 import json
 import math
@@ -8,13 +9,19 @@ from collections import Counter
 
 import pytest
 
+import adicgaps.tree as tree_module
 from adicgaps import embeddings
+from adicgaps.cli import WORKED_FAMILY
 from adicgaps.combs import (
     CombKind,
     EFamily,
+    _comb_classes,
     classify_comb,
+    comb_kinds,
     comb_witness,
+    concretize,
     efamily_induced_map,
+    efamily_shapes,
     enumerate_efamilies,
 )
 from adicgaps.embeddings import (
@@ -43,6 +50,7 @@ from adicgaps.embeddings import (
 from adicgaps.tree import (
     Node,
     NodeSet,
+    NotHomogeneous,
     ScaleLimit,
     empty_node,
     first_move_equivalent,
@@ -71,6 +79,8 @@ from helpers import (
     map_json,
     parse_node_set,
     reembed_record,
+    reference_efamily_map,
+    reference_read,
     table_witness,
     tower_reps,
 )
@@ -456,6 +466,74 @@ class TestRealizeEFamily:
         }
         u0l1 = parse_type("[u0 l1]", 2)
         assert read(phi, u0l1) == (UNVERIFIED, u0l1)
+
+
+# ---------------------------------------------------------------------------
+# one tree code per reading and run-keyed anchors, against the readings and
+# images they replaced
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_families():
+    """Each family of the rule-oracle check's exhaustive scales, then 100
+    seeded (3, 3) families, with its realization."""
+    families = [fam for n, m in ((1, 1), (1, 2), (2, 1), (2, 2)) for fam in enumerate_efamilies(n, m)]
+    rng = random.Random(0)
+    families += [concretize(shape, 3) for shape in rng.sample(list(efamily_shapes(3, 3)), 100)]
+    return tuple((fam, realize_efamily(fam)) for fam in families)
+
+
+class TestOneCodePerReading:
+    def test_read_equals_the_trimmed_first_reading_on_every_comb_kind(self):
+        for fam, phi in _oracle_families():
+            for kind in comb_kinds(fam.n):
+                assert read(phi, kind) == reference_read(phi, kind), (fam, kind)
+
+    def test_read_falls_back_like_the_trimmed_first_reading(self):
+        # the 0>1 witness words at 5 blocks, and two maps of them: one sends
+        # the last word below the others, so the second image trimmed is not
+        # the first image; the other sends the fourth word off the comb, so
+        # the first image's whole set matches no kind and its trim one
+        words = [format_node(nd) for nd in comb_witness(CombKind(0, 1), 5, 2).sorted_nodes]
+        swapped = dict(zip(words, words[1:] + words[:1]))
+        broken = dict(zip(words, words[:3] + ["1" * 10, "1" * 11]))
+        for images, want in ((swapped, (STABLE, CombKind(0, 1))), (broken, (UNSTABLE, None))):
+            phi = TabulatedEmbedding(2, 2, 16, fn=lambda s, images=images: _n(images[format_node(s)]))
+            assert read(phi, CombKind(0, 1)) == reference_read(phi, CombKind(0, 1)) == want
+        # the broken map's first image: its trim is 0>1, the whole set nothing
+        first = apply(phi, comb_witness(CombKind(0, 1), PROBE_BLOCKS, 2))
+        assert classify_comb(first, whole_first=True) == CombKind(0, 1)
+        with pytest.raises(NotHomogeneous):
+            classify_comb(NodeSet(2, first.nodes | {_n("1" * 11)}))
+
+    def test_the_worked_family_builds_one_tree_code_per_comb_kind(self, monkeypatch):
+        # realize_efamily reads each kind at two sizes, and comb_action reads
+        # them all again: the first image's whole set is the one code built,
+        # the second image trimmed and every rereading are memo hits
+        for count in (PROBE_BLOCKS - 1, PROBE_BLOCKS, PROBE_BLOCKS + 1):
+            _comb_classes(2, count)  # the class maps are built once per process
+        tree_module._matches.cache_clear()
+        built = []
+        original = tree_module._tree_code
+
+        def counted(closure, members):
+            built.append(len(members))
+            return original(closure, members)
+
+        monkeypatch.setattr(tree_module, "_tree_code", counted)
+        comb_action(realize_efamily(WORKED_FAMILY))
+        assert built == [PROBE_BLOCKS] * len(comb_kinds(2))
+
+    def test_anchored_images_equal_the_recursion_they_replaced(self):
+        rng = random.Random(0)
+        for fam, phi in _oracle_families():
+            oracle = reference_efamily_map(fam)
+            words = [empty_node(fam.n)] + [
+                node(fam.n, [rng.randrange(fam.n) for _ in range(rng.randint(1, 8))])
+                for _ in range(12)
+            ]
+            for s in words:
+                assert phi.map_node(s) == oracle(s), (fam, s)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ the audit's ``optimality_checked``; the order pools fix every record-layer
 order witness.  Both searches share one vocabulary of kinds and labels.
 """
 
+import functools
 import gc
 import itertools
 import json
@@ -80,6 +81,7 @@ from adicgaps.tree import (
     random_node_set,
     record_table,
     reembed,
+    witness_classes,
     words_upto,
 )
 from adicgaps.types import (
@@ -92,7 +94,7 @@ from adicgaps.types import (
     type_id,
 )
 
-from helpers import parse_node_set, reference_classify
+from helpers import parse_node_set, reference_classify, reference_read
 
 BREAK_POOL_2 = (
     ("subalphabet", "iota=0", (0,)),
@@ -769,6 +771,7 @@ def _classified(classify, a, *layer):
         return type(ex).__name__, str(ex)
 
 
+@lru_cache(maxsize=None)
 def _memo_corpus():
     """Every type witness at alphabets 1-3 and 3-6 blocks, the pooled
     same-type samples mapped through every payload the breaking and order
@@ -802,14 +805,23 @@ def _memo_corpus():
             for kind in comb_kinds(fam.n)
             for blocks in (PROBE_BLOCKS, PROBE_BLOCKS + 1)
         ]
-    return [a for a in corpus if len(a) >= 3]
+    return tuple(a for a in corpus if len(a) >= 3)
+
+
+@lru_cache(maxsize=None)
+def _reference_answers():
+    """Each corpus set's :func:`reference_classify` answer on each layer."""
+    return tuple(
+        tuple(_classified(reference_classify, a, *layer) for _, *layer in LAYERS)
+        for a in _memo_corpus()
+    )
 
 
 def test_memoized_classify_equals_per_call_classify():
     # answers, refusals and their messages, on both layers, cold and then
     # warm in reverse order, where the memo answers most lookups
     corpus = _memo_corpus()
-    expected = [[_classified(reference_classify, a, *layer) for _, *layer in LAYERS] for a in corpus]
+    expected = _reference_answers()
     seen = Counter()
     tree_module._matches.cache_clear()
     for order in (range(len(corpus)), reversed(range(len(corpus)))):
@@ -821,6 +833,67 @@ def test_memoized_classify_equals_per_call_classify():
                 seen[got[0] if isinstance(got, tuple) else type(got).__name__] += 1
         assert tree_module._matches.cache_info().hits > hits
     assert set(seen) == {"CombKind", "TypeDescriptor", "NotHomogeneous", "AmbiguousTruncation"}, seen
+
+
+@lru_cache(maxsize=None)
+def _first_move_type_classes(alphabet, count):
+    """Type witnesses under first-move tables: distinct types share a code
+    at every size, so whole sets match several symbols."""
+    witness = lambda tau: type_witness(tau, count)  # noqa: E731
+    return witness_classes(enumerate_types(alphabet), witness, first_move_table)
+
+
+def test_whole_first_classify_equals_the_trimmed_first_rule():
+    # answers, refusals and messages, with each of the whole set's matches:
+    # one symbol (returned at once), none and several (both fall back); the
+    # type witnesses read on first-move tables give the several
+    whole_first = functools.partial(tree_module.classify, whole_first=True)
+    cases = [
+        (a, tuple(layer), want)
+        for a, answers in zip(_memo_corpus(), _reference_answers())
+        for (_, *layer), want in zip(LAYERS, answers)
+    ]
+    coarse = (_first_move_type_classes, first_move_table)
+    cases += [
+        (a, coarse, _classified(reference_classify, a, *coarse))
+        for alphabet in (2, 3)
+        for tau in enumerate_types(alphabet)
+        for a in (type_witness(tau, blocks) for blocks in range(3, 7))
+    ]
+    seen = Counter()
+    for a, (classes, table), want in cases:
+        assert _classified(whole_first, a, classes, table) == want, (table.__name__, a)
+        seen[min(len(classes(a.alphabet, len(a)).get(table(a), ())), 2)] += 1
+    assert set(seen) == {0, 1, 2}, seen
+
+
+def test_read_equals_the_trimmed_first_reading_under_the_probe():
+    # every domain type of every probed payload, with the probe's own check
+    # of the first reading against the type's pooled samples
+    def captured(phi):
+        betweens = []
+
+        def spy(phi, symbol, between=None):
+            betweens.append(between)
+            return embeddings.UNSTABLE, None  # the probe stops here
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(search, "read", spy)
+            probe(phi)
+        return betweens[0]
+
+    statuses = Counter()
+    for payload in _admission_payloads():
+        try:
+            phi = _build(payload)
+        except ValueError:
+            continue
+        between = captured(phi)
+        for tau in enumerate_types(phi.domain_alphabet):
+            got = read(phi, tau, between)
+            assert got == reference_read(phi, tau, between), (payload, tau)
+            statuses[got[0]] += 1
+    assert set(statuses) >= {STABLE, embeddings.REFUTED, embeddings.UNSTABLE}, statuses
 
 
 def test_memo_keeps_the_layers_apart():
